@@ -36,14 +36,14 @@
 #ifndef DTSIM_HDC_ONLINE_POLICY_HH
 #define DTSIM_HDC_ONLINE_POLICY_HH
 
+#include <algorithm>
 #include <cstdint>
-#include <list>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "array/disk_array.hh"
 #include "hdc/hdc_spec.hh"
+#include "sim/flat_table.hh"
+#include "sim/slab_list.hh"
 
 namespace dtsim {
 
@@ -101,25 +101,65 @@ class OnlineHdcPolicy
     bool
     isPinned(ArrayBlock block) const
     {
-        const PhysicalLoc loc = array_.striping().toPhysical(block);
-        return pinnedPerDisk_[loc.disk].count(block) != 0;
+        return pinnedOn(array_.striping().toPhysical(block).disk, block);
     }
 
   private:
-    /** Count-min estimate of `block`'s miss frequency. */
-    std::uint64_t estimate(ArrayBlock block) const;
+    /**
+     * One candidate-pool entry. Everything a re-plan needs per block
+     * that only depends on the block is computed once, on insert.
+     */
+    struct Candidate
+    {
+        ArrayBlock block = 0;
+        std::uint32_t prev = kNullSlot;  ///< LRU link toward the front.
+        std::uint32_t next = kNullSlot;  ///< LRU link toward the back.
+        std::uint32_t disk = 0;          ///< Owning logical disk.
+        bool incumbent = false;          ///< In its disk's pin set.
+    };
 
-    /** Conservative-update increment of `block` in the sketch. */
-    void sketchAdd(ArrayBlock block);
+    /**
+     * A ranked candidate. key = (est + 2*incumbent) << 1 | incumbent,
+     * so key descending then block ascending is the ranking order.
+     */
+    struct Ranked
+    {
+        std::uint64_t key;
+        ArrayBlock block;
+    };
 
-    /** Refresh `block` in the bounded LRU candidate pool. */
-    void touchCandidate(ArrayBlock block);
+    /** True if `block` is in `disk`'s sorted pin set. */
+    bool
+    pinnedOn(unsigned disk, ArrayBlock block) const
+    {
+        const std::vector<ArrayBlock>& s = pinnedPerDisk_[disk];
+        return std::binary_search(s.begin(), s.end(), block);
+    }
+
+    /** Count-min estimate of the block in candidate slot `s`. */
+    std::uint32_t estimate(std::uint32_t s) const;
+
+    /** Conservative-update increment of candidate slot `s`'s block. */
+    void sketchAdd(std::uint32_t s);
+
+    /**
+     * Refresh `block` in the bounded LRU candidate pool, inserting it
+     * (and evicting the least recent entry when full) if absent.
+     * @return The block's slot.
+     */
+    std::uint32_t touchCandidate(ArrayBlock block);
+
+    /** Unlink slot `s` from the LRU list. */
+    void lruUnlink(std::uint32_t s);
+
+    /** Link slot `s` at the LRU front. */
+    void lruPushFront(std::uint32_t s);
 
     /** Halve every sketch counter (exponential epoch decay). */
     void ageSketch();
 
-    /** Row `r`'s sketch column for `block`. */
-    std::size_t slot(unsigned r, ArrayBlock block) const;
+    /** Set the incumbent flag of `block` if it is in the pool. */
+    void markIncumbent(ArrayBlock block, bool incumbent);
 
     DiskArray& array_;
     HdcSpec spec_;
@@ -132,13 +172,27 @@ class OnlineHdcPolicy
     unsigned rows_;
     std::uint64_t cols_;
 
-    std::list<ArrayBlock> candLru_;  ///< Front = most recent miss.
-    std::unordered_map<ArrayBlock, std::list<ArrayBlock>::iterator>
-        candMap_;
+    /**
+     * Candidate pool: slots are handed out in order and an eviction
+     * reuses the evicted slot, so the used slots are always the dense
+     * prefix [0, cands_.size()). Grown on demand up to the bound.
+     */
+    std::vector<Candidate> cands_;
+    /** rows_ cached sketch columns per slot (row-major by slot). */
+    std::vector<std::uint32_t> candCols_;
+    FlatTable<std::uint32_t> candSlot_;  ///< Block -> pool slot.
+    std::uint32_t lruHead_ = kNullSlot;  ///< Most recent miss.
+    std::uint32_t lruTail_ = kNullSlot;  ///< Next eviction victim.
 
-    /** Current pin set of each logical disk. */
-    std::vector<std::unordered_set<ArrayBlock>> pinnedPerDisk_;
+    /** Current pin set of each logical disk, sorted ascending. */
+    std::vector<std::vector<ArrayBlock>> pinnedPerDisk_;
     std::uint64_t pinnedNow_ = 0;
+
+    /** Re-plan scratch, reused across epochs. */
+    std::vector<std::vector<Ranked>> ranked_;
+    std::vector<ArrayBlock> desired_;
+    std::vector<ArrayBlock> toUnpin_;
+    std::vector<ArrayBlock> toPin_;
 
     /** The previous epoch flagged a phase change. */
     bool fastMode_ = false;

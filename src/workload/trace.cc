@@ -1,8 +1,10 @@
 #include "workload/trace.hh"
 
 #include <algorithm>
+#include <charconv>
 #include <cinttypes>
 #include <cstdio>
+#include <fstream>
 #include <stdexcept>
 #include <unordered_map>
 #include <unordered_set>
@@ -75,28 +77,78 @@ saveTrace(const Trace& trace, const std::string& path)
     std::fclose(f);
 }
 
+namespace {
+
+/**
+ * Parse one unsigned decimal field at `p`, skipping leading blanks.
+ * Rejects signs, junk glued to the digits, and values above `max`.
+ * @return false (leaving `p` unspecified) on any of those.
+ */
+bool
+parseField(const char*& p, const char* end, std::uint64_t max,
+           std::uint64_t& out)
+{
+    while (p < end && (*p == ' ' || *p == '\t'))
+        ++p;
+    const auto [next, ec] = std::from_chars(p, end, out);
+    if (ec != std::errc() || out > max)
+        return false;
+    p = next;
+    return p == end || *p == ' ' || *p == '\t';
+}
+
+} // namespace
+
 Trace
 loadTrace(const std::string& path)
 {
-    std::FILE* f = std::fopen(path.c_str(), "r");
-    if (!f)
+    std::ifstream in(path);
+    if (!in)
         throw std::runtime_error("loadTrace: cannot open " + path);
     Trace trace;
-    char line[256];
-    while (std::fgets(line, sizeof(line), f)) {
-        if (line[0] == '#' || line[0] == '\n')
+    std::string line;
+    std::uint64_t lineno = 0;
+    while (std::getline(in, line)) {
+        ++lineno;
+        const auto bad = [&](const char* why) {
+            return std::runtime_error("loadTrace: " + path + ":" +
+                                      std::to_string(lineno) + ": " +
+                                      why + ": '" + line + "'");
+        };
+        if (!line.empty() && line.back() == '\r')
+            line.pop_back();
+        const std::size_t first = line.find_first_not_of(" \t");
+        if (first == std::string::npos || line[first] == '#')
             continue;
+
+        // "start count write job", all unsigned decimal.
+        const char* p = line.data();
+        const char* end = p + line.size();
+        std::uint64_t start = 0, count = 0, write = 0, job = 0;
+        if (!parseField(p, end, UINT64_MAX, start))
+            throw bad("bad start block");
+        if (!parseField(p, end, UINT32_MAX, count))
+            throw bad("bad block count");
+        if (!parseField(p, end, 1, write))
+            throw bad("write flag must be 0 or 1");
+        if (!parseField(p, end, UINT32_MAX, job))
+            throw bad("bad job id");
+        while (p < end && (*p == ' ' || *p == '\t'))
+            ++p;
+        if (p != end)
+            throw bad("trailing characters after the job id");
+        if (count == 0)
+            throw bad("zero-length record");
+        if (start + count < start)
+            throw bad("record runs past the last block number");
+
         TraceRecord r;
-        unsigned w = 0;
-        if (std::sscanf(line, "%" SCNu64 " %u %u %u", &r.start,
-                        &r.count, &w, &r.job) != 4) {
-            std::fclose(f);
-            throw std::runtime_error("loadTrace: bad line in " + path);
-        }
-        r.isWrite = w != 0;
+        r.start = start;
+        r.count = static_cast<std::uint32_t>(count);
+        r.isWrite = write != 0;
+        r.job = static_cast<std::uint32_t>(job);
         trace.push_back(r);
     }
-    std::fclose(f);
     return trace;
 }
 

@@ -61,7 +61,12 @@ std::vector<std::uint64_t> accessCountsSorted(const Trace& trace,
 /** Save a trace as a text file (one record per line). */
 void saveTrace(const Trace& trace, const std::string& path);
 
-/** Load a trace saved by saveTrace(). Throws on parse errors. */
+/**
+ * Load a trace saved by saveTrace(). Blank lines and '#' comments are
+ * skipped. Throws std::runtime_error naming `path:line` on a malformed
+ * record: a sign or other non-digit, trailing characters, a write
+ * flag other than 0 or 1, a zero block count, or a field out of range.
+ */
 Trace loadTrace(const std::string& path);
 
 } // namespace dtsim

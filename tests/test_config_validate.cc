@@ -69,6 +69,43 @@ TEST(ConfigValidate, OnlineHdcKnobs)
     EXPECT_EQ(firstError(sim), "");
 }
 
+TEST(ConfigValidate, OnlineHdcIndexWidths)
+{
+    // The candidate pool uses 32-bit slot indices and caches 32-bit
+    // sketch columns; wider knobs are refused, not truncated.
+    constexpr std::uint64_t k32 = std::uint64_t{1} << 32;
+    SimulationConfig sim;
+    sim.system.hdc.policy = HdcPolicy::Online;
+    sim.system.hdc.budgetBytesPerDisk = kMiB;
+
+    sim.system.hdc.candidateBlocks = k32 - 1;
+    EXPECT_EQ(firstError(sim), "");
+    sim.system.hdc.candidateBlocks = k32;
+    std::string err = firstError(sim);
+    EXPECT_NE(err.find("hdc.candidate_blocks (4294967296)"),
+              std::string::npos)
+        << err;
+    EXPECT_NE(err.find("2^32"), std::string::npos) << err;
+    sim.system.hdc.candidateBlocks = ~std::uint64_t{0};
+    EXPECT_NE(firstError(sim).find("hdc.candidate_blocks"),
+              std::string::npos);
+    sim.system.hdc.candidateBlocks = 65536;
+
+    sim.system.hdc.sketchCols = k32;
+    EXPECT_EQ(firstError(sim), "");
+    sim.system.hdc.sketchCols = k32 + 1;
+    err = firstError(sim);
+    EXPECT_NE(err.find("hdc.sketch_cols (4294967297)"), std::string::npos)
+        << err;
+    sim.system.hdc.sketchCols = 65536;
+
+    // Oracle runs never build the pool.
+    sim.system.hdc.policy = HdcPolicy::Oracle;
+    sim.system.hdc.candidateBlocks = k32;
+    sim.system.hdc.sketchCols = k32 + 1;
+    EXPECT_EQ(firstError(sim), "");
+}
+
 TEST(ConfigValidate, AdaptiveRaKnobs)
 {
     SimulationConfig sim;

@@ -5,16 +5,28 @@
  * detection, the unified pin router it issues deltas through, the
  * buffer-cache observer hook that can feed it, and the adaptive FOR
  * read-ahead depth control that ships alongside it.
+ *
+ * OnlineHdcDifferential keeps the policy's original node-based
+ * ranking (std::list + std::unordered_map candidate pool,
+ * std::unordered_set pin sets, partial_sort) as a reference and
+ * requires the production policy to match it after every epoch of
+ * seeded miss streams, in the style of test_container_equiv.cc.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <list>
 #include <sstream>
+#include <unordered_map>
+#include <unordered_set>
+#include <vector>
 
 #include "core/experiment.hh"
 #include "fs/buffer_cache.hh"
 #include "hdc/hdc_planner.hh"
 #include "hdc/online_policy.hh"
+#include "sim/rng.hh"
 #include "stats_text.hh"
 #include "workload/synthetic.hh"
 
@@ -356,6 +368,451 @@ TEST(AdaptiveRa, OffPathMatchesDefaultByteForByte)
     SimulationConfig explicit_off = sim;
     explicit_off.system.ra = RaSpec{};
     EXPECT_EQ(dump(explicit_off), base);
+}
+
+// ---------------------------------------------------------------------
+// Production policy vs. the original node-based re-planner.
+// ---------------------------------------------------------------------
+
+/**
+ * The online policy as first written: an LRU std::list candidate pool
+ * indexed by std::unordered_map, std::unordered_set pin sets, and a
+ * partial_sort whose comparator probes the pin set. Commands are
+ * recorded instead of issued. It also counts the events the fuzz
+ * cases exist to cover, so each case can prove it reached them.
+ */
+class RefOnlinePolicy
+{
+  public:
+    RefOnlinePolicy(const StripingMap& striping, std::uint64_t capacity,
+                    const HdcSpec& spec)
+        : striping_(striping), spec_(spec), capacityBlocks_(capacity),
+          rows_(spec.sketchRows), cols_(spec.sketchCols),
+          sketch_(static_cast<std::size_t>(rows_) * cols_, 0),
+          pinnedPerDisk_(striping.disks())
+    {
+    }
+
+    void
+    observeMiss(ArrayBlock block)
+    {
+        ++counters_.misses;
+        sketchAdd(block);
+        touchCandidate(block);
+    }
+
+    void
+    onAccess(ArrayBlock start, std::uint64_t count)
+    {
+        for (std::uint64_t i = 0; i < count; ++i)
+            observeMiss(start + i);
+    }
+
+    void
+    replan()
+    {
+        unpins_.clear();
+        pins_.clear();
+        ++counters_.replans;
+        if (capacityBlocks_ == 0)
+            return;
+        const unsigned disks = striping_.disks();
+        struct Ranked
+        {
+            std::uint64_t est;
+            ArrayBlock block;
+        };
+        std::vector<std::vector<Ranked>> ranked(disks);
+        for (const ArrayBlock b : candLru_) {
+            const std::uint64_t est = estimate(b);
+            if (est == 0)
+                continue;
+            ranked[striping_.toPhysical(b).disk].push_back(
+                Ranked{est, b});
+        }
+
+        bool hadPins = false;
+        std::uint64_t desiredTotal = 0;
+        std::uint64_t overlap = 0;
+        for (unsigned d = 0; d < disks; ++d) {
+            std::vector<Ranked>& r = ranked[d];
+            std::unordered_set<ArrayBlock>& cur = pinnedPerDisk_[d];
+            const std::size_t k = std::min<std::size_t>(
+                r.size(), static_cast<std::size_t>(capacityBlocks_));
+            if (r.size() < capacityBlocks_)
+                ++underfullDisks_;
+            std::partial_sort(
+                r.begin(), r.begin() + k, r.end(),
+                [&cur](const Ranked& a, const Ranked& b) {
+                    const bool ap = cur.count(a.block) != 0;
+                    const bool bp = cur.count(b.block) != 0;
+                    const std::uint64_t ae = a.est + (ap ? 2 : 0);
+                    const std::uint64_t be = b.est + (bp ? 2 : 0);
+                    if (ae != be)
+                        return ae > be;
+                    if (ap != bp)
+                        return ap;
+                    return a.block < b.block;
+                });
+            // A raw-estimate tie straddling the cut: the order past
+            // the estimate decides membership.
+            if (k > 0 && k < r.size()) {
+                for (std::size_t i = k; i < r.size(); ++i)
+                    if (r[i].est == r[k - 1].est) {
+                        ++cutTies_;
+                        break;
+                    }
+            }
+            r.resize(k);
+            desiredTotal += k;
+
+            std::unordered_set<ArrayBlock> desired;
+            for (const Ranked& rk : r)
+                desired.insert(rk.block);
+            hadPins = hadPins || !cur.empty();
+            for (const ArrayBlock b : cur) {
+                if (desired.count(b))
+                    ++overlap;
+                else
+                    unpins_.push_back(b);
+            }
+            for (const Ranked& rk : r)
+                if (!cur.count(rk.block))
+                    pins_.push_back(rk.block);
+            cur = std::move(desired);
+        }
+        std::sort(unpins_.begin(), unpins_.end());
+        std::sort(pins_.begin(), pins_.end());
+        counters_.unpins += unpins_.size();
+        counters_.pins += pins_.size();
+        pinnedNow_ = pinnedNow_ - unpins_.size() + pins_.size();
+
+        const double churn =
+            desiredTotal == 0
+                ? 0.0
+                : 1.0 - static_cast<double>(overlap) /
+                            static_cast<double>(desiredTotal);
+        fastMode_ = hadPins && desiredTotal > 0 &&
+                    churn > spec_.churnThreshold;
+        if (fastMode_)
+            ++counters_.fastReplans;
+
+        const std::uint64_t age_volume =
+            32 * capacityBlocks_ * striping_.disks();
+        if (counters_.misses - lastAgeMisses_ >= age_volume) {
+            for (std::uint32_t& c : sketch_)
+                c >>= 1;
+            lastAgeMisses_ = counters_.misses;
+            ++agings_;
+        }
+    }
+
+    Tick
+    nextIntervalTicks() const
+    {
+        const Tick base = spec_.replanIntervalTicks;
+        return fastMode_ ? std::max<Tick>(1, base / 4) : base;
+    }
+
+    bool
+    isPinned(ArrayBlock block) const
+    {
+        return pinnedPerDisk_[striping_.toPhysical(block).disk].count(
+                   block) != 0;
+    }
+
+    std::uint64_t
+    pinnedOnDisk(unsigned d) const
+    {
+        return pinnedPerDisk_[d].size();
+    }
+
+    const OnlineHdcCounters& counters() const { return counters_; }
+    std::uint64_t pinnedNow() const { return pinnedNow_; }
+    const std::vector<ArrayBlock>& unpins() const { return unpins_; }
+    const std::vector<ArrayBlock>& pins() const { return pins_; }
+
+    std::uint64_t pinnedReentries() const { return pinnedReentries_; }
+    std::uint64_t cutTies() const { return cutTies_; }
+    std::uint64_t underfullDisks() const { return underfullDisks_; }
+    std::uint64_t agings() const { return agings_; }
+
+  private:
+    static std::uint64_t
+    mix64(std::uint64_t x)
+    {
+        x += 0x9e3779b97f4a7c15ull;
+        x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+        x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+        return x ^ (x >> 31);
+    }
+
+    std::size_t
+    slot(unsigned r, ArrayBlock block) const
+    {
+        const std::uint64_t h =
+            mix64(block + 0x9e3779b97f4a7c15ull * (r + 1));
+        return static_cast<std::size_t>(r) * cols_ + h % cols_;
+    }
+
+    std::uint64_t
+    estimate(ArrayBlock block) const
+    {
+        std::uint32_t est = UINT32_MAX;
+        for (unsigned r = 0; r < rows_; ++r)
+            est = std::min(est, sketch_[slot(r, block)]);
+        return est;
+    }
+
+    void
+    sketchAdd(ArrayBlock block)
+    {
+        const std::uint64_t est = estimate(block);
+        if (est == UINT32_MAX)
+            return;
+        for (unsigned r = 0; r < rows_; ++r) {
+            std::uint32_t& c = sketch_[slot(r, block)];
+            if (c == est)
+                ++c;
+        }
+    }
+
+    void
+    touchCandidate(ArrayBlock block)
+    {
+        auto it = candMap_.find(block);
+        if (it != candMap_.end()) {
+            candLru_.splice(candLru_.begin(), candLru_, it->second);
+            return;
+        }
+        if (candMap_.size() >= spec_.candidateBlocks) {
+            const ArrayBlock old = candLru_.back();
+            candLru_.pop_back();
+            candMap_.erase(old);
+        }
+        if (isPinned(block))
+            ++pinnedReentries_;
+        candLru_.push_front(block);
+        candMap_.emplace(block, candLru_.begin());
+    }
+
+    StripingMap striping_;
+    HdcSpec spec_;
+    std::uint64_t capacityBlocks_;
+    unsigned rows_;
+    std::uint64_t cols_;
+    std::vector<std::uint32_t> sketch_;
+    std::list<ArrayBlock> candLru_;
+    std::unordered_map<ArrayBlock, std::list<ArrayBlock>::iterator>
+        candMap_;
+    std::vector<std::unordered_set<ArrayBlock>> pinnedPerDisk_;
+    std::uint64_t pinnedNow_ = 0;
+    bool fastMode_ = false;
+    std::uint64_t lastAgeMisses_ = 0;
+    OnlineHdcCounters counters_;
+    std::vector<ArrayBlock> unpins_;
+    std::vector<ArrayBlock> pins_;
+
+    std::uint64_t pinnedReentries_ = 0;
+    std::uint64_t cutTies_ = 0;
+    std::uint64_t underfullDisks_ = 0;
+    std::uint64_t agings_ = 0;
+};
+
+/** One differential fuzz configuration. */
+struct FuzzCase
+{
+    unsigned disks = 2;
+    std::uint64_t unitBlocks = 1;      ///< Stripe unit in blocks.
+    std::uint64_t regionBlocks = 8;    ///< HDC capacity per disk.
+    std::uint64_t candidates = 4096;   ///< hdc.candidate_blocks.
+    unsigned rows = 4;
+    std::uint64_t cols = 4096;
+    ArrayBlock hotSpan = 256;          ///< Blocks drawn from a window.
+    int epochs = 40;
+    int missesPerEpoch = 200;
+    /** Draws from a cyclic hot set (one miss per block per cycle, the
+     *  host cache's flattened stream) instead of a skewed window. */
+    bool flat = false;
+    /** Epoch at which the window jumps (phase change); -1 = never. */
+    int phaseAt = -1;
+};
+
+/**
+ * Drive the production policy and the reference with the same seeded
+ * miss stream and compare them after every epoch. The production
+ * policy's commands are observed as it issues them to the array: the
+ * sorted set differences of its pin set between epochs, whose sizes
+ * must equal its pin/unpin counter deltas and whose result must be
+ * resident in the controllers.
+ * @return The reference, for the coverage assertions.
+ */
+std::unique_ptr<RefOnlinePolicy>
+driveDifferential(const FuzzCase& fc, std::uint64_t seed)
+{
+    ArrayConfig cfg;
+    cfg.disks = fc.disks;
+    cfg.stripeUnitBytes = fc.unitBlocks * 4 * kKiB;
+    cfg.controller.hdcBytes = fc.regionBlocks * 4096;
+    EventQueue eq;
+    const auto array = std::make_unique<DiskArray>(eq, cfg);
+
+    HdcSpec spec = onlineSpec();
+    spec.budgetBytesPerDisk = cfg.controller.hdcBytes;
+    spec.candidateBlocks = fc.candidates;
+    spec.sketchRows = fc.rows;
+    spec.sketchCols = fc.cols;
+    spec.replanIntervalTicks = 1000;
+
+    OnlineHdcPolicy real(*array, spec);
+    auto ref = std::make_unique<RefOnlinePolicy>(
+        array->striping(), array->controller(0).hdcCapacityBlocks(),
+        spec);
+    Rng rng(seed);
+
+    // Every block the stream can touch, across both phases.
+    const ArrayBlock space = 2 * fc.hotSpan + 64;
+    std::vector<bool> pinnedBefore(space, false);
+    ArrayBlock base = 0;
+    ArrayBlock cursor = 0;
+
+    for (int epoch = 0; epoch < fc.epochs; ++epoch) {
+        if (epoch == fc.phaseAt)
+            base = fc.hotSpan + 64;
+        for (int m = 0; m < fc.missesPerEpoch; ++m) {
+            ArrayBlock b;
+            if (fc.flat && rng.below(8) != 0) {
+                b = base + cursor;
+                cursor = (cursor + 1) % fc.hotSpan;
+            } else {
+                // Skewed: low offsets in the window are hotter.
+                b = base + rng.below(rng.below(fc.hotSpan) + 1);
+            }
+            if (rng.below(4) == 0) {
+                const std::uint64_t n = 1 + rng.below(4);
+                real.onAccess(b, n);
+                ref->onAccess(b, n);
+            } else {
+                real.observeMiss(b);
+                ref->observeMiss(b);
+            }
+        }
+
+        const OnlineHdcCounters before = real.counters();
+        real.replan();
+        ref->replan();
+
+        const std::string at = "seed " + std::to_string(seed) +
+                               " epoch " + std::to_string(epoch);
+        std::vector<ArrayBlock> unpins;
+        std::vector<ArrayBlock> pins;
+        for (ArrayBlock b = 0; b < space; ++b) {
+            const bool now = real.isPinned(b);
+            EXPECT_EQ(now, ref->isPinned(b)) << at << " block " << b;
+            if (pinnedBefore[b] && !now)
+                unpins.push_back(b);
+            if (!pinnedBefore[b] && now)
+                pins.push_back(b);
+            pinnedBefore[b] = now;
+        }
+        EXPECT_EQ(unpins, ref->unpins()) << at;
+        EXPECT_EQ(pins, ref->pins()) << at;
+        EXPECT_EQ(real.counters().unpins - before.unpins, unpins.size())
+            << at;
+        EXPECT_EQ(real.counters().pins - before.pins, pins.size()) << at;
+
+        const OnlineHdcCounters& a = real.counters();
+        const OnlineHdcCounters& e = ref->counters();
+        EXPECT_EQ(a.misses, e.misses) << at;
+        EXPECT_EQ(a.replans, e.replans) << at;
+        EXPECT_EQ(a.fastReplans, e.fastReplans) << at;
+        EXPECT_EQ(a.pins, e.pins) << at;
+        EXPECT_EQ(a.unpins, e.unpins) << at;
+        EXPECT_EQ(real.pinnedNow(), ref->pinnedNow()) << at;
+        EXPECT_EQ(real.nextIntervalTicks(), ref->nextIntervalTicks())
+            << at;
+        for (unsigned d = 0; d < fc.disks; ++d)
+            EXPECT_EQ(array->controller(d).hdcPinnedBlocks(),
+                      ref->pinnedOnDisk(d))
+                << at << " disk " << d;
+        if (::testing::Test::HasFailure())
+            break;
+    }
+    return ref;
+}
+
+TEST(OnlineHdcDifferential, DiskCounts)
+{
+    for (unsigned disks : {1u, 2u, 4u}) {
+        FuzzCase fc;
+        fc.disks = disks;
+        fc.unitBlocks = disks == 4 ? 4 : 1;
+        for (std::uint64_t seed : {1u, 2u}) {
+            const auto ref = driveDifferential(fc, seed);
+            EXPECT_GT(ref->counters().pins, 0u);
+            EXPECT_GT(ref->counters().unpins, 0u);
+        }
+    }
+}
+
+TEST(OnlineHdcDifferential, RegionLargerThanCandidates)
+{
+    // A region bigger than a disk's ranked candidates: every
+    // candidate is selected, so the nth_element step is skipped.
+    FuzzCase fc;
+    fc.regionBlocks = 64;
+    fc.hotSpan = 60;
+    for (std::uint64_t seed : {3u, 4u}) {
+        const auto ref = driveDifferential(fc, seed);
+        EXPECT_GT(ref->underfullDisks(), 0u);
+    }
+}
+
+TEST(OnlineHdcDifferential, LargeTieClassesAndAging)
+{
+    // The flattened stream plus a narrow sketch: most candidates share
+    // an estimate, so the incumbent flag and the block order decide
+    // the cut; the miss volume ages the sketch many times.
+    FuzzCase fc;
+    fc.flat = true;
+    fc.cols = 64;
+    fc.rows = 2;
+    fc.hotSpan = 96;
+    fc.missesPerEpoch = 300;
+    for (std::uint64_t seed : {5u, 6u, 7u}) {
+        const auto ref = driveDifferential(fc, seed);
+        EXPECT_GT(ref->cutTies(), 0u);
+        EXPECT_GT(ref->agings(), 2u);
+    }
+}
+
+TEST(OnlineHdcDifferential, PhaseChange)
+{
+    // A hot set the size of the regions that jumps: the new blocks
+    // overtake the aged old ones within one epoch.
+    FuzzCase fc;
+    fc.flat = true;
+    fc.hotSpan = 16;
+    fc.missesPerEpoch = 800;
+    fc.phaseAt = 10;
+    for (std::uint64_t seed : {8u, 9u}) {
+        const auto ref = driveDifferential(fc, seed);
+        EXPECT_GT(ref->counters().fastReplans, 0u);
+    }
+}
+
+TEST(OnlineHdcDifferential, PinnedBlocksLeaveAndReenterThePool)
+{
+    // A pool barely larger than the pinned set: pinned blocks fall out
+    // of the LRU pool and come back, and must come back incumbent.
+    FuzzCase fc;
+    fc.candidates = 24;
+    fc.hotSpan = 200;
+    fc.flat = true;
+    for (std::uint64_t seed : {10u, 11u}) {
+        const auto ref = driveDifferential(fc, seed);
+        EXPECT_GT(ref->pinnedReentries(), 0u);
+    }
 }
 
 } // namespace

@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
+#include "sim/rng.hh"
 #include "workload/trace.hh"
 
 namespace dtsim {
@@ -92,6 +96,97 @@ TEST(TracePersistence, LoadMalformedThrows)
     std::fclose(f);
     EXPECT_THROW(loadTrace(path), std::runtime_error);
     std::remove(path.c_str());
+}
+
+/** Write `text` to a scratch file and return its path. */
+std::string
+writeTraceText(const std::string& text)
+{
+    const std::string path = "/tmp/dtsim_trace_fuzz.txt";
+    std::FILE* f = std::fopen(path.c_str(), "w");
+    std::fputs(text.c_str(), f);
+    std::fclose(f);
+    return path;
+}
+
+TEST(TracePersistence, LoadToleratesLayoutNoise)
+{
+    // Comments, blank lines, extra blanks and CRLF line ends are not
+    // records; the values survive.
+    const std::string path = writeTraceText(
+        "# dtsim-trace v1\n"
+        "\n"
+        "   \t\n"
+        "  # indented comment\n"
+        "100 4 0 7\r\n"
+        "  18446744073709551610\t5  1   4294967295  \n");
+    const Trace t = loadTrace(path);
+    ASSERT_EQ(t.size(), 2u);
+    EXPECT_EQ(t[0].start, 100u);
+    EXPECT_EQ(t[0].count, 4u);
+    EXPECT_FALSE(t[0].isWrite);
+    EXPECT_EQ(t[0].job, 7u);
+    EXPECT_EQ(t[1].start, 18446744073709551610ull);
+    EXPECT_TRUE(t[1].isWrite);
+    EXPECT_EQ(t[1].job, 4294967295u);
+    std::remove(path.c_str());
+}
+
+TEST(TracePersistence, MalformedLinesNamePathAndLine)
+{
+    // Each bad record is planted at a seeded position in an otherwise
+    // valid trace; the error must name the file and that line.
+    const std::vector<std::string> bad = {
+        "-5 1 0 0",                 // Sign: used to wrap to 2^64 - 5.
+        "100 -1 0 0",
+        "+100 1 0 0",
+        "100 1 0 0 junk",           // Trailing junk.
+        "100 1 0 0x",
+        "100 1 0 3.5",
+        "100 1 7 0",                // Write flag outside {0, 1}.
+        "100 1 2 0",
+        "100 0 0 0",                // Zero-length record.
+        "100 4294967296 0 0",       // Count past 32 bits.
+        "100 1 0 4294967296",       // Job past 32 bits.
+        "18446744073709551616 1 0 0",
+        "18446744073709551615 2 0 0",  // Runs past the last block.
+        "100 1 0",                  // Missing field.
+        "not a record",
+        "100,1,0,0",
+    };
+    Rng rng(20260);
+    for (int trial = 0; trial < 64; ++trial) {
+        const std::string& line = bad[trial % bad.size()];
+        const unsigned good = static_cast<unsigned>(rng.below(20));
+        const unsigned at = static_cast<unsigned>(rng.below(good + 1));
+        std::string text = "# dtsim-trace v1: start count write job\n";
+        unsigned lineno = 1;
+        unsigned bad_line = 0;
+        for (unsigned i = 0; i <= good; ++i) {
+            if (i == at) {
+                text += line + "\n";
+                bad_line = ++lineno;
+            }
+            if (i < good) {
+                text += std::to_string(rng.below(1u << 20)) + " " +
+                        std::to_string(1 + rng.below(16)) + " " +
+                        std::to_string(rng.below(2)) + " " +
+                        std::to_string(rng.below(100)) + "\n";
+                ++lineno;
+            }
+        }
+        const std::string path = writeTraceText(text);
+        try {
+            loadTrace(path);
+            ADD_FAILURE() << "accepted '" << line << "'";
+        } catch (const std::runtime_error& e) {
+            const std::string where =
+                path + ":" + std::to_string(bad_line) + ":";
+            EXPECT_NE(std::string(e.what()).find(where), std::string::npos)
+                << e.what() << " (expected " << where << ")";
+        }
+        std::remove(path.c_str());
+    }
 }
 
 } // namespace

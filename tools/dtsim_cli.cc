@@ -286,9 +286,13 @@ coordSuffix(const SweepPoint& p)
     std::string s;
     for (const auto& kv : p.coords) {
         const std::size_t dot = kv.first.rfind('.');
-        s += "." +
-             kv.first.substr(dot == std::string::npos ? 0 : dot + 1) +
-             "-" + fileToken(kv.second);
+        // Appended piecewise: GCC 12 flags `"." + std::string`
+        // (a string insert at offset 0) with a false -Wrestrict in
+        // Release builds without LTO.
+        s += '.';
+        s += kv.first.substr(dot == std::string::npos ? 0 : dot + 1);
+        s += '-';
+        s += fileToken(kv.second);
     }
     // Same treatment for the HDC and read-ahead policy groups: a
     // sweep mixing policies (or an adaptive-RA run) must not write
@@ -335,8 +339,10 @@ coordSuffix(const SweepPoint& p)
             const std::string v = e.get();
             if (v == defs[i].get())
                 continue;
-            s += "." + e.name.substr(e.name.find('.') + 1) + "-" +
-                 fileToken(v);
+            s += '.';
+            s += e.name.substr(e.name.find('.') + 1);
+            s += '-';
+            s += fileToken(v);
         }
     }
     return s;
