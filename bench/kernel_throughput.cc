@@ -6,9 +6,10 @@
  *     against an embedded copy of the seed kernel (std::priority_queue
  *     of std::function entries plus two unordered_sets), and
  *  2. wall-clock time of a striping sweep run serially vs through the
- *     parallel sweep runner,
+ *     parallel sweep runner, and
+ *  3. events/sec of one full serial simulation,
  *
- * and writes both trajectories to BENCH_kernel.json in the working
+ * and writes the trajectories to BENCH_kernel.json in the working
  * directory (override with DTSIM_BENCH_OUT). EXPERIMENTS.md explains
  * how the numbers are produced and tracked across PRs.
  */
@@ -298,12 +299,9 @@ main()
                     "set DTSIM_JOBS>1 to measure)\n");
     }
 
-    // --- 3. Single-run kernel: events/sec and sharded speedup. ---
+    // --- 3. Single-run kernel events/sec. ---
     // One full simulation (not the synthetic event loop above): the
-    // events/sec a real replay achieves end to end, and how much the
-    // sharded kernel (--jobs-intra) buys on a 4-disk array. The
-    // speedup needs real parallel hardware; with fewer than 4
-    // threads it is recorded as null rather than a fake ~1.0x.
+    // events/sec a real replay achieves end to end on a 4-disk array.
     SystemConfig run_cfg;
     run_cfg.disks = 4;
     run_cfg.streams = 128;
@@ -316,99 +314,14 @@ main()
     const SyntheticWorkload rw = makeSynthetic(
         rp, run_cfg.disks * run_cfg.disk.totalBlocks());
 
-    auto run_once = [&](unsigned jobs_intra) {
+    auto run_once = [&]() {
         Experiment e(run_cfg);
-        e.replay(rw.trace).jobsIntra(jobs_intra);
+        e.replay(rw.trace);
         return e.run();
     };
-    run_once(1);   // Warm-up.
-    const RunResult run_serial = run_once(1);
-    const double run_eps = run_serial.eventsPerSec();
-    std::printf("single-run events/sec (serial): %.3e\n", run_eps);
-
-    double sharded_speedup = -1.0;
-    unsigned jobs_intra_used = 1;
-    if (hw >= 4) {
-        const RunResult run_sharded = run_once(4);
-        if (run_sharded.ioTime != run_serial.ioTime ||
-            run_sharded.agg.reads != run_serial.agg.reads) {
-            warn("sharded run differs from serial run");
-            return 1;
-        }
-        jobs_intra_used = run_sharded.jobsIntra;
-        if (run_sharded.wallSeconds > 0.0)
-            sharded_speedup =
-                run_serial.wallSeconds / run_sharded.wallSeconds;
-        std::printf("sharded speedup (jobs-intra %u): %.2fx\n",
-                    jobs_intra_used, sharded_speedup);
-    } else {
-        std::printf("sharded speedup: skipped (%u hw threads; "
-                    "needs >= 4)\n", hw);
-    }
-
-    // --- 4. Mirrored-degraded sharded speedup. ---
-    // The hardest configuration the sharded kernel now covers: a
-    // RAID-10 array losing one disk mid-run (degraded reads + a
-    // rebuild competing with foreground I/O). Wall time is min-of-N
-    // to shave scheduler noise; like section 3, the speedup is null
-    // below 4 hardware threads instead of a fake ~1.0x.
-    SystemConfig mir_cfg;
-    mir_cfg.disks = 4;
-    mir_cfg.streams = 128;
-    mir_cfg.workers = 64;
-    mir_cfg.mirrored = true;
-    mir_cfg.fault.killAtTicks = 1 * kMsec;
-    mir_cfg.fault.killDisk = 1;
-    mir_cfg.fault.repairAtTicks = 500 * kMsec;
-    mir_cfg.fault.rebuildBlocks = 4096;
-
-    SyntheticParams mp;
-    mp.fileSizeBytes = 16 * kKiB;
-    mp.numRequests = 30000;
-    mp.zipfAlpha = 0.6;
-    const SyntheticWorkload mw = makeSynthetic(
-        mp, mir_cfg.disks * mir_cfg.disk.totalBlocks() / 2);
-
-    auto mir_once = [&](unsigned jobs_intra) {
-        Experiment e(mir_cfg);
-        e.replay(mw.trace).jobsIntra(jobs_intra);
-        return e.run();
-    };
-    auto mir_best = [&](unsigned jobs_intra) {
-        constexpr int kReps = 3;
-        RunResult best = mir_once(jobs_intra);
-        for (int i = 1; i < kReps; ++i) {
-            RunResult r = mir_once(jobs_intra);
-            if (r.wallSeconds < best.wallSeconds)
-                best = r;
-        }
-        return best;
-    };
-
-    double mirrored_degraded_speedup = -1.0;
-    if (hw >= 4) {
-        const RunResult mir_serial = mir_best(1);
-        const RunResult mir_sharded = mir_best(4);
-        if (mir_sharded.ioTime != mir_serial.ioTime ||
-            mir_sharded.agg.reads != mir_serial.agg.reads ||
-            mir_sharded.faults.degradedReads !=
-                mir_serial.faults.degradedReads) {
-            warn("mirrored-degraded sharded run differs from serial");
-            return 1;
-        }
-        if (mir_serial.faults.degradedReads == 0) {
-            warn("mirrored-degraded bench saw no degraded reads");
-            return 1;
-        }
-        if (mir_sharded.wallSeconds > 0.0)
-            mirrored_degraded_speedup =
-                mir_serial.wallSeconds / mir_sharded.wallSeconds;
-        std::printf("mirrored-degraded sharded speedup: %.2fx\n",
-                    mirrored_degraded_speedup);
-    } else {
-        std::printf("mirrored-degraded speedup: skipped (%u hw "
-                    "threads; needs >= 4)\n", hw);
-    }
+    run_once();   // Warm-up.
+    const double run_eps = run_once().eventsPerSec();
+    std::printf("single-run events/sec: %.3e\n", run_eps);
 
     // --- Write the tracked trajectory point. ---
     const char* out_env = std::getenv("DTSIM_BENCH_OUT");
@@ -435,23 +348,12 @@ main()
         std::fprintf(f,
                      "  \"sweep_parallel_s\": null,\n"
                      "  \"speedup\": null,\n");
-    std::fprintf(f, "  \"run_events_per_sec\": %.0f,\n", run_eps);
-    if (sharded_speedup > 0.0)
-        std::fprintf(f, "  \"sharded_speedup\": %.3f,\n",
-                     sharded_speedup);
-    else
-        std::fprintf(f, "  \"sharded_speedup\": null,\n");
-    if (mirrored_degraded_speedup > 0.0)
-        std::fprintf(f, "  \"mirrored_degraded_speedup\": %.3f,\n",
-                     mirrored_degraded_speedup);
-    else
-        std::fprintf(f, "  \"mirrored_degraded_speedup\": null,\n");
     std::fprintf(f,
-                 "  \"jobs_intra\": %u,\n"
+                 "  \"run_events_per_sec\": %.0f,\n"
                  "  \"jobs\": %u,\n"
                  "  \"hw_threads\": %u\n"
                  "}\n",
-                 jobs_intra_used, n_jobs, hw);
+                 run_eps, n_jobs, hw);
     std::fclose(f);
     std::printf("wrote %s\n", out.c_str());
     return 0;

@@ -3,34 +3,24 @@
 #include <algorithm>
 
 #include "sim/logging.hh"
-#include "sim/sharded_kernel.hh"
 
 namespace dtsim {
 
-DiskArray::DiskArray(EventQueue& eq, const ArrayConfig& cfg,
-                     ShardedKernel* kernel)
+DiskArray::DiskArray(EventQueue& eq, const ArrayConfig& cfg)
     : eq_(eq), bus_(cfg.busBytesPerSec), mirrored_(cfg.mirrored),
       striping_(cfg.mirrored ? cfg.disks / 2 : cfg.disks,
                 cfg.stripeUnitBytes / cfg.disk.blockSize,
-                cfg.disk.totalBlocks())
+                cfg.disk.totalBlocks()),
+      batch_(eq)
 {
     if (cfg.stripeUnitBytes % cfg.disk.blockSize != 0)
         fatal("DiskArray: stripe unit must be a block multiple");
     if (cfg.mirrored && (cfg.disks < 2 || cfg.disks % 2 != 0))
         fatal("DiskArray: mirroring needs an even disk count");
-    if (kernel && kernel->shards() != cfg.disks)
-        fatal("DiskArray: sharded kernel has %u shards for %u disks",
-              kernel->shards(), cfg.disks);
-    if (!kernel)
-        serialLink_ = std::make_unique<SerialMergeLink>(eq_);
-    link_ = kernel ? static_cast<ShardLink*>(kernel)
-                   : static_cast<ShardLink*>(serialLink_.get());
     if (cfg.mirrored) {
-        // Canonical merge order for replica pairs: (logical disk,
-        // replica index), so same-tick emissions of a pair merge
-        // primary-then-mirror regardless of physical numbering. Both
-        // link implementations honour it, keeping mirrored serial
-        // runs byte-identical to sharded ones. Unmirrored arrays keep
+        // Merge order for replica pairs: (logical disk, replica
+        // index), so same-tick actions of a pair run primary first
+        // regardless of physical numbering. Unmirrored arrays keep
         // the identity order.
         const unsigned half = cfg.disks / 2;
         std::vector<unsigned> ranks(cfg.disks);
@@ -39,14 +29,13 @@ DiskArray::DiskArray(EventQueue& eq, const ArrayConfig& cfg,
             const unsigned replica = d < half ? 0u : 1u;
             ranks[d] = logical * 2 + replica;
         }
-        link_->setMergeRanks(std::move(ranks));
+        batch_.setMergeRanks(std::move(ranks));
     }
     ctrls_.reserve(cfg.disks);
     for (unsigned d = 0; d < cfg.disks; ++d) {
         auto ctl = std::make_unique<DiskController>(
-            kernel ? kernel->shardQueue(d) : eq_, bus_, cfg.disk,
-            cfg.controller, d);
-        ctl->setShardLink(link_);
+            eq_, bus_, cfg.disk, cfg.controller, d);
+        ctl->setSameTickBatch(&batch_);
         ctrls_.push_back(std::move(ctl));
     }
 
@@ -137,7 +126,7 @@ DiskArray::pickReadTarget(unsigned disk, bool& degraded)
               "read",
               disk, mirror);
     degraded = true;
-    ++faults_->hostCounters().degradedReads;
+    ++faults_->counters().degradedReads;
     return primary_ok ? disk : mirror;
 }
 
@@ -255,7 +244,7 @@ DiskArray::submit(ArrayRequest req)
             const bool m_dead =
                 faults_->health(sr.disk + half) == DiskHealth::Dead;
             if (p_dead || m_dead)
-                ++faults_->hostCounters().degradedWrites;
+                ++faults_->counters().degradedWrites;
             if (!p_dead)
                 submitSub(sr.disk, sr, true, pending, m_dead);
             if (!m_dead)
@@ -278,9 +267,9 @@ DiskArray::pinLogicalBlock(ArrayBlock lb)
     if (lb >= totalBlocks())
         fatal("DiskArray: pin past end of array");
     const PhysicalLoc loc = striping_.toPhysical(lb);
-    if (link_->hostNow() > 0) {
-        // Mid-run: the command must cross timelines like any other
-        // host->disk message.
+    if (eq_.now() > 0) {
+        // Mid-run: the command pays the command latency like any
+        // other host->controller command.
         pinOnDisk(loc.disk, loc.block);
         if (mirrored_)
             pinOnDisk(loc.disk + striping_.disks(), loc.block);
@@ -303,7 +292,7 @@ DiskArray::unpinLogicalBlock(ArrayBlock lb)
     if (lb >= totalBlocks())
         fatal("DiskArray: unpin past end of array");
     const PhysicalLoc loc = striping_.toPhysical(lb);
-    if (link_->hostNow() > 0) {
+    if (eq_.now() > 0) {
         unpinOnDisk(loc.disk, loc.block);
         if (mirrored_)
             unpinOnDisk(loc.disk + striping_.disks(), loc.block);
@@ -322,50 +311,31 @@ void
 DiskArray::pinOnDisk(unsigned d, BlockNum b)
 {
     DiskController* c = ctrls_[d].get();
-    link_->postToShard(d, link_->hostNow() + c->commandLatency(),
-                       [c, b]() {
-                           if (!c->pinBlock(b))
-                               fatal("DiskArray: deferred pin_blk of "
-                                     "block %llu failed on disk %u -- "
-                                     "the host-side capacity model is "
-                                     "out of sync",
-                                     static_cast<unsigned long long>(b),
-                                     c->diskId());
-                       });
+    eq_.scheduleAt(eq_.now() + c->commandLatency(), [c, b]() {
+        if (!c->pinBlock(b))
+            fatal("DiskArray: deferred pin_blk of block %llu failed on "
+                  "disk %u -- the host-side capacity model is out of "
+                  "sync",
+                  static_cast<unsigned long long>(b), c->diskId());
+    });
 }
 
 void
 DiskArray::unpinOnDisk(unsigned d, BlockNum b)
 {
     DiskController* c = ctrls_[d].get();
-    link_->postToShard(d, link_->hostNow() + c->commandLatency(),
-                       [c, b]() {
-                           if (!c->unpinBlock(b))
-                               fatal("DiskArray: deferred unpin_blk of "
-                                     "block %llu failed on disk %u -- "
-                                     "the host-side pin set is out of "
-                                     "sync",
-                                     static_cast<unsigned long long>(b),
-                                     c->diskId());
-                       });
-}
-
-void
-DiskArray::pinLogicalBlockDeferred(ArrayBlock lb)
-{
-    pinLogicalBlock(lb);
-}
-
-void
-DiskArray::unpinLogicalBlockDeferred(ArrayBlock lb)
-{
-    unpinLogicalBlock(lb);
+    eq_.scheduleAt(eq_.now() + c->commandLatency(), [c, b]() {
+        if (!c->unpinBlock(b))
+            fatal("DiskArray: deferred unpin_blk of block %llu failed "
+                  "on disk %u -- the host-side pin set is out of sync",
+                  static_cast<unsigned long long>(b), c->diskId());
+    });
 }
 
 void
 DiskArray::failDisk(unsigned d)
 {
-    ++faults_->hostCounters().diskFailures;
+    ++faults_->counters().diskFailures;
     if (!mirrored_)
         fatal("DiskArray: disk %u failed at tick %llu but the array "
               "is unmirrored; no redundancy exists to serve its "
@@ -391,7 +361,7 @@ DiskArray::repairDisk(unsigned d)
 {
     if (faults_->health(d) != DiskHealth::Dead)
         return;
-    ++faults_->hostCounters().diskRepairs;
+    ++faults_->counters().diskRepairs;
     faults_->setHealth(d, DiskHealth::Rebuilding);
 
     const FaultConfig& fc = faults_->config();
@@ -522,7 +492,7 @@ DiskArray::exportStats(stats::StatGroup& parent, Tick asOf) const
         .set(bus_.utilization(asOf ? asOf : eq_.now()));
 
     if (faults_) {
-        const FaultCounters f = faults_->totals();
+        const FaultCounters& f = faults_->counters();
         auto addU = [](stats::StatGroup& g, const char* name,
                        const char* desc, std::uint64_t v) {
             g.make<Scalar>(name, desc)

@@ -23,7 +23,7 @@
 #include "controller/layout_bitmap.hh"
 #include "fault/fault_model.hh"
 #include "sim/event_queue.hh"
-#include "sim/serial_merge.hh"
+#include "sim/same_tick_batch.hh"
 
 namespace dtsim {
 
@@ -73,23 +73,15 @@ struct ArrayConfig
     FaultConfig fault;
 };
 
-class ShardedKernel;
-
 /** A striped array of simulated disks. */
 class DiskArray
 {
   public:
     /**
-     * @param eq The event queue driving the array; with `kernel`
-     *        attached this is the kernel's host (coordinator) queue.
+     * @param eq The event queue driving the array.
      * @param cfg Array configuration.
-     * @param kernel Optional sharded kernel (one shard per disk):
-     *        each controller then schedules its disk-side events on
-     *        its own shard queue and exchanges submissions and
-     *        completions with the host timeline as messages.
      */
-    DiskArray(EventQueue& eq, const ArrayConfig& cfg,
-              ShardedKernel* kernel = nullptr);
+    DiskArray(EventQueue& eq, const ArrayConfig& cfg);
 
     DiskArray(const DiskArray&) = delete;
     DiskArray& operator=(const DiskArray&) = delete;
@@ -106,31 +98,23 @@ class DiskArray
 
     /**
      * pin_blk() routed to the owning disk (both replicas when
-     * mirrored). One command API for both kernels and both run
-     * phases:
+     * mirrored). One command API for both run phases:
      *
-     *  - At host tick 0 (warm start, before the run) the pin applies
+     *  - At tick 0 (warm start, before the run) the pin applies
      *    synchronously and the return value reports success, exactly
      *    like the paper's untimed HDC load outside the measured
      *    window.
-     *  - Mid-run the command crosses to the owning disk's timeline
-     *    after that controller's commandLatency(), like any other
-     *    host->disk message — legal under the sharded kernel's
-     *    lookahead contract. The caller models HDC capacity host-side
-     *    (see VictimHdcManager / OnlineHdcPolicy), so a shard-side
-     *    failure is a model bug and fatal()s; the call returns true.
+     *  - Mid-run the command reaches the owning controller after its
+     *    commandLatency(), like any other host->controller command.
+     *    The caller models HDC capacity host-side (see
+     *    VictimHdcManager / OnlineHdcPolicy), so a failure at the
+     *    controller is a model bug and fatal()s; the call returns
+     *    true.
      */
     bool pinLogicalBlock(ArrayBlock lb);
 
     /** unpin_blk() routed like pinLogicalBlock(). */
     bool unpinLogicalBlock(ArrayBlock lb);
-
-    /** @deprecated Alias of pinLogicalBlock(); the router now picks
-     *  the immediate or deferred path itself. */
-    void pinLogicalBlockDeferred(ArrayBlock lb);
-
-    /** @deprecated Alias of unpinLogicalBlock(). */
-    void unpinLogicalBlockDeferred(ArrayBlock lb);
 
     /**
      * Modeled host->controller command latency (uniform across the
@@ -150,8 +134,12 @@ class DiskArray
     }
     ScsiBus& bus() { return bus_; }
 
-    /** Logical capacity in blocks. */
-    std::uint64_t totalBlocks() const { return striping_.totalBlocks(); }
+    /** Logical capacity in blocks (requests must end within it). */
+    std::uint64_t
+    totalBlocks() const
+    {
+        return striping_.addressableBlocks();
+    }
 
     /** Sum of a statistic over all controllers. */
     ControllerStats aggregateStats() const;
@@ -190,7 +178,7 @@ class DiskArray
      */
     FaultCounters faultCounters() const
     {
-        return faults_ ? faults_->totals() : FaultCounters{};
+        return faults_ ? faults_->counters() : FaultCounters{};
     }
 
     /** Health of one physical disk (Alive when faults are off). */
@@ -250,7 +238,7 @@ class DiskArray
     void submitSub(unsigned disk, const SubRange& sr, bool is_write,
                    Pending* pending, bool degraded = false);
 
-    /** Post a deferred pin/unpin command to disk `d`'s timeline. */
+    /** Schedule a deferred pin/unpin command on disk `d`. */
     void pinOnDisk(unsigned d, BlockNum b);
     void unpinOnDisk(unsigned d, BlockNum b);
 
@@ -276,17 +264,8 @@ class DiskArray
     bool mirrored_;
     StripingMap striping_;
 
-    /**
-     * Serial cross-timeline link, owned when no sharded kernel is
-     * attached. Serial runs route same-tick cross-disk completions
-     * through it so their canonical (disk, FIFO) order matches the
-     * sharded kernel's merge -- the prerequisite for sharded runs
-     * being byte-identical to serial ones.
-     */
-    std::unique_ptr<SerialMergeLink> serialLink_;
-
-    /** The active link: the sharded kernel or serialLink_. */
-    ShardLink* link_ = nullptr;
+    /** Orders every controller's same-tick host-side actions. */
+    SameTickBatch batch_;
 
     std::vector<std::unique_ptr<DiskController>> ctrls_;
 

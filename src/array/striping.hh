@@ -84,6 +84,17 @@ class StripingMap
         return static_cast<std::uint64_t>(disks_) * perDisk_;
     }
 
+    /**
+     * Logical blocks the map can address: whole striping units only,
+     * since each disk's trailing partial unit is unused.
+     */
+    std::uint64_t
+    addressableBlocks() const
+    {
+        return static_cast<std::uint64_t>(disks_) * (perDisk_ / unit_) *
+               unit_;
+    }
+
   private:
     unsigned disks_;
     std::uint64_t unit_;

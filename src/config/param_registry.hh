@@ -50,7 +50,7 @@ struct ParamEntry
 
     /**
      * Execution-only: the parameter tunes how a run executes (e.g.
-     * run.jobs_intra) without affecting results, so dump() and the
+     * trace.buffer_records) without affecting results, so dump() and the
      * effective-config headers skip it — otherwise byte-comparing
      * outputs across execution modes would spuriously differ.
      */

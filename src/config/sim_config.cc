@@ -249,12 +249,6 @@ bindParams(ParamRegistry& reg, SimulationConfig& sim)
     reg.add("run.stats_interval_ticks", out.statsIntervalTicks,
             "also snapshot stats every this many simulated ticks "
             "(0 = final dump only)");
-    reg.add("run.jobs_intra", out.jobsIntra,
-            "intra-run kernel worker threads sharding the simulation "
-            "per disk (1 = serial kernel; 0 = DTSIM_JOBS_INTRA or the "
-            "hardware thread count); results are tick-identical at "
-            "any setting");
-    reg.markExecutionOnly("run.jobs_intra");
 
     // trace.* -- sampled-tracing knobs (docs/OBSERVABILITY.md). The
     // defaults record everything in binary, and the whole group is

@@ -44,14 +44,6 @@ struct OutputConfig
 
     /** Periodic snapshot interval in ticks (0 = final dump only). */
     Tick statsIntervalTicks = 0;
-
-    /**
-     * Intra-run kernel worker threads (1 = serial kernel, the
-     * default; 0 = DTSIM_JOBS_INTRA or the hardware thread count).
-     * Execution-only: results are tick-identical at any setting, so
-     * the key never appears in dumps or config headers.
-     */
-    unsigned jobsIntra = 1;
 };
 
 /** Everything one run or sweep point is configured by. */

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "sim/logging.hh"
-#include "sim/shard_link.hh"
 
 namespace dtsim {
 
@@ -146,19 +145,6 @@ DiskController::submit(IoRequest req)
     if (cfg_.readAhead == ReadAheadMode::FOR && !req.isWrite)
         overhead += params_.bitmapLookupOverhead;
 
-    if (link_ && !link_->quiesced()) {
-        // Sharded: submit() runs in host context. The request crosses
-        // to this disk's shard as an arrival at the same absolute
-        // tick the serial kernel would process it.
-        req.issued = link_->hostNow();
-        link_->postToShard(
-            diskId_, req.issued + overhead,
-            [this, r = std::move(req)]() mutable {
-                process(std::move(r));
-            });
-        return;
-    }
-
     req.issued = eq_.now();
     eq_.scheduleAfter(overhead, [this, r = std::move(req)]() mutable {
         process(std::move(r));
@@ -292,16 +278,10 @@ DiskController::enqueueMedia(std::unique_ptr<MediaJob> job)
     sched_->push(std::move(job));
     if (svc_) {
         // The depth distribution is order-sensitive (streaming
-        // accumulator), so sharded runs route the sample through the
-        // host merge to reproduce the serial sampling order.
+        // accumulator), so the sample takes the same-tick batch like
+        // the bus reservations it interleaves with.
         const double depth = static_cast<double>(sched_->size());
-        if (link_ && !link_->quiesced()) {
-            link_->emitToHost(diskId_, eq_.now(), [this, depth]() {
-                svc_->queueDepth.sample(depth);
-            });
-        } else {
-            svc_->queueDepth.sample(depth);
-        }
+        emitToHost([this, depth]() { svc_->queueDepth.sample(depth); });
     }
     tryStartMedia();
 }
@@ -525,27 +505,20 @@ DiskController::onMediaDone(std::unique_ptr<MediaJob> job,
     }
 
     if (job->rebuild) {
-        // Rebuild traffic bypasses the host bus, but the completion
-        // chain runs host-side (the array submits the paired write or
-        // the next chunk from it), so it crosses back as an emission
-        // in canonical merged order.
+        // Rebuild traffic bypasses the host bus, but its completion
+        // chain (the array submits the paired write or the next chunk
+        // from it) takes the same-tick batch.
         if (job->req.onComplete) {
-            if (link_ && !link_->quiesced()) {
-                link_->emitToHost(
-                    diskId_, eq_.now(),
-                    [cb = std::move(job->req.onComplete),
-                     start = job->req.start, count = job->req.count,
-                     is_write = job->req.isWrite,
-                     when = eq_.now()]() mutable {
-                        IoRequest r;
-                        r.start = start;
-                        r.count = count;
-                        r.isWrite = is_write;
-                        cb(r, when);
-                    });
-            } else {
-                job->req.onComplete(job->req, eq_.now());
-            }
+            emitToHost([cb = std::move(job->req.onComplete),
+                        start = job->req.start, count = job->req.count,
+                        is_write = job->req.isWrite,
+                        when = eq_.now()]() mutable {
+                IoRequest r;
+                r.start = start;
+                r.count = count;
+                r.isWrite = is_write;
+                cb(r, when);
+            });
         }
     } else if (job->background) {
         ++stats_.flushWrites;
@@ -558,20 +531,20 @@ DiskController::onMediaDone(std::unique_ptr<MediaJob> job,
 }
 
 void
+DiskController::emitToHost(SameTickBatch::Action fn)
+{
+    if (batch_)
+        batch_->emit(diskId_, std::move(fn));
+    else
+        fn();
+}
+
+void
 DiskController::respond(IoRequest req, Tick ready)
 {
-    if (link_ && !link_->quiesced()) {
-        // Sharded: the bus reservation must happen in global tick
-        // order, so it crosses back to the coordinator as an
-        // emission instead of running in shard context.
-        link_->emitToHost(
-            diskId_, ready,
-            [this, r = std::move(req), ready]() mutable {
-                finishOverBus(std::move(r), ready);
-            });
-        return;
-    }
-    finishOverBus(std::move(req), ready);
+    emitToHost([this, r = std::move(req), ready]() mutable {
+        finishOverBus(std::move(r), ready);
+    });
 }
 
 void
@@ -580,8 +553,7 @@ DiskController::finishOverBus(IoRequest req, Tick ready)
     const Tick done =
         bus_.transfer(ready, req.count * params_.blockSize);
     req.timing.bus = done - ready;
-    EventQueue& hq = link_ ? link_->hostQueue() : eq_;
-    hq.scheduleAt(done, [this, r = std::move(req), done]() {
+    eq_.scheduleAt(done, [this, r = std::move(req), done]() {
         --outstanding_;
         noteComplete(r, done);
         if (r.onComplete)
@@ -609,8 +581,8 @@ DiskController::noteComplete(const IoRequest& req, Tick done)
 
     // shouldRecord() runs the per-request sampling draw; the event is
     // only assembled for accepted requests. Completions reach this
-    // point in canonical host order under both kernels, so the draw
-    // sequence -- and therefore the sampled set -- is deterministic.
+    // point in a deterministic order, so the draw sequence -- and
+    // therefore the sampled set -- is deterministic.
     if (tracer_ && tracer_->shouldRecord()) {
         RequestTraceEvent ev;
         ev.completed = done;
@@ -846,38 +818,22 @@ DiskController::submitRebuild(BlockNum start, std::uint64_t count,
                               bool is_write,
                               IoRequest::Callback done)
 {
-    if (link_ && !link_->quiesced()) {
-        // Host context: the command crosses to this disk's timeline
-        // like any other submission. The job itself is built
-        // shard-side — the job pool is shard state.
-        link_->postToShard(
-            diskId_, link_->hostNow() + commandLatency(),
-            [this, start, count, is_write,
-             d = std::move(done)]() mutable {
-                enqueueRebuild(start, count, is_write, std::move(d));
-            });
-        return;
-    }
-    enqueueRebuild(start, count, is_write, std::move(done));
-}
-
-void
-DiskController::enqueueRebuild(BlockNum start, std::uint64_t count,
-                               bool is_write,
-                               IoRequest::Callback done)
-{
-    auto job = allocJob();
-    job->mediaStart = start;
-    job->mediaCount = count;
-    job->cylinder = geom_.blockToCylinder(start);
-    job->seq = seq_++;
-    job->background = true;
-    job->rebuild = true;
-    job->req.isWrite = is_write;
-    job->req.start = start;
-    job->req.count = count;
-    job->req.onComplete = std::move(done);
-    enqueueMedia(std::move(job));
+    eq_.scheduleAt(
+        eq_.now() + commandLatency(),
+        [this, start, count, is_write, d = std::move(done)]() mutable {
+            auto job = allocJob();
+            job->mediaStart = start;
+            job->mediaCount = count;
+            job->cylinder = geom_.blockToCylinder(start);
+            job->seq = seq_++;
+            job->background = true;
+            job->rebuild = true;
+            job->req.isWrite = is_write;
+            job->req.start = start;
+            job->req.count = count;
+            job->req.onComplete = std::move(d);
+            enqueueMedia(std::move(job));
+        });
 }
 
 } // namespace dtsim

@@ -33,13 +33,12 @@
 #include "fault/fault_model.hh"
 #include "hdc/hdc_spec.hh"
 #include "sim/event_queue.hh"
+#include "sim/same_tick_batch.hh"
 #include "sim/ticks.hh"
 #include "stats/service_stats.hh"
 #include "stats/trace.hh"
 
 namespace dtsim {
-
-class ShardLink;
 
 /** Read-ahead cache organization. */
 enum class CacheOrg { Segment, Block };
@@ -144,20 +143,12 @@ class DiskController
     void submit(IoRequest req);
 
     /**
-     * Attach the cross-timeline link (null = raw direct scheduling,
-     * for directly-constructed controllers in unit tests). Under the
-     * sharded kernel, `eq` passed at construction must be the
-     * kernel's shard queue for this disk: submissions arrive as
-     * cross-shard messages and completions are emitted back to the
-     * kernel's host timeline instead of being scheduled directly.
-     * Host-owned state (outstanding count, latency stats, histograms,
-     * tracer) is then touched only from host context, disk-owned
-     * state (mechanism, caches, scheduler) only from this shard's
-     * context. Under the serial merge link the split is the same but
-     * everything runs on one queue; either way, same-tick cross-disk
-     * emissions execute in the canonical (disk, FIFO) order.
+     * Attach the array's same-tick batch (sim/same_tick_batch.hh).
+     * Bus reservations, queue-depth samples and rebuild completions
+     * then run at the end of their tick in merge-rank order. A
+     * controller without a batch (unit tests) runs them inline.
      */
-    void setShardLink(ShardLink* link) { link_ = link; }
+    void setSameTickBatch(SameTickBatch* batch) { batch_ = batch; }
 
     /**
      * Attach this disk's fault-injection state (null = faults off;
@@ -171,10 +162,9 @@ class DiskController
      * Enqueue one mirror-rebuild media job over
      * [start, start+count). Rebuild traffic competes with foreground
      * I/O in the scheduler but bypasses the caches and the host bus;
-     * `done` fires when the media access completes, in host context
-     * (the completion crosses back over the link, merged in canonical
-     * order). Host context; the command reaches this disk's timeline
-     * after commandLatency() ticks.
+     * `done` fires at the end of the tick the media access completes
+     * in (through the same-tick batch). The command reaches the
+     * controller after commandLatency() ticks.
      */
     void submitRebuild(BlockNum start, std::uint64_t count,
                        bool is_write, IoRequest::Callback done);
@@ -182,10 +172,7 @@ class DiskController
     /**
      * Modeled latency of a host->controller command (rebuild
      * submission, mid-run HDC pin/unpin): the per-request overhead
-     * plus the HDC lookup charge when an HDC region exists. Equals
-     * the sharded kernel's lookahead floor, so a command issued from
-     * a host event at tick t lands at t + commandLatency() — a legal
-     * cross-shard arrival.
+     * plus the HDC lookup charge when an HDC region exists.
      */
     Tick
     commandLatency() const
@@ -284,10 +271,6 @@ class DiskController
     /** Queue a media job and start the mechanism if idle. */
     void enqueueMedia(std::unique_ptr<MediaJob> job);
 
-    /** Shard-side half of submitRebuild(): build + enqueue the job. */
-    void enqueueRebuild(BlockNum start, std::uint64_t count,
-                        bool is_write, IoRequest::Callback done);
-
     void tryStartMedia();
     void startMedia(std::unique_ptr<MediaJob> job);
     void onMediaDone(std::unique_ptr<MediaJob> job,
@@ -307,15 +290,15 @@ class DiskController
      */
     void maybeAdaptRaDepth();
 
+    /** Run `fn` through the same-tick batch (inline without one). */
+    void emitToHost(SameTickBatch::Action fn);
+
     /** Finish a request: bus transfer then completion callback. */
     void respond(IoRequest req, Tick ready);
 
     /**
-     * Host-side half of respond(): reserve the bus and schedule the
-     * completion on the host timeline. In serial mode this runs
-     * inline; in sharded mode it runs as an emission consumed by the
-     * coordinator in merged tick order (the bus reservation order is
-     * the array's serialization surface).
+     * Second half of respond(), run from the same-tick batch: reserve
+     * the bus and schedule the completion.
      */
     void finishOverBus(IoRequest req, Tick ready);
 
@@ -375,7 +358,7 @@ class DiskController
     bool stallPending_ = false;
 
     DiskFaults* faults_ = nullptr;
-    ShardLink* link_ = nullptr;
+    SameTickBatch* batch_ = nullptr;
     std::uint64_t seq_ = 0;
     std::uint64_t outstanding_ = 0;
     ControllerStats stats_;

@@ -131,13 +131,6 @@ Experiment::statsEvery(Tick interval)
 }
 
 Experiment&
-Experiment::jobsIntra(unsigned n)
-{
-    opts_.jobsIntra = n;
-    return *this;
-}
-
-Experiment&
 Experiment::header(std::string text)
 {
     opts_.configHeader = std::move(text);
@@ -208,8 +201,6 @@ Experiment::prepare()
         opts_.statsStream = cfg_.output.stream;
     if (opts_.statsIntervalTicks == 0)
         opts_.statsIntervalTicks = cfg_.output.statsIntervalTicks;
-    if (opts_.jobsIntra == 1)
-        opts_.jobsIntra = cfg_.output.jobsIntra;
 
     // Built mode knows the full configuration, so outputs get the
     // complete self-describing header; replay mode leaves synthesis

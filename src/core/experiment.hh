@@ -147,21 +147,12 @@ class Experiment
     /**
      * Stream framed live stat snapshots to `path` every `interval`
      * simulated ticks (0 = inherit statsEvery / the config's
-     * run.stats_interval_ticks). Works under both kernels; see
-     * docs/OBSERVABILITY.md.
+     * run.stats_interval_ticks); see docs/OBSERVABILITY.md.
      */
     Experiment& streamTo(std::string path, Tick interval = 0);
 
     /** Snapshot stats every `interval` ticks (0 = final dump only). */
     Experiment& statsEvery(Tick interval);
-
-    /**
-     * Intra-run kernel parallelism: shard the simulation per disk
-     * over `n` worker threads (1 = serial, the default; 0 =
-     * DTSIM_JOBS_INTRA/hardware threads). Composes with the
-     * sweep-level --jobs parallelism; see RunOptions::jobsIntra.
-     */
-    Experiment& jobsIntra(unsigned n);
 
     /**
      * Use this pre-rendered effective-config header; when unset,

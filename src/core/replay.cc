@@ -94,25 +94,11 @@ ReplayEngine::issue(std::size_t idx, std::size_t end)
 Tick
 ReplayEngine::run()
 {
-    if (!start())
-        return eq_.now();
-    eq_.run();
-    return finish();
-}
-
-bool
-ReplayEngine::start()
-{
     if (jobs_.empty())
-        return false;
+        return eq_.now();
     for (unsigned s = 0; s < streams_ && nextJob_ < jobs_.size(); ++s)
         claimNext();
-    return true;
-}
-
-Tick
-ReplayEngine::finish() const
-{
+    eq_.run();
     if (active_ != 0 || nextJob_ != jobs_.size() || !ready_.empty())
         panic("ReplayEngine: replay stalled (%u active, %zu/%zu jobs)",
               active_, nextJob_, jobs_.size());

@@ -78,22 +78,6 @@ class ReplayEngine
      */
     Tick run();
 
-    /**
-     * Seed the initial window of jobs without running the queue.
-     * Used by the sharded path, where the kernel (not this engine)
-     * drives the event loop.
-     *
-     * @return true when there is anything to replay.
-     */
-    bool start();
-
-    /**
-     * Verify the replay drained and report the last completion time.
-     * Call after the caller-driven event loop finishes; panics on a
-     * stalled replay exactly like run().
-     */
-    Tick finish() const;
-
     const ReplayMetrics& metrics() const { return metrics_; }
 
   private:

@@ -8,10 +8,9 @@ namespace dtsim {
 namespace {
 
 /**
- * The single-run kernel throughput line. Wall-clock readings (and the
- * event count, which differs slightly between the serial and sharded
- * kernels' bookkeeping) are not simulation results, so both printers
- * emit them as a comment-style line that byte-comparisons strip.
+ * The single-run kernel throughput line. Wall-clock readings and the
+ * event count are not simulation results, so both printers emit them
+ * as a comment-style line that byte-comparisons strip.
  */
 void
 printRuntimeLine(std::ostream& os, const RunResult& r)
@@ -19,8 +18,7 @@ printRuntimeLine(std::ostream& os, const RunResult& r)
     os << "# runtime: events=" << r.eventsFired
        << " wall_ms=" << r.wallSeconds * 1.0e3
        << " events_per_sec=" << r.eventsPerSec()
-       << " jobs_intra=" << r.jobsIntra << " (volatile; excluded from"
-       << " determinism comparisons)\n";
+       << " (volatile; excluded from determinism comparisons)\n";
 }
 
 /**
@@ -248,10 +246,7 @@ writeStatsSnapshot(std::ostream& os, const DiskArray& array,
 {
     os << "# snapshot @" << now << " (" << toMillis(now) << " ms)\n";
     stats::StatGroup root("sim");
-    // Pin clock-derived ratios to the snapshot tick: under the
-    // sharded kernel the shard clocks sit just below the sync tick
-    // when a snapshot front event runs, so reading a live clock here
-    // would not reproduce the serial kernel's view.
+    // Pin clock-derived ratios to the snapshot tick.
     array.exportStats(root, now);
     root.print(os);
     if (svc)

@@ -21,9 +21,7 @@ namespace dtsim {
 
 /**
  * Run one experiment: build the system, replay the trace, and
- * collect results. Dispatches to the sharded kernel when
- * opts.jobsIntra asks for it and the configuration supports
- * deterministic sharding; otherwise runs the serial kernel.
+ * collect results.
  *
  * @param cfg System under test.
  * @param trace Disk trace to replay.

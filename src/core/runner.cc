@@ -2,118 +2,19 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <fstream>
 #include <functional>
 #include <memory>
-#include <thread>
 
 #include "config/sim_config.hh"
 #include "core/report.hh"
 #include "hdc/online_policy.hh"
 #include "hdc/victim_cache.hh"
 #include "sim/logging.hh"
-#include "sim/sharded_kernel.hh"
 #include "stats/service_stats.hh"
 #include "stats/trace.hh"
 
 namespace dtsim {
-
-namespace {
-
-/**
- * Resolve the requested intra-run worker count: 0 = DTSIM_JOBS_INTRA
- * or, failing that, the hardware thread count (mirroring how the
- * sweep pool resolves --jobs 0).
- */
-unsigned
-resolveIntraJobs(unsigned requested)
-{
-    if (requested != 0)
-        return requested;
-    if (const char* env = std::getenv("DTSIM_JOBS_INTRA"))
-        requested = static_cast<unsigned>(std::atoi(env));
-    if (requested == 0)
-        requested = std::thread::hardware_concurrency();
-    return requested == 0 ? 1 : requested;
-}
-
-/**
- * Why this configuration cannot run on the sharded kernel -- every
- * blocking reason at once, "; "-joined -- or empty when it can. This
- * list is the single source of truth for DESIGN.md's fallback table.
- *
- * The sharded kernel requires all cross-disk coupling to flow through
- * the ShardLink message discipline. Everything that once fell back --
- * fault injection, mirroring, the victim-cache HDC policy, periodic
- * snapshots -- now rides that discipline (per-disk fault counters,
- * canonical replica merge ranks, deferred pin/unpin commands, and
- * sync-tick front events respectively), so the only remaining blocker
- * is an array too small to split.
- */
-std::string
-shardedUnsupported(const SystemConfig& cfg, const RunOptions&)
-{
-    std::vector<const char*> reasons;
-    if (cfg.disks < 2)
-        reasons.push_back("a single-disk array has nothing to shard");
-
-    std::string all;
-    for (const char* r : reasons) {
-        if (!all.empty())
-            all += "; ";
-        all += r;
-    }
-    return all;
-}
-
-/**
- * The conservative lookahead: a lower bound on the host-to-disk
- * submit overhead, i.e. on how far ahead of the host any shard may
- * safely run. The FOR bitmap lookup only adds to this, so it is
- * excluded from the bound.
- */
-Tick
-shardLookahead(const SystemConfig& cfg)
-{
-    Tick l = cfg.disk.requestOverhead;
-    if (cfg.hdc.enabled())
-        l += cfg.disk.hdcLookupOverhead;
-    return l;
-}
-
-/**
- * Validate the lookahead against the minimum media service floor
- * (see DESIGN.md, "Parallel simulation"): when the floor covers the
- * submit overhead, no media completion can tie with a later
- * submission's arrival, and the sharded merge order provably equals
- * the serial order. The check builds a scratch mechanism because the
- * controllers' own mechanisms are shard-private.
- */
-void
-checkLookaheadFloor(const SystemConfig& cfg, Tick lookahead)
-{
-    const DiskGeometry geom(cfg.disk);
-    DiskMechanism mech(cfg.disk, geom);
-    std::unique_ptr<ZonedGeometry> zoned;
-    if (cfg.disk.recordingZones > 0) {
-        zoned = std::make_unique<ZonedGeometry>(
-            ZonedGeometry::makeDefault(cfg.disk,
-                                       cfg.disk.recordingZones));
-        mech.setZonedGeometry(zoned.get());
-    }
-    const Tick floor = mech.minServiceFloor(geom.sectorsPerBlock());
-    if (floor < lookahead) {
-        warn("sharded kernel: minimum media service floor (%s) is "
-             "below the submit overhead (%s); same-tick collisions "
-             "between a media completion and a later arrival cannot "
-             "be ruled out for this parameter set",
-             formatTicks(floor).c_str(),
-             formatTicks(lookahead).c_str());
-    }
-}
-
-} // namespace
 
 std::uint64_t
 hdcBlocksPerDisk(const SystemConfig& cfg)
@@ -129,29 +30,8 @@ runTrace(const SystemConfig& cfg, const Trace& trace,
          const std::vector<LayoutBitmap>* bitmaps,
          const std::vector<ArrayBlock>* pinned)
 {
-    unsigned jobs_intra = resolveIntraJobs(opts.jobsIntra);
-    bool sharded = false;
-    if (jobs_intra > 1) {
-        const std::string why = shardedUnsupported(cfg, opts);
-        if (!why.empty()) {
-            warn("jobs-intra %u requested but %s; running the serial "
-                 "kernel",
-                 jobs_intra, why.c_str());
-            jobs_intra = 1;
-        } else {
-            sharded = true;
-        }
-    }
-
     EventQueue eq;
-    std::unique_ptr<ShardedKernel> kernel;
-    if (sharded) {
-        const Tick lookahead = shardLookahead(cfg);
-        checkLookaheadFloor(cfg, lookahead);
-        kernel = std::make_unique<ShardedKernel>(
-            eq, cfg.disks, jobs_intra, lookahead);
-    }
-    DiskArray array(eq, cfg.arrayConfig(), kernel.get());
+    DiskArray array(eq, cfg.arrayConfig());
 
     if (cfg.kind == SystemKind::FOR) {
         if (!bitmaps)
@@ -194,10 +74,7 @@ runTrace(const SystemConfig& cfg, const Trace& trace,
     }
 
     // Live stat streaming (stats.stream): framed snapshots appended
-    // to a file/FIFO as simulated time passes. The stream is volatile
-    // output -- serial runs emit frames from the event queue, sharded
-    // runs at window barriers -- so, unlike dump snapshots, it never
-    // forces the serial kernel.
+    // to a file/FIFO as simulated time passes.
     StatsSink::Writer stream_out;
     Tick stream_interval = 0;
     std::uint64_t stream_seq = 0;
@@ -219,29 +96,22 @@ runTrace(const SystemConfig& cfg, const Trace& trace,
     // into the stats output as annotated snapshots, so a degraded
     // window can be located in the dump without the JSONL trace.
     //
-    // The hook fires in host context, but the snapshot reads
-    // disk-side counters, which a sharded run's workers may still be
-    // mutating. The annotated snapshot is therefore deferred one
-    // command latency into a front event: the delay satisfies the
-    // lookahead contract for requestSyncAt(), and at the sync tick
-    // the workers are parked with every earlier message delivered.
-    // Serial runs take the identical deferral so the two kernels stay
-    // byte-identical.
+    // The annotated snapshot is taken one command latency after the
+    // event, in a front event: it shows the state once the event has
+    // reached the controllers, before that tick's own work runs.
     if (array.faultsEnabled() && stats_out) {
         const Tick cmd_latency = array.commandLatency();
         array.setFaultEventHook(
             [&, cmd_latency](const char* event, unsigned disk,
                              Tick now) {
-                const Tick at = now + cmd_latency;
-                if (kernel)
-                    kernel->requestSyncAt(at);
-                eq.scheduleAtFront(at, [&, event, disk, now]() {
-                    stats_out.os() << "# fault event @" << now << ": "
-                                   << event << " disk " << disk
-                                   << "\n";
-                    writeStatsSnapshot(stats_out.os(), array,
-                                       svc.get(), eq.now());
-                });
+                eq.scheduleAtFront(
+                    now + cmd_latency, [&, event, disk, now]() {
+                        stats_out.os() << "# fault event @" << now
+                                       << ": " << event << " disk "
+                                       << disk << "\n";
+                        writeStatsSnapshot(stats_out.os(), array,
+                                           svc.get(), eq.now());
+                    });
             });
     }
 
@@ -278,29 +148,15 @@ runTrace(const SystemConfig& cfg, const Trace& trace,
 
     // Periodic snapshots and stream frames ride the simulation event
     // queue as front events at absolute ticks: a front event at tick
-    // S runs before every normal tick-S event under both kernels, and
-    // a sharded run additionally requests a sync tick at S, which
-    // caps the lookahead window so the front event executes with the
-    // workers parked and every message below S delivered -- the exact
-    // state the serial kernel sees. One chain, both kernels, and the
-    // outputs byte-compare.
+    // S runs before every normal tick-S event, so it reads the state
+    // before that tick's simulation work.
     //
     // Each chain stops re-arming once no work other than housekeeping
     // is pending, so the chains never keep the queue alive by
     // themselves -- or, crucially, each other (two chains that each
     // re-armed on `!empty()` would sustain one another forever once
-    // the real workload drained). Under the sharded kernel "pending"
-    // must count every timeline, not just the host queue, hence
-    // pendingAll().
+    // the real workload drained).
     std::size_t housekeeping = 0;
-    const auto pendingWork = [&]() -> std::size_t {
-        return sharded ? kernel->pendingAll() : eq.pending();
-    };
-    const auto armAt = [&](Tick at, const std::function<void()>& fn) {
-        if (kernel)
-            kernel->requestSyncAt(at);
-        eq.scheduleAtFront(at, fn);
-    };
     std::function<void()> snapshot;
     if (opts.statsIntervalTicks > 0 && opts.wantsStats()) {
         snapshot = [&]() {
@@ -308,18 +164,17 @@ runTrace(const SystemConfig& cfg, const Trace& trace,
             if (stats_out)
                 writeStatsSnapshot(stats_out.os(), array, svc.get(),
                                    eq.now());
-            if (pendingWork() > housekeeping) {
+            if (eq.pending() > housekeeping) {
                 ++housekeeping;
-                armAt(eq.now() + opts.statsIntervalTicks, snapshot);
+                eq.scheduleAtFront(eq.now() + opts.statsIntervalTicks,
+                                   snapshot);
             }
         };
         ++housekeeping;
-        armAt(opts.statsIntervalTicks, snapshot);
+        eq.scheduleAtFront(opts.statsIntervalTicks, snapshot);
     }
 
-    // Stream frames chain exactly like snapshots; with both kernels
-    // emitting at the same sync ticks the frame sequence is itself
-    // deterministic (only the "# runtime:"-style trailer diverges).
+    // Stream frames chain exactly like snapshots.
     std::function<void()> stream_tick;
     bool stream_chained = false;
     if (stream_out) {
@@ -328,22 +183,21 @@ runTrace(const SystemConfig& cfg, const Trace& trace,
             --housekeeping;
             writeStatsFrame(stream_out.os(), array, svc.get(),
                             eq.now(), stream_seq++, false);
-            if (pendingWork() > housekeeping) {
+            if (eq.pending() > housekeeping) {
                 ++housekeeping;
-                armAt(eq.now() + stream_interval, stream_tick);
+                eq.scheduleAtFront(eq.now() + stream_interval,
+                                   stream_tick);
             }
         };
         ++housekeeping;
-        armAt(stream_interval, stream_tick);
+        eq.scheduleAtFront(stream_interval, stream_tick);
     }
 
     // Online HDC re-plans chain like snapshots: front events at
-    // absolute ticks (sync ticks when sharded), so the pin/unpin
-    // command stream is issued from identical host states under both
-    // kernels and runs byte-compare at any --jobs-intra. The pin
-    // deltas a re-plan just posted are discounted from the pending
-    // count when deciding whether to re-arm, so once the trace has
-    // drained the chain stops instead of chasing its own commands.
+    // absolute ticks. The pin deltas a re-plan just posted are
+    // discounted from the pending count when deciding whether to
+    // re-arm, so once the trace has drained the chain stops instead
+    // of chasing its own commands.
     std::function<void()> replan_tick;
     if (online) {
         replan_tick = [&]() {
@@ -355,49 +209,26 @@ runTrace(const SystemConfig& cfg, const Trace& trace,
             const std::uint64_t issued =
                 (oc.pins + oc.unpins - cmds_before) *
                 (array.mirrored() ? 2 : 1);
-            if (pendingWork() > housekeeping + issued) {
+            if (eq.pending() > housekeeping + issued) {
                 ++housekeeping;
-                armAt(eq.now() + online->nextIntervalTicks(),
-                      replan_tick);
+                eq.scheduleAtFront(
+                    eq.now() + online->nextIntervalTicks(), replan_tick);
             }
         };
         ++housekeeping;
-        armAt(cfg.hdc.replanIntervalTicks, replan_tick);
+        eq.scheduleAtFront(cfg.hdc.replanIntervalTicks, replan_tick);
     }
 
     const auto wall_begin = std::chrono::steady_clock::now();
 
-    Tick io_time;
-    Tick post_drain;
-    if (sharded) {
-        if (engine.start())
-            kernel->run();
-        io_time = engine.finish();
-        post_drain = kernel->maxNow();
-    } else {
-        io_time = engine.run();
-        post_drain = eq.now();
-    }
+    const Tick io_time = engine.run();
+    const Tick post_drain = eq.now();
 
     Tick flush_time = 0;
     if (cfg.hdc.enabled() && cfg.flushHdcAtEnd) {
-        Tick end;
-        if (sharded) {
-            // Align every shard clock to the drained end first so the
-            // flush jobs see the same start time (and thus platter
-            // angle) as under the serial kernel, whose single clock
-            // sits at post_drain when the flush begins; the flush
-            // itself has no cross-disk interaction, so a plain drain
-            // suffices.
-            kernel->alignNow(post_drain);
-            array.flushAllHdc();
-            kernel->drainSerial();
-            end = kernel->maxNow();
-        } else {
-            array.flushAllHdc();
-            eq.run();
-            end = eq.now();
-        }
+        array.flushAllHdc();
+        eq.run();
+        const Tick end = eq.now();
         // A trailing snapshot or stream-frame event may have advanced
         // the clock past the last completion before the flush began;
         // charge the flush window from there so it is not inflated
@@ -409,12 +240,6 @@ runTrace(const SystemConfig& cfg, const Trace& trace,
                 : io_time;
         flush_time = end > base ? end - base : 0;
     }
-    if (sharded) {
-        // Bring every timeline to the common end so any clock-derived
-        // metric (utilization denominators) matches the serial run.
-        kernel->alignNow(std::max(kernel->maxNow(), io_time));
-    }
-
     const auto wall_end = std::chrono::steady_clock::now();
 
     RunResult res;
@@ -424,10 +249,9 @@ runTrace(const SystemConfig& cfg, const Trace& trace,
     res.requests = engine.metrics().requests;
     res.blocks = engine.metrics().blocks;
     res.meanLatencyMs = engine.metrics().meanLatencyMs();
-    res.eventsFired = sharded ? kernel->totalFired() : eq.fired();
+    res.eventsFired = eq.fired();
     res.wallSeconds =
         std::chrono::duration<double>(wall_end - wall_begin).count();
-    res.jobsIntra = sharded ? kernel->workers() : 1;
     if (victim) {
         res.victimPins = victim->pins();
         res.victimUnpins = victim->unpins();

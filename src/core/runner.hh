@@ -48,10 +48,8 @@ struct RunOptions
 
     /**
      * Live stat streaming: periodically append a framed snapshot to
-     * a file/FIFO for `tail -f`. Both kernels emit frames from the
-     * same front-event chain at the same absolute ticks (sharded runs
-     * sync the shards at each frame tick), so the frame sequence is
-     * deterministic up to the volatile "# runtime:"-style trailers.
+     * a file/FIFO for `tail -f`. Frames come from a front-event chain
+     * at absolute ticks, so the frame sequence is deterministic.
      */
     StatsStreamConfig statsStream;
 
@@ -68,9 +66,8 @@ struct RunOptions
     /**
      * Emit a periodic stats snapshot every this many ticks of
      * simulated time (0 = final dump only). Snapshots go to the
-     * stats file/stream and work identically under both kernels: the
-     * snapshot events ride the simulation event queue as front events
-     * at absolute ticks (sync ticks when sharded). The reported HDC
+     * stats file/stream; the snapshot events ride the simulation
+     * event queue as front events at absolute ticks. The reported HDC
      * flush window can stretch by up to one interval; all other
      * results are unaffected.
      */
@@ -82,21 +79,6 @@ struct RunOptions
      * trace generation, not during replay).
      */
     const BufferCacheStats* fsStats = nullptr;
-
-    /**
-     * Intra-run parallelism: shard the event kernel per disk and run
-     * the shards on this many worker threads under a conservative
-     * lookahead window (see DESIGN.md, "Parallel simulation").
-     * 1 = the serial kernel (the default); 0 = DTSIM_JOBS_INTRA or,
-     * failing that, the hardware thread count. Composes with the
-     * sweep-level --jobs parallelism. Results are tick-identical to
-     * the serial kernel -- including fault injection, mirroring, the
-     * victim-cache HDC policy, and periodic snapshots, which all ride
-     * the ShardLink message discipline; only a single-disk array
-     * falls back to serial (with a warning listing every blocker).
-     * Execution-only: never recorded in dumps or config headers.
-     */
-    unsigned jobsIntra = 1;
 
     /** True when any stats output destination is configured. */
     bool
@@ -193,10 +175,9 @@ struct RunResult
     FaultCounters faults;
 
     /**
-     * Events fired across every timeline of the run. A measure of
-     * kernel work, not a simulation result: the serial and sharded
-     * kernels may book the same simulated work as slightly different
-     * event counts, so it never enters deterministic output.
+     * Events fired by the run's event queue. A measure of kernel
+     * work, not a simulation result, so it never enters deterministic
+     * output.
      */
     std::uint64_t eventsFired = 0;
 
@@ -206,9 +187,6 @@ struct RunResult
      * Volatile by nature; never part of deterministic output.
      */
     double wallSeconds = 0.0;
-
-    /** Kernel worker threads the run actually used (1 = serial). */
-    unsigned jobsIntra = 1;
 
     /** eventsFired / wallSeconds (0 when wall time was unmeasurably
      * small). */

@@ -26,21 +26,13 @@ serverPreset(WorkloadKind kind, double scale)
     panic("serverPreset: not a server workload");
 }
 
-std::uint64_t
-arrayCapacityBlocks(const SimulationConfig& sim)
-{
-    // Mirroring halves the addressable capacity: logical blocks live
-    // on the striped half, the other half replicates them.
-    return logicalDisks(sim.system) * sim.system.disk.totalBlocks();
-}
-
 } // namespace
 
 BuiltWorkload
 buildWorkload(const SimulationConfig& sim)
 {
     BuiltWorkload out;
-    const std::uint64_t capacity = arrayCapacityBlocks(sim);
+    const std::uint64_t capacity = arrayCapacityBlocks(sim.system);
     if (sim.workload == WorkloadKind::Synthetic) {
         SyntheticWorkload w = makeSynthetic(sim.synthetic, capacity);
         out.trace = std::move(w.trace);
@@ -73,7 +65,7 @@ SweepCache::workloadKey(const SimulationConfig& sim)
     // target capacity; the header renderer gives a canonical, stable
     // serialization of the former.
     return renderConfigHeader(sim, {"workload.", "synthetic."}) +
-           "capacity=" + std::to_string(arrayCapacityBlocks(sim));
+           "capacity=" + std::to_string(arrayCapacityBlocks(sim.system));
 }
 
 BuiltWorkload&

@@ -90,6 +90,29 @@ logicalDisks(const SystemConfig& s)
     return s.mirrored ? s.disks / 2 : s.disks;
 }
 
+/**
+ * Logical capacity of the array in blocks. Mirroring halves it:
+ * logical blocks live on the striped half, the other half replicates
+ * them.
+ */
+inline std::uint64_t
+arrayCapacityBlocks(const SystemConfig& s)
+{
+    return logicalDisks(s) * s.disk.totalBlocks();
+}
+
+/**
+ * Logical blocks a request may address: arrayCapacityBlocks() less
+ * each disk's trailing partial striping unit, which the striping map
+ * leaves unused. Equals DiskArray::totalBlocks().
+ */
+inline std::uint64_t
+arrayAddressableBlocks(const SystemConfig& s)
+{
+    const std::uint64_t unit = s.stripeUnitBytes / s.disk.blockSize;
+    return logicalDisks(s) * (s.disk.totalBlocks() / unit * unit);
+}
+
 } // namespace dtsim
 
 #endif // DTSIM_CORE_SYSTEM_HH

@@ -1,6 +1,5 @@
 #include "disk/mechanism.hh"
 
-#include <algorithm>
 #include <cmath>
 
 #include "sim/logging.hh"
@@ -31,19 +30,6 @@ DiskMechanism::transferTime(std::uint64_t sectors) const
                         static_cast<double>(geom_.sectorsPerTrack());
     return static_cast<Tick>(
         revs * static_cast<double>(revTime_) + 0.5);
-}
-
-Tick
-DiskMechanism::minServiceFloor(std::uint64_t sectors) const
-{
-    std::uint32_t fastest_spt = geom_.sectorsPerTrack();
-    if (zoned_) {
-        for (const Zone& z : zoned_->zones())
-            fastest_spt = std::max(fastest_spt, z.sectorsPerTrack);
-    }
-    const double revs = static_cast<double>(sectors) /
-                        static_cast<double>(fastest_spt);
-    return static_cast<Tick>(revs * static_cast<double>(revTime_));
 }
 
 ServiceTiming

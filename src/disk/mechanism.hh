@@ -93,16 +93,6 @@ class DiskMechanism
     Tick transferTime(std::uint64_t sectors) const;
 
     /**
-     * Lower bound on the total service time of any media access of at
-     * least `sectors` sectors: seek, settle, and rotational wait can
-     * all be zero, so the floor is the transfer time at the drive's
-     * fastest recording zone, rounded down. The sharded kernel's
-     * conservative window relies on this bound: no media completion
-     * can land closer to its enqueue than the floor.
-     */
-    Tick minServiceFloor(std::uint64_t sectors) const;
-
-    /**
      * Attach a zoned-recording model: media transfers then run at
      * the zone's rate (positioning stays on the flat geometry). The
      * geometry must outlive the mechanism.

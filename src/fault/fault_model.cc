@@ -101,22 +101,10 @@ DiskFaults::dispatchDelay(Tick now)
 FaultModel::FaultModel(const FaultConfig& cfg, unsigned disks)
     : cfg_(cfg), health_(disks, DiskHealth::Alive)
 {
-    diskCounters_.reserve(disks);
     disks_.reserve(disks);
-    for (unsigned d = 0; d < disks; ++d) {
-        diskCounters_.push_back(std::make_unique<FaultCounters>());
+    for (unsigned d = 0; d < disks; ++d)
         disks_.push_back(
-            std::make_unique<DiskFaults>(cfg_, d, *diskCounters_[d]));
-    }
-}
-
-FaultCounters
-FaultModel::totals() const
-{
-    FaultCounters t = hostCounters_;
-    for (const std::unique_ptr<FaultCounters>& c : diskCounters_)
-        t.add(*c);
-    return t;
+            std::make_unique<DiskFaults>(cfg_, d, counters_));
 }
 
 } // namespace dtsim

@@ -34,13 +34,8 @@ namespace dtsim {
 /**
  * Every fault and recovery action, counted once array-wide. Exported
  * as the sim.fault.* StatGroup (names match the fields verbatim).
- *
- * Ownership is split along timeline lines so sharded runs need no
- * synchronisation: media/retry/remap/stall/rebuild-job counters are
- * written by a disk's own timeline (each DiskFaults gets a private
- * instance), while kill/repair/degraded-routing counters are written
- * by host-side code (FaultModel::hostCounters()). The array-wide view
- * is the sum, see FaultModel::totals().
+ * Every DiskFaults and the DiskArray write the same instance, owned
+ * by the FaultModel.
  */
 struct FaultCounters
 {
@@ -71,26 +66,6 @@ struct FaultCounters
                diskRepairs || degradedReads || degradedWrites ||
                rebuildJobs;
     }
-
-    /** Accumulate another set of counters into this one. */
-    void
-    add(const FaultCounters& o)
-    {
-        mediaErrors += o.mediaErrors;
-        retries += o.retries;
-        retryTicks += o.retryTicks;
-        remapEvents += o.remapEvents;
-        remappedBlocks += o.remappedBlocks;
-        remappedAccesses += o.remappedAccesses;
-        stalls += o.stalls;
-        stallTicks += o.stallTicks;
-        diskFailures += o.diskFailures;
-        diskRepairs += o.diskRepairs;
-        degradedReads += o.degradedReads;
-        degradedWrites += o.degradedWrites;
-        rebuildJobs += o.rebuildJobs;
-        rebuildBlocks += o.rebuildBlocks;
-    }
 };
 
 /** Health of one physical disk. */
@@ -103,9 +78,7 @@ enum class DiskHealth
 
 /**
  * Per-disk fault state consulted by that disk's controller. Writes
- * the caller-provided FaultCounters; the FaultModel hands every disk
- * a private instance so the disk's own timeline can update them with
- * no cross-shard synchronisation.
+ * the caller-provided (array-wide) FaultCounters.
  */
 class DiskFaults
 {
@@ -157,7 +130,7 @@ class DiskFaults
      */
     Tick dispatchDelay(Tick now);
 
-    /** This disk's counters (disk-timeline context). */
+    /** The array-wide counters this disk writes. */
     FaultCounters&
     counters()
     {
@@ -175,8 +148,8 @@ class DiskFaults
 };
 
 /**
- * Array-wide fault state: one DiskFaults per physical disk (each with
- * its own counters), the disk health map, and the host-side counters.
+ * Array-wide fault state: one DiskFaults per physical disk, the disk
+ * health map, and the counters every disk writes.
  */
 class FaultModel
 {
@@ -207,34 +180,22 @@ class FaultModel
         health_[d] = h;
     }
 
-    /**
-     * Host-context counters: kill/repair events and degraded read/
-     * write routing. Never touched by disk timelines.
-     */
+    /** Array-wide fault/recovery counters. */
     FaultCounters&
-    hostCounters()
+    counters()
     {
-        return hostCounters_;
+        return counters_;
     }
 
-    /** Counters private to disk `d` (written by its timeline only). */
     const FaultCounters&
-    diskCounters(unsigned d) const
+    counters() const
     {
-        return *diskCounters_[d];
+        return counters_;
     }
-
-    /**
-     * Array-wide totals: hostCounters() plus every disk's private
-     * counters. Coherent only from host context with the disk
-     * timelines settled — a sync-tick front event or post-run.
-     */
-    FaultCounters totals() const;
 
   private:
     FaultConfig cfg_;
-    FaultCounters hostCounters_;
-    std::vector<std::unique_ptr<FaultCounters>> diskCounters_;
+    FaultCounters counters_;
     std::vector<std::unique_ptr<DiskFaults>> disks_;
     std::vector<DiskHealth> health_;
 };

@@ -254,9 +254,10 @@ OnlineHdcPolicy::replan()
         cur.swap(desired_);
     }
 
-    // Canonical command order: sorted unpins, then sorted pins. The
-    // per-shard FIFO applies each disk's unpins before its pins, so
-    // controller occupancy never exceeds the region capacity.
+    // Canonical command order: sorted unpins, then sorted pins.
+    // Commands to one disk apply in issue order (same latency), so
+    // each disk's unpins land before its pins and controller
+    // occupancy never exceeds the region capacity.
     std::sort(toUnpin_.begin(), toUnpin_.end());
     std::sort(toPin_.begin(), toPin_.end());
     for (const ArrayBlock b : toUnpin_) {

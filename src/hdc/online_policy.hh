@@ -18,8 +18,8 @@
  *    planner's order), takes the top hdcCapacityBlocks() of
  *    each disk, and ships the difference against the current pin set
  *    as unpin-then-pin commands through DiskArray's unified pin
- *    router. Per-shard command FIFOs make the unpins land first, so
- *    controller occupancy never overshoots.
+ *    router. Commands to one disk apply in issue order, so the
+ *    unpins land first and controller occupancy never overshoots.
  *  - Phase change: the epoch's churn (1 - overlap between the new
  *    and previous hot sets) above hdc.churn_threshold schedules the
  *    next re-plan at a quarter of the base period, so the region
@@ -29,8 +29,8 @@
  *    workload shifts without flattening the slow (day-cycle scale)
  *    recurrences that make a block worth pinning.
  *
- * All state is host-side and fed in canonical host order, so runs
- * are byte-identical at any --jobs-intra setting.
+ * All state is host-side and fed in replay completion order, so
+ * runs are deterministic.
  */
 
 #ifndef DTSIM_HDC_ONLINE_POLICY_HH

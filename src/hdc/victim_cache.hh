@@ -11,15 +11,15 @@
  * controller serves it (a victim hit) and the host unpins it, since
  * the block now lives in the buffer cache again.
  *
- * The manager runs host-side and its pin/unpin commands cross to the
- * disk timelines as deferred messages (the unified pin router), so it
+ * The manager runs host-side and its pin/unpin commands reach the
+ * controllers as deferred commands (the unified pin router), so it
  * cannot observe a pin's success synchronously. Instead it models
  * each disk's HDC capacity itself: a per-logical-disk pinned count
  * against the (uniform) controller capacity reproduces, step for
  * step, the retire-oldest-until-the-pin-sticks loop the synchronous
  * API allowed — the command stream and every counter are unchanged,
  * only the controller-side application of each command now lands
- * commandLatency() ticks later, identically under both kernels.
+ * commandLatency() ticks later.
  */
 
 #ifndef DTSIM_HDC_VICTIM_CACHE_HH

@@ -212,32 +212,6 @@ EventQueue::run(std::uint64_t max_events)
 }
 
 std::uint64_t
-EventQueue::runBefore(Tick bound)
-{
-    std::uint64_t n = 0;
-    while (skipCancelled() && heap_.front().when < bound) {
-        fireNext();
-        ++n;
-    }
-    return n;
-}
-
-Tick
-EventQueue::nextTime()
-{
-    return skipCancelled() ? heap_.front().when : kTickMax;
-}
-
-void
-EventQueue::advanceTo(Tick t)
-{
-    if (t <= now_)
-        return;
-    assert(!skipCancelled() || heap_.front().when >= t);
-    now_ = t;
-}
-
-std::uint64_t
 EventQueue::runUntil(Tick until)
 {
     std::uint64_t n = 0;

@@ -78,12 +78,10 @@ class EventQueue
      * Schedule a callback at an absolute tick, ahead of every normal
      * event at that tick. Front events fire in their own FIFO order
      * before any scheduleAt()/scheduleAfter() event with the same
-     * `when`, regardless of scheduling order. Used for window-barrier
-     * housekeeping (periodic snapshots, stream frames) that must
-     * observe the state *before* the tick's simulation work runs —
-     * the sharded kernel reaches the same pre-tick state at a window
-     * barrier, so front events are the one placement where both
-     * kernels read identical counters.
+     * `when`, regardless of scheduling order. Used for housekeeping
+     * (periodic snapshots, stream frames, online HDC re-plans) that
+     * must observe the state *before* the tick's simulation work
+     * runs.
      */
     EventId scheduleAtFront(Tick when, Callback cb);
 
@@ -119,30 +117,6 @@ class EventQueue
 
     /** Fire exactly one event, if any. @return true if one fired. */
     bool step();
-
-    /**
-     * Fire events strictly before `bound` (events at exactly `bound`
-     * stay pending). Unlike runUntil(), time is left at the last
-     * fired event, not advanced to the bound — the sharded kernel
-     * uses the per-queue position to compute the next safe window.
-     *
-     * @return Number of events fired.
-     */
-    std::uint64_t runBefore(Tick bound);
-
-    /**
-     * Tick of the next live event, or kTickMax when the queue is
-     * empty. Lazily drops tombstoned (cancelled) front entries, hence
-     * non-const.
-     */
-    Tick nextTime();
-
-    /**
-     * Advance the clock to `t` without firing anything (no-op when
-     * `t` <= now()). Only valid when no pending event is earlier
-     * than `t`; used to align shard clocks at synchronization points.
-     */
-    void advanceTo(Tick t);
 
     /** Total events fired over the queue's lifetime. */
     std::uint64_t fired() const { return fired_; }

@@ -27,9 +27,6 @@ constexpr Tick kMsec = 1000 * kUsec;
 /** One second. */
 constexpr Tick kSec = 1000 * kMsec;
 
-/** The largest representable tick; used as "never". */
-constexpr Tick kTickMax = ~Tick(0);
-
 /** Convert a tick count to (floating-point) seconds. */
 constexpr double
 toSeconds(Tick t)

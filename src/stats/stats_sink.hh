@@ -108,11 +108,9 @@ class StatsSink
  * Live stat streaming knobs (the stats.* config group): periodically
  * append a framed incremental StatGroup snapshot to a file or FIFO so
  * a running simulation can be watched with `tail -f`. Frames are
- * emitted from the simulation timeline in serial runs and at window
- * barriers in sharded runs; the stream is volatile output (frame
- * cadence may differ between kernels) and never part of the
- * deterministic dump surface. See docs/OBSERVABILITY.md for the frame
- * format.
+ * emitted from front events on the simulation timeline; the stream is
+ * a separate file and never part of the stats dump. See
+ * docs/OBSERVABILITY.md for the frame format.
  */
 struct StatsStreamConfig
 {

@@ -18,9 +18,8 @@
  * The hot path is built to be left on: shouldRecord() runs the
  * per-request Bernoulli draw (`trace.sample`) against a dedicated
  * deterministic RNG stream (`trace.seed`), so the simulation RNGs are
- * never perturbed and the sampled set is reproducible — including
- * across serial and sharded kernels, because records are drawn in the
- * canonical host-context completion order. Accepted records are packed
+ * never perturbed and the sampled set is reproducible, because
+ * records are drawn in completion order. Accepted records are packed
  * into 64-byte BinaryTraceRecords and pushed through a lock-free SPSC
  * ring drained by a background writer thread; when the writer falls
  * behind and the ring fills, records are dropped and counted

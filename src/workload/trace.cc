@@ -100,7 +100,7 @@ parseField(const char*& p, const char* end, std::uint64_t max,
 } // namespace
 
 Trace
-loadTrace(const std::string& path)
+loadTrace(const std::string& path, std::uint64_t capacity_blocks)
 {
     std::ifstream in(path);
     if (!in)
@@ -110,7 +110,7 @@ loadTrace(const std::string& path)
     std::uint64_t lineno = 0;
     while (std::getline(in, line)) {
         ++lineno;
-        const auto bad = [&](const char* why) {
+        const auto bad = [&](const std::string& why) {
             return std::runtime_error("loadTrace: " + path + ":" +
                                       std::to_string(lineno) + ": " +
                                       why + ": '" + line + "'");
@@ -141,6 +141,9 @@ loadTrace(const std::string& path)
             throw bad("zero-length record");
         if (start + count < start)
             throw bad("record runs past the last block number");
+        if (start + count > capacity_blocks)
+            throw bad("record runs past the end of the array (" +
+                      std::to_string(capacity_blocks) + " blocks)");
 
         TraceRecord r;
         r.start = start;

@@ -65,9 +65,12 @@ void saveTrace(const Trace& trace, const std::string& path);
  * Load a trace saved by saveTrace(). Blank lines and '#' comments are
  * skipped. Throws std::runtime_error naming `path:line` on a malformed
  * record: a sign or other non-digit, trailing characters, a write
- * flag other than 0 or 1, a zero block count, or a field out of range.
+ * flag other than 0 or 1, a zero block count, a field out of range,
+ * or a record whose start + count exceeds `capacity_blocks` (the
+ * logical capacity of the array it will be replayed against).
  */
-Trace loadTrace(const std::string& path);
+Trace loadTrace(const std::string& path,
+                std::uint64_t capacity_blocks = UINT64_MAX);
 
 } // namespace dtsim
 

@@ -278,6 +278,40 @@ TEST(FaultArray, FaultsOffKeepsCountersZero)
     EXPECT_FALSE(r.array->faultCounters().any());
 }
 
+TEST(FaultArray, EveryDiskWritesTheArrayCounters)
+{
+    // One bad block on each of two disks: both disks' retries and
+    // remaps land in the one array-wide counter set.
+    EventQueue eq;
+    ArrayConfig cfg;
+    cfg.disks = 2;
+    cfg.fault.badBlocks = "0:0,1:0";
+    cfg.fault.maxRetries = 1;
+    DiskArray array(eq, cfg);
+    const ArrayBlock on_disk1 = array.striping().toLogical(1, 0);
+    for (ArrayBlock lb : {ArrayBlock{0}, on_disk1}) {
+        ArrayRequest req;
+        req.start = lb;
+        req.count = 1;
+        array.submit(std::move(req));
+        eq.run();
+    }
+    const FaultCounters c = array.faultCounters();
+    EXPECT_EQ(c.mediaErrors, 4u);
+    EXPECT_EQ(c.retries, 2u);
+    EXPECT_EQ(c.remapEvents, 2u);
+    EXPECT_EQ(c.remappedBlocks, 2u);
+
+    // The stall counters of every DiskFaults are the model's counters.
+    FaultConfig stall;
+    stall.stallWindows = "0:1000";
+    FaultModel model(stall, 3);
+    for (unsigned d = 0; d < 3; ++d)
+        EXPECT_EQ(model.disk(d).dispatchDelay(400), 600u);
+    EXPECT_EQ(model.counters().stalls, 3u);
+    EXPECT_EQ(model.counters().stallTicks, 1800u);
+}
+
 // ---------------------------------------------------------------------
 // End-to-end: headers, stats dumps, and the faults-off fast path.
 // ---------------------------------------------------------------------

@@ -271,7 +271,7 @@ TEST(PinRouter, ImmediateBeforeRunDeferredDuring)
     EXPECT_EQ(r.pinnedTotal(), 1u);
 
     // Mid-run (host clock advanced): the same call defers the
-    // command to the disk timeline.
+    // command by one command latency.
     std::uint64_t seen_at_call = ~0ull;
     r.eq.scheduleAt(1 * kMsec, [&] {
         EXPECT_TRUE(r.array->pinLogicalBlock(1));

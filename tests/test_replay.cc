@@ -99,5 +99,28 @@ TEST(ReplayEngine, LatencyMetricsPopulated)
                   engine.metrics().requests);
 }
 
+TEST(ReplayEngine, RecordEndingAtArrayCapacityCompletes)
+{
+    // A record the trace loader's capacity bound just accepts replays
+    // without running past the array's end.
+    for (bool mirrored : {false, true}) {
+        EventQueue eq;
+        SystemConfig cfg;
+        cfg.disks = 4;
+        cfg.mirrored = mirrored;
+        DiskArray array(eq, cfg.arrayConfig());
+        Trace trace;
+        TraceRecord rec;
+        rec.start = arrayAddressableBlocks(cfg) - 8;
+        rec.count = 8;
+        trace.push_back(rec);
+        ReplayEngine engine(eq, array, trace, 1);
+        engine.run();
+        EXPECT_EQ(engine.metrics().requests, 1u);
+        EXPECT_EQ(engine.metrics().blocks, 8u);
+        EXPECT_EQ(array.outstanding(), 0u);
+    }
+}
+
 } // namespace
 } // namespace dtsim

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "array/disk_array.hh"
 #include "core/runner.hh"
+#include "core/system.hh"
 #include "experiment_replay.hh"
 #include "hdc/hdc_planner.hh"
 #include "workload/synthetic.hh"
@@ -169,6 +171,23 @@ TEST(SystemConfig, LabelsAndPresets)
     EXPECT_EQ(cfg.controllerConfig().org, CacheOrg::Block);
     EXPECT_EQ(cfg.controllerConfig().readAhead,
               ReadAheadMode::Blind);
+}
+
+TEST(SystemConfig, AddressableBlocksMatchTheBuiltArray)
+{
+    // The trace loader bounds records by arrayAddressableBlocks(); it
+    // must be exactly what the array accepts, mirrored or not.
+    for (bool mirrored : {false, true}) {
+        for (unsigned disks : {2u, 4u, 8u}) {
+            SystemConfig cfg;
+            cfg.disks = disks;
+            cfg.mirrored = mirrored;
+            EventQueue eq;
+            DiskArray array(eq, cfg.arrayConfig());
+            EXPECT_EQ(arrayAddressableBlocks(cfg), array.totalBlocks())
+                << disks << " disks, mirrored=" << mirrored;
+        }
+    }
 }
 
 } // namespace

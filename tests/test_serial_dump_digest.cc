@@ -1,0 +1,327 @@
+/**
+ * @file
+ * Serial dump regression: each configuration runs once and the FNV-1a
+ * digest of its runtime-stripped stats dump (plus its request trace or
+ * stats stream, where the case writes one) must equal a committed
+ * constant. The cases cover the figure-7..12 system shapes, the
+ * ablation-style variants, mirroring, fault injection, the victim and
+ * online HDC policies, adaptive read-ahead, periodic snapshots and
+ * stream frames -- every path whose same-tick ordering shows in a
+ * dump.
+ *
+ * A mismatch prints the actual digest. Update a constant only with a
+ * deliberate model change, and explain the dump diff alongside it.
+ */
+
+#include <gtest/gtest.h>
+
+#include <cinttypes>
+#include <cstdint>
+#include <cstdio>
+#include <fstream>
+#include <functional>
+#include <sstream>
+#include <string>
+
+#include "core/experiment.hh"
+#include "stats/trace.hh"
+#include "stats_text.hh"
+#include "workload/server_models.hh"
+
+namespace dtsim {
+namespace {
+
+using test::stripRuntime;
+
+constexpr double kScale = 0.01;
+
+std::string
+slurp(const std::string& path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream os;
+    os << in.rdbuf();
+    return os.str();
+}
+
+/** 64-bit FNV-1a of `text`, rendered as 16 hex digits. */
+std::string
+digest(const std::string& text)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (unsigned char c : text) {
+        h ^= c;
+        h *= 0x100000001b3ull;
+    }
+    char buf[17];
+    std::snprintf(buf, sizeof buf, "%016" PRIx64, h);
+    return buf;
+}
+
+/** One figure/ablation-shaped configuration under test. */
+struct DigestCase
+{
+    SimulationConfig sim;
+
+    /** Extra run options (snapshots, streaming, tracing, ...). */
+    std::function<void(Experiment&)> tweak;
+
+    explicit DigestCase(SimulationConfig s) : sim(std::move(s)) {}
+
+    /** Run once; return the runtime-stripped stats dump. */
+    std::string
+    dump()
+    {
+        std::ostringstream os;
+        Experiment e(sim);
+        e.statsTo(StatsSink::stream(os));
+        if (tweak)
+            tweak(e);
+        e.run();
+        const std::string d = stripRuntime(os.str());
+        EXPECT_NE(d.find("sim.io_time_ms"), std::string::npos);
+        return d;
+    }
+};
+
+SimulationConfig
+webConfig(SystemKind kind, std::uint64_t unit_bytes,
+          std::uint64_t hdc_bytes)
+{
+    SimulationConfig sim;
+    sim.workload = WorkloadKind::Web;
+    sim.scale = kScale;
+    sim.system.kind = kind;
+    sim.system.disks = 4;
+    sim.system.stripeUnitBytes = unit_bytes;
+    sim.system.hdc.budgetBytesPerDisk = hdc_bytes;
+    return sim;
+}
+
+SimulationConfig
+faultConfig(std::uint64_t rebuild_blocks)
+{
+    SimulationConfig sim = webConfig(SystemKind::Segm, 16 * kKiB, 0);
+    sim.system.mirrored = true;
+    sim.system.fault.killAtTicks = 1 * kMsec;
+    sim.system.fault.killDisk = 1;
+    sim.system.fault.repairAtTicks = 500 * kMsec;
+    sim.system.fault.rebuildBlocks = rebuild_blocks;
+    return sim;
+}
+
+#define EXPECT_DIGEST(text, expected)                                   \
+    EXPECT_EQ(digest(text), expected) << "actual digest: " << digest(text)
+
+TEST(SerialDumpDigest, Fig07WebStriping)
+{
+    DigestCase c(webConfig(SystemKind::Segm, 16 * kKiB, 0));
+    EXPECT_DIGEST(c.dump(), "a94a7afc2c3b66c2");
+}
+
+TEST(SerialDumpDigest, Fig08WebForHdc)
+{
+    DigestCase c(webConfig(SystemKind::FOR, 64 * kKiB, 2 * kMiB));
+    EXPECT_DIGEST(c.dump(), "ca553faffc9c28ec");
+}
+
+TEST(SerialDumpDigest, Fig10ProxyHdc)
+{
+    SimulationConfig sim;
+    sim.workload = WorkloadKind::Proxy;
+    sim.scale = kScale;
+    sim.system.kind = SystemKind::Segm;
+    sim.system.disks = 4;
+    sim.system.hdc.budgetBytesPerDisk = 2 * kMiB;
+    DigestCase c(std::move(sim));
+    EXPECT_DIGEST(c.dump(), "a113385fbcd48661");
+}
+
+TEST(SerialDumpDigest, Fig11FileServerStriping)
+{
+    SimulationConfig sim;
+    sim.workload = WorkloadKind::File;
+    sim.scale = kScale;
+    sim.system.kind = SystemKind::FOR;
+    sim.system.disks = 4;
+    sim.system.stripeUnitBytes = 16 * kKiB;
+    DigestCase c(std::move(sim));
+    EXPECT_DIGEST(c.dump(), "fa16bb69e81c63b3");
+}
+
+TEST(SerialDumpDigest, AblationSchedulerAndZones)
+{
+    SimulationConfig sim;
+    sim.workload = WorkloadKind::Synthetic;
+    sim.system.kind = SystemKind::Block;
+    sim.system.disks = 4;
+    sim.system.scheduler = SchedulerKind::SSTF;
+    sim.system.disk.recordingZones = 8;
+    sim.synthetic.numFiles = 20000;
+    sim.synthetic.fileSizeBytes = 16 * kKiB;
+    sim.synthetic.numRequests = 400;
+    sim.synthetic.writeProb = 0.2;
+    sim.synthetic.zipfAlpha = 0.6;
+    DigestCase c(std::move(sim));
+    EXPECT_DIGEST(c.dump(), "3ba5078cc8b6c8e6");
+}
+
+TEST(SerialDumpDigest, AblationNoReadAheadClook)
+{
+    SimulationConfig sim;
+    sim.workload = WorkloadKind::Synthetic;
+    sim.system.kind = SystemKind::NoRA;
+    sim.system.disks = 4;
+    sim.system.scheduler = SchedulerKind::CLOOK;
+    sim.system.stripeUnitBytes = 32 * kKiB;
+    sim.synthetic.numFiles = 20000;
+    sim.synthetic.fileSizeBytes = 8 * kKiB;
+    sim.synthetic.numRequests = 400;
+    sim.synthetic.zipfAlpha = 0.4;
+    DigestCase c(std::move(sim));
+    EXPECT_DIGEST(c.dump(), "0e27a0cd5b07ce74");
+}
+
+TEST(SerialDumpDigest, RequestTrace)
+{
+    if (!RequestTracer::compiledIn())
+        GTEST_SKIP() << "tracing compiled out (DTSIM_TRACE=OFF)";
+
+    DigestCase c(webConfig(SystemKind::Segm, 64 * kKiB, 0));
+    const std::string path = "/tmp/dtsim_serial_digest_trace.jsonl";
+    c.tweak = [&](Experiment& e) { e.traceTo(path); };
+    EXPECT_DIGEST(c.dump(), "4333e089869c7aa1");
+
+    const std::string trace = slurp(path);
+    EXPECT_FALSE(trace.empty());
+    EXPECT_DIGEST(trace, "d4827380a31a12fe");
+    std::remove(path.c_str());
+}
+
+TEST(SerialDumpDigest, MirroredWebStriping)
+{
+    // Same-tick completions of a replica pair reserve the bus in
+    // (logical disk, replica) order.
+    SimulationConfig sim = webConfig(SystemKind::Segm, 16 * kKiB, 0);
+    sim.system.mirrored = true;
+    DigestCase c(std::move(sim));
+    EXPECT_DIGEST(c.dump(), "f7304b7555d25299");
+}
+
+TEST(SerialDumpDigest, MirroredForHdc)
+{
+    SimulationConfig sim =
+        webConfig(SystemKind::FOR, 64 * kKiB, 2 * kMiB);
+    sim.system.mirrored = true;
+    DigestCase c(std::move(sim));
+    EXPECT_DIGEST(c.dump(), "0a72a519d859ccc3");
+}
+
+TEST(SerialDumpDigest, FaultKillRepairRebuild)
+{
+    // Scripted kill -> degraded reads -> repair -> rebuild traffic,
+    // with fault-event snapshots stamped into the dump one command
+    // latency after each event.
+    DigestCase c(faultConfig(512));
+    const std::string d = c.dump();
+    ASSERT_NE(d.find("# fault event @"), std::string::npos);
+    EXPECT_DIGEST(d, "4d598074a5cf0d1e");
+}
+
+TEST(SerialDumpDigest, FaultMediaErrors)
+{
+    // Probabilistic media errors + scripted bad blocks: retries,
+    // remaps, and penalties.
+    SimulationConfig sim =
+        webConfig(SystemKind::FOR, 64 * kKiB, 2 * kMiB);
+    sim.system.fault.mediaErrorRate = 0.02;
+    sim.system.fault.badBlocks = "0:7,2:21";
+    DigestCase c(std::move(sim));
+    EXPECT_DIGEST(c.dump(), "d0b5807ebc91ad4e");
+}
+
+TEST(SerialDumpDigest, VictimCacheHdc)
+{
+    // Mid-run pin/unpin commands land one command latency after the
+    // host issues them.
+    SimulationConfig sim =
+        webConfig(SystemKind::Segm, 32 * kKiB, 2 * kMiB);
+    sim.system.hdc.policy = HdcPolicy::Victim;
+    sim.system.hdc.victimGhostBlocks = 256;
+    DigestCase c(std::move(sim));
+    EXPECT_DIGEST(c.dump(), "7c61a12c4aca82b4");
+}
+
+TEST(SerialDumpDigest, OnlineHdc)
+{
+    // Re-plans run as front events; their pin/unpin deltas take the
+    // deferred command path.
+    SimulationConfig sim =
+        webConfig(SystemKind::FOR, 64 * kKiB, 2 * kMiB);
+    sim.system.hdc.policy = HdcPolicy::Online;
+    sim.system.hdc.replanIntervalTicks = 20 * kMsec;
+    DigestCase c(std::move(sim));
+    EXPECT_DIGEST(c.dump(), "dc718a65da2f60bb");
+}
+
+TEST(SerialDumpDigest, OnlineHdcFastReplan)
+{
+    // A tight re-plan interval exercises the phase-change fast path
+    // (quarter-interval re-arms).
+    SimulationConfig sim =
+        webConfig(SystemKind::Segm, 32 * kKiB, 1 * kMiB);
+    sim.system.hdc.policy = HdcPolicy::Online;
+    sim.system.hdc.replanIntervalTicks = 5 * kMsec;
+    sim.system.hdc.churnThreshold = 0.1;
+    DigestCase c(std::move(sim));
+    EXPECT_DIGEST(c.dump(), "2f2cc1df12428856");
+}
+
+TEST(SerialDumpDigest, AdaptiveReadAhead)
+{
+    SimulationConfig sim = webConfig(SystemKind::FOR, 64 * kKiB, 0);
+    sim.system.ra.adaptive = true;
+    sim.system.ra.windowBlocks = 64;
+    DigestCase c(std::move(sim));
+    EXPECT_DIGEST(c.dump(), "7109c2a9389bef0e");
+}
+
+TEST(SerialDumpDigest, PeriodicSnapshots)
+{
+    // Snapshot front events read every counter before the tick's
+    // simulation work runs.
+    DigestCase c(webConfig(SystemKind::Segm, 16 * kKiB, 0));
+    c.tweak = [](Experiment& e) { e.statsEvery(200 * kMsec); };
+    const std::string d = c.dump();
+    ASSERT_NE(d.find("# snapshot @"), std::string::npos);
+    EXPECT_DIGEST(d, "ea09c20ca56fa503");
+}
+
+TEST(SerialDumpDigest, SnapshotsDuringFaultsAndMirroring)
+{
+    // Periodic snapshots layered over the fault-event snapshots of a
+    // degraded mirrored run.
+    DigestCase c(faultConfig(256));
+    c.tweak = [](Experiment& e) { e.statsEvery(250 * kMsec); };
+    const std::string d = c.dump();
+    ASSERT_NE(d.find("# snapshot @"), std::string::npos);
+    ASSERT_NE(d.find("# fault event @"), std::string::npos);
+    EXPECT_DIGEST(d, "b2385b5b65b7c954");
+}
+
+TEST(SerialDumpDigest, StreamFrames)
+{
+    // Stream frames ride the same front-event chain as snapshots.
+    DigestCase c(webConfig(SystemKind::Segm, 64 * kKiB, 0));
+    const std::string path = "/tmp/dtsim_serial_digest_stream.txt";
+    c.tweak = [&](Experiment& e) { e.streamTo(path, 250 * kMsec); };
+    EXPECT_DIGEST(c.dump(), "4333e089869c7aa1");
+
+    const std::string stream = slurp(path);
+    ASSERT_NE(stream.find("==> dtsim stats seq=0 "), std::string::npos);
+    EXPECT_DIGEST(stream, "44c3f24e5a36f7a8");
+    std::remove(path.c_str());
+}
+
+} // namespace
+} // namespace dtsim

@@ -136,6 +136,7 @@ TEST(TracePersistence, MalformedLinesNamePathAndLine)
 {
     // Each bad record is planted at a seeded position in an otherwise
     // valid trace; the error must name the file and that line.
+    constexpr std::uint64_t kCapacity = 1u << 21;  // Array size, blocks.
     const std::vector<std::string> bad = {
         "-5 1 0 0",                 // Sign: used to wrap to 2^64 - 5.
         "100 -1 0 0",
@@ -150,6 +151,7 @@ TEST(TracePersistence, MalformedLinesNamePathAndLine)
         "100 1 0 4294967296",       // Job past 32 bits.
         "18446744073709551616 1 0 0",
         "18446744073709551615 2 0 0",  // Runs past the last block.
+        "2097150 4 0 0",            // Runs past the array's end.
         "100 1 0",                  // Missing field.
         "not a record",
         "100,1,0,0",
@@ -177,7 +179,7 @@ TEST(TracePersistence, MalformedLinesNamePathAndLine)
         }
         const std::string path = writeTraceText(text);
         try {
-            loadTrace(path);
+            loadTrace(path, kCapacity);
             ADD_FAILURE() << "accepted '" << line << "'";
         } catch (const std::runtime_error& e) {
             const std::string where =
@@ -187,6 +189,52 @@ TEST(TracePersistence, MalformedLinesNamePathAndLine)
         }
         std::remove(path.c_str());
     }
+}
+
+TEST(TracePersistence, LoadAcceptsRecordEndingAtCapacity)
+{
+    // The last block of the array is block capacity - 1.
+    const std::string path = writeTraceText("0 1 0 0\n"
+                                            "996 4 1 1\n");
+    const Trace t = loadTrace(path, 1000);
+    ASSERT_EQ(t.size(), 2u);
+    EXPECT_EQ(t[1].start, 996u);
+    EXPECT_EQ(t[1].count, 4u);
+    std::remove(path.c_str());
+}
+
+TEST(TracePersistence, LoadRejectsRecordPastCapacity)
+{
+    // One block past the end is enough; the error names the line and
+    // the capacity it was checked against.
+    const std::string path = writeTraceText("# header\n"
+                                            "0 1 0 0\n"
+                                            "997 4 0 0\n"
+                                            "0 1 0 0\n");
+    try {
+        loadTrace(path, 1000);
+        ADD_FAILURE() << "accepted a record past the array's end";
+    } catch (const std::runtime_error& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find(path + ":3: record runs past the end of the "
+                            "array (1000 blocks)"),
+                  std::string::npos)
+            << what;
+    }
+    std::remove(path.c_str());
+}
+
+TEST(TracePersistence, LoadWithoutCapacityAcceptsAnyBlock)
+{
+    // Without a target array only 64-bit block numbers bound a record.
+    const std::string path =
+        writeTraceText("1000000000000 4 0 2\n"
+                       "18446744073709551611 4 0 0\n");
+    const Trace t = loadTrace(path);
+    ASSERT_EQ(t.size(), 2u);
+    EXPECT_EQ(t[0].start, 1000000000000ull);
+    EXPECT_THROW(loadTrace(path, 1000000000000ull), std::runtime_error);
+    std::remove(path.c_str());
 }
 
 } // namespace

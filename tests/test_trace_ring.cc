@@ -2,8 +2,8 @@
  * @file
  * Tests of the sampled-tracing pipeline and live stat streaming:
  * the SPSC TraceRing, binary record pack/unpack, the RequestTracer
- * writer thread, sampling determinism, sample=0 purity, serial vs
- * sharded equivalence of sampled traces, and streamed stat frames.
+ * writer thread, sampling determinism, sample=0 purity, and
+ * streamed stat frames.
  */
 
 #include <gtest/gtest.h>
@@ -415,40 +415,6 @@ TEST(SampledTrace, SampleZeroIsPure)
     std::remove("/tmp/dtsim_trace_sample0.bin");
 }
 
-TEST(SampledTrace, ShardedMatchesSerialAtAnySampleRate)
-{
-    if (!RequestTracer::compiledIn())
-        GTEST_SKIP() << "tracing compiled out (DTSIM_TRACE=OFF)";
-
-    const Trace trace = testTrace(600);
-    const SystemConfig cfg = testConfig();
-
-    for (const double sample : {1.0, 0.3}) {
-        RunOptions serial;
-        serial.tracePath = "/tmp/dtsim_trace_serial.bin";
-        serial.trace.sample = sample;
-        serial.trace.seed = 5;
-        const RunResult rs =
-            test::replayTrace(cfg, trace, nullptr, nullptr, serial);
-
-        RunOptions sharded = serial;
-        sharded.tracePath = "/tmp/dtsim_trace_sharded.bin";
-        sharded.jobsIntra = 4;
-        const RunResult rh =
-            test::replayTrace(cfg, trace, nullptr, nullptr, sharded);
-
-        // Records are drawn and written in the canonical host-context
-        // completion order, so the sharded kernel produces the exact
-        // bytes the serial one does — at full trace and sampled.
-        expectSameResults(rs, rh);
-        EXPECT_EQ(rs.traceRecords, rh.traceRecords);
-        EXPECT_EQ(slurp(serial.tracePath), slurp(sharded.tracePath))
-            << "sample=" << sample;
-        std::remove(serial.tracePath.c_str());
-        std::remove(sharded.tracePath.c_str());
-    }
-}
-
 /** Parse "==> dtsim stats seq=..." / "==> end seq=..." frames. */
 struct FrameScan
 {
@@ -537,36 +503,6 @@ TEST(StatsStream, StreamingDoesNotPerturbResults)
     EXPECT_EQ(test::stripRuntime(plain_stats.str()),
               test::stripRuntime(streamed_stats.str()));
     std::remove("/tmp/dtsim_stream_purity.txt");
-}
-
-TEST(StatsStream, ShardedRunStreamsAtWindowBarriers)
-{
-    const Trace trace = testTrace(600);
-    const SystemConfig cfg = testConfig();
-
-    RunOptions serial;
-    const RunResult rs =
-        test::replayTrace(cfg, trace, nullptr, nullptr, serial);
-
-    const std::string path = "/tmp/dtsim_stream_sharded.txt";
-    RunOptions sharded;
-    sharded.jobsIntra = 4;
-    sharded.statsStream.path = path;
-    sharded.statsStream.intervalTicks = 20 * kMsec;
-    const RunResult rh =
-        test::replayTrace(cfg, trace, nullptr, nullptr, sharded);
-
-    // Streaming must not force the serial fallback or perturb the
-    // simulation: sharded-with-streaming matches serial-without.
-    expectSameResults(rs, rh);
-    const FrameScan s = scanFrames(path);
-    EXPECT_EQ(s.frames, rh.streamFrames);
-    EXPECT_EQ(s.ends, s.frames);
-    EXPECT_GE(s.frames, 2u);
-    EXPECT_TRUE(s.sawFinal);
-    EXPECT_TRUE(s.seqsMonotonic);
-    EXPECT_TRUE(s.bodiesNonEmpty);
-    std::remove(path.c_str());
 }
 
 TEST(StatsStream, InheritsSnapshotIntervalWhenUnset)

@@ -42,7 +42,7 @@ TEST(VictimHdc, PinsOnGhostEviction)
     mgr.onAccess(0, 4);
     EXPECT_EQ(mgr.pins(), 0u);
     // A fifth block evicts block 0 from the ghost -> pinned. The pin
-    // command crosses to the disk timeline after commandLatency();
+    // command reaches the controller after commandLatency();
     // drain the queue to apply it.
     mgr.onAccess(10, 1);
     EXPECT_EQ(mgr.pins(), 1u);

@@ -19,6 +19,7 @@
 #include <cstdio>
 #include <cstring>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -115,11 +116,6 @@ usage()
         "                      per point under a sweep\n"
         "  --jobs N            sweep threads (default DTSIM_JOBS,\n"
         "                      else all cores)\n"
-        "  --jobs-intra N      intra-run kernel threads sharding one\n"
-        "                      simulation per disk; results are\n"
-        "                      tick-identical at any setting\n"
-        "                      (run.jobs_intra; 1 = serial kernel,\n"
-        "                      0 = DTSIM_JOBS_INTRA else all cores)\n"
         "  --log-level L       quiet|warn|inform|debug (also the\n"
         "                      DTSIM_LOG environment variable)\n"
         "docs/CONFIG.md is the full parameter reference.\n");
@@ -463,8 +459,6 @@ main(int argc, char** argv)
             setParam(reg, "workload.kind", arg(argc, argv, i));
         } else if (a == "--jobs") {
             jobs = parseFlag<unsigned>("--jobs", arg(argc, argv, i));
-        } else if (a == "--jobs-intra") {
-            setParam(reg, "run.jobs_intra", arg(argc, argv, i));
         } else if (a == "--requests") {
             setParam(reg, "synthetic.requests", arg(argc, argv, i));
         } else if (a == "--file-kb") {
@@ -566,7 +560,13 @@ main(int argc, char** argv)
         if (sim.system.kind == SystemKind::FOR)
             fatal("FOR needs a file-system image; loaded traces "
                   "carry none (use --workload instead)");
-        const Trace trace = loadTrace(load_trace);
+        Trace trace;
+        try {
+            trace = loadTrace(load_trace,
+                              arrayAddressableBlocks(sim.system));
+        } catch (const std::runtime_error& e) {
+            fatal("%s", e.what());
+        }
         std::printf("loaded %zu records from %s\n", trace.size(),
                     load_trace.c_str());
 
