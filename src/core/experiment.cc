@@ -1,5 +1,6 @@
 #include "core/experiment.hh"
 
+#include <chrono>
 #include <sstream>
 #include <utility>
 
@@ -9,6 +10,18 @@
 #include "sim/logging.hh"
 
 namespace dtsim {
+
+namespace {
+
+using Clock = std::chrono::steady_clock;
+
+double
+secondsSince(Clock::time_point t0)
+{
+    return std::chrono::duration<double>(Clock::now() - t0).count();
+}
+
+} // namespace
 
 Experiment::Experiment(SimulationConfig sim) : cfg_(std::move(sim)) {}
 
@@ -175,18 +188,24 @@ Experiment::prepare()
                 os << "\n  " << e;
             fatal("invalid configuration:%s", os.str().c_str());
         }
+        const Clock::time_point t0 = Clock::now();
         workload_ = buildWorkload(cfg_);
+        opts_.prep.genSeconds = secondsSince(t0);
     }
 
     const SystemConfig& sys = cfg_.system;
     if (!extBitmaps_ && sys.kind == SystemKind::FOR &&
         workload_.image) {
+        const Clock::time_point t0 = Clock::now();
         ownBitmaps_ = workload_.image->buildBitmaps(striping());
+        opts_.prep.bitmapsSeconds = secondsSince(t0);
     }
     if (!extPins_ && sys.hdc.enabled() &&
         sys.hdc.policy == HdcPolicy::Oracle) {
+        const Clock::time_point t0 = Clock::now();
         ownPins_ = selectPinnedBlocks(theTrace(), striping(),
                                       hdcBlocksPerDisk(sys));
+        opts_.prep.planSeconds = secondsSince(t0);
     }
 
     // Output destinations the caller did not set fluently come from

@@ -8,7 +8,8 @@ namespace dtsim {
 namespace {
 
 /**
- * The single-run kernel throughput line. Wall-clock readings and the
+ * The single-run kernel throughput line, with the wall time of each
+ * preparation phase next to the replay's. Wall-clock readings and the
  * event count are not simulation results, so both printers emit them
  * as a comment-style line that byte-comparisons strip.
  */
@@ -17,6 +18,9 @@ printRuntimeLine(std::ostream& os, const RunResult& r)
 {
     os << "# runtime: events=" << r.eventsFired
        << " wall_ms=" << r.wallSeconds * 1.0e3
+       << " gen_ms=" << r.prep.genSeconds * 1.0e3
+       << " bitmaps_ms=" << r.prep.bitmapsSeconds * 1.0e3
+       << " plan_ms=" << r.prep.planSeconds * 1.0e3
        << " events_per_sec=" << r.eventsPerSec()
        << " (volatile; excluded from determinism comparisons)\n";
 }

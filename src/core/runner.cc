@@ -252,6 +252,7 @@ runTrace(const SystemConfig& cfg, const Trace& trace,
     res.eventsFired = eq.fired();
     res.wallSeconds =
         std::chrono::duration<double>(wall_end - wall_begin).count();
+    res.prep = opts.prep;
     if (victim) {
         res.victimPins = victim->pins();
         res.victimUnpins = victim->unpins();

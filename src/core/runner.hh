@@ -27,6 +27,19 @@
 
 namespace dtsim {
 
+/**
+ * Host wall-clock seconds of the phases that run before replay
+ * (Experiment::prepare). A phase that was skipped, or whose output
+ * the caller supplied, reads 0. Volatile: reported only on the
+ * "# runtime:" line.
+ */
+struct PrepTimes
+{
+    double genSeconds = 0.0;      ///< Workload generation.
+    double bitmapsSeconds = 0.0;  ///< FOR layout bitmaps.
+    double planSeconds = 0.0;     ///< Oracle HDC pin planning.
+};
+
 /** Observability options of one run (all off by default). */
 struct RunOptions
 {
@@ -79,6 +92,9 @@ struct RunOptions
      * trace generation, not during replay).
      */
     const BufferCacheStats* fsStats = nullptr;
+
+    /** Preparation timings to report with the run (RunResult::prep). */
+    PrepTimes prep;
 
     /** True when any stats output destination is configured. */
     bool
@@ -187,6 +203,9 @@ struct RunResult
      * Volatile by nature; never part of deterministic output.
      */
     double wallSeconds = 0.0;
+
+    /** Host wall-clock seconds of the phases before replay. */
+    PrepTimes prep;
 
     /** eventsFired / wallSeconds (0 when wall time was unmeasurably
      * small). */

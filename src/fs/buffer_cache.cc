@@ -118,11 +118,10 @@ std::vector<ArrayBlock>
 BufferCache::dropAll()
 {
     std::vector<ArrayBlock> dirty = sync();
-    while (lru_.head != kNullSlot) {
-        const std::uint32_t n = lru_.head;
-        Ops::unlink(slab_, lru_, n);
-        slab_.release(n);
-    }
+    // Slot numbering is internal: free the whole slab in one pass
+    // instead of unlinking the LRU node by node.
+    slab_.reset();
+    lru_ = SlabList{};
     map_.clear();
     checkInvariants();
     return dirty;

@@ -99,6 +99,12 @@ class BufferCache
      */
     std::vector<ArrayBlock> dropAll();
 
+    /**
+     * Hint that `block` will be looked up soon: start loading its
+     * hash slot into the CPU cache. Changes no cache state.
+     */
+    void prefetch(ArrayBlock block) const { map_.prefetch(block); }
+
     bool contains(ArrayBlock block) const;
     std::uint64_t size() const { return map_.size(); }
     std::uint64_t capacity() const { return capacity_; }

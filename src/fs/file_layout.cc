@@ -18,16 +18,29 @@ FileLayout::finalize()
     blockCount = n;
 }
 
+void
+FileLayout::outOfRange()
+{
+    panic("FileLayout: block index out of range");
+}
+
+std::size_t
+FileLayout::extentIndex(std::uint64_t idx) const
+{
+    if (!extents.empty() && idx < extents.front().count)
+        return 0;
+    const auto it =
+        std::upper_bound(extentEnds.begin(), extentEnds.end(), idx);
+    if (it == extentEnds.end())
+        outOfRange();
+    return static_cast<std::size_t>(it - extentEnds.begin());
+}
+
 ArrayBlock
 FileLayout::blockAt(std::uint64_t idx) const
 {
     if (extentEnds.size() == extents.size()) {
-        const auto it = std::upper_bound(extentEnds.begin(),
-                                         extentEnds.end(), idx);
-        if (it == extentEnds.end())
-            panic("FileLayout: block index out of range");
-        const std::size_t e =
-            static_cast<std::size_t>(it - extentEnds.begin());
+        const std::size_t e = extentIndex(idx);
         const std::uint64_t base = e == 0 ? 0 : extentEnds[e - 1];
         return extents[e].start + (idx - base);
     }
@@ -36,7 +49,7 @@ FileLayout::blockAt(std::uint64_t idx) const
             return e.start + idx;
         idx -= e.count;
     }
-    panic("FileLayout: block index out of range");
+    outOfRange();
 }
 
 std::uint64_t
@@ -53,11 +66,7 @@ FileLayout::contiguousRun(std::uint64_t idx,
             ++run;
         return run;
     }
-    const auto it = std::upper_bound(extentEnds.begin(),
-                                     extentEnds.end(), idx);
-    if (it == extentEnds.end())
-        panic("FileLayout: block index out of range");
-    std::size_t e = static_cast<std::size_t>(it - extentEnds.begin());
+    std::size_t e = extentIndex(idx);
     std::uint64_t run = extentEnds[e] - idx;
     // Merge extents that happen to abut physically (gap of zero).
     while (run < max_count && e + 1 < extents.size() &&

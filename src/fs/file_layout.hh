@@ -14,6 +14,7 @@
 #ifndef DTSIM_FS_FILE_LAYOUT_HH
 #define DTSIM_FS_FILE_LAYOUT_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -53,6 +54,16 @@ struct FileLayout
     /** (Re)build extentEnds/blockCount after extents change. */
     void finalize();
 
+    /**
+     * Index of the extent holding block `idx` (needs extentEnds).
+     * Blocks of the first extent are answered without reading
+     * extentEnds, so the common case touches one array.
+     */
+    std::size_t extentIndex(std::uint64_t idx) const;
+
+    /** Panic on a block index past the end of the file. */
+    [[noreturn]] static void outOfRange();
+
     /** File length in blocks (hot: once per generated access). */
     std::uint64_t
     blocks() const
@@ -76,7 +87,58 @@ struct FileLayout
      */
     std::uint64_t contiguousRun(std::uint64_t idx,
                                 std::uint64_t max_count) const;
+
+    /**
+     * Visit file blocks [idx, idx+count) as physically contiguous
+     * runs, calling fn(first_logical_block, run_length) for each in
+     * file order. The runs are exactly those of the blockAt() +
+     * contiguousRun() walk (abutting extents merge), found in one
+     * pass over the extents. Panics if the range passes the end of
+     * the file.
+     */
+    template <typename Fn>
+    void forEachRun(std::uint64_t idx, std::uint64_t count,
+                    Fn&& fn) const;
 };
+
+template <typename Fn>
+void
+FileLayout::forEachRun(std::uint64_t idx, std::uint64_t count,
+                       Fn&& fn) const
+{
+    if (count == 0)
+        return;
+    const std::uint64_t end = idx + count;
+    if (extentEnds.size() != extents.size()) {
+        // No index built: walk run by run.
+        while (idx < end) {
+            const std::uint64_t run = contiguousRun(idx, end - idx);
+            fn(blockAt(idx), run);
+            idx += run;
+        }
+        return;
+    }
+    if (end > blockCount || end < idx)
+        outOfRange();
+    std::size_t e = extentIndex(idx);
+    std::uint64_t off = idx - (e == 0 ? 0 : extentEnds[e - 1]);
+    while (idx < end) {
+        const ArrayBlock lb = extents[e].start + off;
+        std::uint64_t run = extents[e].count - off;
+        // Merge extents that happen to abut physically.
+        while (run < end - idx && e + 1 < extents.size() &&
+               extents[e + 1].start ==
+                   extents[e].start + extents[e].count) {
+            ++e;
+            run += extents[e].count;
+        }
+        run = std::min(run, end - idx);
+        fn(lb, run);
+        idx += run;
+        ++e;  // An uncapped run ends exactly at extent e's end.
+        off = 0;
+    }
+}
 
 /** Parameters of an image build. */
 struct LayoutParams

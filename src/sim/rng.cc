@@ -1,5 +1,6 @@
 #include "sim/rng.hh"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <stdexcept>
@@ -152,23 +153,36 @@ ZipfSampler::ZipfSampler(std::size_t n, double alpha)
     for (auto& c : cdf_)
         c /= total;
     cdf_.back() = 1.0;
+
+    guide_.resize(n);
+    std::size_t i = 0;
+    for (std::size_t j = 0; j < n; ++j) {
+        const double edge =
+            static_cast<double>(j) / static_cast<double>(n);
+        while (cdf_[i] < edge)
+            ++i;
+        guide_[j] = i;
+    }
 }
 
 std::size_t
-ZipfSampler::sample(Rng& rng) const
+ZipfSampler::indexOf(double u) const
 {
-    const double u = rng.uniform();
-    // Binary search for the first CDF entry >= u.
-    std::size_t lo = 0;
-    std::size_t hi = cdf_.size() - 1;
-    while (lo < hi) {
-        const std::size_t mid = lo + (hi - lo) / 2;
-        if (cdf_[mid] < u)
-            lo = mid + 1;
-        else
-            hi = mid;
-    }
-    return lo;
+    assert(u >= 0.0 && u <= 1.0);
+    const std::size_t n = cdf_.size();
+    const std::size_t bucket = std::min(
+        static_cast<std::size_t>(u * static_cast<double>(n)), n - 1);
+    std::size_t i = guide_[bucket];
+    // The guide is only a starting point: rounding in u * n can land
+    // a draw one bucket off, so step back while the previous entry
+    // still covers u, then forward to the first entry >= u. Both
+    // scans together return the first i with cdf_[i] >= u from any
+    // start, and cdf_.back() == 1.0 bounds the forward scan.
+    while (i > 0 && cdf_[i - 1] >= u)
+        --i;
+    while (cdf_[i] < u)
+        ++i;
+    return i;
 }
 
 double

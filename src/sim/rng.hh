@@ -66,8 +66,13 @@ class Rng
  * alpha: P(rank i) proportional to 1 / i^alpha.
  *
  * alpha = 0 degenerates to the uniform distribution; alpha = 1 is the
- * classic Zipf law. A full CDF table is precomputed so sampling is a
- * binary search (O(log n)) and exact.
+ * classic Zipf law. A full CDF table is precomputed, plus a guide
+ * table holding, for each of n equal-width buckets of [0, 1), the
+ * first CDF index that can answer a draw in that bucket. Sampling
+ * reads the guide entry for floor(u * n) and finishes with a short
+ * exact scan, so it returns exactly the index a binary search over
+ * the CDF would, in O(1) expected steps for the Zipf exponents used
+ * here.
  */
 class ZipfSampler
 {
@@ -79,7 +84,13 @@ class ZipfSampler
     ZipfSampler(std::size_t n, double alpha);
 
     /** Sample a 0-based item index in [0, n). */
-    std::size_t sample(Rng& rng) const;
+    std::size_t sample(Rng& rng) const { return indexOf(rng.uniform()); }
+
+    /**
+     * The first 0-based index i with cdf(i) >= u: the item a uniform
+     * draw `u` in [0, 1] selects.
+     */
+    std::size_t indexOf(double u) const;
 
     /** Probability mass of 0-based item i. */
     double pmf(std::size_t i) const;
@@ -92,6 +103,9 @@ class ZipfSampler
 
   private:
     std::vector<double> cdf_;
+
+    /** guide_[j]: the first index i with cdf_[i] >= j / n. */
+    std::vector<std::size_t> guide_;
     double alpha_;
 };
 

@@ -31,13 +31,24 @@ template <typename T>
 class Slab
 {
   public:
-    explicit Slab(std::uint32_t capacity)
-        : nodes_(capacity), freeCount_(capacity)
+    explicit Slab(std::uint32_t capacity) : nodes_(capacity)
+    {
+        reset();
+    }
+
+    /**
+     * Free every slot at once, in one sequential pass. Lists that
+     * lived in the slab are invalid afterwards; reset them too.
+     */
+    void
+    reset()
     {
         // Thread the freelist through next so allocation is O(1).
-        for (std::uint32_t i = 0; i < capacity; ++i)
-            nodes_[i].next = i + 1 < capacity ? i + 1 : kNullSlot;
-        freeHead_ = capacity > 0 ? 0 : kNullSlot;
+        const std::uint32_t n = capacity();
+        for (std::uint32_t i = 0; i < n; ++i)
+            nodes_[i].next = i + 1 < n ? i + 1 : kNullSlot;
+        freeHead_ = n > 0 ? 0 : kNullSlot;
+        freeCount_ = n;
     }
 
     std::uint32_t

@@ -211,23 +211,16 @@ RequestTracer::enqueueRecord(const RequestTraceEvent& ev)
     // the ring) instead of stalling the simulation thread.
     if (ring_->push(packTraceRecord(ev)))
         ++records_;
-    // The fence pairs with the one the writer issues between setting
-    // parked_ and rechecking the ring (Dekker pattern): either we see
-    // parked_ == true here, or the writer sees this push in its
-    // recheck — a record can never be stranded behind a parked
-    // writer. Waking only at wakeBatch_ keeps wakeups (and their
-    // context switches) amortized over whole write batches.
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    if (parked_.load(std::memory_order_relaxed) &&
-        ring_->size() >= wakeBatch_)
-        wakeWriter();
-}
-
-void
-RequestTracer::wakeWriter()
-{
-    parked_.store(false, std::memory_order_release);
-    parked_.notify_one();
+    // Waking only at wakeBatch_ keeps wakeups (and their context
+    // switches) amortized over whole write batches. The exchange is
+    // a read-modify-write on parked_, like the writer's park, so the
+    // two are totally ordered: either it reads the writer's `true`
+    // and wakes it, or it comes first and its release hands this push
+    // to the writer's acquire, whose recheck then sees the record. A
+    // record can never be stranded behind a parked writer.
+    if (ring_->size() >= wakeBatch_ &&
+        parked_.exchange(false, std::memory_order_acq_rel))
+        parked_.notify_one();
 }
 
 void
@@ -278,13 +271,13 @@ RequestTracer::writerLoop()
             return;
         }
         // Ring drained: park until the producer accumulates a wake
-        // batch or close() raises stop_. The fence mirrors the
-        // producer's (enqueueRecord) so a push between our park and
-        // the recheck below is always caught by one side. wait() can
-        // return spuriously with parked_ still true; the loop simply
-        // comes back around, re-parks, and waits again.
-        parked_.store(true, std::memory_order_relaxed);
-        std::atomic_thread_fence(std::memory_order_seq_cst);
+        // batch or close() raises stop_. Parking is a read-modify-
+        // write that pairs with the producer's (enqueueRecord) and
+        // with close()'s release store, so a push or stop between our
+        // park and the recheck below is always caught by one side.
+        // wait() can return spuriously with parked_ still true; the
+        // loop simply comes back around, re-parks, and waits again.
+        parked_.exchange(true, std::memory_order_acq_rel);
         if (ring_->size() != 0 ||
             stop_.load(std::memory_order_acquire)) {
             parked_.store(false, std::memory_order_relaxed);

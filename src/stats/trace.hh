@@ -256,7 +256,6 @@ class RequestTracer
 
   private:
     void enqueueRecord(const RequestTraceEvent& ev);
-    void wakeWriter();
     void writerLoop();
     void writeBatch(const BinaryTraceRecord* recs, std::size_t n);
     void writeBinaryMarker();
@@ -276,7 +275,7 @@ class RequestTracer
     /**
      * True while the writer thread is blocked in an atomic wait. The
      * writer never polls: once the ring drains it parks here and the
-     * producer wakes it (wakeWriter) only when wakeBatch_ records
+     * producer wakes it (enqueueRecord) only when wakeBatch_ records
      * have accumulated, so an idle or lightly-sampled trace costs
      * zero context switches — essential on single-CPU hosts, where a
      * periodically polling writer steals timeslices from the

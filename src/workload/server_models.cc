@@ -35,28 +35,27 @@ emitWritebacks(std::vector<ArrayBlock>& blocks, std::uint32_t job,
 }
 
 /**
- * Emit a read of file blocks [start, start+count) as disk records,
- * splitting at extent boundaries (they are not logically contiguous
- * on the media).
+ * Requests drawn ahead of the cache replay. A request's random draws
+ * never depend on cache state, so a batch is drawn first and then
+ * replayed; the batch is bounded so the stream is never materialised.
  */
-void
-emitFileRead(const FileLayout& f, std::uint64_t start,
-             std::uint64_t count, std::uint32_t job, Trace& trace)
+constexpr std::size_t kDrawBatch = 256;
+
+/** How many requests ahead the replay prefetches hash slots. */
+constexpr std::size_t kPrefetchAhead = 8;
+
+/** Leading blocks of a request whose hash slots are prefetched. */
+constexpr std::uint64_t kPrefetchBlocks = 4;
+
+/** One file-level request, drawn before it reaches the caches. */
+struct DrawnRequest
 {
-    std::uint64_t i = start;
-    const std::uint64_t end = start + count;
-    while (i < end) {
-        const ArrayBlock lb = f.blockAt(i);
-        const std::uint64_t run = f.contiguousRun(i, end - i);
-        TraceRecord rec;
-        rec.start = lb;
-        rec.count = static_cast<std::uint32_t>(run);
-        rec.isWrite = false;
-        rec.job = job;
-        trace.push_back(rec);
-        i += run;
-    }
-}
+    FileId file = 0;
+    bool isWrite = false;
+    std::uint64_t start = 0;     ///< First file block accessed.
+    std::uint64_t count = 0;     ///< File blocks accessed.
+    ArrayBlock firstBlock = 0;   ///< Logical block of `start`.
+};
 
 } // namespace
 
@@ -122,134 +121,163 @@ makeServerWorkload(const ServerModelParams& params,
         }
     }
 
-    std::vector<ArrayBlock> writebacks;
-    Trace job_records;  // Reused per request (cleared each read).
-    std::uint32_t job = 0;
-
-    const std::uint64_t total_requests =
-        params.warmupRequests + params.numRequests;
-    for (std::uint64_t r = 0; r < total_requests; ++r) {
-        const bool recording = r >= params.warmupRequests;
+    // Every RNG draw of request r, in the order the stream defines.
+    const auto draw = [&](std::uint64_t r) {
+        DrawnRequest req;
         std::uint64_t rank = zipf.sample(rng);
         if (params.phaseShiftEvery > 0 &&
             (r / params.phaseShiftEvery) % 2 == 1) {
             // Alternate phase: rotated popularity ranking.
             rank = (rank + params.phaseOffsetFiles) % params.numFiles;
         }
-        const FileId file = perm[rank];
-        const FileLayout& f = w.image->file(file);
+        req.file = perm[rank];
+        const FileLayout& f = w.image->file(req.file);
         const std::uint64_t fblocks = f.blocks();
 
         // Pick the accessed range.
-        std::uint64_t start = 0;
-        std::uint64_t count = fblocks;
+        req.count = fblocks;
         if (params.partialAccess) {
             const double bytes = std::max(
                 1.0, rng.exponential(params.avgAccessBytes));
-            count = std::max<std::uint64_t>(
+            req.count = std::max<std::uint64_t>(
                 1, static_cast<std::uint64_t>(
                        bytes / params.blockSize + 0.5));
-            count = std::min(count, fblocks);
-            start = fblocks > count
-                ? rng.below(fblocks - count + 1)
+            req.count = std::min(req.count, fblocks);
+            req.start = fblocks > req.count
+                ? rng.below(fblocks - req.count + 1)
                 : 0;
         }
+        req.isWrite = rng.chance(params.writeRequestProb);
+        req.firstBlock = f.blockAt(req.start);
+        return req;
+    };
 
-        const bool is_write = rng.chance(params.writeRequestProb);
+    const auto prefetchSlots = [&](const DrawnRequest& req) {
+        const std::uint64_t n = std::min(req.count, kPrefetchBlocks);
+        for (std::uint64_t k = 0; k < n; ++k)
+            cache.prefetch(req.firstBlock + k);
+    };
+
+    std::vector<ArrayBlock> writebacks;
+    Trace job_records;  // Reused per request (cleared each read).
+    std::vector<DrawnRequest> batch;
+    batch.reserve(kDrawBatch);
+    std::uint32_t job = 0;
+
+    // Replay one request through the buffer cache and the prefetcher.
+    const auto replay = [&](const DrawnRequest& req, bool recording) {
+        const FileLayout& f = w.image->file(req.file);
         const std::uint32_t this_job = job++;
 
-        if (is_write) {
-            // Dirty the blocks in the buffer cache (write-back),
-            // walking physically contiguous pieces to keep the
-            // per-block address computation O(1).
-            for (std::uint64_t i = start; i < start + count;) {
-                const ArrayBlock lb = f.blockAt(i);
-                const std::uint64_t seg =
-                    f.contiguousRun(i, start + count - i);
-                for (std::uint64_t m = 0; m < seg; ++m)
-                    cache.write(lb + m, writebacks);
-                i += seg;
-            }
+        if (req.isWrite) {
+            // Dirty the blocks in the buffer cache (write-back).
+            f.forEachRun(req.start, req.count,
+                         [&](ArrayBlock lb, std::uint64_t n) {
+                             for (std::uint64_t m = 0; m < n; ++m)
+                                 cache.write(lb + m, writebacks);
+                         });
             if (recording)
                 emitWritebacks(writebacks, this_job, w.trace);
             writebacks.clear();
-        } else {
-            // Read through the cache; a miss triggers a disk read of
-            // the missing block plus the OS prefetch. Records of one
-            // job are emitted through a coalescing buffer: the
-            // paper's logs merge accesses to consecutive blocks
-            // issued within 2 ms, which covers a thread's
-            // back-to-back prefetch ramp-up reads.
-            job_records.clear();
-            std::uint64_t i = start;
-            // Cursor over the file's physically contiguous pieces so
-            // the per-block address is one add instead of an extent
-            // lookup.
-            ArrayBlock seg_lb = 0;
-            std::uint64_t seg_start = 0;
-            std::uint64_t seg_end = 0;
-            while (i < start + count) {
-                if (i >= seg_end) {
-                    seg_lb = f.blockAt(i);
-                    seg_start = i;
-                    seg_end =
-                        i + f.contiguousRun(i, start + count - i);
-                }
-                if (cache.readHit(seg_lb + (i - seg_start))) {
-                    ++i;
+            return;
+        }
+
+        // Read through the cache; a miss triggers a disk read of the
+        // missing block plus the OS prefetch, which may run past the
+        // accessed range. Records of one job are emitted through a
+        // coalescing buffer: the paper's logs merge accesses to
+        // consecutive blocks issued within 2 ms, which covers a
+        // thread's back-to-back prefetch ramp-up reads.
+        job_records.clear();
+        const std::uint64_t fblocks = f.blocks();
+        std::uint64_t next = req.start;  // First block not yet read.
+        std::uint64_t idx = req.start;   // File block of the run's lb.
+        f.forEachRun(req.start, req.count, [&](ArrayBlock lb,
+                                               std::uint64_t n) {
+            for (std::uint64_t k = next > idx ? next - idx : 0; k < n;) {
+                if (cache.readHit(lb + k)) {
+                    ++k;
                     continue;
                 }
-                const std::uint64_t pf = prefetcher.plan(
-                    file, i, 1, fblocks);
+                const std::uint64_t miss = idx + k;
+                const std::uint64_t pf =
+                    prefetcher.plan(req.file, miss, 1, fblocks);
                 const std::uint64_t run =
-                    std::min(1 + pf, fblocks - i);
-                if (recording)
-                    emitFileRead(f, i, run, this_job, job_records);
-                for (std::uint64_t k = 0; k < run;) {
-                    const ArrayBlock lb = f.blockAt(i + k);
-                    const std::uint64_t seg =
-                        f.contiguousRun(i + k, run - k);
-                    for (std::uint64_t m = 0; m < seg; ++m)
-                        cache.install(lb + m, writebacks);
-                    k += seg;
-                }
+                    std::min(1 + pf, fblocks - miss);
+                // One extent walk both emits the disk reads and
+                // installs the blocks they bring in.
+                f.forEachRun(miss, run, [&](ArrayBlock rlb,
+                                            std::uint64_t rn) {
+                    if (recording)
+                        job_records.push_back(TraceRecord{
+                            rlb, static_cast<std::uint32_t>(rn), false,
+                            this_job});
+                    for (std::uint64_t m = 0; m < rn; ++m)
+                        cache.install(rlb + m, writebacks);
+                });
                 if (recording)
                     emitWritebacks(writebacks, this_job, job_records);
                 writebacks.clear();
-                i += run;
+                next = miss + run;
+                k = next - idx;
             }
-            // Driver-level coalescing of adjacent same-type records.
-            for (const TraceRecord& rec : job_records) {
-                if (!w.trace.empty()) {
-                    TraceRecord& prev = w.trace.back();
-                    if (prev.job == rec.job &&
-                        prev.isWrite == rec.isWrite &&
-                        prev.start + prev.count == rec.start) {
-                        prev.count += rec.count;
-                        continue;
-                    }
+            idx += n;
+        });
+        // Driver-level coalescing of adjacent same-type records.
+        for (const TraceRecord& rec : job_records) {
+            if (!w.trace.empty()) {
+                TraceRecord& prev = w.trace.back();
+                if (prev.job == rec.job &&
+                    prev.isWrite == rec.isWrite &&
+                    prev.start + prev.count == rec.start) {
+                    prev.count += rec.count;
+                    continue;
                 }
-                w.trace.push_back(rec);
             }
+            w.trace.push_back(rec);
         }
+    };
 
-        if (params.syncEveryRequests > 0 &&
-            (r + 1) % params.syncEveryRequests == 0) {
-            std::vector<ArrayBlock> dirty = cache.sync();
-            if (recording)
-                emitWritebacks(dirty, job, w.trace);
-            ++job;
-        }
+    const std::uint64_t total_requests =
+        params.warmupRequests + params.numRequests;
+    for (std::uint64_t base = 0; base < total_requests;
+         base += batch.size()) {
+        // No RNG draw happens at sync or day boundaries, so drawing a
+        // batch before replaying it keeps the stream unchanged.
+        batch.clear();
+        const std::uint64_t end = std::min<std::uint64_t>(
+            total_requests, base + kDrawBatch);
+        for (std::uint64_t r = base; r < end; ++r)
+            batch.push_back(draw(r));
 
-        if (params.dayEveryRequests > 0 &&
-            (r + 1) % params.dayEveryRequests == 0) {
-            // Nightly batch activity: the working set is evicted;
-            // dirty data reaches the disk.
-            std::vector<ArrayBlock> dirty = cache.dropAll();
-            if (recording)
-                emitWritebacks(dirty, job, w.trace);
-            ++job;
-            prefetcher.reset();
+        for (std::size_t b = 0; b < kPrefetchAhead && b < batch.size();
+             ++b)
+            prefetchSlots(batch[b]);
+        for (std::size_t b = 0; b < batch.size(); ++b) {
+            if (b + kPrefetchAhead < batch.size())
+                prefetchSlots(batch[b + kPrefetchAhead]);
+            const std::uint64_t r = base + b;
+            const bool recording = r >= params.warmupRequests;
+            replay(batch[b], recording);
+
+            if (params.syncEveryRequests > 0 &&
+                (r + 1) % params.syncEveryRequests == 0) {
+                std::vector<ArrayBlock> dirty = cache.sync();
+                if (recording)
+                    emitWritebacks(dirty, job, w.trace);
+                ++job;
+            }
+
+            if (params.dayEveryRequests > 0 &&
+                (r + 1) % params.dayEveryRequests == 0) {
+                // Nightly batch activity: the working set is evicted;
+                // dirty data reaches the disk.
+                std::vector<ArrayBlock> dirty = cache.dropAll();
+                if (recording)
+                    emitWritebacks(dirty, job, w.trace);
+                ++job;
+                prefetcher.reset();
+            }
         }
     }
 

@@ -6,34 +6,47 @@
 #include <cstdio>
 #include <fstream>
 #include <stdexcept>
-#include <unordered_map>
-#include <unordered_set>
 
+#include "sim/flat_table.hh"
 #include "sim/logging.hh"
 
 namespace dtsim {
+
+namespace {
+
+/** Per-block access counts of a trace. */
+FlatTable<std::uint64_t>
+blockCounts(const Trace& trace)
+{
+    FlatTable<std::uint64_t> counts(trace.size());
+    for (const TraceRecord& r : trace)
+        for (std::uint32_t i = 0; i < r.count; ++i)
+            ++*counts.insert(r.start + i, 0).first;
+    return counts;
+}
+
+} // namespace
 
 TraceStats
 computeStats(const Trace& trace)
 {
     TraceStats s;
     s.records = trace.size();
-    std::unordered_map<ArrayBlock, std::uint64_t> counts;
-    std::unordered_set<std::uint32_t> jobs;
+    FlatTable<std::uint8_t> jobs;
     for (const TraceRecord& r : trace) {
         s.blocks += r.count;
         if (r.isWrite) {
             ++s.writeRecords;
             s.writeBlocks += r.count;
         }
-        jobs.insert(r.job);
-        for (std::uint32_t i = 0; i < r.count; ++i)
-            ++counts[r.start + i];
+        jobs.insert(r.job, 0);
     }
+    const FlatTable<std::uint64_t> counts = blockCounts(trace);
     s.jobs = jobs.size();
     s.distinctBlocks = counts.size();
-    for (const auto& [block, n] : counts)
+    counts.forEach([&](std::uint64_t, std::uint64_t n) {
         s.maxBlockAccesses = std::max(s.maxBlockAccesses, n);
+    });
     if (s.records > 0) {
         s.writeRecordFraction =
             static_cast<double>(s.writeRecords) /
@@ -48,15 +61,11 @@ computeStats(const Trace& trace)
 std::vector<std::uint64_t>
 accessCountsSorted(const Trace& trace, std::size_t top)
 {
-    std::unordered_map<ArrayBlock, std::uint64_t> counts;
-    for (const TraceRecord& r : trace)
-        for (std::uint32_t i = 0; i < r.count; ++i)
-            ++counts[r.start + i];
-
+    const FlatTable<std::uint64_t> counts = blockCounts(trace);
     std::vector<std::uint64_t> out;
     out.reserve(counts.size());
-    for (const auto& [block, n] : counts)
-        out.push_back(n);
+    counts.forEach(
+        [&](std::uint64_t, std::uint64_t n) { out.push_back(n); });
     std::sort(out.begin(), out.end(), std::greater<>());
     if (top != 0 && out.size() > top)
         out.resize(top);

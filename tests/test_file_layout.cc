@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "fs/file_layout.hh"
 
 namespace dtsim {
@@ -155,6 +158,94 @@ TEST(FileLayout, StripedAverageRunCappedByUnit)
     // Unbroken 32-block files, but each 8-block unit lands on a
     // different disk: runs are exactly 8.
     EXPECT_DOUBLE_EQ(img.averageSequentialRun(striping), 8.0);
+}
+
+/** Runs of [idx, idx+count) by the blockAt/contiguousRun walk. */
+std::vector<std::pair<ArrayBlock, std::uint64_t>>
+referenceRuns(const FileLayout& f, std::uint64_t idx,
+              std::uint64_t count)
+{
+    std::vector<std::pair<ArrayBlock, std::uint64_t>> runs;
+    const std::uint64_t end = idx + count;
+    while (idx < end) {
+        const std::uint64_t run = f.contiguousRun(idx, end - idx);
+        runs.emplace_back(f.blockAt(idx), run);
+        idx += run;
+    }
+    return runs;
+}
+
+std::vector<std::pair<ArrayBlock, std::uint64_t>>
+forEachRuns(const FileLayout& f, std::uint64_t idx, std::uint64_t count)
+{
+    std::vector<std::pair<ArrayBlock, std::uint64_t>> runs;
+    f.forEachRun(idx, count, [&](ArrayBlock lb, std::uint64_t n) {
+        runs.emplace_back(lb, n);
+    });
+    return runs;
+}
+
+/**
+ * A fragmented file whose extents partly abut: [100,+3) [103,+2)
+ * abut, then a hole, [110,+1), [111,+4) abut, hole, [200,+2).
+ */
+FileLayout
+abuttingLayout()
+{
+    FileLayout f;
+    f.extents = {{100, 3}, {103, 2}, {110, 1}, {111, 4}, {200, 2}};
+    f.finalize();
+    return f;
+}
+
+TEST(FileLayout, ForEachRunMatchesBlockWalk)
+{
+    LayoutParams lp;
+    lp.fragmentation = 0.3;
+    lp.seed = 11;
+    FileSystemImage img(uniformSizes(8, 40 * 4096), lp, 100000);
+    std::vector<FileLayout> files = {abuttingLayout()};
+    for (std::size_t i = 0; i < img.fileCount(); ++i)
+        files.push_back(img.file(static_cast<FileId>(i)));
+
+    for (FileLayout f : files) {
+        const std::uint64_t n = f.blocks();
+        for (int indexed = 1; indexed >= 0; --indexed) {
+            if (!indexed)
+                f.extentEnds.clear();  // Exercise the no-index path.
+            for (std::uint64_t idx = 0; idx < n; ++idx) {
+                for (std::uint64_t count = 0; idx + count <= n;
+                     ++count) {
+                    ASSERT_EQ(forEachRuns(f, idx, count),
+                              referenceRuns(f, idx, count))
+                        << "idx=" << idx << " count=" << count
+                        << " indexed=" << indexed;
+                }
+            }
+        }
+    }
+}
+
+TEST(FileLayout, ForEachRunMergesAbuttingExtents)
+{
+    const FileLayout f = abuttingLayout();
+    const std::vector<std::pair<ArrayBlock, std::uint64_t>> want = {
+        {101, 4}, {110, 5}, {200, 1}};
+    EXPECT_EQ(forEachRuns(f, 1, 10), want);
+}
+
+TEST(FileLayout, ForEachRunPanicsPastEndOfFile)
+{
+    const FileLayout f = abuttingLayout();
+    EXPECT_DEATH(f.forEachRun(10, 3, [](ArrayBlock, std::uint64_t) {}),
+                 "out of range");
+    EXPECT_DEATH(f.forEachRun(12, 1, [](ArrayBlock, std::uint64_t) {}),
+                 "out of range");
+    FileLayout stale = f;
+    stale.extentEnds.clear();
+    EXPECT_DEATH(
+        stale.forEachRun(10, 3, [](ArrayBlock, std::uint64_t) {}),
+        "out of range");
 }
 
 } // namespace

@@ -4,6 +4,7 @@
 
 #include <sstream>
 
+#include "core/experiment.hh"
 #include "core/report.hh"
 #include "experiment_replay.hh"
 #include "workload/synthetic.hh"
@@ -57,6 +58,42 @@ TEST(Report, ValuesMatchResult)
     const std::string needle =
         "sim.requests " + std::to_string(r.requests);
     EXPECT_NE(out.find(needle), std::string::npos) << out;
+}
+
+TEST(Report, RuntimeLineTimesPreparationPhases)
+{
+    SimulationConfig sim;
+    sim.workload = WorkloadKind::Web;
+    sim.scale = 0.01;
+    sim.system.kind = SystemKind::FOR;
+    sim.system.disks = 4;
+    sim.system.hdc.budgetBytesPerDisk = 2 * kMiB;
+
+    std::ostringstream dump;
+    Experiment built(sim);
+    built.statsTo(StatsSink::stream(dump));
+    const RunResult r = built.run();
+    EXPECT_GT(r.prep.genSeconds, 0.0);
+    EXPECT_GT(r.prep.bitmapsSeconds, 0.0);
+    EXPECT_GT(r.prep.planSeconds, 0.0);
+
+    const std::string text = dump.str();
+    const std::size_t at = text.find("# runtime:");
+    ASSERT_NE(at, std::string::npos);
+    const std::string line = text.substr(at, text.find('\n', at) - at);
+    for (const char* field : {" wall_ms=", " gen_ms=", " bitmaps_ms=",
+                              " plan_ms="})
+        EXPECT_NE(line.find(field), std::string::npos) << line;
+
+    // Replaying a caller-supplied trace generates nothing.
+    sim.system.kind = SystemKind::Segm;
+    sim.system.hdc.budgetBytesPerDisk = 0;
+    Experiment replay(sim);
+    replay.replay(built.trace());
+    const RunResult rr = replay.run();
+    EXPECT_EQ(rr.prep.genSeconds, 0.0);
+    EXPECT_EQ(rr.prep.bitmapsSeconds, 0.0);
+    EXPECT_EQ(rr.prep.planSeconds, 0.0);
 }
 
 } // namespace

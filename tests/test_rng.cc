@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <tuple>
 #include <vector>
 
 #include "sim/rng.hh"
@@ -194,6 +195,72 @@ TEST_P(ZipfAlphaSweep, SamplesInRange)
 INSTANTIATE_TEST_SUITE_P(Alphas, ZipfAlphaSweep,
                          ::testing::Values(0.0, 0.2, 0.4, 0.43, 0.6,
                                            0.8, 1.0, 1.5));
+
+/** First i with cdf(i) >= u, by binary search over topMass. */
+std::size_t
+referenceIndex(const ZipfSampler& z, double u)
+{
+    std::size_t lo = 0;
+    std::size_t hi = z.size() - 1;
+    while (lo < hi) {
+        const std::size_t mid = lo + (hi - lo) / 2;
+        if (z.topMass(mid + 1) < u)
+            lo = mid + 1;
+        else
+            hi = mid;
+    }
+    return lo;
+}
+
+class ZipfGuideExact
+    : public ::testing::TestWithParam<std::tuple<std::size_t, double>>
+{
+};
+
+TEST_P(ZipfGuideExact, MatchesBinarySearch)
+{
+    const auto [n, alpha] = GetParam();
+    const ZipfSampler z(n, alpha);
+    const auto check = [&](double u) {
+        if (u < 0.0 || u > 1.0)
+            return;
+        ASSERT_EQ(z.indexOf(u), referenceIndex(z, u))
+            << "n=" << n << " alpha=" << alpha << " u=" << u;
+    };
+
+    // Seeded uniforms, through sample() and indexOf() alike.
+    Rng a(n * 7919 + 3);
+    Rng b(n * 7919 + 3);
+    for (int i = 0; i < 20000; ++i) {
+        const double u = a.uniform();
+        ASSERT_EQ(z.sample(b), referenceIndex(z, u));
+        check(u);
+    }
+
+    // Exactly on (and one ulp either side of) every CDF entry and
+    // every guide bucket edge j/n.
+    for (std::size_t i = 0; i < n; ++i) {
+        const double c = z.topMass(i + 1);
+        const double edge =
+            static_cast<double>(i) / static_cast<double>(n);
+        for (const double u : {c, edge}) {
+            check(u);
+            check(std::nextafter(u, 0.0));
+            check(std::nextafter(u, 2.0));
+        }
+    }
+    check(0.0);
+    check(1.0);
+    check(std::nextafter(1.0, 0.0));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Grid, ZipfGuideExact,
+    ::testing::Combine(::testing::Values(std::size_t{1}, std::size_t{2},
+                                         std::size_t{3},
+                                         std::size_t{1000},
+                                         std::size_t{70000}),
+                       ::testing::Values(0.0, 0.55, 0.75, 0.8, 1.0)));
 
 } // namespace
 } // namespace dtsim

@@ -1,0 +1,153 @@
+/**
+ * @file
+ * Generator output regression: each case runs makeServerWorkload once
+ * and the FNV-1a digest of its trace plus every BufferCacheStats field
+ * must equal a committed constant. The cases cover the web, proxy and
+ * file presets at small scales (whole-file and partial access, write
+ * merging, periodic syncs, day cycles) and hand-built models with
+ * popularity phase shifts and the other prefetch modes.
+ *
+ * A mismatch prints the actual digest. Update a constant only with a
+ * deliberate model change, and explain the trace diff alongside it.
+ */
+
+#include <gtest/gtest.h>
+
+#include <cinttypes>
+#include <cstdint>
+#include <cstdio>
+#include <string>
+
+#include "workload/server_models.hh"
+
+namespace dtsim {
+namespace {
+
+constexpr std::uint64_t kCapacity = 64ULL << 20;   // Blocks.
+
+/** 64-bit FNV-1a, fed one little-endian integer at a time. */
+class Fnv1a
+{
+  public:
+    void
+    add(std::uint64_t v)
+    {
+        for (int i = 0; i < 8; ++i) {
+            h_ ^= (v >> (8 * i)) & 0xff;
+            h_ *= 0x100000001b3ull;
+        }
+    }
+
+    std::string
+    hex() const
+    {
+        char buf[17];
+        std::snprintf(buf, sizeof buf, "%016" PRIx64, h_);
+        return buf;
+    }
+
+  private:
+    std::uint64_t h_ = 0xcbf29ce484222325ull;
+};
+
+/** Digest of everything makeServerWorkload reports. */
+std::string
+digestOf(const ServerModelParams& p)
+{
+    const ServerWorkload w = makeServerWorkload(p, kCapacity);
+    EXPECT_FALSE(w.trace.empty());
+    Fnv1a h;
+    h.add(w.trace.size());
+    for (const TraceRecord& r : w.trace) {
+        h.add(r.start);
+        h.add(r.count);
+        h.add(r.isWrite ? 1 : 0);
+        h.add(r.job);
+    }
+    const BufferCacheStats& s = w.bufferCache;
+    h.add(s.readLookups);
+    h.add(s.readMisses);
+    h.add(s.writeLookups);
+    h.add(s.writeMerges);
+    h.add(s.evictions);
+    h.add(s.dirtyWritebacks);
+    return h.hex();
+}
+
+/** A small model with alternating popularity phases. */
+ServerModelParams
+phasedModel()
+{
+    ServerModelParams p;
+    p.name = "phased";
+    p.numFiles = 3000;
+    p.avgFileBytes = 40 * 1024;
+    p.fileSizeSigma = 1.0;
+    p.numRequests = 12000;
+    p.warmupRequests = 3000;
+    p.zipfAlpha = 0.9;
+    p.phaseShiftEvery = 2500;
+    p.phaseOffsetFiles = 1100;
+    p.writeRequestProb = 0.15;
+    p.partialAccess = true;
+    p.avgAccessBytes = 24 * 1024;
+    p.bufferCacheBlocks = 4000;
+    p.syncEveryRequests = 1700;
+    p.dayEveryRequests = 5000;
+    p.fragmentation = 0.2;
+    p.placementClusterFiles = 64;
+    p.seed = 0x5eed;
+    return p;
+}
+
+#define EXPECT_DIGEST(params, expected)                                 \
+    do {                                                                \
+        const std::string d = digestOf(params);                         \
+        EXPECT_EQ(d, expected) << "actual digest: " << d;               \
+    } while (0)
+
+TEST(ServerModelDigest, WebPreset)
+{
+    EXPECT_DIGEST(webServerParams(0.02), "e847cc72a29d3f6c");
+}
+
+TEST(ServerModelDigest, ProxyPreset)
+{
+    EXPECT_DIGEST(proxyServerParams(0.01), "fe7a63679ff6f940");
+}
+
+TEST(ServerModelDigest, FilePreset)
+{
+    EXPECT_DIGEST(fileServerParams(0.001), "7f582a2dea2ad5ba");
+}
+
+TEST(ServerModelDigest, PhaseShift)
+{
+    EXPECT_DIGEST(phasedModel(), "53825b59ccfc2699");
+}
+
+TEST(ServerModelDigest, PerfectPrefetchSmallCache)
+{
+    // Whole-file reads under prefetch-to-end through a cache smaller
+    // than the largest files: one miss's install run evicts blocks it
+    // installed itself.
+    ServerModelParams p = phasedModel();
+    p.partialAccess = false;
+    p.prefetch = PrefetchMode::Perfect;
+    p.bufferCacheBlocks = 300;
+    p.phaseShiftEvery = 0;
+    EXPECT_DIGEST(p, "97b8778fe909890e");
+}
+
+TEST(ServerModelDigest, NoPrefetchNoSync)
+{
+    ServerModelParams p = phasedModel();
+    p.prefetch = PrefetchMode::None;
+    p.syncEveryRequests = 0;
+    p.dayEveryRequests = 0;
+    p.zipfAlpha = 0.0;
+    EXPECT_DIGEST(p, "60244019e75a884f");
+}
+
+} // namespace
+} // namespace dtsim

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -187,7 +188,9 @@ TEST(TraceRing, ConcurrentProducerConsumerLosesNothing)
     // tsan to vet the acquire/release protocol.
     TraceRing ring(64);
     constexpr std::uint64_t kTotal = 200000;
-    std::uint64_t accepted = 0;
+    // Published by the producer once it is done; the consumer polls
+    // it, so it must be atomic.
+    std::atomic<std::uint64_t> accepted{0};
     std::uint64_t consumed = 0;
     std::uint64_t next_expected = 0;
     bool in_order = true;
@@ -197,8 +200,10 @@ TEST(TraceRing, ConcurrentProducerConsumerLosesNothing)
         for (;;) {
             const std::size_t n = ring.pop(batch, 32);
             if (n == 0) {
-                if (accepted != 0 && consumed == accepted)
-                    break;  // producer joined below sets accepted last
+                const std::uint64_t done =
+                    accepted.load(std::memory_order_acquire);
+                if (done != 0 && consumed == done)
+                    break;  // the producer sets accepted last
                 std::this_thread::yield();
                 continue;
             }
@@ -215,7 +220,7 @@ TEST(TraceRing, ConcurrentProducerConsumerLosesNothing)
     for (std::uint64_t i = 0; i < kTotal; ++i)
         if (ring.push(sampleRecord(i)))
             ++ok;
-    accepted = ok;  // benign: consumer only reads it once drained
+    accepted.store(ok, std::memory_order_release);
     consumer.join();
 
     EXPECT_EQ(consumed, ok);
