@@ -80,15 +80,13 @@ runSystems(const std::vector<SystemSpec>& specs)
 
     for (const SystemSpec& s : specs) {
         Experiment e(s.base);
-        e.kind(s.kind)
-            .hdcBytesPerDisk(s.hdcBytes)
-            .replay(*s.trace)
-            .options(s.opts);
+        e.config().system.hdc.budgetBytesPerDisk = s.hdcBytes;
+        e.kind(s.kind).replay(*s.trace).options(s.opts);
         if (s.bitmaps)
             e.bitmaps(*s.bitmaps);
         batch.push_back(std::move(e));
     }
-    // Pinned-policy pin plans are derived per Experiment during
+    // Oracle-policy pin plans are derived per Experiment during
     // prepare(); runAll() executes the batch through the parallel
     // sweep runner.
     return Experiment::runAll(batch);

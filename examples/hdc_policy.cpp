@@ -61,8 +61,9 @@ main()
             naive.push_back(fl.blockAt(b));
     }
 
-    const RunResult none = Experiment(cfg)
-                               .hdcBytesPerDisk(0)
+    SystemConfig no_hdc = cfg;
+    no_hdc.hdc.budgetBytesPerDisk = 0;
+    const RunResult none = Experiment(no_hdc)
                                .replay(w.trace)
                                .bitmaps(bitmaps)
                                .run();

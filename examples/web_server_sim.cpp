@@ -24,10 +24,8 @@ runKind(SystemKind kind, std::uint64_t hdc_bytes,
         const std::vector<ArrayBlock>& pinned)
 {
     Experiment e(base);
-    e.kind(kind)
-        .hdcBytesPerDisk(hdc_bytes)
-        .replay(trace)
-        .bitmaps(bitmaps);
+    e.config().system.hdc.budgetBytesPerDisk = hdc_bytes;
+    e.kind(kind).replay(trace).bitmaps(bitmaps);
     if (hdc_bytes > 0)
         e.pins(pinned);
     return e.run();

@@ -52,25 +52,11 @@ ParamRegistry::get(const std::string& name) const
 }
 
 void
-ParamRegistry::markExecutionOnly(const std::string& name)
-{
-    const auto it = index_.find(name);
-    if (it == index_.end())
-        panic("ParamRegistry::markExecutionOnly: unknown parameter "
-              "'%s'",
-              name.c_str());
-    entries_[it->second].execOnly = true;
-}
-
-void
 ParamRegistry::dump(std::ostream& os,
                     const std::string& line_prefix) const
 {
-    for (const ParamEntry& e : entries_) {
-        if (e.execOnly)
-            continue;
+    for (const ParamEntry& e : entries_)
         os << line_prefix << e.name << " = " << e.get() << "\n";
-    }
 }
 
 } // namespace config

@@ -47,14 +47,6 @@ struct ParamEntry
     /** Parse `text` into the bound field; false + err on failure. */
     std::function<bool(const std::string& text, std::string& err)>
         set;
-
-    /**
-     * Execution-only: the parameter tunes how a run executes (e.g.
-     * trace.buffer_records) without affecting results, so dump() and the
-     * effective-config headers skip it — otherwise byte-comparing
-     * outputs across execution modes would spuriously differ.
-     */
-    bool execOnly = false;
 };
 
 class ParamRegistry
@@ -116,12 +108,6 @@ class ParamRegistry
      * unknown name (a caller bug; user input goes through set/has).
      */
     std::string get(const std::string& name) const;
-
-    /**
-     * Mark a registered parameter execution-only (excluded from
-     * dump() and config headers). panic() on an unknown name.
-     */
-    void markExecutionOnly(const std::string& name);
 
     /** All entries, in registration order (= dump order). */
     const std::vector<ParamEntry>& entries() const

@@ -99,16 +99,6 @@ blockPolicyTokens()
     return t;
 }
 
-const EnumTable<TraceFormat>&
-traceFormatTokens()
-{
-    static const EnumTable<TraceFormat> t{{
-        {"binary", TraceFormat::Binary},
-        {"jsonl", TraceFormat::Jsonl},
-    }};
-    return t;
-}
-
 void
 bindParams(ParamRegistry& reg, SimulationConfig& sim)
 {
@@ -243,15 +233,15 @@ bindParams(ParamRegistry& reg, SimulationConfig& sim)
     reg.add("run.stats_out", out.statsOut,
             "write the full stats dump to this file (empty = off)");
     reg.add("run.trace", out.trace,
-            "write one sampled record per completed request to this "
-            "file, in the trace.format encoding (empty = off; "
-            "docs/OBSERVABILITY.md)");
+            "write one sampled 64-byte binary record per completed "
+            "request to this file (empty = off; trace_summary "
+            "--to-jsonl prints it as JSONL; docs/OBSERVABILITY.md)");
     reg.add("run.stats_interval_ticks", out.statsIntervalTicks,
             "also snapshot stats every this many simulated ticks "
             "(0 = final dump only)");
 
     // trace.* -- sampled-tracing knobs (docs/OBSERVABILITY.md). The
-    // defaults record everything in binary, and the whole group is
+    // defaults record everything, and the whole group is
     // elided from effective-config headers when untouched so
     // pre-sampling headers stay byte-identical.
     TraceConfig& tc = out.traceCfg;
@@ -262,15 +252,6 @@ bindParams(ParamRegistry& reg, SimulationConfig& sim)
     reg.add("trace.seed", tc.seed,
             "seed of the sampling RNG stream; the same seed on the "
             "same run reproduces the sampled set exactly");
-    reg.addEnum("trace.format", tc.format, traceFormatTokens(),
-                "on-disk trace encoding: binary = 64-byte fixed "
-                "records (compact, the default), jsonl = one JSON "
-                "object per line");
-    reg.add("trace.buffer_records", tc.bufferRecords,
-            "ring capacity in records between the simulation thread "
-            "and the background trace writer (rounded up to a power "
-            "of two); overflow drops records rather than blocking");
-    reg.markExecutionOnly("trace.buffer_records");
 
     // stats.* -- live stat streaming (docs/OBSERVABILITY.md).
     // Volatile output: elided from headers when streaming is off.
@@ -612,8 +593,6 @@ renderConfigHeader(const SimulationConfig& sim,
        << "# reload with `dtsim_cli --config <this file>` "
           "(docs/CONFIG.md)\n";
     for (const config::ParamEntry& e : reg.entries()) {
-        if (e.execOnly)
-            continue;
         if (!groups.empty()) {
             bool match = false;
             for (const std::string& g : groups)

@@ -36,7 +36,7 @@ struct OutputConfig
     /** Sampled per-request trace path ("" = off). */
     std::string trace;
 
-    /** Sampling/format knobs of the trace (the trace.* group). */
+    /** Sampling knobs of the trace (the trace.* group). */
     TraceConfig traceCfg;
 
     /** Live stat streaming (the stats.* group). */
@@ -67,7 +67,6 @@ const config::EnumTable<HdcPolicy>& hdcPolicyCanonicalTokens();
 const config::EnumTable<SchedulerKind>& schedulerKindTokens();
 const config::EnumTable<SegmentPolicy>& segmentPolicyTokens();
 const config::EnumTable<BlockPolicy>& blockPolicyTokens();
-const config::EnumTable<TraceFormat>& traceFormatTokens();
 
 /**
  * Declare every parameter of `sim` on `reg` (group prefixes:

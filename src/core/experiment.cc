@@ -52,13 +52,6 @@ Experiment::ra(const RaSpec& spec)
 }
 
 Experiment&
-Experiment::hdcBytesPerDisk(std::uint64_t bytes)
-{
-    cfg_.system.hdc.budgetBytesPerDisk = bytes;
-    return *this;
-}
-
-Experiment&
 Experiment::mirrored(bool on)
 {
     cfg_.system.mirrored = on;
@@ -111,20 +104,6 @@ Experiment&
 Experiment::traceTo(std::string path)
 {
     opts_.tracePath = std::move(path);
-    return *this;
-}
-
-Experiment&
-Experiment::traceWith(TraceConfig cfg)
-{
-    opts_.trace = cfg;
-    return *this;
-}
-
-Experiment&
-Experiment::traceSample(double probability)
-{
-    opts_.trace.sample = probability;
     return *this;
 }
 

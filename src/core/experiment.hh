@@ -13,9 +13,9 @@
  *
  *     Experiment e(base);                    // bench-style replay
  *     e.kind(SystemKind::FOR)
- *      .hdcBytesPerDisk(2 * kMiB)
  *      .replay(trace)
  *      .bitmaps(bitmaps);
+ *     e.config().system.hdc.budgetBytesPerDisk = 2 * kMiB;
  *     RunResult r = e.run();
  *
  * Two input modes:
@@ -23,7 +23,7 @@
  *  - **Built** (default): prepare() applies the server model's stream
  *    count, validates the full configuration (fatal on errors), and
  *    builds the workload the config asks for. FOR bitmaps and the
- *    Pinned-policy HDC pin plan are derived automatically.
+ *    oracle-policy HDC pin plan are derived automatically.
  *
  *  - **Replay** (replay() called): the caller supplies the trace, and
  *    usually the bitmaps, directly; no workload build and no full
@@ -83,10 +83,6 @@ class Experiment
     /** Set the read-ahead depth-control spec (ra.*). */
     Experiment& ra(const RaSpec& spec);
 
-    /** @deprecated Thin adapter over hdc(): sets only the budget.
-     *  Use hdc() for new code. */
-    Experiment& hdcBytesPerDisk(std::uint64_t bytes);
-
     /** Enable/disable RAID-10 mirroring. */
     Experiment& mirrored(bool on);
 
@@ -115,9 +111,8 @@ class Experiment
     /**
      * Use this HDC warm-start pin plan instead of deriving one from
      * the trace; must outlive the Experiment. Only meaningful under
-     * the oracle policy (@deprecated as a policy surface: new code
-     * picks a policy with hdc(); an explicit plan remains the way to
-     * share one oracle derivation across runs).
+     * the oracle policy; it is the way to share one oracle derivation
+     * across runs.
      */
     Experiment& pins(const std::vector<ArrayBlock>& p);
 
@@ -136,13 +131,6 @@ class Experiment
 
     /** Write one sampled record per completed request to `path`. */
     Experiment& traceTo(std::string path);
-
-    /** Full sampling/format control of the trace (trace.*). */
-    Experiment& traceWith(TraceConfig cfg);
-
-    /** Record each completed request with this probability, drawn
-     * from the dedicated trace.seed RNG stream. */
-    Experiment& traceSample(double probability);
 
     /**
      * Stream framed live stat snapshots to `path` every `interval`

@@ -50,12 +50,6 @@ enum class HdcPolicy
     /** Array-wide victim cache for the host buffer cache (the other
      *  use Section 5 proposes). */
     Victim,
-
-    /** @deprecated Old spelling of Oracle; migrate to Oracle. */
-    Pinned = Oracle,
-
-    /** @deprecated Old spelling of Victim; migrate to Victim. */
-    VictimCache = Victim,
 };
 
 /** Typed configuration of the HDC host policy (the hdc.* group). */

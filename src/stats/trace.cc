@@ -1,8 +1,6 @@
 #include "stats/trace.hh"
 
 #include <algorithm>
-#include <cctype>
-#include <chrono>
 #include <cinttypes>
 #include <cstring>
 #include <fstream>
@@ -41,34 +39,6 @@ sat16(std::uint64_t v)
     return v > std::numeric_limits<std::uint16_t>::max()
         ? std::numeric_limits<std::uint16_t>::max()
         : static_cast<std::uint16_t>(v);
-}
-
-/**
- * Format one record into `buf` in the JSONL trace format. Field
- * order, separators, and integer rendering are the stable schema
- * documented in docs/METRICS.md; jsonl-format traces are byte
- * identical to what DTSim wrote before sampled tracing existed.
- */
-int
-formatJsonl(const BinaryTraceRecord& rec, char* buf, std::size_t size)
-{
-    return std::snprintf(
-        buf, size,
-        "{\"t\":%" PRIu64 ",\"disk\":%" PRIu32 ",\"lba\":%" PRIu64
-        ",\"n\":%" PRIu32 ",\"w\":%d,\"how\":\"%s\",\"q\":%" PRIu64
-        ",\"seek\":%" PRIu64 ",\"rot\":%" PRIu64 ",\"xfer\":%" PRIu64
-        ",\"bus\":%" PRIu64 ",\"lat\":%" PRIu64 ",\"faults\":%" PRIu32
-        ",\"retries\":%" PRIu32 ",\"degraded\":%d}\n",
-        rec.completed, static_cast<std::uint32_t>(rec.disk), rec.lba,
-        rec.blocks, (rec.flags & kTraceFlagWrite) ? 1 : 0,
-        traceOutcomeName(static_cast<TraceOutcome>(rec.outcome)),
-        rec.queue, static_cast<std::uint64_t>(rec.seek),
-        static_cast<std::uint64_t>(rec.rotation),
-        static_cast<std::uint64_t>(rec.transfer),
-        static_cast<std::uint64_t>(rec.bus), rec.latency,
-        static_cast<std::uint32_t>(rec.faults),
-        static_cast<std::uint32_t>(rec.retries),
-        (rec.flags & kTraceFlagDegraded) ? 1 : 0);
 }
 
 } // namespace
@@ -119,11 +89,32 @@ unpackTraceRecord(const BinaryTraceRecord& rec)
     return ev;
 }
 
+/**
+ * Field order, separators, and integer rendering are the stable schema
+ * documented in docs/METRICS.md; tests/golden/synthetic_300_trace.jsonl
+ * pins the bytes.
+ */
 std::string
 traceRecordToJsonl(const BinaryTraceRecord& rec)
 {
     char buf[320];
-    const int n = formatJsonl(rec, buf, sizeof(buf));
+    const int n = std::snprintf(
+        buf, sizeof(buf),
+        "{\"t\":%" PRIu64 ",\"disk\":%" PRIu32 ",\"lba\":%" PRIu64
+        ",\"n\":%" PRIu32 ",\"w\":%d,\"how\":\"%s\",\"q\":%" PRIu64
+        ",\"seek\":%" PRIu64 ",\"rot\":%" PRIu64 ",\"xfer\":%" PRIu64
+        ",\"bus\":%" PRIu64 ",\"lat\":%" PRIu64 ",\"faults\":%" PRIu32
+        ",\"retries\":%" PRIu32 ",\"degraded\":%d}\n",
+        rec.completed, static_cast<std::uint32_t>(rec.disk), rec.lba,
+        rec.blocks, (rec.flags & kTraceFlagWrite) ? 1 : 0,
+        traceOutcomeName(static_cast<TraceOutcome>(rec.outcome)),
+        rec.queue, static_cast<std::uint64_t>(rec.seek),
+        static_cast<std::uint64_t>(rec.rotation),
+        static_cast<std::uint64_t>(rec.transfer),
+        static_cast<std::uint64_t>(rec.bus), rec.latency,
+        static_cast<std::uint32_t>(rec.faults),
+        static_cast<std::uint32_t>(rec.retries),
+        (rec.flags & kTraceFlagDegraded) ? 1 : 0);
     if (n <= 0 || static_cast<std::size_t>(n) >= sizeof(buf))
         panic("trace record formatting overflowed");
     return std::string(buf, static_cast<std::size_t>(n));
@@ -132,8 +123,6 @@ traceRecordToJsonl(const BinaryTraceRecord& rec)
 void
 RequestTracer::open(const std::string& path, const TraceConfig& cfg)
 {
-    if (!compiledIn())
-        fatal("tracing requested but DTSIM_TRACE was OFF at build time");
     if (cfg.sample < 0.0 || cfg.sample > 1.0)
         fatal("trace.sample must be in [0, 1], got %g", cfg.sample);
     close();
@@ -176,7 +165,7 @@ RequestTracer::close()
     writer_.join();
     // An empty binary trace still needs its marker so readers can
     // identify the format.
-    if (cfg_.format == TraceFormat::Binary && !markerWritten_)
+    if (!markerWritten_)
         writeBinaryMarker();
     droppedFinal_ = ring_->dropped();
     ring_.reset();
@@ -235,19 +224,9 @@ RequestTracer::writeBinaryMarker()
 void
 RequestTracer::writeBatch(const BinaryTraceRecord* recs, std::size_t n)
 {
-    if (cfg_.format == TraceFormat::Binary) {
-        if (!markerWritten_)
-            writeBinaryMarker();
-        std::fwrite(recs, sizeof(BinaryTraceRecord), n, out_);
-        return;
-    }
-    char buf[320];
-    for (std::size_t i = 0; i < n; ++i) {
-        const int len = formatJsonl(recs[i], buf, sizeof(buf));
-        if (len <= 0 || static_cast<std::size_t>(len) >= sizeof(buf))
-            panic("trace record formatting overflowed");
-        std::fwrite(buf, 1, static_cast<std::size_t>(len), out_);
-    }
+    if (!markerWritten_)
+        writeBinaryMarker();
+    std::fwrite(recs, sizeof(BinaryTraceRecord), n, out_);
 }
 
 void
@@ -287,102 +266,6 @@ RequestTracer::writerLoop()
     }
 }
 
-namespace {
-
-/**
- * Find `"key":` in `line` and parse the unsigned integer after it.
- * Returns false if the key is absent or not followed by digits.
- */
-bool
-parseU64Field(const std::string& line, const char* key,
-              std::uint64_t& value)
-{
-    const std::string needle = std::string("\"") + key + "\":";
-    const std::size_t pos = line.find(needle);
-    if (pos == std::string::npos)
-        return false;
-    std::size_t i = pos + needle.size();
-    if (i >= line.size() || !std::isdigit(static_cast<unsigned char>(line[i])))
-        return false;
-    std::uint64_t v = 0;
-    for (; i < line.size() &&
-           std::isdigit(static_cast<unsigned char>(line[i])); ++i)
-        v = v * 10 + static_cast<std::uint64_t>(line[i] - '0');
-    value = v;
-    return true;
-}
-
-/** Parse the quoted string value of `"key":"..."`. */
-bool
-parseStringField(const std::string& line, const char* key,
-                 std::string& value)
-{
-    const std::string needle = std::string("\"") + key + "\":\"";
-    const std::size_t pos = line.find(needle);
-    if (pos == std::string::npos)
-        return false;
-    const std::size_t start = pos + needle.size();
-    const std::size_t end = line.find('"', start);
-    if (end == std::string::npos)
-        return false;
-    value = line.substr(start, end - start);
-    return true;
-}
-
-} // namespace
-
-bool
-parseTraceLine(const std::string& line, RequestTraceEvent& ev)
-{
-    std::uint64_t t, disk, lba, n, w, q, seek, rot, xfer, bus, lat;
-    std::string how;
-    if (!parseU64Field(line, "t", t) ||
-        !parseU64Field(line, "disk", disk) ||
-        !parseU64Field(line, "lba", lba) ||
-        !parseU64Field(line, "n", n) ||
-        !parseU64Field(line, "w", w) ||
-        !parseStringField(line, "how", how) ||
-        !parseU64Field(line, "q", q) ||
-        !parseU64Field(line, "seek", seek) ||
-        !parseU64Field(line, "rot", rot) ||
-        !parseU64Field(line, "xfer", xfer) ||
-        !parseU64Field(line, "bus", bus) ||
-        !parseU64Field(line, "lat", lat)) {
-        return false;
-    }
-    if (w > 1)
-        return false;
-    if (how == "media")
-        ev.outcome = TraceOutcome::Media;
-    else if (how == "cache")
-        ev.outcome = TraceOutcome::Cache;
-    else if (how == "hdc")
-        ev.outcome = TraceOutcome::Hdc;
-    else
-        return false;
-    ev.completed = t;
-    ev.disk = static_cast<std::uint32_t>(disk);
-    ev.lba = lba;
-    ev.blocks = static_cast<std::uint32_t>(n);
-    ev.isWrite = w != 0;
-    ev.queue = q;
-    ev.seek = seek;
-    ev.rotation = rot;
-    ev.transfer = xfer;
-    ev.bus = bus;
-    ev.latency = lat;
-    // Fault fields were added later; old traces simply lack them.
-    std::uint64_t faults = 0, retries = 0, degraded = 0;
-    parseU64Field(line, "faults", faults);
-    parseU64Field(line, "retries", retries);
-    if (parseU64Field(line, "degraded", degraded) && degraded > 1)
-        return false;
-    ev.faults = static_cast<std::uint32_t>(faults);
-    ev.retries = static_cast<std::uint32_t>(retries);
-    ev.degraded = degraded != 0;
-    return true;
-}
-
 bool
 readTraceFile(const std::string& path,
               std::vector<RequestTraceEvent>& out)
@@ -392,43 +275,49 @@ readTraceFile(const std::string& path,
         warn("cannot open trace file %s", path.c_str());
         return false;
     }
+    // '#' preamble lines (the effective config) up to the marker; the
+    // stream is then positioned right past the marker's '\n'.
     std::string line;
     std::size_t lineno = 0;
-    while (std::getline(in, line)) {
-        ++lineno;
-        if (line == kBinaryTraceMarker) {
-            // Everything after the marker line is raw 64-byte
-            // records; the stream is positioned right past its '\n'.
-            BinaryTraceRecord rec;
-            while (in.read(reinterpret_cast<char*>(&rec), sizeof(rec))) {
-                if (rec.outcome >
-                    static_cast<std::uint8_t>(TraceOutcome::Hdc)) {
-                    warn("%s: bad outcome %u in binary record %zu",
-                         path.c_str(),
-                         static_cast<unsigned>(rec.outcome),
-                         out.size());
-                    return false;
-                }
-                out.push_back(unpackTraceRecord(rec));
-            }
-            if (in.gcount() != 0) {
-                warn("%s: truncated binary trace record at the end "
-                     "(%zd bytes)", path.c_str(),
-                     static_cast<std::ptrdiff_t>(in.gcount()));
-                return false;
-            }
-            return true;
-        }
-        // '#' lines are the effective-config preamble and comments.
-        if (line.empty() || line.front() == '#')
-            continue;
-        RequestTraceEvent ev;
-        if (!parseTraceLine(line, ev)) {
-            warn("%s:%zu: unparsable trace record", path.c_str(),
-                 lineno);
+    for (;;) {
+        if (!std::getline(in, line)) {
+            warn("%s: not a binary trace: no \"%s\" line", path.c_str(),
+                 kBinaryTraceMarker);
             return false;
         }
-        out.push_back(ev);
+        ++lineno;
+        if (line == kBinaryTraceMarker)
+            break;
+        if (line.empty() || line.front() != '#') {
+            warn("%s:%zu: not a binary trace: expected '#' preamble "
+                 "lines and the \"%s\" line", path.c_str(), lineno,
+                 kBinaryTraceMarker);
+            return false;
+        }
+    }
+    constexpr std::uint8_t kKnownFlags =
+        kTraceFlagWrite | kTraceFlagDegraded;
+    BinaryTraceRecord rec;
+    while (in.read(reinterpret_cast<char*>(&rec), sizeof(rec))) {
+        const char* bad = nullptr;
+        if (rec.outcome > static_cast<std::uint8_t>(TraceOutcome::Hdc))
+            bad = "unknown outcome";
+        else if (rec.flags & ~kKnownFlags)
+            bad = "unknown flag bits";
+        else if (rec.reserved != 0)
+            bad = "nonzero reserved word";
+        if (bad) {
+            warn("%s: binary trace record %zu: %s", path.c_str(),
+                 out.size(), bad);
+            return false;
+        }
+        out.push_back(unpackTraceRecord(rec));
+    }
+    if (in.gcount() != 0) {
+        warn("%s: binary trace record %zu truncated (%zd of %zu bytes)",
+             path.c_str(), out.size(),
+             static_cast<std::ptrdiff_t>(in.gcount()), sizeof(rec));
+        return false;
     }
     return true;
 }

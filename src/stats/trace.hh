@@ -6,14 +6,12 @@
  * completion tick, disk, starting LBA, block count, direction, how the
  * request was served (media / controller cache / HDC), and the service
  * time breakdown (queue, seek, rotation, transfer, bus, total latency),
- * all in ticks (nanoseconds). Two on-disk formats share one preamble
- * convention ('#' comment lines carrying the effective config):
- *
- *  * binary (the default): fixed 64-byte little-endian records
- *    (stats/trace_ring.hh) after a "#dtsim-binary-trace" marker line —
- *    compact and cheap enough to leave on in production runs;
- *  * jsonl: the original one-JSON-object-per-line text format, byte
- *    identical to what pre-sampling DTSim wrote.
+ * all in ticks (nanoseconds). The file holds '#' comment lines
+ * carrying the effective config, a "#dtsim-binary-trace" marker line,
+ * then fixed 64-byte little-endian records (stats/trace_ring.hh).
+ * That is the only on-disk encoding; traceRecordToJsonl renders a
+ * record as one JSON object per line, the human view `trace_summary
+ * --to-jsonl` prints.
  *
  * The hot path is built to be left on: shouldRecord() runs the
  * per-request Bernoulli draw (`trace.sample`) against a dedicated
@@ -27,23 +25,12 @@
  * writer never polls — it parks in a futex-backed atomic wait and the
  * producer wakes it only when a batch of records has accumulated — so
  * an armed tracer costs the simulation nothing while idle, even on a
- * single-CPU host where the two threads share one core. With
- * the CMake option DTSIM_TRACE OFF (DTSIM_TRACE_ENABLED=0) the whole
- * facility still compiles away to nothing.
- *
- * The reader side (parseTraceLine / readTraceFile) is always compiled
- * so tools and tests can consume traces regardless of the toggle;
- * readTraceFile auto-detects the format from the marker line.
+ * single-CPU host where the two threads share one core. An untraced
+ * run pays one null check per completion.
  */
 
 #ifndef DTSIM_STATS_TRACE_HH
 #define DTSIM_STATS_TRACE_HH
-
-// Set by CMake from the DTSIM_TRACE option; default on for plain
-// inclusion outside the build system.
-#ifndef DTSIM_TRACE_ENABLED
-#define DTSIM_TRACE_ENABLED 1
-#endif
 
 #include <atomic>
 #include <cstdint>
@@ -69,12 +56,6 @@ enum class TraceOutcome : std::uint8_t {
 /** JSON value of the "how" field for an outcome. */
 const char* traceOutcomeName(TraceOutcome o);
 
-/** On-disk trace encoding (trace.format). */
-enum class TraceFormat : std::uint8_t {
-    Binary,  ///< 64-byte fixed records after a marker line
-    Jsonl,   ///< one JSON object per line (the pre-sampling format)
-};
-
 /**
  * Runtime tracing knobs (the trace.* config group). The defaults
  * reproduce a full trace, so a bare `--trace FILE` records every
@@ -92,26 +73,22 @@ struct TraceConfig
     /** Seed of the sampling RNG stream (independent of run seeds). */
     std::uint64_t seed = 1;
 
-    /** On-disk encoding of the records. */
-    TraceFormat format = TraceFormat::Binary;
-
     /**
      * Ring capacity in records between the simulation thread and the
      * background writer (rounded up to a power of two). Larger rings
-     * absorb longer writer stalls before dropping records.
-     * Execution-only: never part of the effective-config header.
+     * absorb longer writer stalls before dropping records. Not a
+     * config key: only tests shrink it.
      */
     std::uint64_t bufferRecords = 65536;
 
     bool operator==(const TraceConfig&) const = default;
 
-    /** True when any header-visible knob differs from its default
-     * (bufferRecords is execution-only and deliberately excluded). */
+    /** True when a config-key knob differs from its default
+     * (bufferRecords is not a key and is excluded). */
     bool
     nonDefault() const
     {
-        return sample != 1.0 || seed != 1 ||
-            format != TraceFormat::Binary;
+        return sample != 1.0 || seed != 1;
     }
 };
 
@@ -143,8 +120,9 @@ BinaryTraceRecord packTraceRecord(const RequestTraceEvent& ev);
 /** Expand a 64-byte record back into an event. */
 RequestTraceEvent unpackTraceRecord(const BinaryTraceRecord& rec);
 
-/** Format one record as a JSONL line (exactly the bytes the jsonl
- * format writes, including the trailing newline). */
+/** Format one record as a JSONL line, including the trailing
+ * newline: the schema docs/METRICS.md documents and `trace_summary
+ * --to-jsonl` prints. */
 std::string traceRecordToJsonl(const BinaryTraceRecord& rec);
 
 /**
@@ -163,14 +141,10 @@ class RequestTracer
     RequestTracer(const RequestTracer&) = delete;
     RequestTracer& operator=(const RequestTracer&) = delete;
 
-    /** Whether tracing support was compiled in (DTSIM_TRACE). */
-    static constexpr bool compiledIn() { return DTSIM_TRACE_ENABLED != 0; }
-
     /**
-     * Start writing to `path` (truncates) with the given sampling /
-     * format configuration, and start the background writer thread.
-     * fatal() if tracing was compiled out or the file cannot be
-     * opened.
+     * Start writing to `path` (truncates) with the given sampling
+     * configuration, and start the background writer thread.
+     * fatal() if the file cannot be opened.
      */
     void open(const std::string& path, const TraceConfig& cfg = {});
 
@@ -194,11 +168,7 @@ class RequestTracer
     bool
     enabled() const
     {
-#if DTSIM_TRACE_ENABLED
         return out_ != nullptr;
-#else
-        return false;
-#endif
     }
 
     /**
@@ -211,7 +181,6 @@ class RequestTracer
     bool
     shouldRecord()
     {
-#if DTSIM_TRACE_ENABLED
         if (!out_)
             return false;
         if (sampleAll_)
@@ -223,9 +192,6 @@ class RequestTracer
             return false;
         }
         return true;
-#else
-        return false;
-#endif
     }
 
     /**
@@ -235,12 +201,8 @@ class RequestTracer
     void
     record(const RequestTraceEvent& ev)
     {
-#if DTSIM_TRACE_ENABLED
         if (out_)
             enqueueRecord(ev);
-#else
-        (void)ev;
-#endif
     }
 
     /** Records accepted for writing since open() (every one of these
@@ -295,16 +257,11 @@ class RequestTracer
 extern const char kBinaryTraceMarker[];
 
 /**
- * Parse one JSONL trace line into `ev`. Returns false (leaving `ev`
- * unspecified) if any required field is missing or malformed.
- */
-bool parseTraceLine(const std::string& line, RequestTraceEvent& ev);
-
-/**
- * Read a whole trace file, auto-detecting binary vs JSONL from the
- * marker line. Returns false and warns on open failure, on the first
- * unparsable line, or on a truncated binary record. Blank lines are
- * ignored.
+ * Read a whole binary trace file: '#' preamble lines, the marker line,
+ * then 64-byte records. Returns false and warns, naming the path (and
+ * the record index for a bad record), on open failure, a missing
+ * marker, a truncated final record, an unknown outcome, unknown flag
+ * bits, or a nonzero reserved word.
  */
 bool readTraceFile(const std::string& path,
                    std::vector<RequestTraceEvent>& out);

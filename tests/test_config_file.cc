@@ -9,6 +9,7 @@
 
 #include "config/config_file.hh"
 #include "config/sim_config.hh"
+#include "temp_path.hh"
 
 using namespace dtsim;
 using namespace dtsim::config;
@@ -114,7 +115,7 @@ TEST(ConfigFile, RenderedHeaderReloadsIdentically)
                             err))
         << err;
     ASSERT_TRUE(src.reg.set("disk.seek_alpha_ms", "1.55", err)) << err;
-    ASSERT_TRUE(src.reg.set("run.stats_out", "/tmp/x.txt", err))
+    ASSERT_TRUE(src.reg.set("run.stats_out", test::tempPath("stats.txt"), err))
         << err;
 
     const std::string header = renderConfigHeader(src.sim);

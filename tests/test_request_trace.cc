@@ -12,6 +12,7 @@
 #include "experiment_replay.hh"
 #include "stats_text.hh"
 #include "stats/trace.hh"
+#include "temp_path.hh"
 #include "workload/synthetic.hh"
 
 namespace dtsim {
@@ -67,10 +68,7 @@ expectSameResults(const RunResult& a, const RunResult& b)
 
 TEST(RequestTrace, RecordsMatchSimulatedRequests)
 {
-    if (!RequestTracer::compiledIn())
-        GTEST_SKIP() << "tracing compiled out (DTSIM_TRACE=OFF)";
-
-    const std::string path = "/tmp/dtsim_reqtrace_match.jsonl";
+    const std::string path = test::tempPath("trace.bin");
     const Trace trace = testTrace();
     RunOptions opts;
     opts.tracePath = path;
@@ -128,7 +126,7 @@ TEST(RequestTrace, RecordsMatchSimulatedRequests)
 
 TEST(RequestTrace, DisabledTracerChangesNothingAndWritesNothing)
 {
-    const std::string path = "/tmp/dtsim_reqtrace_off.jsonl";
+    const std::string path = test::tempPath("trace.bin");
     std::remove(path.c_str());
     const Trace trace = testTrace();
 
@@ -147,10 +145,7 @@ TEST(RequestTrace, DisabledTracerChangesNothingAndWritesNothing)
 
 TEST(RequestTrace, TracingDoesNotPerturbResults)
 {
-    if (!RequestTracer::compiledIn())
-        GTEST_SKIP() << "tracing compiled out (DTSIM_TRACE=OFF)";
-
-    const std::string path = "/tmp/dtsim_reqtrace_perturb.jsonl";
+    const std::string path = test::tempPath("trace.bin");
     const Trace trace = testTrace();
 
     const RunResult plain = test::replayTrace(testConfig(), trace);
@@ -246,36 +241,6 @@ TEST(RequestTrace, SweepAggregationMatchesSerial)
     EXPECT_EQ(ra.specInserted, rb.specInserted);
     EXPECT_EQ(ra.specUsed, rb.specUsed);
     EXPECT_EQ(ra.specWasted, rb.specWasted);
-}
-
-TEST(TraceParse, RoundTripsAndRejectsGarbage)
-{
-    RequestTraceEvent ev;
-    const std::string good =
-        "{\"t\":123,\"disk\":2,\"lba\":4096,\"n\":8,\"w\":1,"
-        "\"how\":\"hdc\",\"q\":10,\"seek\":20,\"rot\":30,"
-        "\"xfer\":40,\"bus\":50,\"lat\":150}";
-    ASSERT_TRUE(parseTraceLine(good, ev));
-    EXPECT_EQ(ev.completed, 123u);
-    EXPECT_EQ(ev.disk, 2u);
-    EXPECT_EQ(ev.lba, 4096u);
-    EXPECT_EQ(ev.blocks, 8u);
-    EXPECT_TRUE(ev.isWrite);
-    EXPECT_EQ(ev.outcome, TraceOutcome::Hdc);
-    EXPECT_EQ(ev.queue, 10u);
-    EXPECT_EQ(ev.rotation, 30u);
-    EXPECT_EQ(ev.latency, 150u);
-
-    EXPECT_FALSE(parseTraceLine("", ev));
-    EXPECT_FALSE(parseTraceLine("not json", ev));
-    EXPECT_FALSE(parseTraceLine("{\"t\":1}", ev));
-    // Bad direction and unknown outcome.
-    std::string bad = good;
-    bad.replace(bad.find("\"w\":1"), 5, "\"w\":7");
-    EXPECT_FALSE(parseTraceLine(bad, ev));
-    bad = good;
-    bad.replace(bad.find("hdc"), 3, "dvd");
-    EXPECT_FALSE(parseTraceLine(bad, ev));
 }
 
 TEST(RequestTrace, PeriodicSnapshotsLeaveResultsIntact)

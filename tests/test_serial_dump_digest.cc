@@ -26,6 +26,7 @@
 #include "core/experiment.hh"
 #include "stats/trace.hh"
 #include "stats_text.hh"
+#include "temp_path.hh"
 #include "workload/server_models.hh"
 
 namespace dtsim {
@@ -184,11 +185,8 @@ TEST(SerialDumpDigest, AblationNoReadAheadClook)
 
 TEST(SerialDumpDigest, RequestTrace)
 {
-    if (!RequestTracer::compiledIn())
-        GTEST_SKIP() << "tracing compiled out (DTSIM_TRACE=OFF)";
-
     DigestCase c(webConfig(SystemKind::Segm, 64 * kKiB, 0));
-    const std::string path = "/tmp/dtsim_serial_digest_trace.jsonl";
+    const std::string path = test::tempPath("trace.bin");
     c.tweak = [&](Experiment& e) { e.traceTo(path); };
     EXPECT_DIGEST(c.dump(), "4333e089869c7aa1");
 
@@ -313,7 +311,7 @@ TEST(SerialDumpDigest, StreamFrames)
 {
     // Stream frames ride the same front-event chain as snapshots.
     DigestCase c(webConfig(SystemKind::Segm, 64 * kKiB, 0));
-    const std::string path = "/tmp/dtsim_serial_digest_stream.txt";
+    const std::string path = test::tempPath("stream.txt");
     c.tweak = [&](Experiment& e) { e.streamTo(path, 250 * kMsec); };
     EXPECT_DIGEST(c.dump(), "4333e089869c7aa1");
 

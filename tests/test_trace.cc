@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "sim/rng.hh"
+#include "temp_path.hh"
 #include "workload/trace.hh"
 
 namespace dtsim {
@@ -69,7 +70,7 @@ TEST(AccessCounts, TopTruncation)
 TEST(TracePersistence, SaveLoadRoundTrip)
 {
     const Trace t = sampleTrace();
-    const std::string path = "/tmp/dtsim_trace_test.txt";
+    const std::string path = test::tempPath("trace.txt");
     saveTrace(t, path);
     const Trace loaded = loadTrace(path);
     ASSERT_EQ(loaded.size(), t.size());
@@ -90,7 +91,7 @@ TEST(TracePersistence, LoadMissingFileThrows)
 
 TEST(TracePersistence, LoadMalformedThrows)
 {
-    const std::string path = "/tmp/dtsim_trace_bad.txt";
+    const std::string path = test::tempPath("trace.txt");
     std::FILE* f = std::fopen(path.c_str(), "w");
     std::fputs("# header\nnot a record\n", f);
     std::fclose(f);
@@ -102,7 +103,7 @@ TEST(TracePersistence, LoadMalformedThrows)
 std::string
 writeTraceText(const std::string& text)
 {
-    const std::string path = "/tmp/dtsim_trace_fuzz.txt";
+    const std::string path = test::tempPath("trace.txt");
     std::FILE* f = std::fopen(path.c_str(), "w");
     std::fputs(text.c_str(), f);
     std::fclose(f);

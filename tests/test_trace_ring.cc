@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -21,6 +22,7 @@
 #include "stats_text.hh"
 #include "stats/trace.hh"
 #include "stats/trace_ring.hh"
+#include "temp_path.hh"
 #include "workload/synthetic.hh"
 
 namespace dtsim {
@@ -117,18 +119,6 @@ expectSameResults(const RunResult& a, const RunResult& b)
     EXPECT_EQ(a.agg.busTime, b.agg.busTime);
     EXPECT_EQ(a.agg.latencySum, b.agg.latencySum);
     EXPECT_DOUBLE_EQ(a.meanLatencyMs, b.meanLatencyMs);
-}
-
-void
-expectSameEvents(const std::vector<RequestTraceEvent>& a,
-                 const std::vector<RequestTraceEvent>& b)
-{
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        EXPECT_EQ(traceRecordToJsonl(packTraceRecord(a[i])),
-                  traceRecordToJsonl(packTraceRecord(b[i])))
-            << "record " << i;
-    }
 }
 
 TEST(TraceRing, CapacityRoundsUpToPowerOfTwo)
@@ -276,13 +266,10 @@ TEST(SampledTrace, PackUnpackRoundTripAndSaturation)
 
 TEST(SampledTrace, WriterThreadAccountingReconciles)
 {
-    if (!RequestTracer::compiledIn())
-        GTEST_SKIP() << "tracing compiled out (DTSIM_TRACE=OFF)";
-
     // Hammer a tracer with a deliberately tiny ring. Whatever the
     // writer-thread timing, accepted + dropped must equal the pushes
     // and exactly the accepted records must reach the file.
-    const std::string path = "/tmp/dtsim_trace_tiny_ring.bin";
+    const std::string path = test::tempPath("trace.bin");
     constexpr std::uint64_t kTotal = 50000;
     RequestTracer tracer;
     TraceConfig cfg;
@@ -306,53 +293,54 @@ TEST(SampledTrace, WriterThreadAccountingReconciles)
     std::remove(path.c_str());
 }
 
-TEST(SampledTrace, BinaryAndJsonlAgreeAndRoundTrip)
+TEST(SampledTrace, BinaryRecordsRoundTripThroughReader)
 {
-    if (!RequestTracer::compiledIn())
-        GTEST_SKIP() << "tracing compiled out (DTSIM_TRACE=OFF)";
-
     const Trace trace = testTrace();
-    const SystemConfig cfg = testConfig();
+    RunOptions opts;
+    opts.tracePath = test::tempPath("trace.bin");
+    const RunResult r =
+        test::replayTrace(testConfig(), trace, nullptr, nullptr, opts);
 
-    RunOptions bin_opts;
-    bin_opts.tracePath = "/tmp/dtsim_trace_fmt.bin";
-    const RunResult rb =
-        test::replayTrace(cfg, trace, nullptr, nullptr, bin_opts);
+    std::vector<RequestTraceEvent> events;
+    ASSERT_TRUE(readTraceFile(opts.tracePath, events));
+    EXPECT_GT(events.size(), 0u);
+    EXPECT_EQ(events.size(), r.traceRecords);
 
-    RunOptions js_opts;
-    js_opts.tracePath = "/tmp/dtsim_trace_fmt.jsonl";
-    js_opts.trace.format = TraceFormat::Jsonl;
-    const RunResult rj =
-        test::replayTrace(cfg, trace, nullptr, nullptr, js_opts);
-
-    expectSameResults(rb, rj);
-    EXPECT_EQ(rb.traceRecords, rj.traceRecords);
-
-    std::vector<RequestTraceEvent> bin_ev, js_ev;
-    ASSERT_TRUE(readTraceFile(bin_opts.tracePath, bin_ev));
-    ASSERT_TRUE(readTraceFile(js_opts.tracePath, js_ev));
-    EXPECT_GT(bin_ev.size(), 0u);
-    expectSameEvents(bin_ev, js_ev);
-
-    std::remove(bin_opts.tracePath.c_str());
-    std::remove(js_opts.tracePath.c_str());
+    // Repacking every event the reader returns reproduces the file's
+    // record bytes exactly: nothing is lost between writer and reader.
+    const std::string file = slurp(opts.tracePath);
+    const std::string marker = std::string(kBinaryTraceMarker) + "\n";
+    const std::size_t at = file.find(marker);
+    ASSERT_NE(at, std::string::npos);
+    const std::size_t base = at + marker.size();
+    ASSERT_EQ(file.size() - base,
+              events.size() * sizeof(BinaryTraceRecord));
+    for (std::size_t i = 0; i < events.size(); ++i) {
+        const BinaryTraceRecord rec = packTraceRecord(events[i]);
+        EXPECT_EQ(std::memcmp(&rec,
+                              file.data() + base + i * sizeof(rec),
+                              sizeof(rec)),
+                  0)
+            << "record " << i;
+    }
+    std::remove(opts.tracePath.c_str());
 }
 
 TEST(SampledTrace, SamplingIsDeterministicPerSeed)
 {
-    if (!RequestTracer::compiledIn())
-        GTEST_SKIP() << "tracing compiled out (DTSIM_TRACE=OFF)";
-
     const Trace trace = testTrace();
     const SystemConfig cfg = testConfig();
 
     RunOptions opts;
-    opts.tracePath = "/tmp/dtsim_trace_sample_a.bin";
+    const std::string path_a = test::tempPath("a.bin");
+    const std::string path_b = test::tempPath("b.bin");
+    const std::string path_c = test::tempPath("c.bin");
+    opts.tracePath = path_a;
     opts.trace.sample = 0.5;
     opts.trace.seed = 7;
     const RunResult ra =
         test::replayTrace(cfg, trace, nullptr, nullptr, opts);
-    opts.tracePath = "/tmp/dtsim_trace_sample_b.bin";
+    opts.tracePath = path_b;
     const RunResult rbb =
         test::replayTrace(cfg, trace, nullptr, nullptr, opts);
 
@@ -361,8 +349,7 @@ TEST(SampledTrace, SamplingIsDeterministicPerSeed)
     // synthesized replay header does not include).
     EXPECT_EQ(ra.traceRecords, rbb.traceRecords);
     EXPECT_EQ(ra.traceSampledOut, rbb.traceSampledOut);
-    EXPECT_EQ(slurp("/tmp/dtsim_trace_sample_a.bin"),
-              slurp("/tmp/dtsim_trace_sample_b.bin"));
+    EXPECT_EQ(slurp(path_a), slurp(path_b));
 
     // Every completion candidate was either recorded or sampled out.
     EXPECT_EQ(ra.traceRecords + ra.traceSampledOut + ra.traceDropped,
@@ -371,24 +358,20 @@ TEST(SampledTrace, SamplingIsDeterministicPerSeed)
     EXPECT_GT(ra.traceSampledOut, 0u);
 
     // A different seed draws a different set.
-    opts.tracePath = "/tmp/dtsim_trace_sample_c.bin";
+    opts.tracePath = path_c;
     opts.trace.seed = 8;
     test::replayTrace(cfg, trace, nullptr, nullptr, opts);
-    EXPECT_NE(slurp("/tmp/dtsim_trace_sample_a.bin"),
-              slurp("/tmp/dtsim_trace_sample_c.bin"));
+    EXPECT_NE(slurp(path_a), slurp(path_c));
 
     // Sampling must not perturb the simulation itself.
     expectSameResults(ra, rbb);
-    std::remove("/tmp/dtsim_trace_sample_a.bin");
-    std::remove("/tmp/dtsim_trace_sample_b.bin");
-    std::remove("/tmp/dtsim_trace_sample_c.bin");
+    std::remove(path_a.c_str());
+    std::remove(path_b.c_str());
+    std::remove(path_c.c_str());
 }
 
 TEST(SampledTrace, SampleZeroIsPure)
 {
-    if (!RequestTracer::compiledIn())
-        GTEST_SKIP() << "tracing compiled out (DTSIM_TRACE=OFF)";
-
     const Trace trace = testTrace();
     const SystemConfig cfg = testConfig();
 
@@ -401,7 +384,7 @@ TEST(SampledTrace, SampleZeroIsPure)
     std::ostringstream traced_stats;
     RunOptions traced;
     traced.stats = StatsSink::stream(traced_stats);
-    traced.tracePath = "/tmp/dtsim_trace_sample0.bin";
+    traced.tracePath = test::tempPath("trace.bin");
     traced.trace.sample = 0.0;
     const RunResult rt =
         test::replayTrace(cfg, trace, nullptr, nullptr, traced);
@@ -415,9 +398,9 @@ TEST(SampledTrace, SampleZeroIsPure)
               stripTraceConf(test::stripRuntime(traced_stats.str())));
 
     std::vector<RequestTraceEvent> events;
-    ASSERT_TRUE(readTraceFile("/tmp/dtsim_trace_sample0.bin", events));
+    ASSERT_TRUE(readTraceFile(traced.tracePath, events));
     EXPECT_TRUE(events.empty());
-    std::remove("/tmp/dtsim_trace_sample0.bin");
+    std::remove(traced.tracePath.c_str());
 }
 
 /** Parse "==> dtsim stats seq=..." / "==> end seq=..." frames. */
@@ -468,7 +451,7 @@ TEST(StatsStream, SerialRunEmitsWellFormedFrames)
     const Trace trace = testTrace();
     const SystemConfig cfg = testConfig();
 
-    const std::string path = "/tmp/dtsim_stream_serial.txt";
+    const std::string path = test::tempPath("stream.txt");
     RunOptions opts;
     opts.statsStream.path = path;
     opts.statsStream.intervalTicks = 20 * kMsec;
@@ -499,7 +482,7 @@ TEST(StatsStream, StreamingDoesNotPerturbResults)
     std::ostringstream streamed_stats;
     RunOptions streamed;
     streamed.stats = StatsSink::stream(streamed_stats);
-    streamed.statsStream.path = "/tmp/dtsim_stream_purity.txt";
+    streamed.statsStream.path = test::tempPath("stream.txt");
     streamed.statsStream.intervalTicks = 20 * kMsec;
     const RunResult rs =
         test::replayTrace(cfg, trace, nullptr, nullptr, streamed);
@@ -507,7 +490,7 @@ TEST(StatsStream, StreamingDoesNotPerturbResults)
     expectSameResults(rp, rs);
     EXPECT_EQ(test::stripRuntime(plain_stats.str()),
               test::stripRuntime(streamed_stats.str()));
-    std::remove("/tmp/dtsim_stream_purity.txt");
+    std::remove(streamed.statsStream.path.c_str());
 }
 
 TEST(StatsStream, InheritsSnapshotIntervalWhenUnset)
@@ -515,7 +498,7 @@ TEST(StatsStream, InheritsSnapshotIntervalWhenUnset)
     const Trace trace = testTrace();
     const SystemConfig cfg = testConfig();
 
-    const std::string path = "/tmp/dtsim_stream_inherit.txt";
+    const std::string path = test::tempPath("stream.txt");
     std::ostringstream sink;
     RunOptions opts;
     opts.stats = StatsSink::stream(sink);

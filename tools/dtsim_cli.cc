@@ -29,7 +29,6 @@
 #include "core/report.hh"
 #include "core/sweep_driver.hh"
 #include "sim/logging.hh"
-#include "stats/trace.hh"
 
 using namespace dtsim;
 
@@ -95,18 +94,15 @@ usage()
         "                      non-default fault./hdc./ra. params when\n"
         "                      a fault scenario or HDC/read-ahead\n"
         "                      policy is configured\n"
-        "  --trace FILE        one sampled record per completed\n"
-        "                      request (run.trace; binary by default,\n"
-        "                      see --trace-format and\n"
+        "  --trace FILE        one sampled 64-byte binary record per\n"
+        "                      completed request (run.trace; view it\n"
+        "                      with trace_summary [--to-jsonl], see\n"
         "                      docs/OBSERVABILITY.md); suffixed per\n"
         "                      point under a sweep\n"
         "  --trace-sample P    record each completed request with\n"
         "                      probability P from a dedicated RNG\n"
         "                      stream (trace.sample; default 1 =\n"
         "                      every request, seed via trace.seed)\n"
-        "  --trace-format F    trace encoding: binary|jsonl\n"
-        "                      (trace.format; trace_summary reads\n"
-        "                      both and converts with --to-jsonl)\n"
         "  --stats-interval T  also snapshot stats every T ticks (ns)\n"
         "                      (run.stats_interval_ticks)\n"
         "  --stats-stream FILE append framed live stat snapshots to\n"
@@ -510,8 +506,6 @@ main(int argc, char** argv)
             setParam(reg, "run.trace", arg(argc, argv, i));
         } else if (a == "--trace-sample") {
             setParam(reg, "trace.sample", arg(argc, argv, i));
-        } else if (a == "--trace-format") {
-            setParam(reg, "trace.format", arg(argc, argv, i));
         } else if (a == "--stats-interval") {
             setParam(reg, "run.stats_interval_ticks",
                      arg(argc, argv, i));
@@ -533,10 +527,6 @@ main(int argc, char** argv)
                   a.c_str());
         }
     }
-
-    if (!sim.output.trace.empty() && !RequestTracer::compiledIn())
-        fatal("--trace / run.trace: tracing was compiled out; "
-              "reconfigure with -DDTSIM_TRACE=ON");
 
     // Sweep modes: an explicit sweep file, or --system all expanded
     // to a one-axis sweep over the system kind.

@@ -1,9 +1,9 @@
 /**
  * @file
- * Trace analyzer: read a request trace written by --trace (binary or
- * JSONL, auto-detected) and print latency percentiles plus a
- * cache-attribution table, the numbers the paper's FOR accuracy and
- * HDC hit-rate discussions rest on. EXPERIMENTS.md shows how its
+ * Trace analyzer: read a binary request trace written by --trace and
+ * print latency percentiles plus a cache-attribution table, the
+ * numbers the paper's FOR accuracy and HDC hit-rate discussions rest
+ * on. EXPERIMENTS.md shows how its
  * output reconciles with the --stats-out dump of the same run;
  * docs/OBSERVABILITY.md has the full cookbook.
  *
@@ -13,9 +13,10 @@
  *               latency percentiles up to p99.9
  *   --outliers  tail attribution: where the p99.9+ requests spend
  *               their time and which outcome/disk produces them
- *   --to-jsonl  convert each FILE to JSONL records on stdout (the
- *               export path for external tooling; '#' preamble lines
- *               are not forwarded)
+ *   --to-jsonl  print each FILE as JSONL records on stdout, the
+ *               human and external-tooling view (schema in
+ *               docs/METRICS.md; '#' preamble lines are not
+ *               forwarded)
  */
 
 #include <algorithm>
@@ -295,7 +296,7 @@ outliers(const std::string& path)
     return 0;
 }
 
-/** Convert a trace (either format) to JSONL records on stdout. */
+/** Print a trace as JSONL records on stdout. */
 int
 toJsonl(const std::string& path)
 {
