@@ -110,21 +110,17 @@ DiskController::utilization() const
            static_cast<double>(now);
 }
 
-std::unique_ptr<MediaJob>
+MediaJob*
 DiskController::allocJob()
 {
-    if (jobPool_.empty())
-        return std::make_unique<MediaJob>();
-    std::unique_ptr<MediaJob> job = std::move(jobPool_.back());
-    jobPool_.pop_back();
+    if (jobFree_.empty()) {
+        jobStore_.push_back(std::make_unique<MediaJob>());
+        return jobStore_.back().get();
+    }
+    MediaJob* job = jobFree_.back();
+    jobFree_.pop_back();
     *job = MediaJob{};
     return job;
-}
-
-void
-DiskController::recycleJob(std::unique_ptr<MediaJob> job)
-{
-    jobPool_.push_back(std::move(job));
 }
 
 void
@@ -145,10 +141,10 @@ DiskController::submit(IoRequest req)
     if (cfg_.readAhead == ReadAheadMode::FOR && !req.isWrite)
         overhead += params_.bitmapLookupOverhead;
 
-    req.issued = eq_.now();
-    eq_.scheduleAfter(overhead, [this, r = std::move(req)]() mutable {
-        process(std::move(r));
-    });
+    MediaJob* job = allocJob();
+    job->req = std::move(req);
+    job->req.issued = eq_.now();
+    eq_.scheduleAfter(overhead, [this, job]() { process(job); });
 }
 
 DiskController::PrefixHit
@@ -178,17 +174,18 @@ DiskController::cachedPrefix(BlockNum start, std::uint64_t count)
 }
 
 void
-DiskController::process(IoRequest req)
+DiskController::process(MediaJob* job)
 {
-    if (req.isWrite)
-        handleWrite(std::move(req));
+    if (job->req.isWrite)
+        handleWrite(job);
     else
-        handleRead(std::move(req));
+        handleRead(job);
 }
 
 void
-DiskController::handleRead(IoRequest req)
+DiskController::handleRead(MediaJob* job)
 {
+    IoRequest& req = job->req;
     ++stats_.reads;
     stats_.readBlocks += req.count;
 
@@ -225,23 +222,22 @@ DiskController::handleRead(IoRequest req)
         } else {
             req.served = ServiceClass::CacheHit;
         }
-        respond(std::move(req), eq_.now());
+        respond(job, eq_.now());
         return;
     }
 
-    auto job = allocJob();
     job->mediaStart = req.start + hit.blocks;
     job->mediaCount = req.count - hit.blocks - suffix;
     job->cylinder = geom_.blockToCylinder(job->mediaStart);
     job->seq = seq_++;
-    job->req = std::move(req);
-    job->req.served = ServiceClass::Media;
-    enqueueMedia(std::move(job));
+    req.served = ServiceClass::Media;
+    enqueueMedia(job);
 }
 
 void
-DiskController::handleWrite(IoRequest req)
+DiskController::handleWrite(MediaJob* job)
 {
+    IoRequest& req = job->req;
     ++stats_.writes;
     stats_.writeBlocks += req.count;
 
@@ -254,28 +250,26 @@ DiskController::handleWrite(IoRequest req)
         ++stats_.hdcHitRequests;
         ++stats_.cacheHitRequests;
         req.served = ServiceClass::HdcHit;
-        respond(std::move(req), eq_.now());
+        respond(job, eq_.now());
         return;
     }
 
     // Write-through: cached read-ahead copies become stale.
     raCache_->invalidateRange(req.start, req.count);
 
-    auto job = allocJob();
     job->mediaStart = req.start;
     job->mediaCount = req.count;
     job->cylinder = geom_.blockToCylinder(req.start);
     job->seq = seq_++;
-    job->req = std::move(req);
-    job->req.served = ServiceClass::Media;
-    enqueueMedia(std::move(job));
+    req.served = ServiceClass::Media;
+    enqueueMedia(job);
 }
 
 void
-DiskController::enqueueMedia(std::unique_ptr<MediaJob> job)
+DiskController::enqueueMedia(MediaJob* job)
 {
     job->enqueuedAt = eq_.now();
-    sched_->push(std::move(job));
+    sched_->push(job);
     if (svc_) {
         // The depth distribution is order-sensitive (streaming
         // accumulator), so the sample takes the same-tick batch like
@@ -305,8 +299,7 @@ DiskController::tryStartMedia()
             return;
         }
     }
-    auto job = sched_->pop(mech_.currentCylinder());
-    startMedia(std::move(job));
+    startMedia(sched_->pop(mech_.currentCylinder()));
 }
 
 void
@@ -372,7 +365,7 @@ DiskController::readAheadBlocks(BlockNum media_start,
 }
 
 void
-DiskController::startMedia(std::unique_ptr<MediaJob> job)
+DiskController::startMedia(MediaJob* job)
 {
     mediaBusy_ = true;
 
@@ -457,10 +450,8 @@ DiskController::startMedia(std::unique_ptr<MediaJob> job)
     job->req.timing.rotation = rot;
     job->req.timing.transfer = xfer;
 
-    MediaJob* raw = job.release();
-    eq_.scheduleAfter(total, [this, raw, ra]() {
-        onMediaDone(std::unique_ptr<MediaJob>(raw), ra);
-    });
+    eq_.scheduleAfter(total,
+                      [this, job, ra]() { onMediaDone(job, ra); });
 }
 
 void
@@ -491,8 +482,7 @@ DiskController::insertIntoCache(BlockNum start, std::uint64_t count,
 }
 
 void
-DiskController::onMediaDone(std::unique_ptr<MediaJob> job,
-                            std::uint64_t ra_blocks)
+DiskController::onMediaDone(MediaJob* job, std::uint64_t ra_blocks)
 {
     mediaBusy_ = false;
 
@@ -509,23 +499,19 @@ DiskController::onMediaDone(std::unique_ptr<MediaJob> job,
         // chain (the array submits the paired write or the next chunk
         // from it) takes the same-tick batch.
         if (job->req.onComplete) {
-            emitToHost([cb = std::move(job->req.onComplete),
-                        start = job->req.start, count = job->req.count,
-                        is_write = job->req.isWrite,
-                        when = eq_.now()]() mutable {
-                IoRequest r;
-                r.start = start;
-                r.count = count;
-                r.isWrite = is_write;
-                cb(r, when);
+            emitToHost([this, job, when = eq_.now()]() {
+                job->req.onComplete(job->req, when);
+                recycleJob(job);
             });
+        } else {
+            recycleJob(job);
         }
     } else if (job->background) {
         ++stats_.flushWrites;
+        recycleJob(job);
     } else {
-        respond(std::move(job->req), eq_.now());
+        respond(job, eq_.now());
     }
-    recycleJob(std::move(job));
 
     tryStartMedia();
 }
@@ -540,25 +526,29 @@ DiskController::emitToHost(SameTickBatch::Action fn)
 }
 
 void
-DiskController::respond(IoRequest req, Tick ready)
+DiskController::respond(MediaJob* job, Tick ready)
 {
-    emitToHost([this, r = std::move(req), ready]() mutable {
-        finishOverBus(std::move(r), ready);
-    });
+    emitToHost([this, job, ready]() { finishOverBus(job, ready); });
 }
 
 void
-DiskController::finishOverBus(IoRequest req, Tick ready)
+DiskController::finishOverBus(MediaJob* job, Tick ready)
 {
+    IoRequest& req = job->req;
     const Tick done =
         bus_.transfer(ready, req.count * params_.blockSize);
     req.timing.bus = done - ready;
-    eq_.scheduleAt(done, [this, r = std::move(req), done]() {
-        --outstanding_;
-        noteComplete(r, done);
-        if (r.onComplete)
-            r.onComplete(r, done);
-    });
+    eq_.scheduleAt(done, [this, job, done]() { complete(job, done); });
+}
+
+void
+DiskController::complete(MediaJob* job, Tick done)
+{
+    --outstanding_;
+    noteComplete(job->req, done);
+    if (job->req.onComplete)
+        job->req.onComplete(job->req, done);
+    recycleJob(job);
 }
 
 void
@@ -639,7 +629,7 @@ DiskController::unpinBlock(BlockNum block)
         return false;
     if (dirty) {
         // The released block's data must reach the media.
-        auto job = allocJob();
+        MediaJob* job = allocJob();
         job->mediaStart = block;
         job->mediaCount = 1;
         job->cylinder = geom_.blockToCylinder(block);
@@ -648,7 +638,7 @@ DiskController::unpinBlock(BlockNum block)
         job->req.isWrite = true;
         job->req.start = block;
         job->req.count = 1;
-        enqueueMedia(std::move(job));
+        enqueueMedia(job);
     }
     return true;
 }
@@ -797,7 +787,7 @@ DiskController::flushHdc()
         std::size_t j = i + 1;
         while (j < dirty.size() && dirty[j] == dirty[j - 1] + 1)
             ++j;
-        auto job = allocJob();
+        MediaJob* job = allocJob();
         job->mediaStart = dirty[i];
         job->mediaCount = j - i;
         job->cylinder = geom_.blockToCylinder(dirty[i]);
@@ -806,7 +796,7 @@ DiskController::flushHdc()
         job->req.isWrite = true;
         job->req.start = dirty[i];
         job->req.count = j - i;
-        enqueueMedia(std::move(job));
+        enqueueMedia(job);
         ++jobs;
         i = j;
     }
@@ -818,22 +808,20 @@ DiskController::submitRebuild(BlockNum start, std::uint64_t count,
                               bool is_write,
                               IoRequest::Callback done)
 {
-    eq_.scheduleAt(
-        eq_.now() + commandLatency(),
-        [this, start, count, is_write, d = std::move(done)]() mutable {
-            auto job = allocJob();
-            job->mediaStart = start;
-            job->mediaCount = count;
-            job->cylinder = geom_.blockToCylinder(start);
-            job->seq = seq_++;
-            job->background = true;
-            job->rebuild = true;
-            job->req.isWrite = is_write;
-            job->req.start = start;
-            job->req.count = count;
-            job->req.onComplete = std::move(d);
-            enqueueMedia(std::move(job));
-        });
+    MediaJob* job = allocJob();
+    job->mediaStart = start;
+    job->mediaCount = count;
+    job->cylinder = geom_.blockToCylinder(start);
+    job->background = true;
+    job->rebuild = true;
+    job->req.isWrite = is_write;
+    job->req.start = start;
+    job->req.count = count;
+    job->req.onComplete = std::move(done);
+    eq_.scheduleAfter(commandLatency(), [this, job]() {
+        job->seq = seq_++;
+        enqueueMedia(job);
+    });
 }
 
 } // namespace dtsim

@@ -251,6 +251,17 @@ class DiskController
     /** Outstanding requests (queued or in flight). */
     std::uint64_t outstanding() const { return outstanding_; }
 
+    /**
+     * In-flight records not back in the pool: host requests not yet
+     * completed plus background media jobs not yet finished. Zero
+     * once the event queue has drained.
+     */
+    std::size_t
+    recordsInFlight() const
+    {
+        return jobStore_.size() - jobFree_.size();
+    }
+
     /** Drive utilization: media busy time / elapsed time. */
     double utilization() const;
 
@@ -264,17 +275,16 @@ class DiskController
 
     PrefixHit cachedPrefix(BlockNum start, std::uint64_t count);
 
-    void process(IoRequest req);
-    void handleRead(IoRequest req);
-    void handleWrite(IoRequest req);
+    void process(MediaJob* job);
+    void handleRead(MediaJob* job);
+    void handleWrite(MediaJob* job);
 
     /** Queue a media job and start the mechanism if idle. */
-    void enqueueMedia(std::unique_ptr<MediaJob> job);
+    void enqueueMedia(MediaJob* job);
 
     void tryStartMedia();
-    void startMedia(std::unique_ptr<MediaJob> job);
-    void onMediaDone(std::unique_ptr<MediaJob> job,
-                     std::uint64_t ra_blocks);
+    void startMedia(MediaJob* job);
+    void onMediaDone(MediaJob* job, std::uint64_t ra_blocks);
 
     /** Blocks of speculative read-ahead to append to a media read.
      *  Non-const: under adaptive read-ahead this is also where the
@@ -294,13 +304,16 @@ class DiskController
     void emitToHost(SameTickBatch::Action fn);
 
     /** Finish a request: bus transfer then completion callback. */
-    void respond(IoRequest req, Tick ready);
+    void respond(MediaJob* job, Tick ready);
 
     /**
      * Second half of respond(), run from the same-tick batch: reserve
      * the bus and schedule the completion.
      */
-    void finishOverBus(IoRequest req, Tick ready);
+    void finishOverBus(MediaJob* job, Tick ready);
+
+    /** Complete a host request and return its record to the pool. */
+    void complete(MediaJob* job, Tick done);
 
     /** Fold a completed host request into stats/histograms/trace. */
     void noteComplete(const IoRequest& req, Tick done);
@@ -312,11 +325,15 @@ class DiskController
     void insertIntoCache(BlockNum start, std::uint64_t count,
                          std::uint64_t spec_offset);
 
-    /** Default-state MediaJob, recycled through jobPool_. */
-    std::unique_ptr<MediaJob> allocJob();
+    /** Default-state in-flight record from the pool. */
+    MediaJob* allocJob();
 
-    /** Return a finished job to the pool. */
-    void recycleJob(std::unique_ptr<MediaJob> job);
+    /**
+     * Return a finished record to the pool. Only after its
+     * onComplete has returned: that callback may submit to this
+     * controller, which must not be handed the record still running.
+     */
+    void recycleJob(MediaJob* job) { jobFree_.push_back(job); }
 
     EventQueue& eq_;
     ScsiBus& bus_;
@@ -345,12 +362,14 @@ class DiskController
     std::uint64_t raDepthDrops_ = 0;   ///< Windows that halved depth.
 
     /**
-     * Free list of MediaJob allocations: jobs cycle
-     * handleRead/handleWrite -> scheduler -> onMediaDone entirely
-     * within one controller, so recycling them removes a per-media-job
-     * heap round trip.
+     * Owns every in-flight record ever allocated. Scheduled events
+     * and the scheduler hold raw pointers, so records still referenced
+     * by pending events are freed with the controller.
      */
-    std::vector<std::unique_ptr<MediaJob>> jobPool_;
+    std::vector<std::unique_ptr<MediaJob>> jobStore_;
+
+    /** Free list over jobStore_ entries. */
+    std::vector<MediaJob*> jobFree_;
 
     bool mediaBusy_ = false;
 

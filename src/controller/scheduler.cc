@@ -8,17 +8,17 @@
 namespace dtsim {
 
 void
-FcfsScheduler::doPush(std::unique_ptr<MediaJob> job)
+FcfsScheduler::doPush(MediaJob* job)
 {
-    queue_.push_back(std::move(job));
+    queue_.push_back(job);
 }
 
-std::unique_ptr<MediaJob>
+MediaJob*
 FcfsScheduler::doPop(std::uint32_t)
 {
     if (queue_.empty())
         return nullptr;
-    auto job = std::move(queue_.front());
+    MediaJob* job = queue_.front();
     queue_.pop_front();
     return job;
 }
@@ -132,7 +132,7 @@ SweepScheduler::findAtOrBelow(std::uint32_t c, std::uint32_t* out) const
 }
 
 void
-SweepScheduler::doPush(std::unique_ptr<MediaJob> job)
+SweepScheduler::doPush(MediaJob* job)
 {
     const std::uint32_t cyl = job->cylinder;
     ensureCylinder(cyl);
@@ -146,7 +146,7 @@ SweepScheduler::doPush(std::unique_ptr<MediaJob> job)
         slots_.emplace_back();
     }
     JobSlot& slot = slots_[n];
-    slot.job = std::move(job);
+    slot.job = job;
     slot.next = kNull;
 
     Bucket& b = buckets_[cyl];
@@ -161,7 +161,7 @@ SweepScheduler::doPush(std::unique_ptr<MediaJob> job)
     ++count_;
 }
 
-std::unique_ptr<MediaJob>
+MediaJob*
 SweepScheduler::takeSlot(std::uint32_t cyl, std::uint32_t n)
 {
     JobSlot& slot = slots_[n];
@@ -177,28 +177,29 @@ SweepScheduler::takeSlot(std::uint32_t cyl, std::uint32_t n)
     if (b.head == kNull)
         clearBit(cyl);
 
-    auto job = std::move(slot.job);
+    MediaJob* job = slot.job;
+    slot.job = nullptr;
     slot.next = freeHead_;
     freeHead_ = n;
     --count_;
     return job;
 }
 
-std::unique_ptr<MediaJob>
+MediaJob*
 SweepScheduler::popFront(std::uint32_t cyl)
 {
     assert(buckets_[cyl].head != kNull);
     return takeSlot(cyl, buckets_[cyl].head);
 }
 
-std::unique_ptr<MediaJob>
+MediaJob*
 SweepScheduler::popBack(std::uint32_t cyl)
 {
     assert(buckets_[cyl].tail != kNull);
     return takeSlot(cyl, buckets_[cyl].tail);
 }
 
-std::unique_ptr<MediaJob>
+MediaJob*
 SweepScheduler::doPop(std::uint32_t cylinder)
 {
     if (count_ == 0)

@@ -31,7 +31,15 @@
 
 namespace dtsim {
 
-/** One queued media operation (host request plus its media range). */
+/**
+ * One in-flight record: a host request plus, when it needs the media,
+ * its media range. A DiskController creates one per host request at
+ * submit() and per background media job (HDC flush, mirror rebuild);
+ * the record carries the request through the cache probe, the
+ * scheduler, the mechanism, the same-tick batch, the bus and the
+ * completion. The controller's pool owns every record; schedulers and
+ * scheduled events only hold pointers.
+ */
 struct MediaJob
 {
     IoRequest req;
@@ -76,7 +84,11 @@ struct SchedulerStats
     }
 };
 
-/** Queue + policy for picking the next media access. */
+/**
+ * Queue + policy for picking the next media access. Schedulers order
+ * jobs they do not own: the caller keeps each pushed job alive until
+ * it is popped.
+ */
 class Scheduler
 {
   public:
@@ -84,9 +96,9 @@ class Scheduler
 
     /** Enqueue a job (records queue-depth stats). */
     void
-    push(std::unique_ptr<MediaJob> job)
+    push(MediaJob* job)
     {
-        doPush(std::move(job));
+        doPush(job);
         ++stats_.pushes;
         const std::uint64_t depth = size();
         stats_.depthSum += depth;
@@ -97,7 +109,7 @@ class Scheduler
      * Remove and return the next job to service given the arm's
      * current cylinder; nullptr if the queue is empty.
      */
-    std::unique_ptr<MediaJob>
+    MediaJob*
     pop(std::uint32_t cylinder)
     {
         auto job = doPop(cylinder);
@@ -115,8 +127,8 @@ class Scheduler
     const SchedulerStats& schedStats() const { return stats_; }
 
   protected:
-    virtual void doPush(std::unique_ptr<MediaJob> job) = 0;
-    virtual std::unique_ptr<MediaJob> doPop(std::uint32_t cylinder) = 0;
+    virtual void doPush(MediaJob* job) = 0;
+    virtual MediaJob* doPop(std::uint32_t cylinder) = 0;
 
   private:
     SchedulerStats stats_;
@@ -130,11 +142,11 @@ class FcfsScheduler : public Scheduler
     const char* name() const override { return "FCFS"; }
 
   protected:
-    void doPush(std::unique_ptr<MediaJob> job) override;
-    std::unique_ptr<MediaJob> doPop(std::uint32_t cylinder) override;
+    void doPush(MediaJob* job) override;
+    MediaJob* doPop(std::uint32_t cylinder) override;
 
   private:
-    std::deque<std::unique_ptr<MediaJob>> queue_;
+    std::deque<MediaJob*> queue_;
 };
 
 /**
@@ -153,8 +165,8 @@ class SweepScheduler : public Scheduler
     const char* name() const override;
 
   protected:
-    void doPush(std::unique_ptr<MediaJob> job) override;
-    std::unique_ptr<MediaJob> doPop(std::uint32_t cylinder) override;
+    void doPush(MediaJob* job) override;
+    MediaJob* doPop(std::uint32_t cylinder) override;
 
   private:
     static constexpr std::uint32_t kNull = 0xffffffffu;
@@ -162,7 +174,7 @@ class SweepScheduler : public Scheduler
     /** One queued job threaded into its cylinder's FIFO. */
     struct JobSlot
     {
-        std::unique_ptr<MediaJob> job;
+        MediaJob* job = nullptr;
         std::uint32_t prev = kNull;
         std::uint32_t next = kNull;
     };
@@ -187,11 +199,10 @@ class SweepScheduler : public Scheduler
     bool findAtOrBelow(std::uint32_t c, std::uint32_t* out) const;
 
     /** Dequeue the oldest / newest job of an occupied cylinder. */
-    std::unique_ptr<MediaJob> popFront(std::uint32_t cyl);
-    std::unique_ptr<MediaJob> popBack(std::uint32_t cyl);
+    MediaJob* popFront(std::uint32_t cyl);
+    MediaJob* popBack(std::uint32_t cyl);
 
-    std::unique_ptr<MediaJob> takeSlot(std::uint32_t cyl,
-                                       std::uint32_t n);
+    MediaJob* takeSlot(std::uint32_t cyl, std::uint32_t n);
 
     Kind kind_;
 

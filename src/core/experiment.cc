@@ -8,6 +8,7 @@
 #include "core/run_impl.hh"
 #include "hdc/hdc_planner.hh"
 #include "sim/logging.hh"
+#include "workload/trace.hh"
 
 namespace dtsim {
 
@@ -170,6 +171,18 @@ Experiment::prepare()
         const Clock::time_point t0 = Clock::now();
         workload_ = buildWorkload(cfg_);
         opts_.prep.genSeconds = secondsSince(t0);
+    } else {
+        // A caller's trace meets loadTrace()'s record checks here, not
+        // mid-replay inside the array.
+        const std::uint64_t capacity = arrayAddressableBlocks(cfg_.system);
+        for (std::size_t i = 0; i < extTrace_->size(); ++i) {
+            const TraceRecord& r = (*extTrace_)[i];
+            const std::string why =
+                traceRecordError(r.start, r.count, capacity);
+            if (!why.empty())
+                fatal("Experiment::replay: trace record %zu: %s", i,
+                      why.c_str());
+        }
     }
 
     const SystemConfig& sys = cfg_.system;

@@ -97,7 +97,9 @@ class Experiment
      * Replay `t` instead of building a workload; `t` must outlive the
      * Experiment. Disables workload building and full-config
      * validation (the caller vouches for the config, like direct
-     * runTrace() callers always did).
+     * runTrace() callers always did). The records are still checked
+     * at prepare(): a zero-length record, or one past the array's
+     * addressable blocks, is fatal and names the record's index.
      */
     Experiment& replay(const Trace& t);
 

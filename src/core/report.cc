@@ -17,6 +17,7 @@ void
 printRuntimeLine(std::ostream& os, const RunResult& r)
 {
     os << "# runtime: events=" << r.eventsFired
+       << " tick_flushes=" << r.tickFlushes
        << " wall_ms=" << r.wallSeconds * 1.0e3
        << " gen_ms=" << r.prep.genSeconds * 1.0e3
        << " bitmaps_ms=" << r.prep.bitmapsSeconds * 1.0e3

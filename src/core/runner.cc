@@ -242,6 +242,17 @@ runTrace(const SystemConfig& cfg, const Trace& trace,
     }
     const auto wall_end = std::chrono::steady_clock::now();
 
+    // Drain invariant: with the queue empty, every request has
+    // completed and every in-flight record is back in its pool.
+    for (unsigned d = 0; d < array.disks(); ++d) {
+        const DiskController& c = array.controller(d);
+        if (c.outstanding() != 0 || c.recordsInFlight() != 0)
+            panic("runTrace: disk %u did not drain (%llu requests "
+                  "outstanding, %zu in-flight records not pooled)",
+                  d, static_cast<unsigned long long>(c.outstanding()),
+                  c.recordsInFlight());
+    }
+
     RunResult res;
     res.ioTime = io_time;
     res.flushTime = flush_time;
@@ -250,6 +261,7 @@ runTrace(const SystemConfig& cfg, const Trace& trace,
     res.blocks = engine.metrics().blocks;
     res.meanLatencyMs = engine.metrics().meanLatencyMs();
     res.eventsFired = eq.fired();
+    res.tickFlushes = eq.tickEndFired();
     res.wallSeconds =
         std::chrono::duration<double>(wall_end - wall_begin).count();
     res.prep = opts.prep;

@@ -15,12 +15,13 @@
  * installs another order; mirrored arrays rank disks by (logical disk,
  * replica) so a replica pair's completions go primary first.
  *
- * Deferring to the end of the tick is safe because every modelled
- * delay is positive: no normal event can join the current tick after
- * the batch's flusher (scheduled at `now` by the tick's first
- * emission), and the batched actions themselves only schedule
- * strictly-future work (a bus grant always has a positive transfer
- * time).
+ * The batch owns its queue's tick-end slot (EventQueue::armTickEnd):
+ * the tick's first emission arms it, which places the flush exactly
+ * where an event scheduled at `now` would run -- after every event
+ * already scheduled for the tick, before any scheduled later. The
+ * order is exact by construction; it does not rest on delays being
+ * positive. An emission from a flushed action arms the slot again
+ * and gets a flush of its own, after the current one.
  */
 
 #ifndef DTSIM_SIM_SAME_TICK_BATCH_HH
@@ -29,17 +30,22 @@
 #include <vector>
 
 #include "sim/event_queue.hh"
-#include "sim/small_function.hh"
 
 namespace dtsim {
 
 class SameTickBatch
 {
   public:
-    /** Host-side action produced by a disk (sized like Callback). */
-    using Action = SmallFunction<void(), 192>;
+    /** Host-side action produced by a disk (an event callback). */
+    using Action = EventQueue::Callback;
 
-    explicit SameTickBatch(EventQueue& q) : q_(q) {}
+    /**
+     * Installs the batch's flush in `q`'s tick-end slot; the
+     * destructor uninstalls it, so `q` must outlive the batch.
+     */
+    explicit SameTickBatch(EventQueue& q);
+
+    ~SameTickBatch();
 
     SameTickBatch(const SameTickBatch&) = delete;
     SameTickBatch& operator=(const SameTickBatch&) = delete;
@@ -47,6 +53,7 @@ class SameTickBatch
     /**
      * Install the merge order: ranks[d] is disk d's position in
      * same-tick ordering (lower runs first). Defaults to the identity.
+     * Set it before the first emission: emit() looks the rank up.
      */
     void
     setMergeRanks(std::vector<unsigned> ranks)
@@ -69,7 +76,7 @@ class SameTickBatch
 
     struct Pending
     {
-        unsigned disk;
+        unsigned rank;  ///< Merge rank of the emitting disk.
         Action fn;
     };
 
@@ -82,8 +89,6 @@ class SameTickBatch
 
     /** Reused flush scratch (swap keeps pending_ reentrant). */
     std::vector<Pending> batch_;
-
-    bool flushScheduled_ = false;
 };
 
 } // namespace dtsim

@@ -3,10 +3,10 @@
  * A std::function replacement with a tunable inline capture buffer.
  *
  * libstdc++'s std::function only stores captures up to 16 bytes
- * inline; the simulator's hot callbacks (a completion lambda carrying
- * its IoRequest, an event carrying a shared completion state) are
- * bigger, so every schedule/complete pair costs a heap allocation --
- * tens of millions per run. SmallFunction<Sig, N> stores captures up
+ * inline; the simulator's hot callbacks (a controller pointer, an
+ * in-flight record pointer and a tick) are bigger, so every
+ * schedule/complete pair would cost a heap allocation -- tens of
+ * millions per run. SmallFunction<Sig, N> stores captures up
  * to N bytes in place and only falls back to the heap beyond that,
  * so sizing N to the largest hot capture makes the per-event path
  * allocation-free.

@@ -108,6 +108,20 @@ parseField(const char*& p, const char* end, std::uint64_t max,
 
 } // namespace
 
+std::string
+traceRecordError(std::uint64_t start, std::uint64_t count,
+                 std::uint64_t capacity_blocks)
+{
+    if (count == 0)
+        return "zero-length record";
+    if (start + count < start)
+        return "record runs past the last block number";
+    if (start + count > capacity_blocks)
+        return "record runs past the end of the array (" +
+               std::to_string(capacity_blocks) + " blocks)";
+    return {};
+}
+
 Trace
 loadTrace(const std::string& path, std::uint64_t capacity_blocks)
 {
@@ -146,13 +160,10 @@ loadTrace(const std::string& path, std::uint64_t capacity_blocks)
             ++p;
         if (p != end)
             throw bad("trailing characters after the job id");
-        if (count == 0)
-            throw bad("zero-length record");
-        if (start + count < start)
-            throw bad("record runs past the last block number");
-        if (start + count > capacity_blocks)
-            throw bad("record runs past the end of the array (" +
-                      std::to_string(capacity_blocks) + " blocks)");
+        const std::string why =
+            traceRecordError(start, count, capacity_blocks);
+        if (!why.empty())
+            throw bad(why);
 
         TraceRecord r;
         r.start = start;

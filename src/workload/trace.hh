@@ -62,6 +62,16 @@ std::vector<std::uint64_t> accessCountsSorted(const Trace& trace,
 void saveTrace(const Trace& trace, const std::string& path);
 
 /**
+ * Why a record over [start, start + count) cannot be replayed on an
+ * array of `capacity_blocks` logical blocks: a zero block count, a
+ * range that wraps past the last block number, or one past the end of
+ * the array. Empty when the record fits. loadTrace() and
+ * Experiment::replay() report these reasons.
+ */
+std::string traceRecordError(std::uint64_t start, std::uint64_t count,
+                             std::uint64_t capacity_blocks);
+
+/**
  * Load a trace saved by saveTrace(). Blank lines and '#' comments are
  * skipped. Throws std::runtime_error naming `path:line` on a malformed
  * record: a sign or other non-digit, trailing characters, a write

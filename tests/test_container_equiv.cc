@@ -17,6 +17,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <deque>
 #include <list>
 #include <map>
 #include <memory>
@@ -475,6 +476,7 @@ driveSchedulers(SweepScheduler::Kind kind, SchedulerKind factory_kind,
     constexpr std::uint32_t kCylinders = 600;
 
     std::unique_ptr<Scheduler> real = makeScheduler(factory_kind);
+    std::deque<MediaJob> jobs;  // the scheduler does not own them
     RefSweepScheduler ref(kind);
     Rng rng(seed);
     std::uint64_t next_seq = 1;
@@ -487,15 +489,15 @@ driveSchedulers(SweepScheduler::Kind kind, SchedulerKind factory_kind,
             const std::uint32_t cyl = rng.below(kCylinders);
             const std::uint64_t burst = 1 + rng.below(3);
             for (std::uint64_t i = 0; i < burst; ++i) {
-                auto job = std::make_unique<MediaJob>();
-                job->cylinder = cyl;
-                job->seq = next_seq;
-                real->push(std::move(job));
+                MediaJob& job = jobs.emplace_back();
+                job.cylinder = cyl;
+                job.seq = next_seq;
+                real->push(&job);
                 ref.push(cyl, next_seq);
                 ++next_seq;
             }
         } else {
-            std::unique_ptr<MediaJob> job = real->pop(arm);
+            MediaJob* job = real->pop(arm);
             ASSERT_NE(job, nullptr);
             ASSERT_EQ(job->seq, ref.pop(arm))
                 << "op " << op << " seed " << seed << " arm " << arm;
@@ -508,7 +510,7 @@ driveSchedulers(SweepScheduler::Kind kind, SchedulerKind factory_kind,
     // Drain completely: the tail of the sweep (direction reversals,
     // wrap-around) must match too.
     while (!real->empty()) {
-        std::unique_ptr<MediaJob> job = real->pop(arm);
+        MediaJob* job = real->pop(arm);
         ASSERT_EQ(job->seq, ref.pop(arm)) << "drain, seed " << seed;
         arm = job->cylinder;
     }

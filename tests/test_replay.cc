@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/experiment.hh"
 #include "core/replay.hh"
 #include "core/system.hh"
 
@@ -120,6 +121,30 @@ TEST(ReplayEngine, RecordEndingAtArrayCapacityCompletes)
         EXPECT_EQ(engine.metrics().blocks, 8u);
         EXPECT_EQ(array.outstanding(), 0u);
     }
+}
+
+TEST(ExperimentReplay, RejectsBadRecordsAtTheBoundary)
+{
+    // A caller-supplied trace is checked before the replay starts,
+    // with loadTrace()'s wording and the bad record's index.
+    SystemConfig cfg;
+    cfg.disks = 4;
+    Trace zero = simpleTrace(2, 2);
+    zero[3].count = 0;
+    EXPECT_DEATH(Experiment(cfg).replay(zero).run(),
+                 "trace record 3: zero-length record");
+
+    Trace past = simpleTrace(2, 2);
+    past[2].start = arrayAddressableBlocks(cfg) - 2;
+    EXPECT_DEATH(Experiment(cfg).replay(past).run(),
+                 "trace record 2: record runs past the end of the "
+                 "array");
+
+    Trace wrap = simpleTrace(1, 1);
+    wrap[0].start = ~ArrayBlock{0};
+    EXPECT_DEATH(Experiment(cfg).replay(wrap).run(),
+                 "trace record 0: record runs past the last block "
+                 "number");
 }
 
 } // namespace

@@ -96,5 +96,30 @@ TEST(Report, RuntimeLineTimesPreparationPhases)
     EXPECT_EQ(rr.prep.planSeconds, 0.0);
 }
 
+TEST(Report, RuntimeLineCountsTickFlushes)
+{
+    // The same-tick batch's flushes are counted within events=, and
+    // on their own as tick_flushes=.
+    SimulationConfig sim;
+    sim.workload = WorkloadKind::Web;
+    sim.scale = 0.01;
+    sim.system.disks = 4;
+
+    std::ostringstream dump;
+    Experiment e(sim);
+    e.statsTo(StatsSink::stream(dump));
+    const RunResult r = e.run();
+    EXPECT_GT(r.tickFlushes, 0u);
+    EXPECT_LT(r.tickFlushes, r.eventsFired);
+
+    const std::string text = dump.str();
+    const std::size_t at = text.find("# runtime:");
+    ASSERT_NE(at, std::string::npos);
+    const std::string line = text.substr(at, text.find('\n', at) - at);
+    const std::string field =
+        " tick_flushes=" + std::to_string(r.tickFlushes) + " ";
+    EXPECT_NE(line.find(field), std::string::npos) << line;
+}
+
 } // namespace
 } // namespace dtsim

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
+#include <deque>
 #include <vector>
 
 #include "controller/scheduler.hh"
@@ -11,13 +11,16 @@
 namespace dtsim {
 namespace {
 
-std::unique_ptr<MediaJob>
+MediaJob*
 job(std::uint32_t cylinder, std::uint64_t seq = 0)
 {
-    auto j = std::make_unique<MediaJob>();
-    j->cylinder = cylinder;
-    j->seq = seq;
-    return j;
+    // Schedulers order jobs they do not own; these live as long as
+    // the test program.
+    static std::deque<MediaJob> store;
+    MediaJob& j = store.emplace_back();
+    j.cylinder = cylinder;
+    j.seq = seq;
+    return &j;
 }
 
 std::vector<std::uint32_t>
