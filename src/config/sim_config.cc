@@ -326,11 +326,13 @@ bindParams(ParamRegistry& reg, SimulationConfig& sim)
             "online policy: count-min sketch rows (independent hash "
             "functions)");
     reg.add("hdc.sketch_cols", h.sketchCols,
-            "online policy: count-min sketch counters per row (at "
-            "most 2^32)");
+            "online policy: count-min sketch counters per row (rows "
+            "x cols at most 2^28)");
     reg.add("hdc.candidate_blocks", h.candidateBlocks,
             "online policy: bound on the recency-held candidate "
-            "block pool the re-planner ranks (below 2^32)");
+            "block pool, and so on the policy's memory (below 2^32); "
+            "a re-plan's cost follows the blocks whose score changed, "
+            "not the pool size");
     reg.add("hdc.churn_threshold", h.churnThreshold,
             "online policy: epoch-over-epoch hot-set churn above "
             "which a phase change is declared and the next re-plan "
@@ -462,16 +464,22 @@ validateConfig(const SimulationConfig& sim)
         check(errs, sys.hdc.candidateBlocks >= 1,
               "hdc.candidate_blocks must be at least 1 under the "
               "online HDC policy");
-        // The candidate pool indexes its slots, and caches each
-        // block's sketch columns, as 32-bit integers.
+        // The candidate pool indexes its slots as 32-bit integers.
         constexpr std::uint64_t k32 = std::uint64_t{1} << 32;
         check(errs, sys.hdc.candidateBlocks < k32,
               "hdc.candidate_blocks (" + u64s(sys.hdc.candidateBlocks) +
                   ") must be below 2^32 under the online HDC policy");
-        check(errs, sys.hdc.sketchCols <= k32,
-              "hdc.sketch_cols (" + u64s(sys.hdc.sketchCols) +
-                  ") must be at most 2^32 under the online HDC "
-                  "policy");
+        // Bound the sketch itself, so a mistyped shape is refused
+        // here rather than by the allocator. Dividing keeps the
+        // product from overflowing.
+        check(errs,
+              sys.hdc.sketchRows == 0 || sys.hdc.sketchCols == 0 ||
+                  sys.hdc.sketchCols <=
+                      kMaxSketchCells / sys.hdc.sketchRows,
+              "hdc.sketch_rows (" + u64s(sys.hdc.sketchRows) +
+                  ") x hdc.sketch_cols (" + u64s(sys.hdc.sketchCols) +
+                  ") must be at most 2^28 sketch counters under the "
+                  "online HDC policy");
     }
     check(errs,
           sys.hdc.churnThreshold >= 0 && sys.hdc.churnThreshold <= 1,

@@ -9,7 +9,8 @@ namespace {
 
 /**
  * The single-run kernel throughput line, with the wall time of each
- * preparation phase next to the replay's. Wall-clock readings and the
+ * preparation phase next to the replay's, and the online HDC
+ * re-planner's share of the replay. Wall-clock readings and the
  * event count are not simulation results, so both printers emit them
  * as a comment-style line that byte-comparisons strip.
  */
@@ -19,6 +20,7 @@ printRuntimeLine(std::ostream& os, const RunResult& r)
     os << "# runtime: events=" << r.eventsFired
        << " tick_flushes=" << r.tickFlushes
        << " wall_ms=" << r.wallSeconds * 1.0e3
+       << " replan_ms=" << r.replanSeconds * 1.0e3
        << " gen_ms=" << r.prep.genSeconds * 1.0e3
        << " bitmaps_ms=" << r.prep.bitmapsSeconds * 1.0e3
        << " plan_ms=" << r.prep.planSeconds * 1.0e3

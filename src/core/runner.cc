@@ -199,12 +199,15 @@ runTrace(const SystemConfig& cfg, const Trace& trace,
     // re-arm, so once the trace has drained the chain stops instead
     // of chasing its own commands.
     std::function<void()> replan_tick;
+    std::chrono::steady_clock::duration replan_time{};
     if (online) {
         replan_tick = [&]() {
             --housekeeping;
             const OnlineHdcCounters& oc = online->counters();
             const std::uint64_t cmds_before = oc.pins + oc.unpins;
+            const auto replan_begin = std::chrono::steady_clock::now();
             online->replan();
+            replan_time += std::chrono::steady_clock::now() - replan_begin;
             // Each logical pin/unpin posts one command per replica.
             const std::uint64_t issued =
                 (oc.pins + oc.unpins - cmds_before) *
@@ -264,6 +267,8 @@ runTrace(const SystemConfig& cfg, const Trace& trace,
     res.tickFlushes = eq.tickEndFired();
     res.wallSeconds =
         std::chrono::duration<double>(wall_end - wall_begin).count();
+    res.replanSeconds =
+        std::chrono::duration<double>(replan_time).count();
     res.prep = opts.prep;
     if (victim) {
         res.victimPins = victim->pins();

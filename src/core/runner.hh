@@ -211,6 +211,13 @@ struct RunResult
      */
     double wallSeconds = 0.0;
 
+    /**
+     * Of wallSeconds, the host seconds spent inside the online HDC
+     * policy's re-plans (0 when no online policy ran). Volatile like
+     * wallSeconds.
+     */
+    double replanSeconds = 0.0;
+
     /** Host wall-clock seconds of the phases before replay. */
     PrepTimes prep;
 

@@ -27,6 +27,15 @@
 
 namespace dtsim {
 
+/**
+ * Most count-min counters (hdc.sketch_rows x hdc.sketch_cols) an
+ * online sketch may hold: 2^28 32-bit counters, 1 GiB. validateConfig
+ * refuses larger sketches and OnlineHdcPolicy fatals on them, so a
+ * mistyped shape fails at the config boundary instead of in the
+ * allocator.
+ */
+constexpr std::uint64_t kMaxSketchCells = std::uint64_t{1} << 28;
+
 /** Host policy driving the HDC pinned region. */
 enum class HdcPolicy
 {

@@ -91,8 +91,7 @@ TEST(ConfigValidate, OnlineHdcIndexWidths)
               std::string::npos);
     sim.system.hdc.candidateBlocks = 65536;
 
-    sim.system.hdc.sketchCols = k32;
-    EXPECT_EQ(firstError(sim), "");
+    // Columns are bounded by the sketch's cell limit (below).
     sim.system.hdc.sketchCols = k32 + 1;
     err = firstError(sim);
     EXPECT_NE(err.find("hdc.sketch_cols (4294967297)"), std::string::npos)
@@ -103,6 +102,47 @@ TEST(ConfigValidate, OnlineHdcIndexWidths)
     sim.system.hdc.policy = HdcPolicy::Oracle;
     sim.system.hdc.candidateBlocks = k32;
     sim.system.hdc.sketchCols = k32 + 1;
+    EXPECT_EQ(firstError(sim), "");
+}
+
+TEST(ConfigValidate, OnlineHdcSketchCellLimit)
+{
+    // rows x cols is bounded by kMaxSketchCells (2^28 counters, 1 GiB):
+    // 2^32 columns at the default 4 rows must be refused here, not
+    // passed on to a 64 GiB allocation.
+    SimulationConfig sim;
+    sim.system.hdc.policy = HdcPolicy::Online;
+    sim.system.hdc.budgetBytesPerDisk = kMiB;
+    ASSERT_EQ(sim.system.hdc.sketchRows, 4u);
+
+    sim.system.hdc.sketchCols = std::uint64_t{1} << 32;
+    std::string err = firstError(sim);
+    EXPECT_NE(err.find("hdc.sketch_rows (4)"), std::string::npos) << err;
+    EXPECT_NE(err.find("hdc.sketch_cols (4294967296)"), std::string::npos)
+        << err;
+    EXPECT_NE(err.find("2^28"), std::string::npos) << err;
+
+    // At the limit is fine; one column past it is not.
+    sim.system.hdc.sketchCols = kMaxSketchCells / 4;
+    EXPECT_EQ(firstError(sim), "");
+    sim.system.hdc.sketchCols = kMaxSketchCells / 4 + 1;
+    EXPECT_NE(firstError(sim).find("hdc.sketch_cols"), std::string::npos);
+
+    // The rows count as much as the columns.
+    sim.system.hdc.sketchRows = 1;
+    sim.system.hdc.sketchCols = kMaxSketchCells;
+    EXPECT_EQ(firstError(sim), "");
+    sim.system.hdc.sketchRows = 2;
+    err = firstError(sim);
+    EXPECT_NE(err.find("hdc.sketch_rows (2)"), std::string::npos) << err;
+
+    // A product that would overflow 64 bits is still refused.
+    sim.system.hdc.sketchRows = ~0u;
+    sim.system.hdc.sketchCols = ~std::uint64_t{0};
+    EXPECT_NE(firstError(sim).find("2^28"), std::string::npos);
+
+    // Oracle runs never build the sketch.
+    sim.system.hdc.policy = HdcPolicy::Oracle;
     EXPECT_EQ(firstError(sim), "");
 }
 

@@ -645,10 +645,13 @@ struct FuzzCase
  * sorted set differences of its pin set between epochs, whose sizes
  * must equal its pin/unpin counter deltas and whose result must be
  * resident in the controllers.
+ * @param fullRebuilds If set, receives the production policy's count
+ *     of epochs that re-scored the whole pool.
  * @return The reference, for the coverage assertions.
  */
 std::unique_ptr<RefOnlinePolicy>
-driveDifferential(const FuzzCase& fc, std::uint64_t seed)
+driveDifferential(const FuzzCase& fc, std::uint64_t seed,
+                  std::uint64_t* fullRebuilds = nullptr)
 {
     ArrayConfig cfg;
     cfg.disks = fc.disks;
@@ -670,8 +673,9 @@ driveDifferential(const FuzzCase& fc, std::uint64_t seed)
         spec);
     Rng rng(seed);
 
-    // Every block the stream can touch, across both phases.
-    const ArrayBlock space = 2 * fc.hotSpan + 64;
+    // Every block the stream can touch, across both phases, including
+    // the last three blocks of a 4-block access at the window's end.
+    const ArrayBlock space = 2 * fc.hotSpan + 64 + 3;
     std::vector<bool> pinnedBefore(space, false);
     ArrayBlock base = 0;
     ArrayBlock cursor = 0;
@@ -738,6 +742,8 @@ driveDifferential(const FuzzCase& fc, std::uint64_t seed)
         if (::testing::Test::HasFailure())
             break;
     }
+    if (fullRebuilds)
+        *fullRebuilds = real.fullRebuilds();
     return ref;
 }
 
@@ -758,7 +764,7 @@ TEST(OnlineHdcDifferential, DiskCounts)
 TEST(OnlineHdcDifferential, RegionLargerThanCandidates)
 {
     // A region bigger than a disk's ranked candidates: every
-    // candidate is selected, so the nth_element step is skipped.
+    // candidate is selected, so no swap ever runs.
     FuzzCase fc;
     fc.regionBlocks = 64;
     fc.hotSpan = 60;
@@ -812,6 +818,61 @@ TEST(OnlineHdcDifferential, PinnedBlocksLeaveAndReenterThePool)
     for (std::uint64_t seed : {10u, 11u}) {
         const auto ref = driveDifferential(fc, seed);
         EXPECT_GT(ref->pinnedReentries(), 0u);
+    }
+}
+
+TEST(OnlineHdcDifferential, LongRunMostlyIncremental)
+{
+    // Many epochs between agings: a narrow sketch (so one increment
+    // dirties many watchers), a pool small enough that pinned blocks
+    // leave and re-enter it, and a region large enough that the
+    // sketch ages only every ~10 epochs. Most epochs must take the
+    // incremental path and still match the reference exactly.
+    FuzzCase fc;
+    fc.regionBlocks = 16;
+    fc.candidates = 48;
+    fc.rows = 2;
+    fc.cols = 96;
+    fc.hotSpan = 160;
+    fc.epochs = 400;
+    fc.missesPerEpoch = 100;
+    for (std::uint64_t seed : {12u, 13u}) {
+        std::uint64_t rebuilds = 0;
+        const auto ref = driveDifferential(fc, seed, &rebuilds);
+        EXPECT_GT(ref->agings(), 20u);
+        EXPECT_GT(ref->pinnedReentries(), 0u);
+        EXPECT_GT(ref->cutTies(), 0u);
+        EXPECT_LE(rebuilds, ref->agings() + 1);
+        EXPECT_GT(ref->counters().replans, 5 * rebuilds);
+    }
+    fc.flat = true;
+    fc.phaseAt = 200;
+    std::uint64_t rebuilds = 0;
+    const auto ref = driveDifferential(fc, 14, &rebuilds);
+    EXPECT_GT(ref->counters().fastReplans, 0u);
+    EXPECT_GT(ref->counters().replans, 5 * rebuilds);
+}
+
+TEST(OnlineHdcDifferential, SharedCountersDirtyTheirWatchers)
+{
+    // One narrow row: every block of a column shares one counter, so a
+    // miss raises the estimate of candidates that were not missed
+    // themselves. Few misses per epoch and rare aging leave many
+    // epochs in which only those watchers' re-scoring keeps the
+    // ranking exact.
+    FuzzCase fc;
+    fc.rows = 1;
+    fc.cols = 16;
+    fc.regionBlocks = 8;
+    fc.candidates = 64;
+    fc.hotSpan = 200;
+    fc.epochs = 300;
+    fc.missesPerEpoch = 20;
+    for (std::uint64_t seed : {15u, 16u, 17u}) {
+        std::uint64_t rebuilds = 0;
+        const auto ref = driveDifferential(fc, seed, &rebuilds);
+        EXPECT_GT(ref->counters().pins, 0u);
+        EXPECT_GT(ref->counters().replans, 5 * rebuilds);
     }
 }
 

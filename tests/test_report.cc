@@ -82,8 +82,10 @@ TEST(Report, RuntimeLineTimesPreparationPhases)
     ASSERT_NE(at, std::string::npos);
     const std::string line = text.substr(at, text.find('\n', at) - at);
     for (const char* field : {" wall_ms=", " gen_ms=", " bitmaps_ms=",
-                              " plan_ms="})
+                              " plan_ms=", " replan_ms=0 "})
         EXPECT_NE(line.find(field), std::string::npos) << line;
+    // No online policy ran, so nothing re-planned.
+    EXPECT_EQ(r.replanSeconds, 0.0);
 
     // Replaying a caller-supplied trace generates nothing.
     sim.system.kind = SystemKind::Segm;
@@ -119,6 +121,36 @@ TEST(Report, RuntimeLineCountsTickFlushes)
     const std::string field =
         " tick_flushes=" + std::to_string(r.tickFlushes) + " ";
     EXPECT_NE(line.find(field), std::string::npos) << line;
+}
+
+TEST(Report, RuntimeLineTimesOnlineReplans)
+{
+    // replan_ms= is the host time inside the online policy's re-plans,
+    // a part of the replay's wall time.
+    SimulationConfig sim;
+    sim.workload = WorkloadKind::Web;
+    sim.scale = 0.01;
+    sim.system.kind = SystemKind::FOR;
+    sim.system.disks = 4;
+    sim.system.hdc.budgetBytesPerDisk = 2 * kMiB;
+    sim.system.hdc.policy = HdcPolicy::Online;
+    sim.system.hdc.replanIntervalTicks = 20 * kMsec;
+
+    std::ostringstream dump;
+    Experiment e(sim);
+    e.statsTo(StatsSink::stream(dump));
+    const RunResult r = e.run();
+    EXPECT_GT(r.onlineReplans, 0u);
+    EXPECT_GT(r.replanSeconds, 0.0);
+    EXPECT_LE(r.replanSeconds, r.wallSeconds);
+
+    const std::string text = dump.str();
+    const std::size_t at = text.find("# runtime:");
+    ASSERT_NE(at, std::string::npos);
+    const std::string line = text.substr(at, text.find('\n', at) - at);
+    const std::size_t f = line.find(" replan_ms=");
+    ASSERT_NE(f, std::string::npos) << line;
+    EXPECT_GT(std::stod(line.substr(f + 11)), 0.0) << line;
 }
 
 } // namespace

@@ -275,6 +275,21 @@ TEST(SerialDumpDigest, OnlineHdcFastReplan)
     EXPECT_DIGEST(c.dump(), "2f2cc1df12428856");
 }
 
+TEST(SerialDumpDigest, OnlineHdcSmallPool)
+{
+    // A pool barely larger than the pinned sets and a small region:
+    // pinned blocks fall out of the candidate pool and come back
+    // mid-run, and the miss volume ages the sketch several times.
+    SimulationConfig sim =
+        webConfig(SystemKind::FOR, 16 * kKiB, 256 * kKiB);
+    sim.system.hdc.policy = HdcPolicy::Online;
+    sim.system.hdc.replanIntervalTicks = 200 * kMsec;
+    sim.system.hdc.candidateBlocks = 384;
+    sim.system.hdc.sketchCols = 4096;
+    DigestCase c(std::move(sim));
+    EXPECT_DIGEST(c.dump(), "91e1cb07abfdc6fa");
+}
+
 TEST(SerialDumpDigest, AdaptiveReadAhead)
 {
     SimulationConfig sim = webConfig(SystemKind::FOR, 64 * kKiB, 0);
