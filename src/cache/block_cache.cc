@@ -19,7 +19,7 @@ blockPolicyName(BlockPolicy p)
 BlockCache::BlockCache(std::uint64_t capacity_blocks, BlockPolicy policy)
     : capacity_(capacity_blocks), policy_(policy),
       slab_(static_cast<std::uint32_t>(capacity_blocks)),
-      map_(capacity_blocks)
+      map_(2 * capacity_blocks)
 {
     if (capacity_blocks == 0)
         fatal("BlockCache: capacity must be > 0");

@@ -125,7 +125,14 @@ class BlockCache : public ControllerCache
     Slab<Entry> slab_;
     SlabList used_;     ///< Front = most recently consumed.
     SlabList unused_;   ///< Front = oldest insertion.
-    FlatTable<std::uint32_t> map_;  ///< block -> slab slot
+    /**
+     * block -> slab slot, sized for twice the capacity so a full pool
+     * keeps the table at most half loaded: most probes are misses
+     * (insertRun and the controller's suffix walk test blocks that
+     * are not cached), and a linear-probing miss scans to the next
+     * empty slot.
+     */
+    FlatTable<std::uint32_t> map_;
     std::uint64_t evictions_ = 0;
 };
 

@@ -65,20 +65,12 @@ class ControllerCache
 
     /**
      * Exactly equivalent to calling lookupPrefix(start + k, 1) for
-     * k = 0, 1, ... while each call hits, but a single virtual call.
-     * Caches whose bulk lookupPrefix already replays the per-block
-     * operation sequence (BlockCache) override this with it; others
-     * (SegmentCache, whose bulk path ticks the recency clock once
-     * instead of per block) keep the loop.
+     * k = 0, 1, ... while each call hits, but a single virtual call
+     * that each cache answers a run at a time. The controller's
+     * cached-prefix walk probes the read-ahead cache this way.
      */
-    virtual std::uint64_t
-    lookupPrefixBlockwise(BlockNum start, std::uint64_t count)
-    {
-        std::uint64_t hits = 0;
-        while (hits < count && lookupPrefix(start + hits, 1) == 1)
-            ++hits;
-        return hits;
-    }
+    virtual std::uint64_t lookupPrefixBlockwise(BlockNum start,
+                                                std::uint64_t count) = 0;
 
     /** True if a single block is present (no recency update). */
     virtual bool contains(BlockNum block) const = 0;

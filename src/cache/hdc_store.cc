@@ -1,10 +1,13 @@
 #include "cache/hdc_store.hh"
 
+#include <algorithm>
+
 namespace dtsim {
 
 HdcStore::HdcStore(std::uint64_t capacity_blocks)
     : capacity_(capacity_blocks), blocks_(capacity_blocks)
 {
+    sorted_.reserve(capacity_blocks);
 }
 
 bool
@@ -18,6 +21,8 @@ HdcStore::pin(BlockNum block)
         ++counters_.pinFailures;
         return false;
     }
+    sorted_.insert(
+        std::lower_bound(sorted_.begin(), sorted_.end(), block), block);
     ++counters_.pins;
     return true;
 }
@@ -36,6 +41,8 @@ HdcStore::unpin(BlockNum block, bool* was_dirty)
     }
     ++counters_.unpins;
     blocks_.erase(block);
+    sorted_.erase(
+        std::lower_bound(sorted_.begin(), sorted_.end(), block));
     return true;
 }
 
@@ -43,6 +50,13 @@ bool
 HdcStore::contains(BlockNum block) const
 {
     return blocks_.contains(block);
+}
+
+BlockNum
+HdcStore::nextPinned(BlockNum block) const
+{
+    const auto it = std::lower_bound(sorted_.begin(), sorted_.end(), block);
+    return it != sorted_.end() ? *it : kNoPinned;
 }
 
 std::uint64_t

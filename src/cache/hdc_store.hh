@@ -59,6 +59,11 @@ class HdcStore
     /** True if the block is pinned here. */
     bool contains(BlockNum block) const;
 
+    /** The lowest pinned block >= `block`, or kNoPinned if none. */
+    BlockNum nextPinned(BlockNum block) const;
+
+    static constexpr BlockNum kNoPinned = ~BlockNum{0};
+
     /** Count of the leading blocks of a run that are pinned. */
     std::uint64_t prefixPinned(BlockNum start,
                                std::uint64_t count) const;
@@ -96,6 +101,14 @@ class HdcStore
      * controller sorts the returned set before building media jobs.
      */
     FlatTable<std::uint8_t> blocks_;
+
+    /**
+     * The pinned blocks in ascending order, so a run is split at its
+     * pinned blocks with one search instead of a probe per block.
+     * The region is small (512 blocks at 2 MiB), so keeping it sorted
+     * on pin/unpin is cheap.
+     */
+    std::vector<BlockNum> sorted_;
     std::uint64_t dirty_ = 0;
     HdcCounters counters_;
 };

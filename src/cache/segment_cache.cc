@@ -21,7 +21,9 @@ segmentPolicyName(SegmentPolicy p)
 SegmentCache::SegmentCache(std::uint64_t num_segments,
                            std::uint64_t segment_blocks,
                            SegmentPolicy policy, std::uint64_t seed)
-    : segments_(num_segments), segmentBlocks_(segment_blocks),
+    : start_(num_segments, kNone), end_(num_segments, kNone),
+      lastUse_(num_segments), created_(num_segments),
+      specFrom_(num_segments), segmentBlocks_(segment_blocks),
       policy_(policy), rng_(seed)
 {
     if (num_segments == 0 || segment_blocks == 0)
@@ -31,48 +33,41 @@ SegmentCache::SegmentCache(std::uint64_t num_segments,
 int
 SegmentCache::findSegment(BlockNum block) const
 {
-    for (std::size_t i = 0; i < segments_.size(); ++i) {
-        const Segment& s = segments_[i];
-        if (s.valid && block >= s.start && block < s.end)
+    for (std::size_t i = 0; i < start_.size(); ++i)
+        if (holds(i, block))
             return static_cast<int>(i);
-    }
-    return -1;
-}
-
-int
-SegmentCache::findAppendable(BlockNum block) const
-{
-    for (std::size_t i = 0; i < segments_.size(); ++i) {
-        const Segment& s = segments_[i];
-        if (s.valid && s.end == block)
-            return static_cast<int>(i);
-    }
     return -1;
 }
 
 std::uint64_t
-SegmentCache::specBlocks(const Segment& s) const
+SegmentCache::specBlocks(std::size_t i) const
 {
-    if (!s.valid)
-        return 0;
-    const BlockNum lo = std::max(s.start, s.specFrom);
-    return lo < s.end ? s.end - lo : 0;
+    const BlockNum lo = std::max(start_[i], specFrom_[i]);
+    return lo < end_[i] ? end_[i] - lo : 0;
 }
 
 void
-SegmentCache::consumeSpec(Segment& s, BlockNum c_lo, BlockNum c_hi)
+SegmentCache::consumeSpec(std::size_t i, BlockNum c_lo, BlockNum c_hi)
 {
-    const BlockNum spec_lo = std::max(s.start, s.specFrom);
-    if (spec_lo >= s.end || c_hi <= spec_lo)
+    const BlockNum spec_lo = std::max(start_[i], specFrom_[i]);
+    if (spec_lo >= end_[i] || c_hi <= spec_lo)
         return;
-    const BlockNum hi = std::min(c_hi, s.end);
+    const BlockNum hi = std::min(c_hi, end_[i]);
     // Blocks [spec_lo, hi) leave the speculative state: those at or
     // after c_lo were consumed, those before were skipped over by a
     // non-sequential access and will not hit sequentially again.
     ra_.specUsed += hi - std::max(c_lo, spec_lo);
     if (c_lo > spec_lo)
         ra_.specWasted += c_lo - spec_lo;
-    s.specFrom = std::max(s.specFrom, hi);
+    specFrom_[i] = std::max(specFrom_[i], hi);
+}
+
+void
+SegmentCache::drop(std::size_t i)
+{
+    start_[i] = kNone;
+    end_[i] = kNone;
+    --validCount_;
 }
 
 std::uint64_t
@@ -82,23 +77,56 @@ SegmentCache::lookupPrefix(BlockNum start, std::uint64_t count)
     const int idx = findSegment(start);
     if (idx < 0)
         return 0;
-    Segment& s = segments_[static_cast<std::size_t>(idx)];
-    s.lastUse = clock_;
-    const std::uint64_t in_seg = s.end - start;
-    std::uint64_t hits = std::min(count, in_seg);
-    consumeSpec(s, start, start + hits);
+    const auto i = static_cast<std::size_t>(idx);
+    lastUse_[i] = clock_;
+    std::uint64_t hits = std::min(count, end_[i] - start);
+    consumeSpec(i, start, start + hits);
     // The run may continue in an adjacent segment (stream split after
     // a very large read); follow it.
     while (hits < count) {
         const int nxt = findSegment(start + hits);
         if (nxt < 0)
             break;
-        Segment& n = segments_[static_cast<std::size_t>(nxt)];
-        n.lastUse = clock_;
+        const auto n = static_cast<std::size_t>(nxt);
+        lastUse_[n] = clock_;
         const std::uint64_t more =
-            std::min(count - hits, n.end - (start + hits));
+            std::min(count - hits, end_[n] - (start + hits));
         consumeSpec(n, start + hits, start + hits + more);
         hits += more;
+    }
+    return hits;
+}
+
+std::uint64_t
+SegmentCache::lookupPrefixBlockwise(BlockNum start, std::uint64_t count)
+{
+    std::uint64_t hits = 0;
+    while (hits < count) {
+        const BlockNum b = start + hits;
+        // The per-block call would pick the lowest-index segment
+        // holding b, and keep picking it until its run ends or a
+        // lower-index segment that does not hold b yet starts.
+        BlockNum limit = kNone;
+        std::size_t i = 0;
+        for (; i < start_.size(); ++i) {
+            if (holds(i, b))
+                break;
+            if (start_[i] > b)
+                limit = std::min(limit, start_[i]);
+        }
+        if (i == start_.size()) {
+            ++clock_;   // The terminating miss ticks once.
+            break;
+        }
+        limit = std::min(limit, end_[i]);
+        // n per-block hits tick the clock n times, leave the last
+        // tick in lastUse, and consume [b, b + n) one block at a
+        // time, which consumeSpec sums exactly.
+        const std::uint64_t n = std::min(count - hits, limit - b);
+        clock_ += n;
+        lastUse_[i] = clock_;
+        consumeSpec(i, b, b + n);
+        hits += n;
     }
     return hits;
 }
@@ -113,32 +141,26 @@ std::size_t
 SegmentCache::pickVictim()
 {
     // Prefer an unused segment (skip the scan when all are valid).
-    if (validCount_ < segments_.size())
-        for (std::size_t i = 0; i < segments_.size(); ++i)
-            if (!segments_[i].valid)
+    if (validCount_ < start_.size())
+        for (std::size_t i = 0; i < start_.size(); ++i)
+            if (!isValid(i))
                 return i;
 
     ++replacements_;
     switch (policy_) {
-      case SegmentPolicy::LRU: {
-        std::size_t best = 0;
-        for (std::size_t i = 1; i < segments_.size(); ++i)
-            if (segments_[i].lastUse < segments_[best].lastUse)
-                best = i;
-        return best;
-      }
-      case SegmentPolicy::FIFO: {
-        std::size_t best = 0;
-        for (std::size_t i = 1; i < segments_.size(); ++i)
-            if (segments_[i].created < segments_[best].created)
-                best = i;
-        return best;
-      }
+      case SegmentPolicy::LRU:
+        return static_cast<std::size_t>(
+            std::min_element(lastUse_.begin(), lastUse_.end()) -
+            lastUse_.begin());
+      case SegmentPolicy::FIFO:
+        return static_cast<std::size_t>(
+            std::min_element(created_.begin(), created_.end()) -
+            created_.begin());
       case SegmentPolicy::Random:
-        return static_cast<std::size_t>(rng_.below(segments_.size()));
+        return static_cast<std::size_t>(rng_.below(start_.size()));
       case SegmentPolicy::RoundRobin: {
         const std::size_t v = rrCursor_;
-        rrCursor_ = (rrCursor_ + 1) % segments_.size();
+        rrCursor_ = (rrCursor_ + 1) % start_.size();
         return v;
       }
     }
@@ -159,71 +181,64 @@ SegmentCache::insertRun(BlockNum start, std::uint64_t count,
     // Stream continuation: extend the segment that ends where this run
     // starts (the segment keeps only its most recent segmentBlocks_),
     // or fall back to a segment already containing the run start
-    // (re-read). One scan finds both candidates; appendable wins,
-    // matching the findAppendable-then-findSegment pair it replaces.
+    // (re-read). One scan finds both candidates; appendable wins.
     int idx = -1;
     int containing = -1;
-    for (std::size_t i = 0; i < segments_.size(); ++i) {
-        const Segment& s = segments_[i];
-        if (!s.valid)
-            continue;
-        if (s.end == start) {
+    for (std::size_t i = 0; i < start_.size(); ++i) {
+        if (end_[i] == start) {
             idx = static_cast<int>(i);
             break;
         }
-        if (containing < 0 && start >= s.start && start < s.end)
+        if (containing < 0 && holds(i, start))
             containing = static_cast<int>(i);
     }
     if (idx < 0)
         idx = containing;
     if (idx >= 0) {
-        Segment& s = segments_[static_cast<std::size_t>(idx)];
+        const auto i = static_cast<std::size_t>(idx);
         // Retire any old unconsumed read-ahead the demand portion
         // overlaps or skips: blocks the host demanded count as used,
         // blocks jumped over count as wasted.
-        const BlockNum spec_lo = std::max(s.start, s.specFrom);
-        if (spec_lo < s.end && run_spec_lo > spec_lo) {
-            const BlockNum hi = std::min(run_spec_lo, s.end);
+        const BlockNum spec_lo = std::max(start_[i], specFrom_[i]);
+        if (spec_lo < end_[i] && run_spec_lo > spec_lo) {
+            const BlockNum hi = std::min(run_spec_lo, end_[i]);
             ra_.specUsed += hi - std::max(start, spec_lo);
             if (start > spec_lo)
                 ra_.specWasted += std::min(start, hi) - spec_lo;
         }
-        const BlockNum old_end = s.end;
-        s.end = std::max(s.end, run_end);
-        if (s.end > old_end) {
+        const BlockNum old_end = end_[i];
+        end_[i] = std::max(end_[i], run_end);
+        if (end_[i] > old_end) {
             const BlockNum new_lo = std::max(old_end, run_spec_lo);
-            if (s.end > new_lo)
-                ra_.specInserted += s.end - new_lo;
+            if (end_[i] > new_lo)
+                ra_.specInserted += end_[i] - new_lo;
         }
-        s.specFrom = std::max(s.specFrom, run_spec_lo);
-        if (s.end - s.start > segmentBlocks_) {
-            const BlockNum new_start = s.end - segmentBlocks_;
-            const BlockNum trim_spec =
-                std::max(s.start, s.specFrom);
+        specFrom_[i] = std::max(specFrom_[i], run_spec_lo);
+        if (end_[i] - start_[i] > segmentBlocks_) {
+            const BlockNum new_start = end_[i] - segmentBlocks_;
+            const BlockNum trim_spec = std::max(start_[i], specFrom_[i]);
             if (trim_spec < new_start)
                 ra_.specWasted += new_start - trim_spec;
-            s.start = new_start;
-            s.specFrom = std::max(s.specFrom, new_start);
+            start_[i] = new_start;
+            specFrom_[i] = std::max(specFrom_[i], new_start);
         }
-        s.lastUse = clock_;
+        lastUse_[i] = clock_;
         return;
     }
 
     // New stream: take a whole victim segment.
     const std::size_t v = pickVictim();
-    Segment& s = segments_[v];
-    if (s.valid)
-        ra_.specWasted += specBlocks(s);
+    if (isValid(v))
+        ra_.specWasted += specBlocks(v);
     else
         ++validCount_;
-    s.valid = true;
-    s.end = run_end;
-    s.start = count > segmentBlocks_ ? s.end - segmentBlocks_ : start;
-    s.specFrom = std::max(run_spec_lo, s.start);
-    if (s.end > s.specFrom)
-        ra_.specInserted += s.end - s.specFrom;
-    s.lastUse = clock_;
-    s.created = clock_;
+    end_[v] = run_end;
+    start_[v] = count > segmentBlocks_ ? run_end - segmentBlocks_ : start;
+    specFrom_[v] = std::max(run_spec_lo, start_[v]);
+    if (end_[v] > specFrom_[v])
+        ra_.specInserted += end_[v] - specFrom_[v];
+    lastUse_[v] = clock_;
+    created_[v] = clock_;
 }
 
 void
@@ -231,29 +246,27 @@ SegmentCache::invalidateRange(BlockNum start, std::uint64_t count)
 {
     const BlockNum lo = start;
     const BlockNum hi = start + count;
-    for (Segment& s : segments_) {
-        if (!s.valid || hi <= s.start || lo >= s.end)
+    for (std::size_t i = 0; i < start_.size(); ++i) {
+        // An unused segment starts at kNone, past any hi.
+        if (hi <= start_[i] || lo >= end_[i])
             continue;
         // Unconsumed read-ahead dropped by the invalidation is wasted.
-        const BlockNum spec_lo = std::max(s.start, s.specFrom);
-        if (lo <= s.start && hi >= s.end) {
-            ra_.specWasted += specBlocks(s);
-            s.valid = false;            // Fully covered.
-            --validCount_;
-        } else if (lo <= s.start) {
-            if (spec_lo < hi && spec_lo < s.end)
-                ra_.specWasted += std::min(hi, s.end) - spec_lo;
-            s.start = hi;               // Head overlap.
-            s.specFrom = std::max(s.specFrom, hi);
+        const BlockNum spec_lo = std::max(start_[i], specFrom_[i]);
+        if (lo <= start_[i] && hi >= end_[i]) {
+            ra_.specWasted += specBlocks(i);
+            drop(i);                    // Fully covered.
+        } else if (lo <= start_[i]) {
+            if (spec_lo < hi && spec_lo < end_[i])
+                ra_.specWasted += std::min(hi, end_[i]) - spec_lo;
+            start_[i] = hi;             // Head overlap.
+            specFrom_[i] = std::max(specFrom_[i], hi);
         } else {
-            if (std::max(spec_lo, lo) < s.end)
-                ra_.specWasted += s.end - std::max(spec_lo, lo);
-            s.end = lo;                 // Tail (or middle) overlap:
+            if (std::max(spec_lo, lo) < end_[i])
+                ra_.specWasted += end_[i] - std::max(spec_lo, lo);
+            end_[i] = lo;               // Tail (or middle) overlap:
         }                               // drop everything from lo on.
-        if (s.valid && s.start >= s.end) {
-            s.valid = false;
-            --validCount_;
-        }
+        // A partial cut leaves start < hi < end or start < lo = end,
+        // so it never empties the segment.
     }
 }
 
@@ -261,20 +274,9 @@ std::uint64_t
 SegmentCache::usedBlocks() const
 {
     std::uint64_t used = 0;
-    for (const Segment& s : segments_)
-        if (s.valid)
-            used += s.end - s.start;
+    for (std::size_t i = 0; i < start_.size(); ++i)
+        used += end_[i] - start_[i];
     return used;
-}
-
-std::uint64_t
-SegmentCache::activeSegments() const
-{
-    std::uint64_t n = 0;
-    for (const Segment& s : segments_)
-        if (s.valid)
-            ++n;
-    return n;
 }
 
 } // namespace dtsim

@@ -42,6 +42,16 @@ class SegmentCache : public ControllerCache
 
     std::uint64_t lookupPrefix(BlockNum start,
                                std::uint64_t count) override;
+
+    /**
+     * Exactly lookupPrefix(b, 1) for b = start, start + 1, ... while
+     * each call hits, one segment scan per piece instead of per
+     * block: a piece ends where the serving segment ends or where a
+     * lower-index segment (which findSegment prefers) starts.
+     */
+    std::uint64_t lookupPrefixBlockwise(BlockNum start,
+                                        std::uint64_t count) override;
+
     bool contains(BlockNum block) const override;
     using ControllerCache::insertRun;
     void insertRun(BlockNum start, std::uint64_t count,
@@ -51,55 +61,64 @@ class SegmentCache : public ControllerCache
     std::uint64_t
     capacityBlocks() const override
     {
-        return segments_.size() * segmentBlocks_;
+        return start_.size() * segmentBlocks_;
     }
 
     std::uint64_t usedBlocks() const override;
 
     /** Number of segments currently holding data. */
-    std::uint64_t activeSegments() const;
+    std::uint64_t activeSegments() const { return validCount_; }
 
     /** Whole-segment replacements performed so far. */
     std::uint64_t replacements() const { return replacements_; }
 
   private:
-    struct Segment
+    /**
+     * Bounds of an unused segment: the empty interval [kNone, kNone).
+     * Containment is the single unsigned test b - start < end - start,
+     * which an empty interval never passes, and no block a valid run
+     * can append at equals kNone.
+     */
+    static constexpr BlockNum kNone = ~BlockNum{0};
+
+    bool isValid(std::size_t i) const { return start_[i] != kNone; }
+
+    /** True if segment `i` holds `block`. */
+    bool
+    holds(std::size_t i, BlockNum block) const
     {
-        bool valid = false;
-        BlockNum start = 0;     ///< First cached block of the run.
-        BlockNum end = 0;       ///< One past the last cached block.
-        std::uint64_t lastUse = 0;
-        std::uint64_t created = 0;
+        return block - start_[i] < end_[i] - start_[i];
+    }
 
-        /**
-         * Blocks in [max(start, specFrom), end) were read ahead
-         * speculatively and not yet consumed. A run is a contiguous
-         * range, so the unconsumed speculative part is always a
-         * suffix.
-         */
-        BlockNum specFrom = 0;
-    };
-
-    /** Unconsumed speculative blocks in a segment. */
-    std::uint64_t specBlocks(const Segment& s) const;
+    /** Unconsumed speculative blocks in segment `i`. */
+    std::uint64_t specBlocks(std::size_t i) const;
 
     /**
-     * Account for the host consuming [c_lo, c_hi) inside segment `s`:
+     * Account for the host consuming [c_lo, c_hi) inside segment `i`:
      * speculative blocks consumed count as used, speculative blocks
      * skipped over count as wasted.
      */
-    void consumeSpec(Segment& s, BlockNum c_lo, BlockNum c_hi);
+    void consumeSpec(std::size_t i, BlockNum c_lo, BlockNum c_hi);
 
-    /** Index of the segment containing `block`, or -1. */
+    /** Index of the lowest-index segment containing `block`, or -1. */
     int findSegment(BlockNum block) const;
-
-    /** Index of the segment whose run ends exactly at `block`, or -1. */
-    int findAppendable(BlockNum block) const;
 
     /** Pick a victim segment index (an invalid one if any). */
     std::size_t pickVictim();
 
-    std::vector<Segment> segments_;
+    /** Mark segment `i` unused. */
+    void drop(std::size_t i);
+
+    // One entry per segment, structure-of-arrays so each scan touches
+    // only the fields it tests. A valid segment caches the contiguous
+    // run [start_, end_); blocks in [max(start_, specFrom_), end_)
+    // were read ahead speculatively and not yet consumed (a run is
+    // contiguous, so the unconsumed speculative part is a suffix).
+    std::vector<BlockNum> start_;
+    std::vector<BlockNum> end_;
+    std::vector<std::uint64_t> lastUse_;
+    std::vector<std::uint64_t> created_;
+    std::vector<BlockNum> specFrom_;
     std::size_t validCount_ = 0;  ///< pickVictim scan fast path
     std::uint64_t segmentBlocks_;
     SegmentPolicy policy_;

@@ -118,8 +118,9 @@ bindParams(ParamRegistry& reg, SimulationConfig& sim)
                 "(nora), or file-oriented read-ahead (for)");
     reg.add("system.hdc_bytes_per_disk", sys.hdc.budgetBytesPerDisk,
             "HDC pinned-region budget per controller in bytes "
-            "(0 = HDC off; the paper's figures use 2 MiB); "
-            "deprecated alias of hdc.budget_bytes_per_disk");
+            "(0 = HDC off; else a multiple of disk.block_bytes; the "
+            "paper's figures use 2 MiB); deprecated alias of "
+            "hdc.budget_bytes_per_disk");
     reg.addEnum("system.hdc_policy", sys.hdc.policy,
                 hdcPolicyTokens(),
                 "host policy driving the HDC region; deprecated alias "
@@ -317,7 +318,7 @@ bindParams(ParamRegistry& reg, SimulationConfig& sim)
                 "victim cache)");
     reg.add("hdc.budget_bytes_per_disk", h.budgetBytesPerDisk,
             "HDC pinned-region budget per controller in bytes "
-            "(0 = HDC off)");
+            "(0 = HDC off; else a multiple of disk.block_bytes)");
     reg.add("hdc.ghost_blocks", h.victimGhostBlocks,
             "mirrored host-cache size for the victim policy");
     reg.add("hdc.replan_interval_ticks", h.replanIntervalTicks,
@@ -432,10 +433,20 @@ validateConfig(const SimulationConfig& sim)
     // these produce the error before any thread starts running).
     const std::uint64_t hdc_bytes =
         sys.hdc.enabled() ? sys.hdc.budgetBytesPerDisk : 0;
+    // The region holds whole blocks: a remainder would be carved out
+    // of the read-ahead cache and never hold data (a sub-block budget
+    // would even charge HDC lookups for an empty region).
+    check(errs,
+          d.blockSize == 0 || hdc_bytes % d.blockSize == 0,
+          "hdc.budget_bytes_per_disk (" + u64s(hdc_bytes) +
+              ") must be a multiple of disk.block_bytes (" +
+              u64s(d.blockSize) + ")");
     std::uint64_t carved = hdc_bytes;
     std::string carve_what =
         "system.hdc_bytes_per_disk (" + u64s(hdc_bytes) + ")";
-    if (sys.kind == SystemKind::FOR) {
+    // The bitmap's size divides by disk.block_bytes; a zero block size
+    // is reported above.
+    if (sys.kind == SystemKind::FOR && d.blockSize > 0) {
         carved += d.bitmapBytes();
         carve_what += " plus the FOR layout bitmap (" +
                       u64s(d.bitmapBytes()) + ")";

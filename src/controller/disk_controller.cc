@@ -462,16 +462,16 @@ DiskController::insertIntoCache(BlockNum start, std::uint64_t count,
         raCache_->insertRun(start, count, spec_offset);
         return;
     }
-    // Skip pinned blocks: they live in the HDC region already.
+    // Skip pinned blocks: they live in the HDC region already. Each
+    // piece runs up to the next pinned block.
     std::uint64_t i = 0;
     while (i < count) {
-        if (hdc_->contains(start + i)) {
+        const BlockNum pinned = hdc_->nextPinned(start + i);
+        if (pinned == start + i) {
             ++i;
             continue;
         }
-        std::uint64_t j = i + 1;
-        while (j < count && !hdc_->contains(start + j))
-            ++j;
+        const std::uint64_t j = std::min(count, pinned - start);
         // The speculative suffix of the whole run maps onto this
         // piece: everything at or beyond spec_offset is speculative.
         const std::uint64_t spec_in_piece =

@@ -204,12 +204,37 @@ TEST(ConfigValidate, HdcMustLeaveCacheMemory)
     const std::uint64_t usable = sim.system.disk.usableCacheBytes();
     const std::uint64_t bitmap = sim.system.disk.bitmapBytes();
     ASSERT_GT(usable, bitmap);
-    sim.system.hdc.budgetBytesPerDisk = usable - bitmap;
+    // Rounded up to whole blocks, so the budget is a legal one that
+    // still exceeds what FOR leaves.
+    const std::uint64_t block = sim.system.disk.blockSize;
+    sim.system.hdc.budgetBytesPerDisk =
+        (usable - bitmap + block - 1) / block * block;
+    ASSERT_EQ(sim.system.hdc.budgetBytesPerDisk, 3055616u);
     sim.system.kind = SystemKind::Segm;
     EXPECT_EQ(firstError(sim), "");
     sim.system.kind = SystemKind::FOR;
     const std::string err = firstError(sim);
     EXPECT_NE(err.find("FOR layout bitmap"), std::string::npos) << err;
+}
+
+TEST(ConfigValidate, HdcBudgetMustBeWholeBlocks)
+{
+    SimulationConfig sim;
+    // A sub-block budget would leave a 0-block region that still
+    // charges HDC lookups; a ragged one would lose its remainder.
+    for (std::uint64_t bytes : {std::uint64_t{1024}, std::uint64_t{6000}}) {
+        sim.system.hdc.budgetBytesPerDisk = bytes;
+        const std::string err = firstError(sim);
+        EXPECT_NE(err.find("hdc.budget_bytes_per_disk"), std::string::npos)
+            << err;
+        EXPECT_NE(err.find("disk.block_bytes"), std::string::npos) << err;
+    }
+    sim.system.hdc.budgetBytesPerDisk = 8192;
+    EXPECT_EQ(firstError(sim), "");
+    // With the HDC off the budget is unused and not checked.
+    sim.system.hdc.budgetBytesPerDisk = 6000;
+    sim.system.hdc.policy = HdcPolicy::Off;
+    EXPECT_EQ(firstError(sim), "");
 }
 
 TEST(ConfigValidate, MirroringNeedsEvenDisks)
@@ -268,6 +293,17 @@ TEST(ConfigValidate, DegenerateDiskGeometry)
     }
     EXPECT_TRUE(saw_rpm);
     EXPECT_TRUE(saw_cache);
+}
+
+TEST(ConfigValidate, ZeroBlockSizeUnderFor)
+{
+    // The FOR bitmap's size divides by the block size; validation
+    // must report the zero, not divide by it.
+    SimulationConfig sim;
+    sim.system.kind = SystemKind::FOR;
+    sim.system.disk.blockSize = 0;
+    EXPECT_NE(firstError(sim).find("disk.block_bytes"),
+              std::string::npos);
 }
 
 } // namespace

@@ -1,15 +1,16 @@
 /**
  * @file
  * Differential tests proving the slab/flat-table container
- * replacements behave identically to the node-based implementations
- * they replaced.
+ * replacements, and the structure-of-arrays segment cache, behave
+ * identically to the implementations they replaced.
  *
  * Each test keeps a reference implementation built from std::list,
- * std::unordered_map, or std::multimap — the containers the model used
- * before the hot-path optimization — and drives it and the production
- * container with the same randomized, seeded operation stream,
- * asserting every observable output matches: return values, eviction
- * and writeback sequences, pop order, counters, and final contents.
+ * std::unordered_map, std::multimap or an array of structs — what the
+ * model used before the hot-path optimization — and drives it and the
+ * production container with the same randomized, seeded operation
+ * stream, asserting every observable output matches: return values,
+ * eviction and writeback sequences, pop order, counters, and final
+ * contents.
  * The streams are seeded with dtsim::Rng so a failure replays exactly.
  */
 
@@ -18,6 +19,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <deque>
+#include <initializer_list>
 #include <list>
 #include <map>
 #include <memory>
@@ -26,6 +28,7 @@
 
 #include "cache/block_cache.hh"
 #include "cache/hdc_store.hh"
+#include "cache/segment_cache.hh"
 #include "controller/scheduler.hh"
 #include "fs/buffer_cache.hh"
 #include "sim/flat_table.hh"
@@ -211,6 +214,493 @@ TEST(ContainerEquiv, BlockCacheLru)
 {
     for (std::uint64_t seed : {4u, 5u, 6u})
         driveBlockCaches(BlockPolicy::LRU, seed);
+}
+
+// ---------------------------------------------------------------------
+// SegmentCache vs. the array-of-structs reference.
+// ---------------------------------------------------------------------
+
+/**
+ * The segment cache as it was before the structure-of-arrays rewrite:
+ * an array of Segment structs with a `valid` flag, scanned once per
+ * lookup, whose blockwise lookup is the per-block loop
+ * lookupPrefix(b, 1) for b = start, start + 1, ... The accessors
+ * below the model code let driveSegmentCaches aim operations at
+ * segments and check that its streams reach the cases the bulk
+ * lookup has to get right.
+ */
+class RefSegmentCache
+{
+  public:
+    RefSegmentCache(std::uint64_t num_segments,
+                    std::uint64_t segment_blocks, SegmentPolicy policy,
+                    std::uint64_t seed)
+        : segments_(num_segments), segmentBlocks_(segment_blocks),
+          policy_(policy), rng_(seed)
+    {
+    }
+
+    std::uint64_t
+    lookupPrefix(BlockNum start, std::uint64_t count)
+    {
+        ++clock_;
+        const int idx = findSegment(start);
+        if (idx < 0)
+            return 0;
+        Segment& s = segments_[static_cast<std::size_t>(idx)];
+        s.lastUse = clock_;
+        const std::uint64_t in_seg = s.end - start;
+        std::uint64_t hits = std::min(count, in_seg);
+        consumeSpec(s, start, start + hits);
+        while (hits < count) {
+            const int nxt = findSegment(start + hits);
+            if (nxt < 0)
+                break;
+            Segment& n = segments_[static_cast<std::size_t>(nxt)];
+            n.lastUse = clock_;
+            const std::uint64_t more =
+                std::min(count - hits, n.end - (start + hits));
+            consumeSpec(n, start + hits, start + hits + more);
+            hits += more;
+        }
+        return hits;
+    }
+
+    std::uint64_t
+    lookupPrefixBlockwise(BlockNum start, std::uint64_t count)
+    {
+        std::uint64_t hits = 0;
+        while (hits < count && lookupPrefix(start + hits, 1) == 1)
+            ++hits;
+        return hits;
+    }
+
+    bool contains(BlockNum block) const { return findSegment(block) >= 0; }
+
+    void
+    insertRun(BlockNum start, std::uint64_t count,
+              std::uint64_t spec_offset)
+    {
+        if (count == 0)
+            return;
+        ++clock_;
+
+        const BlockNum run_end = start + count;
+        const BlockNum run_spec_lo = start + std::min(spec_offset, count);
+
+        int idx = -1;
+        int containing = -1;
+        for (std::size_t i = 0; i < segments_.size(); ++i) {
+            const Segment& s = segments_[i];
+            if (!s.valid)
+                continue;
+            if (s.end == start) {
+                idx = static_cast<int>(i);
+                break;
+            }
+            if (containing < 0 && start >= s.start && start < s.end)
+                containing = static_cast<int>(i);
+        }
+        if (idx < 0)
+            idx = containing;
+        if (idx >= 0) {
+            Segment& s = segments_[static_cast<std::size_t>(idx)];
+            const BlockNum spec_lo = std::max(s.start, s.specFrom);
+            if (spec_lo < s.end && run_spec_lo > spec_lo) {
+                const BlockNum hi = std::min(run_spec_lo, s.end);
+                ra_.specUsed += hi - std::max(start, spec_lo);
+                if (start > spec_lo)
+                    ra_.specWasted += std::min(start, hi) - spec_lo;
+            }
+            const BlockNum old_end = s.end;
+            s.end = std::max(s.end, run_end);
+            if (s.end > old_end) {
+                const BlockNum new_lo = std::max(old_end, run_spec_lo);
+                if (s.end > new_lo)
+                    ra_.specInserted += s.end - new_lo;
+            }
+            s.specFrom = std::max(s.specFrom, run_spec_lo);
+            if (s.end - s.start > segmentBlocks_) {
+                const BlockNum new_start = s.end - segmentBlocks_;
+                const BlockNum trim_spec = std::max(s.start, s.specFrom);
+                if (trim_spec < new_start)
+                    ra_.specWasted += new_start - trim_spec;
+                s.start = new_start;
+                s.specFrom = std::max(s.specFrom, new_start);
+            }
+            s.lastUse = clock_;
+            return;
+        }
+
+        const std::size_t v = pickVictim();
+        Segment& s = segments_[v];
+        if (s.valid)
+            ra_.specWasted += specBlocks(s);
+        else
+            ++validCount_;
+        s.valid = true;
+        s.end = run_end;
+        s.start = count > segmentBlocks_ ? s.end - segmentBlocks_ : start;
+        s.specFrom = std::max(run_spec_lo, s.start);
+        if (s.end > s.specFrom)
+            ra_.specInserted += s.end - s.specFrom;
+        s.lastUse = clock_;
+        s.created = clock_;
+    }
+
+    void
+    invalidateRange(BlockNum start, std::uint64_t count)
+    {
+        const BlockNum lo = start;
+        const BlockNum hi = start + count;
+        for (Segment& s : segments_) {
+            if (!s.valid || hi <= s.start || lo >= s.end)
+                continue;
+            const BlockNum spec_lo = std::max(s.start, s.specFrom);
+            if (lo <= s.start && hi >= s.end) {
+                ra_.specWasted += specBlocks(s);
+                s.valid = false;
+                --validCount_;
+            } else if (lo <= s.start) {
+                if (spec_lo < hi && spec_lo < s.end)
+                    ra_.specWasted += std::min(hi, s.end) - spec_lo;
+                s.start = hi;
+                s.specFrom = std::max(s.specFrom, hi);
+            } else {
+                if (std::max(spec_lo, lo) < s.end)
+                    ra_.specWasted += s.end - std::max(spec_lo, lo);
+                s.end = lo;
+            }
+            if (s.valid && s.start >= s.end) {
+                s.valid = false;
+                --validCount_;
+            }
+        }
+    }
+
+    std::uint64_t
+    usedBlocks() const
+    {
+        std::uint64_t used = 0;
+        for (const Segment& s : segments_)
+            if (s.valid)
+                used += s.end - s.start;
+        return used;
+    }
+
+    std::uint64_t
+    activeSegments() const
+    {
+        std::uint64_t n = 0;
+        for (const Segment& s : segments_)
+            if (s.valid)
+                ++n;
+        return n;
+    }
+
+    std::uint64_t replacements() const { return replacements_; }
+    const RaCounters& raCounters() const { return ra_; }
+
+    // Views of the segment table for driveSegmentCaches.
+    std::size_t size() const { return segments_.size(); }
+    bool valid(std::size_t i) const { return segments_[i].valid; }
+    BlockNum start(std::size_t i) const { return segments_[i].start; }
+    BlockNum end(std::size_t i) const { return segments_[i].end; }
+
+    int
+    findSegment(BlockNum block) const
+    {
+        for (std::size_t i = 0; i < segments_.size(); ++i) {
+            const Segment& s = segments_[i];
+            if (s.valid && block >= s.start && block < s.end)
+                return static_cast<int>(i);
+        }
+        return -1;
+    }
+
+  private:
+    struct Segment
+    {
+        bool valid = false;
+        BlockNum start = 0;
+        BlockNum end = 0;
+        std::uint64_t lastUse = 0;
+        std::uint64_t created = 0;
+        BlockNum specFrom = 0;
+    };
+
+    std::uint64_t
+    specBlocks(const Segment& s) const
+    {
+        if (!s.valid)
+            return 0;
+        const BlockNum lo = std::max(s.start, s.specFrom);
+        return lo < s.end ? s.end - lo : 0;
+    }
+
+    void
+    consumeSpec(Segment& s, BlockNum c_lo, BlockNum c_hi)
+    {
+        const BlockNum spec_lo = std::max(s.start, s.specFrom);
+        if (spec_lo >= s.end || c_hi <= spec_lo)
+            return;
+        const BlockNum hi = std::min(c_hi, s.end);
+        ra_.specUsed += hi - std::max(c_lo, spec_lo);
+        if (c_lo > spec_lo)
+            ra_.specWasted += c_lo - spec_lo;
+        s.specFrom = std::max(s.specFrom, hi);
+    }
+
+    std::size_t
+    pickVictim()
+    {
+        if (validCount_ < segments_.size())
+            for (std::size_t i = 0; i < segments_.size(); ++i)
+                if (!segments_[i].valid)
+                    return i;
+
+        ++replacements_;
+        switch (policy_) {
+          case SegmentPolicy::LRU: {
+            std::size_t best = 0;
+            for (std::size_t i = 1; i < segments_.size(); ++i)
+                if (segments_[i].lastUse < segments_[best].lastUse)
+                    best = i;
+            return best;
+          }
+          case SegmentPolicy::FIFO: {
+            std::size_t best = 0;
+            for (std::size_t i = 1; i < segments_.size(); ++i)
+                if (segments_[i].created < segments_[best].created)
+                    best = i;
+            return best;
+          }
+          case SegmentPolicy::Random:
+            return static_cast<std::size_t>(
+                rng_.below(segments_.size()));
+          case SegmentPolicy::RoundRobin: {
+            const std::size_t v = rrCursor_;
+            rrCursor_ = (rrCursor_ + 1) % segments_.size();
+            return v;
+          }
+        }
+        return 0;
+    }
+
+    std::vector<Segment> segments_;
+    std::size_t validCount_ = 0;
+    std::uint64_t segmentBlocks_;
+    SegmentPolicy policy_;
+    Rng rng_;
+    std::uint64_t clock_ = 0;
+    std::uint64_t replacements_ = 0;
+    std::size_t rrCursor_ = 0;
+    RaCounters ra_;
+};
+
+/** How often a segment-cache op stream reached each hard case. */
+struct SegmentCoverage
+{
+    std::uint64_t longRuns = 0;        ///< a hit run longer than a segment
+    std::uint64_t overlaps = 0;        ///< two valid segments overlapped
+    std::uint64_t lowerStarts = 0;     ///< lower-index segment took over
+    std::uint64_t headCuts = 0;
+    std::uint64_t tailCuts = 0;
+    std::uint64_t middleCuts = 0;
+    std::uint64_t fullCuts = 0;
+};
+
+/** True if two valid segments of `ref` share a block. */
+bool
+anyOverlap(const RefSegmentCache& ref)
+{
+    for (std::size_t i = 0; i < ref.size(); ++i)
+        for (std::size_t j = i + 1; j < ref.size(); ++j)
+            if (ref.valid(i) && ref.valid(j) &&
+                ref.start(i) < ref.end(j) && ref.start(j) < ref.end(i))
+                return true;
+    return false;
+}
+
+/** A random valid segment of `ref`, or -1 if none is valid. */
+int
+pickSegment(const RefSegmentCache& ref, Rng& rng)
+{
+    const std::size_t first = rng.below(ref.size());
+    for (std::size_t k = 0; k < ref.size(); ++k) {
+        const std::size_t i = (first + k) % ref.size();
+        if (ref.valid(i))
+            return static_cast<int>(i);
+    }
+    return -1;
+}
+
+void
+driveSegmentCaches(SegmentPolicy policy, std::uint64_t seed,
+                   SegmentCoverage& cov)
+{
+    constexpr std::uint64_t kSegments = 6;
+    constexpr std::uint64_t kSegBlocks = 8;
+    constexpr BlockNum kSpace = 96;
+
+    SegmentCache real(kSegments, kSegBlocks, policy, seed);
+    RefSegmentCache ref(kSegments, kSegBlocks, policy, seed);
+    Rng rng(seed * 7919 + 1);
+
+    for (int op = 0; op < 20000; ++op) {
+        const int seg = pickSegment(ref, rng);
+        const bool aim = seg >= 0 && rng.chance(0.6);
+        const std::size_t s = aim ? static_cast<std::size_t>(seg) : 0;
+        BlockNum start = rng.below(kSpace);
+        const std::uint64_t count = 1 + rng.below(kSegBlocks * 5 / 2);
+        switch (rng.below(8)) {
+          case 0:
+          case 1:
+          case 2: {
+            // Stream continuations append at a segment's end.
+            if (aim)
+                start = ref.end(s);
+            const std::uint64_t spec = rng.below(count + 1);
+            real.insertRun(start, count, spec);
+            ref.insertRun(start, count, spec);
+            break;
+          }
+          case 3:
+            if (aim)
+                start = ref.start(s) +
+                        rng.below(ref.end(s) - ref.start(s));
+            ASSERT_EQ(real.lookupPrefix(start, count),
+                      ref.lookupPrefix(start, count))
+                << "op " << op << " seed " << seed;
+            break;
+          case 4:
+          case 5: {
+            if (aim)
+                start = ref.start(s) +
+                        rng.below(ref.end(s) - ref.start(s));
+            // Which segment serves each block, before the lookup.
+            std::vector<int> owner(count);
+            for (std::uint64_t k = 0; k < count; ++k)
+                owner[k] = ref.findSegment(start + k);
+            const std::uint64_t hits =
+                ref.lookupPrefixBlockwise(start, count);
+            ASSERT_EQ(real.lookupPrefixBlockwise(start, count), hits)
+                << "op " << op << " seed " << seed;
+            if (hits > kSegBlocks)
+                ++cov.longRuns;
+            for (std::uint64_t k = 1; k < hits; ++k)
+                if (owner[k] < owner[k - 1] &&
+                    ref.start(static_cast<std::size_t>(owner[k])) ==
+                        start + k)
+                    ++cov.lowerStarts;
+            break;
+          }
+          case 6: {
+            std::uint64_t n = count;
+            if (aim) {
+                // Cut the head, the tail, the middle, or all of a
+                // segment.
+                const BlockNum lo = ref.start(s);
+                const BlockNum hi = ref.end(s);
+                const std::uint64_t len = hi - lo;
+                switch (rng.below(4)) {
+                  case 0:
+                    start = lo - std::min<BlockNum>(lo, rng.below(3));
+                    n = lo - start + 1 + rng.below(len);
+                    break;
+                  case 1:
+                    start = lo + rng.below(len);
+                    n = hi - start + rng.below(3);
+                    break;
+                  case 2:
+                    start = lo + rng.below(len);
+                    n = 1 + rng.below(hi - start);
+                    break;
+                  default:
+                    start = lo - std::min<BlockNum>(lo, rng.below(3));
+                    n = hi - start + rng.below(3);
+                    break;
+                }
+                const BlockNum cut_hi = start + n;
+                if (start <= lo && cut_hi >= hi)
+                    ++cov.fullCuts;
+                else if (start <= lo)
+                    ++cov.headCuts;
+                else if (cut_hi >= hi)
+                    ++cov.tailCuts;
+                else
+                    ++cov.middleCuts;
+            }
+            real.invalidateRange(start, n);
+            ref.invalidateRange(start, n);
+            break;
+          }
+          case 7:
+            for (BlockNum b = start; b < start + count; ++b)
+                ASSERT_EQ(real.contains(b), ref.contains(b))
+                    << "op " << op << " block " << b;
+            break;
+        }
+        if (anyOverlap(ref))
+            ++cov.overlaps;
+        ASSERT_EQ(real.raCounters().specInserted,
+                  ref.raCounters().specInserted)
+            << "op " << op << " seed " << seed;
+        ASSERT_EQ(real.raCounters().specUsed, ref.raCounters().specUsed)
+            << "op " << op << " seed " << seed;
+        ASSERT_EQ(real.raCounters().specWasted,
+                  ref.raCounters().specWasted)
+            << "op " << op << " seed " << seed;
+        ASSERT_EQ(real.usedBlocks(), ref.usedBlocks())
+            << "op " << op << " seed " << seed;
+        ASSERT_EQ(real.activeSegments(), ref.activeSegments())
+            << "op " << op << " seed " << seed;
+        ASSERT_EQ(real.replacements(), ref.replacements())
+            << "op " << op << " seed " << seed;
+    }
+    for (BlockNum b = 0; b < kSpace + 3 * kSegBlocks; ++b)
+        ASSERT_EQ(real.contains(b), ref.contains(b)) << "block " << b;
+}
+
+void
+expectSegmentCoverage(SegmentPolicy policy,
+                      std::initializer_list<std::uint64_t> seeds)
+{
+    SegmentCoverage cov;
+    for (std::uint64_t seed : seeds) {
+        driveSegmentCaches(policy, seed, cov);
+        if (::testing::Test::HasFatalFailure())
+            return;
+    }
+    // The streams must reach every case the bulk lookup and the
+    // layout have to get right, not only the easy ones.
+    EXPECT_GT(cov.longRuns, 0u);
+    EXPECT_GT(cov.overlaps, 0u);
+    EXPECT_GT(cov.lowerStarts, 0u);
+    EXPECT_GT(cov.headCuts, 0u);
+    EXPECT_GT(cov.tailCuts, 0u);
+    EXPECT_GT(cov.middleCuts, 0u);
+    EXPECT_GT(cov.fullCuts, 0u);
+}
+
+TEST(ContainerEquiv, SegmentCacheLru)
+{
+    expectSegmentCoverage(SegmentPolicy::LRU, {51u, 52u, 53u});
+}
+
+TEST(ContainerEquiv, SegmentCacheFifo)
+{
+    expectSegmentCoverage(SegmentPolicy::FIFO, {54u, 55u, 56u});
+}
+
+TEST(ContainerEquiv, SegmentCacheRandom)
+{
+    expectSegmentCoverage(SegmentPolicy::Random, {57u, 58u, 59u});
+}
+
+TEST(ContainerEquiv, SegmentCacheRoundRobin)
+{
+    expectSegmentCoverage(SegmentPolicy::RoundRobin, {60u, 61u, 62u});
 }
 
 // ---------------------------------------------------------------------

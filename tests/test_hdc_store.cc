@@ -5,6 +5,7 @@
 #include <algorithm>
 
 #include "cache/hdc_store.hh"
+#include "sim/rng.hh"
 
 namespace dtsim {
 namespace {
@@ -104,6 +105,48 @@ TEST(HdcStore, PrefixPinned)
     EXPECT_EQ(h.prefixPinned(13, 2), 0u);
     EXPECT_TRUE(h.allPinned(10, 3));
     EXPECT_FALSE(h.allPinned(10, 4));
+}
+
+TEST(HdcStore, NextPinned)
+{
+    HdcStore h(8);
+    EXPECT_EQ(h.nextPinned(0), HdcStore::kNoPinned);
+    h.pin(14);
+    h.pin(10);
+    EXPECT_EQ(h.nextPinned(0), 10u);
+    EXPECT_EQ(h.nextPinned(10), 10u);
+    EXPECT_EQ(h.nextPinned(11), 14u);
+    EXPECT_EQ(h.nextPinned(15), HdcStore::kNoPinned);
+    h.unpin(10);
+    EXPECT_EQ(h.nextPinned(0), 14u);
+}
+
+TEST(HdcStore, NextPinnedAgreesWithContainsUnderChurn)
+{
+    // nextPinned(b) must be the first block at or after b that
+    // contains() reports, through any sequence of pins (some
+    // rejected: full or duplicate) and unpins (some of absent
+    // blocks).
+    constexpr std::uint64_t kCapacity = 24;
+    constexpr BlockNum kSpace = 128;
+    for (std::uint64_t seed : {71u, 72u, 73u}) {
+        HdcStore h(kCapacity);
+        Rng rng(seed);
+        for (int op = 0; op < 5000; ++op) {
+            const BlockNum b = rng.below(kSpace);
+            if (rng.below(5) < 3)
+                h.pin(b);
+            else
+                h.unpin(b);
+            const BlockNum q = rng.below(kSpace + 8);
+            BlockNum want = q;
+            while (want < kSpace && !h.contains(want))
+                ++want;
+            ASSERT_EQ(h.nextPinned(q),
+                      want < kSpace ? want : HdcStore::kNoPinned)
+                << "op " << op << " seed " << seed << " block " << q;
+        }
+    }
 }
 
 TEST(HdcStore, ZeroCapacityPinsNothing)

@@ -22,6 +22,7 @@
 #include <functional>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "core/experiment.hh"
 #include "stats/trace.hh"
@@ -148,6 +149,29 @@ TEST(SerialDumpDigest, Fig11FileServerStriping)
     sim.system.stripeUnitBytes = 16 * kKiB;
     DigestCase c(std::move(sim));
     EXPECT_DIGEST(c.dump(), "fa16bb69e81c63b3");
+}
+
+TEST(SerialDumpDigest, FileSegmSegmentPolicies)
+{
+    // Every other case runs Segm under LRU; these pin the victim
+    // scans of the other three segment policies.
+    const std::pair<SegmentPolicy, const char*> cases[] = {
+        {SegmentPolicy::FIFO, "a9fecc7fc6f1a629"},
+        {SegmentPolicy::Random, "bfc98a5b9d0b6a02"},
+        {SegmentPolicy::RoundRobin, "9dea7db1ee5eafcb"},
+    };
+    for (const auto& [policy, expected] : cases) {
+        SimulationConfig sim;
+        sim.workload = WorkloadKind::File;
+        sim.scale = kScale;
+        sim.system.kind = SystemKind::Segm;
+        sim.system.disks = 4;
+        sim.system.stripeUnitBytes = 128 * kKiB;
+        sim.system.segmentPolicy = policy;
+        DigestCase c(std::move(sim));
+        EXPECT_DIGEST(c.dump(), expected)
+            << "policy " << segmentPolicyName(policy);
+    }
 }
 
 TEST(SerialDumpDigest, AblationSchedulerAndZones)
