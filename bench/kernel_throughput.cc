@@ -28,6 +28,7 @@
 #include "core/experiment.hh"
 #include "core/sweep.hh"
 #include "sim/event_queue.hh"
+#include "sim/host_threads.hh"
 #include "sim/logging.hh"
 #include "workload/synthetic.hh"
 
@@ -258,7 +259,7 @@ main()
     // DTSIM_JOBS if set, hardware concurrency otherwise — and
     // recorded in the tracked JSON, so a reader can tell what the
     // speedup was measured with.
-    const unsigned n_jobs = sweepJobs();
+    const unsigned n_jobs = hostThreads();
     const unsigned hw = std::thread::hardware_concurrency();
 
     auto start = std::chrono::steady_clock::now();

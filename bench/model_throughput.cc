@@ -32,6 +32,7 @@
 #include "bench/bench_util.hh"
 #include "core/sweep.hh"
 #include "core/sweep_driver.hh"
+#include "sim/host_threads.hh"
 #include "sim/logging.hh"
 
 using namespace dtsim;
@@ -209,7 +210,7 @@ main()
     bench::printHeader("Model throughput (end-to-end simulation)");
 
     const double scale = bench::workloadScale();
-    const unsigned jobs = sweepJobs();
+    const unsigned jobs = hostThreads();
     const unsigned repeats = benchRepeats();
     const bool at_seed_scale = scale == kSeedScale;
     std::printf("min of %u repeat(s) per measurement\n", repeats);

@@ -22,6 +22,18 @@ workloadKindTokens()
     return t;
 }
 
+ServerModelParams
+serverPreset(WorkloadKind kind, double scale)
+{
+    switch (kind) {
+      case WorkloadKind::Web: return webServerParams(scale);
+      case WorkloadKind::Proxy: return proxyServerParams(scale);
+      case WorkloadKind::File: return fileServerParams(scale);
+      case WorkloadKind::Synthetic: break;
+    }
+    panic("serverPreset: not a server workload");
+}
+
 const EnumTable<SystemKind>&
 systemKindTokens()
 {
@@ -515,6 +527,16 @@ validateConfig(const SimulationConfig& sim)
     const bool server = sim.workload != WorkloadKind::Synthetic;
     check(errs, !server || sim.scale > 0,
           "workload.scale must be > 0 for server workloads");
+    // Job ids are 32-bit; the trace numbers every request, periodic
+    // sync and day boundary.
+    check(errs,
+          !server || !(sim.scale > 0) ||
+              jobIdsFit(serverPreset(sim.workload, sim.scale)),
+          "workload.scale (" + config::formatValue(sim.scale) +
+              ") gives the " +
+              workloadKindTokens().format(sim.workload) +
+              " model more requests, syncs and days than 32-bit job "
+              "ids can number");
 
     const OutputConfig& out = sim.output;
     check(errs,

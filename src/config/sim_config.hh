@@ -20,6 +20,7 @@
 #include "core/system.hh"
 #include "stats/stats_sink.hh"
 #include "stats/trace.hh"
+#include "workload/server_models.hh"
 #include "workload/synthetic.hh"
 
 namespace dtsim {
@@ -58,6 +59,9 @@ struct SimulationConfig
     SyntheticParams synthetic;
     OutputConfig output;
 };
+
+/** The server-model preset of a server workload kind at `scale`. */
+ServerModelParams serverPreset(WorkloadKind kind, double scale);
 
 /** Token tables shared by the registry, the CLI, and the loader. */
 const config::EnumTable<WorkloadKind>& workloadKindTokens();

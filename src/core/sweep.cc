@@ -1,26 +1,14 @@
 #include "core/sweep.hh"
 
 #include "core/run_impl.hh"
+#include "sim/host_threads.hh"
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <exception>
 #include <thread>
 
 namespace dtsim {
-
-unsigned
-sweepJobs()
-{
-    if (const char* env = std::getenv("DTSIM_JOBS")) {
-        const long n = std::strtol(env, nullptr, 10);
-        if (n > 0)
-            return static_cast<unsigned>(n);
-    }
-    const unsigned hw = std::thread::hardware_concurrency();
-    return hw > 0 ? hw : 1;
-}
 
 std::vector<RunResult>
 runSweep(const std::vector<SweepJob>& jobs, unsigned threads)
@@ -30,7 +18,7 @@ runSweep(const std::vector<SweepJob>& jobs, unsigned threads)
         return results;
 
     if (threads == 0)
-        threads = sweepJobs();
+        threads = hostThreads();
     if (threads > jobs.size())
         threads = static_cast<unsigned>(jobs.size());
 

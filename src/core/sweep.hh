@@ -48,18 +48,13 @@ struct SweepJob
 };
 
 /**
- * The sweep thread count: DTSIM_JOBS when set to a positive integer,
- * otherwise std::thread::hardware_concurrency() (minimum 1).
- */
-unsigned sweepJobs();
-
-/**
  * Run every job and return results in job order.
  *
  * Jobs are dispatched to a pool of `threads` worker threads (0 means
- * sweepJobs()). Each job is fully independent, so results are
- * bit-identical regardless of the thread count; with one thread the
- * jobs run inline on the calling thread.
+ * hostThreads(): DTSIM_JOBS, else the hardware concurrency). Each job
+ * is fully independent, so results are bit-identical regardless of the
+ * thread count; with one thread the jobs run inline on the calling
+ * thread.
  *
  * If a job throws (e.g. a misconfigured system), the first exception
  * in job order is rethrown on the calling thread after all workers

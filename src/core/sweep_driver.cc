@@ -11,23 +11,6 @@
 
 namespace dtsim {
 
-namespace {
-
-/** The server-model preset for a workload kind at `scale`. */
-ServerModelParams
-serverPreset(WorkloadKind kind, double scale)
-{
-    switch (kind) {
-      case WorkloadKind::Web: return webServerParams(scale);
-      case WorkloadKind::Proxy: return proxyServerParams(scale);
-      case WorkloadKind::File: return fileServerParams(scale);
-      case WorkloadKind::Synthetic: break;
-    }
-    panic("serverPreset: not a server workload");
-}
-
-} // namespace
-
 BuiltWorkload
 buildWorkload(const SimulationConfig& sim)
 {

@@ -58,6 +58,7 @@ BufferCache::install(ArrayBlock block,
         Ops::moveToFront(slab_, lru_, *slot);
         return;
     }
+    assert(block >> 63 == 0 && "block does not fit an Entry");
     if (map_.size() >= capacity_)
         evictOne(writebacks);
     const std::uint32_t n = slab_.allocate();
@@ -83,6 +84,7 @@ BufferCache::write(ArrayBlock block,
         Ops::moveToFront(slab_, lru_, *slot);
         return true;
     }
+    assert(block >> 63 == 0 && "block does not fit an Entry");
     if (map_.size() >= capacity_)
         evictOne(writebacks);
     const std::uint32_t n = slab_.allocate();

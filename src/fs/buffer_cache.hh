@@ -40,6 +40,19 @@ struct BufferCacheStats
     std::uint64_t evictions = 0;
     std::uint64_t dirtyWritebacks = 0;
 
+    /** Add another cache's counters (caches that split one stream). */
+    BufferCacheStats&
+    operator+=(const BufferCacheStats& o)
+    {
+        readLookups += o.readLookups;
+        readMisses += o.readMisses;
+        writeLookups += o.writeLookups;
+        writeMerges += o.writeMerges;
+        evictions += o.evictions;
+        dirtyWritebacks += o.dirtyWritebacks;
+        return *this;
+    }
+
     /** Fraction of read lookups that hit. */
     double
     readHitRate() const
@@ -129,11 +142,16 @@ class BufferCache
     }
 
   private:
+    /**
+     * A cached block, packed into one word so a slab node is 16
+     * bytes (block numbers stay far below 2^63).
+     */
     struct Entry
     {
-        ArrayBlock block = 0;
-        bool dirty = false;
+        ArrayBlock block : 63 = 0;
+        ArrayBlock dirty : 1 = 0;
     };
+    static_assert(sizeof(Entry) == sizeof(ArrayBlock));
 
     using Ops = SlabListOps<Entry>;
 

@@ -1,12 +1,24 @@
 #include "fs/prefetcher.hh"
 
 #include <algorithm>
+#include <cassert>
+#include <limits>
+
+#include "sim/logging.hh"
 
 namespace dtsim {
 
-Prefetcher::Prefetcher(PrefetchMode mode, std::uint32_t max_blocks)
-    : mode_(mode), maxBlocks_(max_blocks)
+Prefetcher::Prefetcher(std::size_t files, PrefetchMode mode,
+                       std::uint32_t max_blocks)
+    : mode_(mode), maxBlocks_(max_blocks),
+      state_(mode == PrefetchMode::Sequential ? files : 0)
 {
+}
+
+void
+Prefetcher::reset()
+{
+    std::fill(state_.begin(), state_.end(), FileState{});
 }
 
 std::uint64_t
@@ -25,7 +37,8 @@ Prefetcher::plan(std::uint32_t file, std::uint64_t start,
         break;
     }
 
-    FileState& st = *state_.insert(file, FileState{}).first;
+    assert(file < state_.size());
+    FileState& st = state_[file];
     if (start == 0 || start == st.nextExpected) {
         // Sequential: grow the window (doubling from one block).
         st.window = st.window == 0
@@ -39,7 +52,11 @@ Prefetcher::plan(std::uint32_t file, std::uint64_t start,
         std::min<std::uint64_t>(st.window, left);
     // The prefetched blocks are consumed before the next read
     // reaches the disk, so the sequential pattern continues there.
-    st.nextExpected = end + pf;
+    const std::uint64_t next = end + pf;
+    if (next > std::numeric_limits<std::uint32_t>::max())
+        panic("Prefetcher: file %u access ends past block 2^32",
+              file);
+    st.nextExpected = static_cast<std::uint32_t>(next);
     return pf;
 }
 

@@ -12,9 +12,9 @@
 #ifndef DTSIM_FS_PREFETCHER_HH
 #define DTSIM_FS_PREFETCHER_HH
 
+#include <cstddef>
 #include <cstdint>
-
-#include "sim/flat_table.hh"
+#include <vector>
 
 namespace dtsim {
 
@@ -31,10 +31,12 @@ class Prefetcher
 {
   public:
     /**
+     * @param files File ids the planner sees are in [0, files).
      * @param mode Operating mode.
      * @param max_blocks Window cap in blocks (16 = 64 KB default).
      */
-    explicit Prefetcher(PrefetchMode mode = PrefetchMode::Sequential,
+    explicit Prefetcher(std::size_t files,
+                        PrefetchMode mode = PrefetchMode::Sequential,
                         std::uint32_t max_blocks = 16);
 
     /**
@@ -49,12 +51,13 @@ class Prefetcher
                        std::uint64_t file_blocks);
 
     /** Drop all per-file history. */
-    void reset() { state_.clear(); }
+    void reset();
 
   private:
+    /** Kept to 8 bytes: files are shorter than 2^32 blocks. */
     struct FileState
     {
-        std::uint64_t nextExpected = 0;
+        std::uint32_t nextExpected = 0;
         std::uint32_t window = 0;
     };
 
@@ -62,11 +65,11 @@ class Prefetcher
     std::uint32_t maxBlocks_;
 
     /**
-     * file -> window state, probed once per generated access.
-     * Open-addressing keeps the probe allocation-free; the table
-     * grows with the file population (workload-bounded).
+     * Window state indexed by file id, read once per generated
+     * access: one load, no hashing. Sized from the file count, and
+     * only in Sequential mode.
      */
-    FlatTable<FileState> state_;
+    std::vector<FileState> state_;
 };
 
 } // namespace dtsim

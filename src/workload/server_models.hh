@@ -140,12 +140,32 @@ struct ServerWorkload
 };
 
 /**
+ * Whether the model's trace can number its jobs in 32 bits: one id
+ * per request (warmup included), per periodic sync and per day
+ * boundary, plus the final sync.
+ */
+bool jobIdsFit(const ServerModelParams& params);
+
+/**
  * Generate a server workload: build the image, run the file-level
  * request stream through the buffer-cache hierarchy, and record the
- * misses and write-backs as the disk trace.
+ * misses and write-backs as the disk trace. fatal() if
+ * jobIdsFit(params) fails.
+ *
+ * A day boundary puts the buffer cache and the prefetcher back in
+ * their just-built state, so runs of whole days are replayed on up to
+ * hostThreads() - 1 worker threads (sim/host_threads.hh; none when
+ * fewer than 3 are available) and joined in order. The trace and the
+ * statistics are byte-identical for every thread count.
  */
 ServerWorkload makeServerWorkload(const ServerModelParams& params,
                                   std::uint64_t total_blocks);
+
+/**
+ * `requests * scale` as a request count, saturating instead of
+ * overflowing (a NaN saturates too; a negative product gives 0).
+ */
+std::uint64_t scaledRequests(double requests, double scale);
 
 /**
  * Parameter presets calibrated to the paper's three workloads.

@@ -269,6 +269,35 @@ TEST(ConfigValidate, SyntheticRanges)
               std::string::npos);
 }
 
+TEST(ConfigValidate, ScaleMustFitJobIds)
+{
+    // Job ids are 32-bit: web fits up to about scale 2500, file 450,
+    // proxy 5700. A scale far past that would also overflow the
+    // request count itself.
+    SimulationConfig sim;
+    sim.workload = WorkloadKind::Web;
+    sim.scale = 2000;
+    EXPECT_EQ(firstError(sim), "");
+    sim.scale = 3000;
+    EXPECT_NE(firstError(sim).find("workload.scale"), std::string::npos);
+
+    sim.workload = WorkloadKind::File;
+    sim.scale = 400;
+    EXPECT_EQ(firstError(sim), "");
+    sim.scale = 500;
+    EXPECT_NE(firstError(sim).find("workload.scale"), std::string::npos);
+
+    sim.workload = WorkloadKind::Proxy;
+    sim.scale = 5000;
+    EXPECT_EQ(firstError(sim), "");
+    sim.scale = 1e300;
+    EXPECT_NE(firstError(sim).find("workload.scale"), std::string::npos);
+
+    // The synthetic workload ignores the scale.
+    sim.workload = WorkloadKind::Synthetic;
+    EXPECT_EQ(firstError(sim), "");
+}
+
 TEST(ConfigValidate, ReportsEveryViolationAtOnce)
 {
     SimulationConfig sim;

@@ -9,16 +9,19 @@
 namespace dtsim {
 namespace {
 
+/** File ids the prefetcher tests use are below this. */
+constexpr std::size_t kFiles = 4;
+
 TEST(Prefetcher, NoneNeverPrefetches)
 {
-    Prefetcher p(PrefetchMode::None);
+    Prefetcher p(kFiles, PrefetchMode::None);
     EXPECT_EQ(p.plan(1, 0, 1, 100), 0u);
     EXPECT_EQ(p.plan(1, 1, 1, 100), 0u);
 }
 
 TEST(Prefetcher, PerfectReadsToEndOfFile)
 {
-    Prefetcher p(PrefetchMode::Perfect);
+    Prefetcher p(kFiles, PrefetchMode::Perfect);
     EXPECT_EQ(p.plan(1, 0, 1, 10), 9u);
     EXPECT_EQ(p.plan(1, 4, 2, 10), 4u);
     EXPECT_EQ(p.plan(1, 9, 1, 10), 0u);
@@ -29,7 +32,7 @@ TEST(Prefetcher, SequentialWindowDoubles)
     // Each miss covers one block; the next miss lands right after
     // the previous access plus its prefetch. Window doubles: 1, 2,
     // 4, 8, 16, 16, ...
-    Prefetcher p(PrefetchMode::Sequential, 16);
+    Prefetcher p(kFiles, PrefetchMode::Sequential, 16);
     EXPECT_EQ(p.plan(1, 0, 1, 1000), 1u);    // Covers 0..1.
     EXPECT_EQ(p.plan(1, 2, 1, 1000), 2u);    // Covers 2..4.
     EXPECT_EQ(p.plan(1, 5, 1, 1000), 4u);    // Covers 5..9.
@@ -40,7 +43,7 @@ TEST(Prefetcher, SequentialWindowDoubles)
 
 TEST(Prefetcher, RandomAccessCollapsesWindow)
 {
-    Prefetcher p(PrefetchMode::Sequential, 16);
+    Prefetcher p(kFiles, PrefetchMode::Sequential, 16);
     p.plan(1, 0, 1, 1000);    // Covers 0..1.
     p.plan(1, 2, 1, 1000);    // Covers 2..4.
     EXPECT_EQ(p.plan(1, 500, 1, 1000), 0u);   // Jump: collapse.
@@ -50,7 +53,7 @@ TEST(Prefetcher, RandomAccessCollapsesWindow)
 
 TEST(Prefetcher, WindowClippedAtFileEnd)
 {
-    Prefetcher p(PrefetchMode::Sequential, 16);
+    Prefetcher p(kFiles, PrefetchMode::Sequential, 16);
     EXPECT_EQ(p.plan(1, 0, 1, 4), 1u);   // Covers 0..1.
     EXPECT_EQ(p.plan(1, 2, 1, 4), 1u);   // Window 2, clipped to 1.
     EXPECT_EQ(p.plan(1, 3, 1, 4), 0u);   // Nothing left past block 3.
@@ -58,7 +61,7 @@ TEST(Prefetcher, WindowClippedAtFileEnd)
 
 TEST(Prefetcher, FilesTrackedIndependently)
 {
-    Prefetcher p(PrefetchMode::Sequential, 16);
+    Prefetcher p(kFiles, PrefetchMode::Sequential, 16);
     p.plan(1, 0, 1, 100);     // File 1: covers 0..1.
     p.plan(1, 2, 1, 100);     // File 1: covers 2..4.
     p.plan(2, 0, 1, 100);     // File 2: covers 0..1.
@@ -68,11 +71,30 @@ TEST(Prefetcher, FilesTrackedIndependently)
 
 TEST(Prefetcher, ResetDropsHistory)
 {
-    Prefetcher p(PrefetchMode::Sequential, 16);
+    Prefetcher p(kFiles, PrefetchMode::Sequential, 16);
     p.plan(1, 0, 1, 100);
     p.plan(1, 1, 1, 100);
     p.reset();
     EXPECT_EQ(p.plan(1, 3, 1, 100), 0u);   // Looks random now.
+}
+
+TEST(Prefetcher, ResetMatchesAFreshPlanner)
+{
+    // After reset() every file plans exactly as in a new planner,
+    // whether or not it was seen before (a day boundary of the
+    // server models relies on this).
+    Prefetcher used(kFiles, PrefetchMode::Sequential, 16);
+    used.plan(1, 0, 1, 100);
+    used.plan(1, 2, 1, 100);
+    used.plan(3, 7, 1, 100);
+    used.reset();
+    Prefetcher fresh(kFiles, PrefetchMode::Sequential, 16);
+    for (std::uint32_t f = 0; f < kFiles; ++f) {
+        for (std::uint64_t b : {0u, 2u, 5u, 40u}) {
+            EXPECT_EQ(used.plan(f, b, 1, 100), fresh.plan(f, b, 1, 100))
+                << "file " << f << " block " << b;
+        }
+    }
 }
 
 TEST(Coalescer, ZeroProbabilitySplitsEveryBlock)

@@ -149,5 +149,48 @@ TEST(ServerModelDigest, NoPrefetchNoSync)
     EXPECT_DIGEST(p, "60244019e75a884f");
 }
 
+/*
+ * Day-boundary cases. Generation is replayed in shards of whole days,
+ * so these pin the stream where a shard ends or starts: models
+ * without day cycles, sync and day boundaries that coincide (with
+ * the last request ending a day), a warmup that spans several days,
+ * and days short enough to be grouped into one shard.
+ */
+
+TEST(ServerModelDigest, SyncsWithoutDayCycle)
+{
+    ServerModelParams p = phasedModel();
+    p.dayEveryRequests = 0;
+    EXPECT_DIGEST(p, "b240be9833de0031");
+}
+
+TEST(ServerModelDigest, SyncAndDayCoincideAtEnd)
+{
+    ServerModelParams p = phasedModel();
+    p.syncEveryRequests = 1000;
+    p.dayEveryRequests = 3000;
+    ASSERT_EQ((p.warmupRequests + p.numRequests) % p.dayEveryRequests,
+              0u);
+    EXPECT_DIGEST(p, "9266bd8bd78dc154");
+}
+
+TEST(ServerModelDigest, WarmupSpansDays)
+{
+    ServerModelParams p = phasedModel();
+    p.warmupRequests = 7300;
+    p.syncEveryRequests = 900;
+    p.dayEveryRequests = 2000;
+    EXPECT_DIGEST(p, "2f8e5b872a5e9aa1");
+}
+
+TEST(ServerModelDigest, ShortDaysGrouped)
+{
+    ServerModelParams p = phasedModel();
+    p.numRequests = 40000;
+    p.syncEveryRequests = 5;
+    p.dayEveryRequests = 7;
+    EXPECT_DIGEST(p, "d486e1d53f457886");
+}
+
 } // namespace
 } // namespace dtsim

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <cstdlib>
+#include <string>
+
 #include "workload/server_models.hh"
 
 namespace dtsim {
@@ -156,6 +161,91 @@ TEST(ServerModel, AdjacentRecordsOfJobCoalesced)
                 << "uncoalesced adjacent records at " << i;
         }
     }
+}
+
+TEST(ServerModel, ScaledRequestsSaturate)
+{
+    EXPECT_EQ(scaledRequests(1700000.0, 0.5), 850000u);
+    EXPECT_EQ(scaledRequests(1700000.0, 1e300), UINT64_MAX);
+    EXPECT_EQ(scaledRequests(1700000.0, std::nan("")), UINT64_MAX);
+    EXPECT_EQ(scaledRequests(1700000.0, -1.0), 0u);
+}
+
+TEST(ServerModel, JobIdsMustFit32Bits)
+{
+    // Ids number every request, sync and day, plus the final sync.
+    ServerModelParams p = tinyModel();
+    p.warmupRequests = 0;
+    p.syncEveryRequests = 0;
+    p.numRequests = (1ull << 32) - 1;
+    EXPECT_TRUE(jobIdsFit(p));
+    p.numRequests = 1ull << 32;
+    EXPECT_FALSE(jobIdsFit(p));
+
+    p.numRequests = (1ull << 32) - 1;
+    p.dayEveryRequests = 1000;
+    EXPECT_FALSE(jobIdsFit(p));
+    p.numRequests = UINT64_MAX;   // A saturated scale.
+    p.warmupRequests = 150000;
+    EXPECT_FALSE(jobIdsFit(p));
+    EXPECT_DEATH(makeServerWorkload(p, kCapacity), "32-bit job ids");
+}
+
+/** Build `p` with DTSIM_JOBS set to `jobs`, restoring the caller's. */
+ServerWorkload
+buildWithJobs(const ServerModelParams& p, const char* jobs)
+{
+    const char* prev = std::getenv("DTSIM_JOBS");
+    const std::string saved = prev ? prev : "";
+    setenv("DTSIM_JOBS", jobs, 1);
+    ServerWorkload w = makeServerWorkload(p, kCapacity);
+    if (prev)
+        setenv("DTSIM_JOBS", saved.c_str(), 1);
+    else
+        unsetenv("DTSIM_JOBS");
+    return w;
+}
+
+void
+expectSameWorkload(const ServerModelParams& p)
+{
+    const ServerWorkload one = buildWithJobs(p, "1");
+    const ServerWorkload four = buildWithJobs(p, "4");
+    ASSERT_EQ(one.trace.size(), four.trace.size()) << p.name;
+    for (std::size_t i = 0; i < one.trace.size(); ++i) {
+        const TraceRecord& a = one.trace[i];
+        const TraceRecord& b = four.trace[i];
+        ASSERT_TRUE(a.start == b.start && a.count == b.count &&
+                    a.isWrite == b.isWrite && a.job == b.job)
+            << p.name << ": record " << i << " differs";
+    }
+    const BufferCacheStats& x = one.bufferCache;
+    const BufferCacheStats& y = four.bufferCache;
+    EXPECT_EQ(x.readLookups, y.readLookups) << p.name;
+    EXPECT_EQ(x.readMisses, y.readMisses) << p.name;
+    EXPECT_EQ(x.writeLookups, y.writeLookups) << p.name;
+    EXPECT_EQ(x.writeMerges, y.writeMerges) << p.name;
+    EXPECT_EQ(x.evictions, y.evictions) << p.name;
+    EXPECT_EQ(x.dirtyWritebacks, y.dirtyWritebacks) << p.name;
+}
+
+TEST(ServerModel, SameWorkloadForAnyThreadCount)
+{
+    // Generation may replay whole days on worker threads; the trace
+    // and the cache statistics must not depend on how many.
+    expectSameWorkload(webServerParams(0.02));
+    expectSameWorkload(fileServerParams(0.002));
+
+    ServerModelParams phased = tinyModel();
+    phased.name = "phased";
+    phased.numRequests = 60000;
+    phased.partialAccess = true;
+    phased.avgFileBytes = 64 * 1024;
+    phased.phaseShiftEvery = 9000;
+    phased.phaseOffsetFiles = 700;
+    phased.syncEveryRequests = 700;
+    phased.dayEveryRequests = 2100;
+    expectSameWorkload(phased);
 }
 
 } // namespace

@@ -13,6 +13,7 @@
 #include "core/sweep.hh"
 #include "experiment_replay.hh"
 #include "hdc/hdc_planner.hh"
+#include "sim/host_threads.hh"
 #include "workload/server_models.hh"
 
 namespace dtsim {
@@ -163,11 +164,11 @@ TEST(Sweep, EmptyAndThreadCountEdgeCases)
 TEST(Sweep, JobsEnvOverridesThreadCount)
 {
     setenv("DTSIM_JOBS", "3", 1);
-    EXPECT_EQ(sweepJobs(), 3u);
+    EXPECT_EQ(hostThreads(), 3u);
     setenv("DTSIM_JOBS", "0", 1);
-    EXPECT_GE(sweepJobs(), 1u);
+    EXPECT_GE(hostThreads(), 1u);
     unsetenv("DTSIM_JOBS");
-    EXPECT_GE(sweepJobs(), 1u);
+    EXPECT_GE(hostThreads(), 1u);
 }
 
 } // namespace
