@@ -7,7 +7,11 @@
  * controller counts consecutive 1-bits after a request to bound its
  * read-ahead at the end of the file's physically-contiguous extent.
  * For the default 18 GB drive with 4 KB blocks the bitmap occupies
- * 546 KB of controller memory (0.003% of disk space).
+ * 546 KB of controller memory (0.003% of disk space). The host's copy
+ * reserves the full disk's words but stores (zero-fills and touches)
+ * only those up to its highest set bit, since a file system rarely
+ * reaches the end of the disk; sizeBytes() still reports the
+ * controller's full-disk size.
  */
 
 #ifndef DTSIM_CONTROLLER_LAYOUT_BITMAP_HH
@@ -24,11 +28,16 @@ namespace dtsim {
 class LayoutBitmap
 {
   public:
-    /** All bits start 0 (no continuations). */
+    /** All bits start 0 (no continuations); nothing is stored. */
     explicit LayoutBitmap(std::uint64_t total_blocks);
 
-    /** Set/clear the continuation bit of a block. */
+    /** Set/clear the continuation bit of a block (ignored past the
+     *  end of the disk). */
     void set(BlockNum block, bool continuation);
+
+    /** Set the bits of blocks [first, first + count), clipped at the
+     *  end of the disk. */
+    void setRange(BlockNum first, std::uint64_t count);
 
     /** Continuation bit of a block; out-of-range reads are 0. */
     bool get(BlockNum block) const;
@@ -43,7 +52,8 @@ class LayoutBitmap
 
     std::uint64_t totalBlocks() const { return totalBlocks_; }
 
-    /** Memory footprint of the bitmap in bytes. */
+    /** Memory footprint of the controller's full-disk bitmap in
+     *  bytes. */
     std::uint64_t
     sizeBytes() const
     {
@@ -54,7 +64,12 @@ class LayoutBitmap
     std::uint64_t popcount() const;
 
   private:
+    /** Store at least `words` words (new ones all 0). */
+    void grow(std::uint64_t words);
+
     std::uint64_t totalBlocks_;
+
+    /** Bits 0 .. 64 * size() - 1; every later bit is 0. */
     std::vector<std::uint64_t> words_;
 };
 

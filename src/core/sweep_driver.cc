@@ -4,7 +4,6 @@
 
 #include "array/striping.hh"
 #include "core/experiment.hh"
-#include "hdc/hdc_planner.hh"
 #include "sim/logging.hh"
 #include "workload/server_models.hh"
 #include "workload/synthetic.hh"
@@ -101,16 +100,24 @@ SweepCache::pins(const SimulationConfig& sim)
     auto it = pins_.find(key);
     if (it == pins_.end()) {
         BuiltWorkload& w = workload(sim);
+        if (!w.ranking)
+            w.ranking = std::make_unique<MissRanking>(w.trace);
         StripingMap striping(
             logicalDisks(sys),
             sys.stripeUnitBytes / sys.disk.blockSize,
             sys.disk.totalBlocks());
         auto built = std::make_unique<std::vector<ArrayBlock>>(
-            selectPinnedBlocks(w.trace, striping,
-                               hdcBlocksPerDisk(sys)));
+            w.ranking->select(striping, hdcBlocksPerDisk(sys)));
         it = pins_.emplace(key, std::move(built)).first;
     }
     return *it->second;
+}
+
+void
+SweepCache::dropRankings()
+{
+    for (auto& [key, w] : workloads_)
+        w->ranking.reset();
 }
 
 std::vector<RunResult>
@@ -158,6 +165,8 @@ runSweepPoints(std::vector<SweepPoint>& points, SweepCache& cache,
         batch.push_back(std::move(e));
     }
 
+    // Every point has its pins: no replay needs a ranking.
+    cache.dropRankings();
     const std::vector<RunResult> ran =
         Experiment::runAll(batch, jobs);
 

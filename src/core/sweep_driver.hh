@@ -25,6 +25,7 @@
 #include "core/sweep.hh"
 #include "fs/buffer_cache.hh"
 #include "fs/file_layout.hh"
+#include "hdc/hdc_planner.hh"
 
 namespace dtsim {
 
@@ -40,6 +41,13 @@ struct BuiltWorkload
 
     /** The server model's concurrency (0 for synthetic). */
     unsigned modelStreams = 0;
+
+    /**
+     * The trace's miss ranking, shared by the pin plans of every
+     * striping. SweepCache::pins() builds it on first use;
+     * runSweepPoints() drops it before replay.
+     */
+    std::unique_ptr<MissRanking> ranking;
 };
 
 /**
@@ -77,6 +85,10 @@ class SweepCache
 
     /** The HDC warm-start pin plan for `sim`. */
     const std::vector<ArrayBlock>& pins(const SimulationConfig& sim);
+
+    /** Free the workloads' miss rankings (pins() rebuilds one if a
+     *  new plan needs it). */
+    void dropRankings();
 
   private:
     std::string workloadKey(const SimulationConfig& sim);

@@ -127,18 +127,30 @@ FileSystemImage::buildBitmaps(const StripingMap& striping) const
     for (unsigned d = 0; d < striping.disks(); ++d)
         maps.emplace_back(per_disk);
 
+    // Walk each extent one striping-unit chunk at a time: the blocks
+    // of a chunk sit on consecutive local blocks of one disk, so all
+    // but the first continue their predecessor. The first continues
+    // it only if the previous chunk (of this extent or the one
+    // before) ended on the same disk, one local block earlier.
+    const std::uint64_t unit = striping.unitBlocks();
     for (const FileLayout& f : files_) {
         PhysicalLoc prev{};
-        std::uint64_t i = 0;
+        bool first = true;
         for (const FileExtent& e : f.extents) {
-            for (std::uint64_t off = 0; off < e.count; ++off, ++i) {
-                const PhysicalLoc loc =
-                    striping.toPhysical(e.start + off);
-                if (i > 0 && loc.disk == prev.disk &&
-                    loc.block == prev.block + 1) {
-                    maps[loc.disk].set(loc.block, true);
-                }
-                prev = loc;
+            const ArrayBlock end = e.start + e.count;
+            for (ArrayBlock lb = e.start; lb < end;) {
+                const std::uint64_t n =
+                    std::min(end - lb, unit - lb % unit);
+                const PhysicalLoc loc = striping.toPhysical(lb);
+                const bool continues = !first &&
+                    loc.disk == prev.disk && loc.block == prev.block + 1;
+                if (continues)
+                    maps[loc.disk].setRange(loc.block, n);
+                else
+                    maps[loc.disk].setRange(loc.block + 1, n - 1);
+                prev = PhysicalLoc{loc.disk, loc.block + n - 1};
+                first = false;
+                lb += n;
             }
         }
     }

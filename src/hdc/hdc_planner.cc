@@ -25,75 +25,83 @@ MissCounter::count(ArrayBlock block) const
     return n ? *n : 0;
 }
 
-std::vector<std::pair<ArrayBlock, std::uint64_t>>
-MissCounter::sorted() const
+namespace {
+
+/** Heap order: `a` ranks after `b` (count desc, block asc). */
+bool
+ranksAfter(const std::pair<ArrayBlock, std::uint64_t>& a,
+           const std::pair<ArrayBlock, std::uint64_t>& b)
 {
-    std::vector<std::pair<ArrayBlock, std::uint64_t>> v;
-    v.reserve(counts_.size());
-    counts_.forEach([&](std::uint64_t block, const std::uint64_t& n) {
-        v.emplace_back(block, n);
+    if (a.second != b.second)
+        return a.second < b.second;
+    return a.first > b.first;
+}
+
+MissCounter
+countMisses(const Trace& trace)
+{
+    MissCounter counter;
+    counter.addTrace(trace);
+    return counter;
+}
+
+} // namespace
+
+MissRanking::MissRanking(const Trace& trace)
+    : MissRanking(countMisses(trace))
+{
+}
+
+MissRanking::MissRanking(const MissCounter& counter)
+{
+    entries_.reserve(counter.distinctBlocks());
+    counter.forEachCount([&](ArrayBlock block, std::uint64_t n) {
+        entries_.emplace_back(block, n);
     });
-    std::sort(v.begin(), v.end(), [](const auto& a, const auto& b) {
-        if (a.second != b.second)
-            return a.second > b.second;
-        return a.first < b.first;
-    });
-    return v;
+    std::make_heap(entries_.begin(), entries_.end(), ranksAfter);
+    heapEnd_ = entries_.size();
+}
+
+bool
+MissRanking::rankNext()
+{
+    if (heapEnd_ == 0)
+        return false;
+    std::pop_heap(entries_.begin(),
+                  entries_.begin() + static_cast<std::ptrdiff_t>(heapEnd_),
+                  ranksAfter);
+    --heapEnd_;
+    return true;
 }
 
 std::vector<ArrayBlock>
-MissCounter::topBlocks(std::size_t k) const
+MissRanking::select(const StripingMap& striping,
+                    std::uint64_t per_disk_budget_blocks)
 {
-    auto v = sorted();
-    if (v.size() > k)
-        v.resize(k);
-    std::vector<ArrayBlock> out;
-    out.reserve(v.size());
-    for (const auto& [block, n] : v)
-        out.push_back(block);
-    return out;
+    std::vector<std::uint64_t> budget(striping.disks(),
+                                      per_disk_budget_blocks);
+    std::uint64_t left = per_disk_budget_blocks * striping.disks();
+
+    std::vector<ArrayBlock> pinned;
+    for (std::size_t k = 0; left != 0; ++k) {
+        if (k == entries_.size() - heapEnd_ && !rankNext())
+            break;
+        const ArrayBlock block = entries_[entries_.size() - 1 - k].first;
+        const unsigned disk = striping.toPhysical(block).disk;
+        if (budget[disk] == 0)
+            continue;
+        --budget[disk];
+        --left;
+        pinned.push_back(block);
+    }
+    return pinned;
 }
 
 std::vector<ArrayBlock>
 selectPinnedBlocks(const Trace& trace, const StripingMap& striping,
                    std::uint64_t per_disk_budget_blocks)
 {
-    MissCounter counter;
-    counter.addTrace(trace);
-
-    std::vector<std::uint64_t> budget(striping.disks(),
-                                      per_disk_budget_blocks);
-    std::uint64_t left = per_disk_budget_blocks * striping.disks();
-
-    // Heap-select instead of fully sorting the (distinct blocks)-size
-    // count table: the pin set is bounded by the HDC budgets, which
-    // are tiny next to the trace's block population. Popping a
-    // max-heap ordered by (count desc, block asc) visits blocks in
-    // exactly sorted() order, so the picks are identical.
-    std::vector<std::pair<ArrayBlock, std::uint64_t>> v;
-    v.reserve(counter.distinctBlocks());
-    counter.forEachCount(
-        [&](ArrayBlock block, std::uint64_t n) { v.emplace_back(block, n); });
-    const auto worse = [](const auto& a, const auto& b) {
-        if (a.second != b.second)
-            return a.second < b.second;
-        return a.first > b.first;
-    };
-    std::make_heap(v.begin(), v.end(), worse);
-
-    std::vector<ArrayBlock> pinned;
-    auto end = v.end();
-    while (left != 0 && end != v.begin()) {
-        std::pop_heap(v.begin(), end, worse);
-        const auto& [block, n] = *--end;
-        const PhysicalLoc loc = striping.toPhysical(block);
-        if (budget[loc.disk] == 0)
-            continue;
-        --budget[loc.disk];
-        --left;
-        pinned.push_back(block);
-    }
-    return pinned;
+    return MissRanking(trace).select(striping, per_disk_budget_blocks);
 }
 
 } // namespace dtsim

@@ -39,15 +39,6 @@ class MissCounter
     /** Distinct blocks seen. */
     std::size_t distinctBlocks() const { return counts_.size(); }
 
-    /**
-     * The blocks causing the most misses, most-missed first. Ties
-     * break toward lower block numbers for determinism.
-     */
-    std::vector<ArrayBlock> topBlocks(std::size_t k) const;
-
-    /** All (block, count) pairs, most-missed first. */
-    std::vector<std::pair<ArrayBlock, std::uint64_t>> sorted() const;
-
     /** Visit every (block, count) pair in unspecified order. */
     template <typename Fn>
     void
@@ -62,16 +53,60 @@ class MissCounter
     /**
      * block -> miss count. Open addressing: planning scans multi-
      * million-record traces, and the probe-per-access dominates the
-     * plan cost. sorted() orders by (count desc, block asc), so the
-     * table's iteration order never reaches the output.
+     * plan cost. MissRanking orders by (count desc, block asc), so
+     * the table's iteration order never reaches the output.
      */
     FlatTable<std::uint64_t> counts_;
 };
 
 /**
- * Select the pin set for an array: for each disk, the blocks stored
- * on that disk with the highest miss counts, up to the per-disk
- * budget.
+ * A trace's blocks ranked by miss count, most-missed first, ties
+ * toward lower block numbers. The counts do not depend on the
+ * striping, so one ranking serves the pin selection of every
+ * striping unit and disk count of a sweep.
+ *
+ * The ranking is lazy: the (block, count) pairs sit in a max-heap,
+ * and a ranked prefix grows by popping it only as far as a
+ * selection reads. Pin budgets are tiny next to a trace's block
+ * population, so most of the heap is never sorted.
+ */
+class MissRanking
+{
+  public:
+    /** Count the misses of every record of `trace`. */
+    explicit MissRanking(const Trace& trace);
+
+    /** Rank counts accumulated elsewhere. */
+    explicit MissRanking(const MissCounter& counter);
+
+    /**
+     * The pin set of an array: the ranked blocks in order, each
+     * kept while its disk's budget has room, until every disk is
+     * full or the ranking ends.
+     *
+     * @param striping The array's striping map.
+     * @param per_disk_budget_blocks HDC capacity of each controller.
+     * @return Logical block numbers to pin, in ranking order.
+     */
+    std::vector<ArrayBlock> select(const StripingMap& striping,
+                                   std::uint64_t per_disk_budget_blocks);
+
+  private:
+    /** Rank one more block; false once every block is ranked. */
+    bool rankNext();
+
+    /**
+     * (block, count) pairs. [0, heapEnd_) is the max-heap of the
+     * unranked; pop_heap leaves each popped maximum right after it,
+     * so rank k is entries_[size() - 1 - k].
+     */
+    std::vector<std::pair<ArrayBlock, std::uint64_t>> entries_;
+    std::size_t heapEnd_ = 0;
+};
+
+/**
+ * Select the pin set for an array from one trace:
+ * MissRanking(trace).select(striping, per_disk_budget_blocks).
  *
  * @param trace History (or oracle) trace.
  * @param striping The array's striping map.

@@ -21,26 +21,66 @@ TEST(MissCounter, CountsBlocksOfRecords)
     EXPECT_EQ(c.distinctBlocks(), 4u);
 }
 
-TEST(MissCounter, TopBlocksOrderedByCount)
+/** Rank by hand-set counts; one disk takes the top `k`. */
+std::vector<ArrayBlock>
+topBlocks(const MissCounter& c, std::uint64_t k)
+{
+    return MissRanking(c).select(StripingMap(1, 1, 1000), k);
+}
+
+TEST(MissRanking, OrderedByCount)
 {
     MissCounter c;
     c.add(1, 5);
     c.add(2, 9);
     c.add(3, 1);
-    const auto top = c.topBlocks(2);
-    ASSERT_EQ(top.size(), 2u);
-    EXPECT_EQ(top[0], 2u);
-    EXPECT_EQ(top[1], 1u);
+    EXPECT_EQ(topBlocks(c, 2), (std::vector<ArrayBlock>{2, 1}));
 }
 
-TEST(MissCounter, TiesBreakTowardLowerBlock)
+TEST(MissRanking, TiesBreakTowardLowerBlock)
 {
     MissCounter c;
     c.add(9, 3);
     c.add(4, 3);
     c.add(7, 3);
-    const auto top = c.topBlocks(3);
-    EXPECT_EQ(top, (std::vector<ArrayBlock>{4, 7, 9}));
+    EXPECT_EQ(topBlocks(c, 3), (std::vector<ArrayBlock>{4, 7, 9}));
+}
+
+TEST(MissRanking, CountsTheTrace)
+{
+    Trace t;
+    t.push_back({10, 4, false, 0});
+    t.push_back({12, 2, true, 1});
+    // 12 and 13 missed twice; then 10, 11 by block number.
+    EXPECT_EQ(MissRanking(t).select(StripingMap(1, 1, 1000), 8),
+              (std::vector<ArrayBlock>{12, 13, 10, 11}));
+}
+
+TEST(MissRanking, SelectionsShareOneRanking)
+{
+    // Blocks 0..63 with distinct counts (block b missed b + 1 times).
+    // Selections of growing and shrinking depth, on different
+    // stripings, must each equal a fresh ranking's answer.
+    MissCounter c;
+    for (ArrayBlock b = 0; b < 64; ++b)
+        c.add(b, b + 1);
+    MissRanking shared(c);
+    const StripingMap maps[] = {StripingMap(1, 1, 1000),
+                                StripingMap(2, 4, 1000),
+                                StripingMap(3, 2, 1000),
+                                StripingMap(8, 1, 1000)};
+    for (std::uint64_t budget : {1u, 40u, 2u, 100u, 0u, 5u}) {
+        for (const StripingMap& m : maps) {
+            EXPECT_EQ(shared.select(m, budget),
+                      MissRanking(c).select(m, budget))
+                << "budget " << budget << " disks " << m.disks();
+        }
+    }
+    // A disk's budget past its blocks pins all of them, hottest first.
+    const auto all = shared.select(StripingMap(2, 4, 1000), 1000);
+    ASSERT_EQ(all.size(), 64u);
+    EXPECT_EQ(all.front(), 63u);
+    EXPECT_EQ(all.back(), 0u);
 }
 
 TEST(SelectPinned, RespectsPerDiskBudget)
