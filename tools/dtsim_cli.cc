@@ -224,8 +224,8 @@ paramDocsMarkdown(const config::ParamRegistry& reg)
         "## Validation\n"
         "\n"
         "Before running, the full configuration is cross-checked\n"
-        "(stripe unit a multiple of the block size, HDC + FOR bitmap\n"
-        "within the controller cache, mirrored arrays even-sized,\n"
+        "(stripe unit and HDC budget multiples of the block size, HDC +\n"
+        "FOR bitmap within the controller cache, mirrored arrays even-sized,\n"
         "...). Violations are reported together, with the offending\n"
         "keys named.\n"
         "\n"
