@@ -99,14 +99,15 @@ void
 printWorkloadLine(WorkloadKind workload, const Trace& trace)
 {
     const TraceStats ts = computeStats(trace);
+    const BlockAccessStats bs = blockAccessStats(trace);
     std::printf("workload: %s  records=%llu  blocks=%llu  "
                 "writes=%.1f%%  distinct=%llu  max-block-accesses=%llu\n",
                 workloadKindTokens().format(workload).c_str(),
                 static_cast<unsigned long long>(ts.records),
                 static_cast<unsigned long long>(ts.blocks),
                 ts.writeRecordFraction * 100.0,
-                static_cast<unsigned long long>(ts.distinctBlocks),
-                static_cast<unsigned long long>(ts.maxBlockAccesses));
+                static_cast<unsigned long long>(bs.distinctBlocks),
+                static_cast<unsigned long long>(bs.maxBlockAccesses));
 }
 
 std::vector<SweepPoint>

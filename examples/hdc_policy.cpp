@@ -55,7 +55,7 @@ main()
     for (FileId f = 0; naive.size() < budget &&
                        f < w.image->fileCount();
          ++f) {
-        const FileLayout& fl = w.image->file(f);
+        const FileLayout fl = w.image->file(f);
         for (std::uint64_t b = 0;
              b < fl.blocks() && naive.size() < budget; ++b)
             naive.push_back(fl.blockAt(b));

@@ -438,6 +438,8 @@ DiskArray::aggregateStats() const
         total.readAheadBlocks += s.readAheadBlocks;
         total.flushWrites += s.flushWrites;
         total.flushBlocks += s.flushBlocks;
+        total.rebuildJobs += s.rebuildJobs;
+        total.retries += s.retries;
         total.seekTime += s.seekTime;
         total.rotTime += s.rotTime;
         total.xferTime += s.xferTime;

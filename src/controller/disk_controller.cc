@@ -418,6 +418,7 @@ DiskController::startMedia(MediaJob* job)
             ++attempt;
             ++job->req.retries;
             ++fc.retries;
+            ++stats_.retries;
             const ServiceTiming rt =
                 mech_.service(acc, eq_.now() + total);
             seek += rt.seek + rt.settle;
@@ -432,6 +433,7 @@ DiskController::startMedia(MediaJob* job)
     if (job->rebuild) {
         FaultCounters& fc = faults_->counters();
         ++fc.rebuildJobs;
+        ++stats_.rebuildJobs;
         if (job->req.isWrite)
             fc.rebuildBlocks += job->mediaCount;
     } else if (job->background) {
@@ -641,6 +643,54 @@ DiskController::unpinBlock(BlockNum block)
         enqueueMedia(job);
     }
     return true;
+}
+
+std::vector<std::string>
+accountingErrors(unsigned disk, const ControllerStats& s,
+                 const SchedulerStats& sched, const MechCounters& mech,
+                 const RaCounters& ra)
+{
+    std::vector<std::string> bad;
+    const auto check = [&](bool ok, const char* what, std::uint64_t lhs,
+                           std::uint64_t rhs) {
+        if (!ok)
+            bad.push_back(strfmt("disk%u: %s (%llu vs %llu)", disk, what,
+                                 static_cast<unsigned long long>(lhs),
+                                 static_cast<unsigned long long>(rhs)));
+    };
+    // Sums on both sides, so no counter is subtracted below zero.
+    const std::uint64_t requests =
+        s.reads + s.writes + s.flushWrites + s.rebuildJobs;
+    const std::uint64_t served = s.cacheHitRequests + s.mediaAccesses;
+    check(requests == served,
+          "reads+writes+flush_writes+rebuild_jobs == "
+          "cache_hit_requests+media_accesses",
+          requests, served);
+    const std::uint64_t blocks = s.readBlocks + s.writeBlocks;
+    const std::uint64_t from =
+        s.hdcHitBlocks + s.raHitBlocks + s.mediaBlocks;
+    check(blocks == from,
+          "read_blocks+write_blocks == hdc_hit_blocks+ra_hit_blocks+"
+          "media_blocks",
+          blocks, from);
+    check(sched.pushes == sched.pops, "sched.pushes == sched.pops",
+          sched.pushes, sched.pops);
+    check(sched.pops + s.retries == mech.accesses,
+          "sched.pops+retries == mech.accesses", sched.pops + s.retries,
+          mech.accesses);
+    const std::uint64_t spec = ra.specUsed + ra.specWasted;
+    check(ra.specInserted >= spec,
+          "spec_inserted >= spec_used+spec_wasted", ra.specInserted,
+          spec);
+    return bad;
+}
+
+std::vector<std::string>
+DiskController::accountingErrors() const
+{
+    return dtsim::accountingErrors(diskId_, stats_, sched_->schedStats(),
+                                   mech_.counters(),
+                                   raCache_->raCounters());
 }
 
 void

@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "bus/scsi_bus.hh"
@@ -93,6 +94,8 @@ struct ControllerStats
     std::uint64_t readAheadBlocks = 0;     ///< Speculative blocks.
     std::uint64_t flushWrites = 0;         ///< HDC flush media jobs.
     std::uint64_t flushBlocks = 0;         ///< Blocks they wrote.
+    std::uint64_t rebuildJobs = 0;         ///< Mirror-rebuild jobs.
+    std::uint64_t retries = 0;             ///< Re-serviced attempts.
 
     Tick seekTime = 0;
     Tick rotTime = 0;
@@ -111,6 +114,27 @@ struct ControllerStats
     /** Largest single-request latency. */
     Tick latencyMax = 0;
 };
+
+/**
+ * Check one drained disk's conservation identities; returns one
+ * message per violation (empty when the counters agree):
+ *  - every host request is a cache hit or takes one media access,
+ *    and every other media access is an HDC flush or mirror rebuild
+ *    job: reads + writes = cache hits + media accesses - flush
+ *    writes - rebuild jobs;
+ *  - every host block comes from the HDC store, the read-ahead
+ *    cache or the media: read + write blocks = HDC hit blocks + RA
+ *    hit blocks + media blocks;
+ *  - every scheduled job is dequeued and serviced once, plus once
+ *    per retry: pushes = pops, pops + retries = mechanism accesses;
+ *  - no speculative block is both used and wasted: spec_inserted >=
+ *    spec_used + spec_wasted.
+ */
+std::vector<std::string> accountingErrors(unsigned disk,
+                                          const ControllerStats& s,
+                                          const SchedulerStats& sched,
+                                          const MechCounters& mech,
+                                          const RaCounters& ra);
 
 /**
  * One disk drive's controller plus mechanism.
@@ -219,6 +243,9 @@ class DiskController
     {
         return sched_->schedStats();
     }
+
+    /** accountingErrors() of this disk's counters; call once drained. */
+    std::vector<std::string> accountingErrors() const;
 
     /**
      * Attach the shared per-request histogram bundle. Optional; when

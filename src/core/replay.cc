@@ -13,26 +13,22 @@ ReplayEngine::ReplayEngine(EventQueue& eq, DiskArray& array,
       streams_(std::max(1u, streams)),
       workers_(workers == 0 ? std::max(1u, streams) : workers)
 {
-    // Pre-compute job boundaries: consecutive records sharing a job
-    // id form one job.
-    std::size_t i = 0;
-    while (i < trace_.size()) {
-        std::size_t j = i + 1;
-        while (j < trace_.size() && trace_[j].job == trace_[i].job)
-            ++j;
-        jobs_.push_back(JobRange{i, j});
-        i = j;
-    }
 }
 
 void
 ReplayEngine::claimNext()
 {
-    if (nextJob_ >= jobs_.size())
+    // Consecutive records sharing a job id form one job; its end is
+    // found here, as the job is claimed.
+    const std::size_t begin = nextRecord_;
+    if (begin >= trace_.size())
         return;
-    const JobRange jr = jobs_[nextJob_++];
+    std::size_t end = begin + 1;
+    while (end < trace_.size() && trace_[end].job == trace_[begin].job)
+        ++end;
+    nextRecord_ = end;
     ++active_;
-    enqueueReady(jr.begin, jr.end);
+    enqueueReady(begin, end);
 }
 
 void
@@ -94,14 +90,16 @@ ReplayEngine::issue(std::size_t idx, std::size_t end)
 Tick
 ReplayEngine::run()
 {
-    if (jobs_.empty())
+    if (trace_.empty())
         return eq_.now();
-    for (unsigned s = 0; s < streams_ && nextJob_ < jobs_.size(); ++s)
+    for (unsigned s = 0; s < streams_ && nextRecord_ < trace_.size();
+         ++s)
         claimNext();
     eq_.run();
-    if (active_ != 0 || nextJob_ != jobs_.size() || !ready_.empty())
-        panic("ReplayEngine: replay stalled (%u active, %zu/%zu jobs)",
-              active_, nextJob_, jobs_.size());
+    if (active_ != 0 || nextRecord_ != trace_.size() || !ready_.empty())
+        panic("ReplayEngine: replay stalled (%u active, %zu/%zu "
+              "records claimed)",
+              active_, nextRecord_, trace_.size());
     return lastDone_;
 }
 

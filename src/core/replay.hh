@@ -18,7 +18,6 @@
 #include <deque>
 #include <functional>
 #include <utility>
-#include <vector>
 
 #include "array/disk_array.hh"
 #include "sim/event_queue.hh"
@@ -81,14 +80,10 @@ class ReplayEngine
     const ReplayMetrics& metrics() const { return metrics_; }
 
   private:
-    /** [start, end) record range of one job. */
-    struct JobRange
-    {
-        std::size_t begin;
-        std::size_t end;
-    };
-
-    /** Give an idle stream its next job, if any. */
+    /**
+     * Give an idle stream its next job, if any: the run of adjacent
+     * records from nextRecord_ that share its job id.
+     */
     void claimNext();
 
     /** Queue a job's next record for a worker. */
@@ -105,9 +100,8 @@ class ReplayEngine
     const Trace& trace_;
     unsigned streams_;
     unsigned workers_;
-    std::vector<JobRange> jobs_;
     std::deque<std::pair<std::size_t, std::size_t>> ready_;
-    std::size_t nextJob_ = 0;
+    std::size_t nextRecord_ = 0;  ///< First record of the next job.
     unsigned active_ = 0;
     unsigned busyWorkers_ = 0;
     ReplayMetrics metrics_;

@@ -9,10 +9,11 @@ namespace {
 
 /**
  * The single-run kernel throughput line, with the wall time of each
- * preparation phase next to the replay's, and the online HDC
- * re-planner's share of the replay. Wall-clock readings and the
- * event count are not simulation results, so both printers emit them
- * as a comment-style line that byte-comparisons strip.
+ * preparation phase next to the replay's, the online HDC re-planner's
+ * share of the replay, and the process's peak RSS so far. Host
+ * readings and the event count are not simulation results, so both
+ * printers emit them as a comment-style line that byte-comparisons
+ * strip.
  */
 void
 printRuntimeLine(std::ostream& os, const RunResult& r)
@@ -25,6 +26,7 @@ printRuntimeLine(std::ostream& os, const RunResult& r)
        << " bitmaps_ms=" << r.prep.bitmapsSeconds * 1.0e3
        << " plan_ms=" << r.prep.planSeconds * 1.0e3
        << " events_per_sec=" << r.eventsPerSec()
+       << " process_peak_rss_mb=" << r.processPeakRssMb
        << " (volatile; excluded from determinism comparisons)\n";
 }
 

@@ -6,6 +6,8 @@
 #include <functional>
 #include <memory>
 
+#include <sys/resource.h>
+
 #include "config/sim_config.hh"
 #include "core/report.hh"
 #include "hdc/online_policy.hh"
@@ -256,6 +258,23 @@ runTrace(const SystemConfig& cfg, const Trace& trace,
                   c.recordsInFlight());
     }
 
+    // Conservation identities: every disk's counters account for each
+    // request, block and media job once, and every trace record
+    // completed exactly once.
+    std::string violations;
+    for (unsigned d = 0; d < array.disks(); ++d)
+        for (const std::string& v : array.controller(d).accountingErrors())
+            violations += "\n  " + v;
+    if (engine.metrics().requests != trace.size())
+        violations += strfmt("\n  %llu requests completed for %zu "
+                             "trace records",
+                             static_cast<unsigned long long>(
+                                 engine.metrics().requests),
+                             trace.size());
+    if (!violations.empty())
+        panic("runTrace: stats violate their identities:%s",
+              violations.c_str());
+
     RunResult res;
     res.ioTime = io_time;
     res.flushTime = flush_time;
@@ -270,6 +289,9 @@ runTrace(const SystemConfig& cfg, const Trace& trace,
     res.replanSeconds =
         std::chrono::duration<double>(replan_time).count();
     res.prep = opts.prep;
+    rusage ru{};
+    if (getrusage(RUSAGE_SELF, &ru) == 0)
+        res.processPeakRssMb = static_cast<double>(ru.ru_maxrss) / 1024.0;
     if (victim) {
         res.victimPins = victim->pins();
         res.victimUnpins = victim->unpins();
@@ -326,11 +348,14 @@ runTrace(const SystemConfig& cfg, const Trace& trace,
         writeStatsFrame(stream_out.os(), array, svc.get(),
                         res.elapsed, stream_seq++, true);
         res.streamFrames = stream_seq;
+        stream_out.close();
     }
 
-    if (stats_out)
+    if (stats_out) {
         writeStatsDump(stats_out.os(), cfg, res, array, svc.get(),
                        opts.fsStats);
+        stats_out.close();
+    }
 
     return res;
 }

@@ -221,6 +221,14 @@ struct RunResult
     /** Host wall-clock seconds of the phases before replay. */
     PrepTimes prep;
 
+    /**
+     * The whole process's peak resident set (getrusage ru_maxrss) in
+     * MB when the run finished: a high-water mark of everything the
+     * process did up to then, not of this run alone. Volatile like
+     * wallSeconds.
+     */
+    double processPeakRssMb = 0.0;
+
     /** eventsFired / wallSeconds (0 when wall time was unmeasurably
      * small). */
     double

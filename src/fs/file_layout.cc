@@ -7,18 +7,6 @@
 namespace dtsim {
 
 void
-FileLayout::finalize()
-{
-    extentEnds.resize(extents.size());
-    std::uint64_t n = 0;
-    for (std::size_t i = 0; i < extents.size(); ++i) {
-        n += extents[i].count;
-        extentEnds[i] = n;
-    }
-    blockCount = n;
-}
-
-void
 FileLayout::outOfRange()
 {
     panic("FileLayout: block index out of range");
@@ -27,29 +15,14 @@ FileLayout::outOfRange()
 std::size_t
 FileLayout::extentIndex(std::uint64_t idx) const
 {
-    if (!extents.empty() && idx < extents.front().count)
+    if (n_ != 0 && idx < ext_[0].end)
         return 0;
-    const auto it =
-        std::upper_bound(extentEnds.begin(), extentEnds.end(), idx);
-    if (it == extentEnds.end())
+    const ArenaExtent* it = std::upper_bound(
+        ext_, ext_ + n_, idx,
+        [](std::uint64_t i, const ArenaExtent& e) { return i < e.end; });
+    if (it == ext_ + n_)
         outOfRange();
-    return static_cast<std::size_t>(it - extentEnds.begin());
-}
-
-ArrayBlock
-FileLayout::blockAt(std::uint64_t idx) const
-{
-    if (extentEnds.size() == extents.size()) {
-        const std::size_t e = extentIndex(idx);
-        const std::uint64_t base = e == 0 ? 0 : extentEnds[e - 1];
-        return extents[e].start + (idx - base);
-    }
-    for (const FileExtent& e : extents) {
-        if (idx < e.count)
-            return e.start + idx;
-        idx -= e.count;
-    }
-    outOfRange();
+    return static_cast<std::size_t>(it - ext_);
 }
 
 std::uint64_t
@@ -58,21 +31,12 @@ FileLayout::contiguousRun(std::uint64_t idx,
 {
     if (max_count == 0)
         return 0;
-    if (extentEnds.size() != extents.size()) {
-        // No index built: fall back to the block-by-block probe.
-        const ArrayBlock lb = blockAt(idx);
-        std::uint64_t run = 1;
-        while (run < max_count && blockAt(idx + run) == lb + run)
-            ++run;
-        return run;
-    }
     std::size_t e = extentIndex(idx);
-    std::uint64_t run = extentEnds[e] - idx;
+    std::uint64_t run = ext_[e].end - idx;
     // Merge extents that happen to abut physically (gap of zero).
-    while (run < max_count && e + 1 < extents.size() &&
-           extents[e + 1].start == extents[e].start + extents[e].count) {
+    while (run < max_count && abutsNext(e)) {
         ++e;
-        run += extents[e].count;
+        run += extent(e).count;
     }
     return std::min(run, max_count);
 }
@@ -82,33 +46,46 @@ FileSystemImage::FileSystemImage(
     const LayoutParams& params, std::uint64_t total_blocks)
     : params_(params)
 {
-    Rng rng(params.seed);
-    files_.reserve(file_sizes_bytes.size());
-
-    for (std::uint64_t size : file_sizes_bytes) {
-        FileLayout f;
-        f.sizeBytes = size;
-        const std::uint64_t nblocks = size == 0
-            ? 1
-            : (size + params.blockSize - 1) / params.blockSize;
-
-        FileExtent cur{nextFree_, 0};
-        for (std::uint64_t i = 0; i < nblocks; ++i) {
-            if (i > 0 && rng.chance(params.fragmentation)) {
-                // Break contiguity: leave a hole and start a new
-                // extent.
-                f.extents.push_back(cur);
-                nextFree_ += params.gapBlocks;
-                cur = FileExtent{nextFree_, 0};
+    // Lay the files out twice from the same seed: the first pass
+    // only counts extents, so the arena is allocated once at its exact
+    // size. Growing it instead would free ever larger buffers while
+    // the image is built, and glibc raises its mmap threshold to the
+    // largest one freed, leaving the buffers that generation later
+    // frees on the heap, still resident.
+    const auto lay_out = [&](auto&& emit) {
+        Rng rng(params.seed);
+        ArrayBlock next = 0;
+        for (std::uint64_t size : file_sizes_bytes) {
+            const std::uint64_t nblocks = size == 0
+                ? 1
+                : (size + params.blockSize - 1) / params.blockSize;
+            ArrayBlock start = next;
+            for (std::uint64_t i = 0; i < nblocks; ++i) {
+                if (i > 0 && rng.chance(params.fragmentation)) {
+                    // Break contiguity: leave a hole and start a new
+                    // extent.
+                    emit(ArenaExtent{start, i}, false);
+                    next += params.gapBlocks;
+                    start = next;
+                }
+                ++next;
             }
-            ++cur.count;
-            ++nextFree_;
+            emit(ArenaExtent{start, nblocks}, true);
         }
-        f.extents.push_back(cur);
-        f.finalize();
-        dataBlocks_ += nblocks;
-        files_.push_back(std::move(f));
-    }
+        return next;
+    };
+    std::size_t extents = 0;
+    lay_out([&](const ArenaExtent&, bool) { ++extents; });
+    extents_.reserve(extents);
+    fileFirst_.reserve(file_sizes_bytes.size() + 1);
+    fileFirst_.push_back(0);
+    nextFree_ = lay_out([&](const ArenaExtent& e, bool file_done) {
+        extents_.push_back(e);
+        if (file_done) {
+            fileFirst_.push_back(extents_.size());
+            dataBlocks_ += e.end;
+        }
+    });
 
     if (nextFree_ > total_blocks)
         fatal("FileSystemImage: files (%llu blocks) exceed capacity "
@@ -133,10 +110,12 @@ FileSystemImage::buildBitmaps(const StripingMap& striping) const
     // it only if the previous chunk (of this extent or the one
     // before) ended on the same disk, one local block earlier.
     const std::uint64_t unit = striping.unitBlocks();
-    for (const FileLayout& f : files_) {
+    for (FileId f = 0; f < fileCount(); ++f) {
+        const FileLayout fl = file(f);
         PhysicalLoc prev{};
         bool first = true;
-        for (const FileExtent& e : f.extents) {
+        for (std::size_t x = 0; x < fl.extentCount(); ++x) {
+            const FileExtent e = fl.extent(x);
             const ArrayBlock end = e.start + e.count;
             for (ArrayBlock lb = e.start; lb < end;) {
                 const std::uint64_t n =
@@ -163,15 +142,17 @@ FileSystemImage::averageSequentialRun(
 {
     std::uint64_t blocks = 0;
     std::uint64_t runs = 0;
-    for (const FileLayout& f : files_) {
-        const std::uint64_t n = f.blocks();
+    for (FileId f = 0; f < fileCount(); ++f) {
+        const FileLayout fl = file(f);
+        const std::uint64_t n = fl.blocks();
         if (n == 0)
             continue;
         blocks += n;
         ++runs;     // A file always starts a run.
         PhysicalLoc prev{};
         std::uint64_t i = 0;
-        for (const FileExtent& e : f.extents) {
+        for (std::size_t x = 0; x < fl.extentCount(); ++x) {
+            const FileExtent e = fl.extent(x);
             for (std::uint64_t off = 0; off < e.count; ++off, ++i) {
                 const PhysicalLoc loc =
                     striping.toPhysical(e.start + off);

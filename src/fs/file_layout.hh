@@ -34,50 +34,56 @@ struct FileExtent
     std::uint64_t count;
 };
 
-/** A file's size and placement. */
-struct FileLayout
+/**
+ * An extent as the image stores it: its first logical block and the
+ * file's cumulative block count through it. The extent's length is
+ * `end` minus the previous extent's `end` (0 for a file's first).
+ */
+struct ArenaExtent
 {
-    std::uint64_t sizeBytes = 0;
-    std::vector<FileExtent> extents;
+    ArrayBlock start;
+    std::uint64_t end;
+};
 
-    /**
-     * Cumulative block count through each extent, maintained by
-     * finalize(). Lets blocks() read the total and blockAt() binary
-     * search instead of walking the extent list; both fall back to
-     * the walk when the index is absent or stale.
-     */
-    std::vector<std::uint64_t> extentEnds;
+/**
+ * A file's placement: a view of its run of extents in the image's
+ * arena. Cheap to copy; valid while the image (or whatever array of
+ * ArenaExtent it views) lives.
+ */
+class FileLayout
+{
+  public:
+    /** View `count` extents starting at `first`. */
+    FileLayout(const ArenaExtent* first, std::size_t count)
+        : ext_(first), n_(count)
+    {
+    }
 
-    /** Total block count, cached by finalize() (0 until then). */
-    std::uint64_t blockCount = 0;
+    std::size_t extentCount() const { return n_; }
 
-    /** (Re)build extentEnds/blockCount after extents change. */
-    void finalize();
+    /** Extent `e` of the file, in file order. */
+    FileExtent
+    extent(std::size_t e) const
+    {
+        const std::uint64_t base = e == 0 ? 0 : ext_[e - 1].end;
+        return FileExtent{ext_[e].start, ext_[e].end - base};
+    }
 
-    /**
-     * Index of the extent holding block `idx` (needs extentEnds).
-     * Blocks of the first extent are answered without reading
-     * extentEnds, so the common case touches one array.
-     */
-    std::size_t extentIndex(std::uint64_t idx) const;
-
-    /** Panic on a block index past the end of the file. */
-    [[noreturn]] static void outOfRange();
-
-    /** File length in blocks (hot: once per generated access). */
+    /** File length in blocks. */
     std::uint64_t
     blocks() const
     {
-        if (extentEnds.size() == extents.size())
-            return blockCount;
-        std::uint64_t n = 0;
-        for (const FileExtent& e : extents)
-            n += e.count;
-        return n;
+        return n_ == 0 ? 0 : ext_[n_ - 1].end;
     }
 
     /** Logical array block holding file block `idx`. */
-    ArrayBlock blockAt(std::uint64_t idx) const;
+    ArrayBlock
+    blockAt(std::uint64_t idx) const
+    {
+        const std::size_t e = extentIndex(idx);
+        const std::uint64_t base = e == 0 ? 0 : ext_[e - 1].end;
+        return ext_[e].start + (idx - base);
+    }
 
     /**
      * Length of the longest physically contiguous run of file blocks
@@ -99,6 +105,28 @@ struct FileLayout
     template <typename Fn>
     void forEachRun(std::uint64_t idx, std::uint64_t count,
                     Fn&& fn) const;
+
+  private:
+    /**
+     * Index of the extent holding block `idx`; panics past the end of
+     * the file. Blocks of the first extent are answered from it
+     * alone, so the common case touches one extent.
+     */
+    std::size_t extentIndex(std::uint64_t idx) const;
+
+    /** True when extent `e + 1` starts where extent `e` ends. */
+    bool
+    abutsNext(std::size_t e) const
+    {
+        return e + 1 < n_ &&
+               ext_[e + 1].start == ext_[e].start + extent(e).count;
+    }
+
+    /** Panic on a block index past the end of the file. */
+    [[noreturn]] static void outOfRange();
+
+    const ArenaExtent* ext_;
+    std::size_t n_;
 };
 
 template <typename Fn>
@@ -109,28 +137,17 @@ FileLayout::forEachRun(std::uint64_t idx, std::uint64_t count,
     if (count == 0)
         return;
     const std::uint64_t end = idx + count;
-    if (extentEnds.size() != extents.size()) {
-        // No index built: walk run by run.
-        while (idx < end) {
-            const std::uint64_t run = contiguousRun(idx, end - idx);
-            fn(blockAt(idx), run);
-            idx += run;
-        }
-        return;
-    }
-    if (end > blockCount || end < idx)
+    if (end > blocks() || end < idx)
         outOfRange();
     std::size_t e = extentIndex(idx);
-    std::uint64_t off = idx - (e == 0 ? 0 : extentEnds[e - 1]);
+    std::uint64_t off = idx - (e == 0 ? 0 : ext_[e - 1].end);
     while (idx < end) {
-        const ArrayBlock lb = extents[e].start + off;
-        std::uint64_t run = extents[e].count - off;
+        const ArrayBlock lb = ext_[e].start + off;
+        std::uint64_t run = ext_[e].end - idx;
         // Merge extents that happen to abut physically.
-        while (run < end - idx && e + 1 < extents.size() &&
-               extents[e + 1].start ==
-                   extents[e].start + extents[e].count) {
+        while (run < end - idx && abutsNext(e)) {
             ++e;
-            run += extents[e].count;
+            run += extent(e).count;
         }
         run = std::min(run, end - idx);
         fn(lb, run);
@@ -175,8 +192,17 @@ class FileSystemImage
                     const LayoutParams& params,
                     std::uint64_t total_blocks);
 
-    std::size_t fileCount() const { return files_.size(); }
-    const FileLayout& file(FileId f) const { return files_.at(f); }
+    std::size_t fileCount() const { return fileFirst_.size() - 1; }
+
+    /** File `f`'s placement (throws std::out_of_range past the end). */
+    FileLayout
+    file(FileId f) const
+    {
+        const std::size_t last = fileFirst_.at(std::size_t{f} + 1);
+        const std::size_t first = fileFirst_[f];
+        return FileLayout(extents_.data() + first, last - first);
+    }
+
     std::uint32_t blockSize() const { return params_.blockSize; }
 
     /** Blocks consumed including fragmentation holes. */
@@ -203,7 +229,15 @@ class FileSystemImage
 
   private:
     LayoutParams params_;
-    std::vector<FileLayout> files_;
+
+    /** Every file's extents, file after file, in one array. */
+    std::vector<ArenaExtent> extents_;
+
+    /**
+     * File f's extents are extents_[fileFirst_[f], fileFirst_[f+1]);
+     * fileCount() + 1 entries.
+     */
+    std::vector<std::size_t> fileFirst_;
     std::uint64_t nextFree_ = 0;
     std::uint64_t dataBlocks_ = 0;
 };

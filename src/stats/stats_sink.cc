@@ -19,7 +19,21 @@ StatsSink::open(const char* what) const
         fatal("%s: cannot write stats file '%s'", what,
               path_.c_str());
     w.os_ = w.owned_.get();
+    w.what_ = what;
+    w.path_ = path_;
     return w;
+}
+
+void
+StatsSink::Writer::close()
+{
+    if (!owned_)
+        return;
+    owned_->close();
+    if (owned_->fail())
+        fatal("%s: cannot write stats file '%s'", what_, path_.c_str());
+    owned_.reset();
+    os_ = nullptr;
 }
 
 } // namespace dtsim

@@ -87,10 +87,20 @@ class StatsSink
             return *os_;
         }
 
+        /**
+         * Flush and close a file destination, fatal() naming the file
+         * if any write to it failed (a full disk, /dev/full). The
+         * Writer then tests false. Nothing to do for a borrowed
+         * stream or a disabled sink.
+         */
+        void close();
+
       private:
         friend class StatsSink;
         std::unique_ptr<std::ofstream> owned_;
         std::ostream* os_ = nullptr;
+        const char* what_ = "";
+        std::string path_;
     };
 
     /**

@@ -129,6 +129,7 @@ RequestTracer::open(const std::string& path, const TraceConfig& cfg)
     out_ = std::fopen(path.c_str(), "wb");
     if (!out_)
         fatal("cannot open trace file %s for writing", path.c_str());
+    path_ = path;
     cfg_ = cfg;
     sampleAll_ = cfg.sample >= 1.0;
     sampleNone_ = cfg.sample <= 0.0;
@@ -169,8 +170,11 @@ RequestTracer::close()
         writeBinaryMarker();
     droppedFinal_ = ring_->dropped();
     ring_.reset();
-    std::fclose(out_);
+    const bool failed = std::ferror(out_) != 0;
+    const bool closed = std::fclose(out_) == 0;
     out_ = nullptr;
+    if (failed || !closed)
+        fatal("cannot write trace file %s", path_.c_str());
 }
 
 std::uint64_t

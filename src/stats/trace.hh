@@ -150,7 +150,8 @@ class RequestTracer
 
     /**
      * Stop the writer thread (draining every queued record), flush
-     * and close the output file; the tracer becomes disabled. The
+     * and close the output file; the tracer becomes disabled.
+     * fatal() naming the file if any write to it failed. The
      * records()/sampledOut()/dropped() counters survive close() and
      * report the finished run.
      */
@@ -223,6 +224,7 @@ class RequestTracer
     void writeBinaryMarker();
 
     std::FILE* out_ = nullptr;
+    std::string path_;           ///< for the close() failure report
     TraceConfig cfg_;
     Rng rng_;                    ///< dedicated sampling stream
     bool sampleAll_ = true;      ///< sample >= 1: skip the draw

@@ -185,7 +185,7 @@ replayShard(const RequestStream& s, Rng& rng, std::uint64_t begin,
 
     // Replay one request through the buffer cache and the prefetcher.
     const auto replay = [&](const DrawnRequest& req, bool recording) {
-        const FileLayout& f = s.image.file(req.file);
+        const FileLayout f = s.image.file(req.file);
         const std::uint32_t this_job = job++;
 
         if (req.isWrite) {

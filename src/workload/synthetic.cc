@@ -51,11 +51,12 @@ makeSynthetic(const SyntheticParams& params, std::uint64_t total_blocks)
     // Emit one file's blocks as coalesced records.
     auto emit_file = [&](FileId file, bool is_write,
                          std::uint32_t job) {
-        const FileLayout& f = w.image->file(file);
+        const FileLayout f = w.image->file(file);
         // Perfect prefetching requests the whole file; each extent
         // is a run of consecutive logical blocks, split into
         // requests by the coalescing model.
-        for (const FileExtent& e : f.extents) {
+        for (std::size_t x = 0; x < f.extentCount(); ++x) {
+            const FileExtent e = f.extent(x);
             ArrayBlock pos = e.start;
             for (std::uint64_t sz :
                  coalesceRun(e.count, params.coalesceProb, rng)) {

@@ -32,21 +32,30 @@ computeStats(const Trace& trace)
 {
     TraceStats s;
     s.records = trace.size();
-    FlatTable<std::uint8_t> jobs;
-    for (const TraceRecord& r : trace) {
+    bool ascending = true;
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+        const TraceRecord& r = trace[i];
         s.blocks += r.count;
         if (r.isWrite) {
             ++s.writeRecords;
             s.writeBlocks += r.count;
         }
-        jobs.insert(r.job, 0);
+        if (i == 0 || r.job > trace[i - 1].job)
+            ++s.jobs;
+        else if (r.job < trace[i - 1].job)
+            ascending = false;
     }
-    const FlatTable<std::uint64_t> counts = blockCounts(trace);
-    s.jobs = jobs.size();
-    s.distinctBlocks = counts.size();
-    counts.forEach([&](std::uint64_t, std::uint64_t n) {
-        s.maxBlockAccesses = std::max(s.maxBlockAccesses, n);
-    });
+    if (!ascending) {
+        // An id recurs after a smaller one: count distinct ids from a
+        // sorted copy of each run's id.
+        std::vector<std::uint32_t> ids;
+        for (std::size_t i = 0; i < trace.size(); ++i)
+            if (i == 0 || trace[i].job != trace[i - 1].job)
+                ids.push_back(trace[i].job);
+        std::sort(ids.begin(), ids.end());
+        s.jobs = static_cast<std::uint64_t>(
+            std::unique(ids.begin(), ids.end()) - ids.begin());
+    }
     if (s.records > 0) {
         s.writeRecordFraction =
             static_cast<double>(s.writeRecords) /
@@ -55,6 +64,18 @@ computeStats(const Trace& trace)
             static_cast<double>(s.blocks) /
             static_cast<double>(s.records);
     }
+    return s;
+}
+
+BlockAccessStats
+blockAccessStats(const Trace& trace)
+{
+    BlockAccessStats s;
+    const FlatTable<std::uint64_t> counts = blockCounts(trace);
+    s.distinctBlocks = counts.size();
+    counts.forEach([&](std::uint64_t, std::uint64_t n) {
+        s.maxBlockAccesses = std::max(s.maxBlockAccesses, n);
+    });
     return s;
 }
 
@@ -83,7 +104,11 @@ saveTrace(const Trace& trace, const std::string& path)
         std::fprintf(f, "%" PRIu64 " %u %u %u\n", r.start, r.count,
                      r.isWrite ? 1u : 0u, r.job);
     }
-    std::fclose(f);
+    // A failed fprintf sets the stream's error flag; fclose reports
+    // a failure to flush the last buffer.
+    const bool failed = std::ferror(f) != 0;
+    if (std::fclose(f) != 0 || failed)
+        fatal("saveTrace: cannot write %s", path.c_str());
 }
 
 namespace {

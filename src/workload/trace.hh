@@ -41,15 +41,34 @@ struct TraceStats
     std::uint64_t writeRecords = 0;
     std::uint64_t blocks = 0;
     std::uint64_t writeBlocks = 0;
+
+    /** Distinct job ids. */
     std::uint64_t jobs = 0;
-    std::uint64_t distinctBlocks = 0;
-    std::uint64_t maxBlockAccesses = 0;
     double writeRecordFraction = 0.0;
     double meanRecordBlocks = 0.0;
 };
 
-/** Compute summary statistics. */
+/**
+ * Compute summary statistics. One pass when job ids never decrease
+ * from one run of equal ids to the next (every generated trace);
+ * otherwise the distinct ids are counted from a sorted copy of the
+ * runs' ids, 4 bytes per run.
+ */
 TraceStats computeStats(const Trace& trace);
+
+/** Per-block access statistics of a trace. */
+struct BlockAccessStats
+{
+    std::uint64_t distinctBlocks = 0;
+    std::uint64_t maxBlockAccesses = 0;
+};
+
+/**
+ * Count the distinct blocks a trace touches and the largest access
+ * count of any block. Builds a hash table over every distinct block,
+ * so call it only where these values are printed.
+ */
+BlockAccessStats blockAccessStats(const Trace& trace);
 
 /**
  * Per-block access counts, sorted descending: the series plotted in

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "bus/scsi_bus.hh"
 #include "controller/disk_controller.hh"
@@ -229,6 +231,75 @@ TEST(DiskController, QueuedRequestsAllComplete)
     r.eq.run();
     EXPECT_EQ(completed, 50);
     EXPECT_EQ(r.ctl->outstanding(), 0u);
+}
+
+TEST(DiskController, DrainedCountersSatisfyIdentities)
+{
+    Rig r;
+    for (int i = 0; i < 50; ++i) {
+        IoRequest req;
+        req.start = static_cast<BlockNum>(i % 7) * 40;
+        req.count = 4;
+        req.isWrite = i % 5 == 0;
+        r.ctl->submit(std::move(req));
+        r.eq.run();  // One at a time, so repeats hit the cache.
+    }
+    EXPECT_GT(r.ctl->stats().cacheHitRequests, 0u);
+    EXPECT_TRUE(r.ctl->accountingErrors().empty());
+}
+
+TEST(DiskController, AccountingErrorsNameEachBrokenIdentity)
+{
+    // A consistent set: 10 requests, 4 of them cache hits, 6 media
+    // accesses plus one flush and one rebuild job, one retry.
+    ControllerStats s;
+    s.reads = 8;
+    s.writes = 2;
+    s.readBlocks = 30;
+    s.writeBlocks = 10;
+    s.cacheHitRequests = 4;
+    s.hdcHitBlocks = 6;
+    s.raHitBlocks = 9;
+    s.mediaAccesses = 8;
+    s.mediaBlocks = 25;
+    s.flushWrites = 1;
+    s.rebuildJobs = 1;
+    s.retries = 1;
+    SchedulerStats sched;
+    sched.pushes = sched.pops = 8;
+    MechCounters mech;
+    mech.accesses = 9;
+    RaCounters ra;
+    ra.specInserted = 20;
+    ra.specUsed = 12;
+    ra.specWasted = 8;
+    EXPECT_TRUE(accountingErrors(3, s, sched, mech, ra).empty());
+
+    const auto only = [&](const ControllerStats& cs,
+                          const SchedulerStats& ss,
+                          const MechCounters& mc, const RaCounters& rc,
+                          const char* needle) {
+        const std::vector<std::string> bad =
+            accountingErrors(3, cs, ss, mc, rc);
+        ASSERT_EQ(bad.size(), 1u) << needle;
+        EXPECT_NE(bad[0].find("disk3: "), std::string::npos) << bad[0];
+        EXPECT_NE(bad[0].find(needle), std::string::npos) << bad[0];
+    };
+    ControllerStats no_rebuild = s;
+    no_rebuild.rebuildJobs = 0;
+    only(no_rebuild, sched, mech, ra, "cache_hit_requests+media");
+    ControllerStats lost_block = s;
+    lost_block.mediaBlocks = 24;
+    only(lost_block, sched, mech, ra, "media_blocks");
+    SchedulerStats stuck = sched;
+    stuck.pushes = 9;
+    only(s, stuck, mech, ra, "sched.pushes == sched.pops");
+    MechCounters extra = mech;
+    extra.accesses = 10;
+    only(s, sched, extra, ra, "mech.accesses");
+    RaCounters over = ra;
+    over.specWasted = 9;
+    only(s, sched, mech, over, "spec_inserted");
 }
 
 TEST(DiskController, RejectsInvalidRequests)

@@ -46,7 +46,7 @@ TEST_P(BitmapSweep, BitmapAgreesWithLayout)
     std::vector<std::vector<bool>> truth(
         disks, std::vector<bool>(per_disk, false));
     for (FileId f = 0; f < img.fileCount(); ++f) {
-        const FileLayout& fl = img.file(f);
+        const FileLayout fl = img.file(f);
         const std::uint64_t n = fl.blocks();
         PhysicalLoc prev{};
         for (std::uint64_t i = 0; i < n; ++i) {
@@ -74,7 +74,7 @@ TEST_P(BitmapSweep, BitmapAgreesWithLayout)
     // file's first block, the run ends at or before the file's
     // physically-contiguous prefix on that disk.
     for (FileId f = 0; f < img.fileCount(); f += 37) {
-        const FileLayout& fl = img.file(f);
+        const FileLayout fl = img.file(f);
         const PhysicalLoc first = striping.toPhysical(fl.blockAt(0));
         const std::uint64_t run =
             maps[first.disk].countRun(first.block + 1, 1 << 20);
@@ -141,7 +141,9 @@ TEST_P(BitmapReference, MatchesPerBlockWalk)
     for (FileId f = 0; f < img.fileCount(); ++f) {
         PhysicalLoc prev{};
         std::uint64_t i = 0;
-        for (const FileExtent& e : img.file(f).extents) {
+        const FileLayout fl = img.file(f);
+        for (std::size_t x = 0; x < fl.extentCount(); ++x) {
+            const FileExtent e = fl.extent(x);
             for (std::uint64_t off = 0; off < e.count; ++off, ++i) {
                 const PhysicalLoc loc =
                     striping.toPhysical(e.start + off);

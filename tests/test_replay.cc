@@ -5,6 +5,7 @@
 #include "core/experiment.hh"
 #include "core/replay.hh"
 #include "core/system.hh"
+#include "sim/rng.hh"
 
 namespace dtsim {
 namespace {
@@ -25,6 +26,72 @@ simpleTrace(std::size_t jobs, std::uint32_t records_per_job)
     return t;
 }
 
+/**
+ * A trace of `records` records whose jobs are runs of 1..max_run
+ * adjacent records; each run takes an id from [0, ids) that differs
+ * from the previous run's, so with few ids an id recurs
+ * non-adjacently and counts as a new job each time.
+ */
+Trace
+recurringJobTrace(std::uint64_t seed, std::size_t records,
+                  std::uint32_t ids, std::uint32_t max_run)
+{
+    Rng rng(seed);
+    Trace t;
+    while (t.size() < records) {
+        std::uint32_t id = static_cast<std::uint32_t>(rng.below(ids));
+        if (!t.empty() && id == t.back().job)
+            id = (id + 1) % ids;
+        const std::uint64_t run = 1 + rng.below(max_run);
+        for (std::uint64_t r = 0; r < run && t.size() < records; ++r) {
+            TraceRecord rec;
+            rec.start = rng.below(200000);
+            rec.count = static_cast<std::uint32_t>(1 + rng.below(8));
+            rec.isWrite = rng.below(4) == 0;
+            rec.job = id;
+            t.push_back(rec);
+        }
+    }
+    return t;
+}
+
+/** What a replay did: completion order and times, and its counters. */
+struct ReplayOutcome
+{
+    std::uint64_t digest = 0;  ///< FNV-1a of (record, completion tick).
+    std::uint64_t jobs = 0;
+    std::uint64_t requests = 0;
+    Tick end = 0;
+};
+
+ReplayOutcome
+replayOutcome(const Trace& trace, unsigned streams, unsigned workers)
+{
+    EventQueue eq;
+    SystemConfig cfg;
+    cfg.disks = 2;
+    cfg.stripeUnitBytes = 16 * kKiB;
+    DiskArray array(eq, cfg.arrayConfig());
+    ReplayEngine engine(eq, array, trace, streams, workers);
+    std::uint64_t h = 14695981039346656037ULL;
+    const auto mix = [&h](std::uint64_t v) {
+        for (int b = 0; b < 8; ++b) {
+            h ^= (v >> (8 * b)) & 0xff;
+            h *= 1099511628211ULL;
+        }
+    };
+    engine.setObserver([&](const TraceRecord& rec, Tick when) {
+        mix(static_cast<std::uint64_t>(&rec - trace.data()));
+        mix(when);
+    });
+    ReplayOutcome out;
+    out.end = engine.run();
+    out.digest = h;
+    out.jobs = engine.metrics().jobs;
+    out.requests = engine.metrics().requests;
+    return out;
+}
+
 TEST(ReplayEngine, CompletesWholeTrace)
 {
     EventQueue eq;
@@ -39,6 +106,52 @@ TEST(ReplayEngine, CompletesWholeTrace)
     EXPECT_EQ(engine.metrics().jobs, 20u);
     EXPECT_EQ(engine.metrics().blocks, 240u);
     EXPECT_EQ(array.outstanding(), 0u);
+}
+
+/** Jobs as adjacent runs of equal ids, counted independently. */
+std::uint64_t
+adjacentRuns(const Trace& t)
+{
+    std::uint64_t runs = 0;
+    for (std::size_t i = 0; i < t.size(); ++i)
+        runs += i == 0 || t[i].job != t[i - 1].job;
+    return runs;
+}
+
+TEST(ReplayEngine, JobBoundariesMatchPrecomputedRanges)
+{
+    // Completion order, times and counters captured from the engine
+    // that precomputed every job range before replay; finding the
+    // boundaries as jobs are claimed must not change any of them.
+    struct Case
+    {
+        std::uint64_t seed;
+        std::size_t records;
+        std::uint32_t ids, maxRun;
+        unsigned streams, workers;
+        std::uint64_t jobs;
+        Tick end;
+        std::uint64_t digest;
+    };
+    const Case cases[] = {
+        // An id recurs non-adjacently: each recurrence is a new job.
+        {1, 400, 3, 4, 4, 2, 154, 2175022860, 0x7198e50c47ac569cULL},
+        // Single-record jobs, more streams than workers needed.
+        {2, 300, 2, 1, 8, 0, 300, 1497550830, 0x1bc4233b74d039d6ULL},
+        {3, 500, 50, 6, 16, 4, 141, 2457347978, 0x0837ce86bda8cc3aULL},
+        // Empty trace: nothing completes.
+        {4, 0, 3, 4, 4, 2, 0, 0, 0xcbf29ce484222325ULL},
+    };
+    for (const Case& c : cases) {
+        const Trace t =
+            recurringJobTrace(c.seed, c.records, c.ids, c.maxRun);
+        const ReplayOutcome o = replayOutcome(t, c.streams, c.workers);
+        EXPECT_EQ(o.jobs, adjacentRuns(t)) << "seed " << c.seed;
+        EXPECT_EQ(o.jobs, c.jobs) << "seed " << c.seed;
+        EXPECT_EQ(o.requests, c.records) << "seed " << c.seed;
+        EXPECT_EQ(o.end, c.end) << "seed " << c.seed;
+        EXPECT_EQ(o.digest, c.digest) << "seed " << c.seed;
+    }
 }
 
 TEST(ReplayEngine, EmptyTraceReturnsImmediately)

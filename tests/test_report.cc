@@ -87,6 +87,16 @@ TEST(Report, RuntimeLineTimesPreparationPhases)
     // No online policy ran, so nothing re-planned.
     EXPECT_EQ(r.replanSeconds, 0.0);
 
+    // The process's high-water mark covers at least the generated
+    // trace the run replayed.
+    const double trace_mb = static_cast<double>(built.trace().size() *
+                                                sizeof(TraceRecord)) /
+                            (1024.0 * 1024.0);
+    EXPECT_GT(r.processPeakRssMb, trace_mb);
+    const std::size_t f = line.find(" process_peak_rss_mb=");
+    ASSERT_NE(f, std::string::npos) << line;
+    EXPECT_GT(std::stod(line.substr(f + 21)), trace_mb) << line;
+
     // Replaying a caller-supplied trace generates nothing.
     sim.system.kind = SystemKind::Segm;
     sim.system.hdc.budgetBytesPerDisk = 0;

@@ -7,6 +7,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include "core/report.hh"
 #include "core/sweep.hh"
 #include "experiment_replay.hh"
@@ -122,6 +124,24 @@ TEST(RequestTrace, RecordsMatchSimulatedRequests)
     EXPECT_EQ(seek, r.agg.seekTime);
     EXPECT_EQ(rot, r.agg.rotTime);
     EXPECT_EQ(xfer, r.agg.xferTime);
+}
+
+TEST(RequestTrace, FailedWritesAreFatal)
+{
+    // /dev/full accepts the open and fails every write, so the error
+    // surfaces only when the output is flushed and closed.
+    if (access("/dev/full", W_OK) != 0)
+        GTEST_SKIP() << "no /dev/full";
+    RunOptions trace_opts;
+    trace_opts.tracePath = "/dev/full";
+    EXPECT_DEATH(test::replayTrace(testConfig(), testTrace(), nullptr,
+                                   nullptr, trace_opts),
+                 "cannot write trace file /dev/full");
+    RunOptions stats_opts;
+    stats_opts.stats = StatsSink::file("/dev/full");
+    EXPECT_DEATH(test::replayTrace(testConfig(), testTrace(), nullptr,
+                                   nullptr, stats_opts),
+                 "cannot write stats file '/dev/full'");
 }
 
 TEST(RequestTrace, DisabledTracerChangesNothingAndWritesNothing)

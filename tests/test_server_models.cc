@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <map>
+#include <set>
 #include <string>
 
 #include "workload/server_models.hh"
@@ -91,11 +94,37 @@ TEST(ServerModel, DayCycleCausesRepeatMisses)
     ServerModelParams without = with;
     without.dayEveryRequests = 0;
 
-    const TraceStats s_with =
-        computeStats(makeServerWorkload(with, kCapacity).trace);
-    const TraceStats s_without =
-        computeStats(makeServerWorkload(without, kCapacity).trace);
+    const BlockAccessStats s_with =
+        blockAccessStats(makeServerWorkload(with, kCapacity).trace);
+    const BlockAccessStats s_without =
+        blockAccessStats(makeServerWorkload(without, kCapacity).trace);
     EXPECT_GT(s_with.maxBlockAccesses, s_without.maxBlockAccesses);
+}
+
+TEST(ServerModel, TraceSummariesMatchMapCounts)
+{
+    // computeStats counts a server trace's jobs in one pass and
+    // blockAccessStats counts its blocks by hash table; both must
+    // agree with ordered containers.
+    ServerModelParams p = tinyModel();
+    p.dayEveryRequests = 500;
+    const ServerWorkload w = makeServerWorkload(p, kCapacity);
+    std::set<std::uint32_t> jobs;
+    std::map<ArrayBlock, std::uint64_t> counts;
+    for (const TraceRecord& r : w.trace) {
+        jobs.insert(r.job);
+        for (std::uint32_t i = 0; i < r.count; ++i)
+            ++counts[r.start + i];
+    }
+    std::uint64_t max_accesses = 0;
+    for (const auto& [block, n] : counts)
+        max_accesses = std::max(max_accesses, n);
+
+    ASSERT_FALSE(w.trace.empty());
+    EXPECT_EQ(computeStats(w.trace).jobs, jobs.size());
+    const BlockAccessStats bs = blockAccessStats(w.trace);
+    EXPECT_EQ(bs.distinctBlocks, counts.size());
+    EXPECT_EQ(bs.maxBlockAccesses, max_accesses);
 }
 
 TEST(ServerModel, PartialAccessProducesSmallRecords)

@@ -2,10 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <map>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
+
+#include <unistd.h>
 
 #include "sim/rng.hh"
 #include "temp_path.hh"
@@ -39,7 +44,7 @@ TEST(TraceStats, CountsRecordsAndBlocks)
 
 TEST(TraceStats, DistinctAndMax)
 {
-    const TraceStats s = computeStats(sampleTrace());
+    const BlockAccessStats s = blockAccessStats(sampleTrace());
     // Blocks 100..105 and 500: 7 distinct; 100..103 accessed twice.
     EXPECT_EQ(s.distinctBlocks, 7u);
     EXPECT_EQ(s.maxBlockAccesses, 2u);
@@ -50,6 +55,67 @@ TEST(TraceStats, EmptyTrace)
     const TraceStats s = computeStats({});
     EXPECT_EQ(s.records, 0u);
     EXPECT_DOUBLE_EQ(s.meanRecordBlocks, 0.0);
+}
+
+TEST(TraceStats, OutOfOrderJobIdsCountDistinctIds)
+{
+    // Ids 5, 2, 7, 2, 5: a smaller id follows a larger one, so the
+    // distinct count comes from the sorted copy: {2, 5, 7}.
+    Trace t;
+    for (std::uint32_t job : {5u, 5u, 2u, 7u, 2u, 2u, 5u})
+        t.push_back({job * 10, 1, false, job});
+    EXPECT_EQ(computeStats(t).jobs, 3u);
+
+    Rng rng(0x1d5);
+    for (int round = 0; round < 50; ++round) {
+        Trace r(1 + rng.below(300));
+        std::set<std::uint32_t> ids;
+        for (TraceRecord& rec : r) {
+            rec.job = static_cast<std::uint32_t>(rng.below(40));
+            ids.insert(rec.job);
+        }
+        EXPECT_EQ(computeStats(r).jobs, ids.size()) << "round " << round;
+    }
+}
+
+TEST(TraceStats, AscendingJobIdsCountedInOnePass)
+{
+    // Runs of equal ids with gaps between the ids: each run is a job.
+    Trace t;
+    for (std::uint32_t job : {0u, 0u, 3u, 4u, 4u, 4u, 9u})
+        t.push_back({job, 1, false, job});
+    EXPECT_EQ(computeStats(t).jobs, 4u);
+}
+
+/** Distinct blocks and largest per-block count by std::map. */
+BlockAccessStats
+mapBlockAccessStats(const Trace& trace)
+{
+    std::map<ArrayBlock, std::uint64_t> counts;
+    for (const TraceRecord& r : trace)
+        for (std::uint32_t i = 0; i < r.count; ++i)
+            ++counts[r.start + i];
+    BlockAccessStats s;
+    s.distinctBlocks = counts.size();
+    for (const auto& [block, n] : counts)
+        s.maxBlockAccesses = std::max(s.maxBlockAccesses, n);
+    return s;
+}
+
+TEST(BlockAccessStats, MatchesMapCountOnRandomTraces)
+{
+    Rng rng(0xb10c);
+    for (int round = 0; round < 40; ++round) {
+        Trace t(rng.below(400));
+        for (TraceRecord& rec : t) {
+            rec.start = rng.below(2000);
+            rec.count = static_cast<std::uint32_t>(1 + rng.below(16));
+        }
+        const BlockAccessStats want = mapBlockAccessStats(t);
+        const BlockAccessStats got = blockAccessStats(t);
+        EXPECT_EQ(got.distinctBlocks, want.distinctBlocks);
+        EXPECT_EQ(got.maxBlockAccesses, want.maxBlockAccesses);
+    }
 }
 
 TEST(AccessCounts, SortedDescending)
@@ -65,6 +131,14 @@ TEST(AccessCounts, TopTruncation)
 {
     const auto counts = accessCountsSorted(sampleTrace(), 3);
     EXPECT_EQ(counts.size(), 3u);
+}
+
+TEST(TracePersistence, SaveToFullDeviceIsFatal)
+{
+    if (access("/dev/full", W_OK) != 0)
+        GTEST_SKIP() << "no /dev/full";
+    EXPECT_DEATH(saveTrace(sampleTrace(), "/dev/full"),
+                 "saveTrace: cannot write /dev/full");
 }
 
 TEST(TracePersistence, SaveLoadRoundTrip)
