@@ -350,27 +350,6 @@ bindParams(ParamRegistry& reg, SimulationConfig& sim)
             "online policy: epoch-over-epoch hot-set churn above "
             "which a phase change is declared and the next re-plan "
             "runs at a quarter of the base period [0,1]");
-
-    // ra.* -- feedback-directed read-ahead depth (paired with the
-    // online HDC work; defaults = the paper's fixed segment-sized
-    // budget). Elided from headers when untouched.
-    RaSpec& r = sys.ra;
-    reg.add("ra.adaptive", r.adaptive,
-            "scale each controller's speculative read-ahead depth by "
-            "the observed read-ahead accuracy (off = the fixed "
-            "segment-sized budget)");
-    reg.add("ra.min_blocks", r.minBlocks,
-            "lower bound on the adaptive read-ahead depth in blocks");
-    reg.add("ra.max_blocks", r.maxBlocks,
-            "upper bound on the adaptive read-ahead depth in blocks "
-            "(0 = the segment size)");
-    reg.add("ra.window_blocks", r.windowBlocks,
-            "speculative blocks that must resolve (used or wasted) "
-            "before the depth is re-evaluated");
-    reg.add("ra.low_accuracy", r.lowAccuracy,
-            "window accuracy at or below which the depth halves");
-    reg.add("ra.high_accuracy", r.highAccuracy,
-            "window accuracy at or above which the depth doubles");
 }
 
 namespace {
@@ -508,22 +487,6 @@ validateConfig(const SimulationConfig& sim)
           sys.hdc.churnThreshold >= 0 && sys.hdc.churnThreshold <= 1,
           "hdc.churn_threshold must be in [0,1]");
 
-    check(errs, sys.ra.minBlocks >= 1,
-          "ra.min_blocks must be at least 1");
-    check(errs,
-          sys.ra.maxBlocks == 0 ||
-              sys.ra.maxBlocks >= sys.ra.minBlocks,
-          "ra.max_blocks must be 0 (= the segment size) or at least "
-          "ra.min_blocks");
-    check(errs, sys.ra.windowBlocks >= 1,
-          "ra.window_blocks must be at least 1");
-    check(errs,
-          sys.ra.lowAccuracy >= 0 &&
-              sys.ra.lowAccuracy <= sys.ra.highAccuracy &&
-              sys.ra.highAccuracy <= 1,
-          "ra.low_accuracy/ra.high_accuracy must satisfy 0 <= low <= "
-          "high <= 1");
-
     const bool server = sim.workload != WorkloadKind::Synthetic;
     check(errs, !server || sim.scale > 0,
           "workload.scale must be > 0 for server workloads");
@@ -656,15 +619,11 @@ renderConfigHeader(const SimulationConfig& sim,
             sim.output.stream.intervalTicks == 0 &&
             e.name.compare(0, 6, "stats.") == 0)
             continue;
-        // The typed hdc./ra. groups only appear once the state left
-        // what the legacy system.hdc_* keys can express (or the
-        // adaptive read-ahead was touched): pre-redesign headers
-        // stay byte-identical.
+        // The typed hdc. group only appears once the state left what
+        // the legacy system.hdc_* keys can express: pre-redesign
+        // headers stay byte-identical.
         if (!sim.system.hdc.headerNeeded() &&
             e.name.compare(0, 4, "hdc.") == 0)
-            continue;
-        if (!sim.system.ra.headerNeeded() &&
-            e.name.compare(0, 3, "ra.") == 0)
             continue;
         os << "#conf " << e.name << " = " << e.get() << "\n";
     }

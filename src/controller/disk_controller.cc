@@ -62,13 +62,6 @@ DiskController::DiskController(EventQueue& eq, ScsiBus& bus,
     maxReadBlocks_ =
         std::max<std::uint64_t>(1, params_.segmentBlocks());
 
-    raDepthMin_ = std::max<std::uint64_t>(1, cfg_.ra.minBlocks);
-    raDepthMax_ =
-        cfg_.ra.maxBlocks ? cfg_.ra.maxBlocks : maxReadBlocks_;
-    if (raDepthMax_ < raDepthMin_)
-        raDepthMax_ = raDepthMin_;
-    raDepth_ = cfg_.ra.adaptive ? raDepthMax_ : maxReadBlocks_;
-
     if (cfg_.org == CacheOrg::Segment) {
         const std::uint64_t nseg =
             std::max<std::uint64_t>(1, ra_bytes / params_.segmentBytes);
@@ -302,47 +295,14 @@ DiskController::tryStartMedia()
     startMedia(sched_->pop(mech_.currentCylinder()));
 }
 
-void
-DiskController::maybeAdaptRaDepth()
-{
-    if (!cfg_.ra.adaptive)
-        return;
-    const RaCounters& rc = raCache_->raCounters();
-    const std::uint64_t used = rc.specUsed - raWinUsedBase_;
-    const std::uint64_t wasted = rc.specWasted - raWinWastedBase_;
-    const std::uint64_t resolved = used + wasted;
-    if (resolved < cfg_.ra.windowBlocks)
-        return;
-    const double acc = static_cast<double>(used) /
-                       static_cast<double>(resolved);
-    if (acc >= cfg_.ra.highAccuracy) {
-        const std::uint64_t next =
-            std::min(raDepth_ * 2, raDepthMax_);
-        if (next != raDepth_)
-            ++raDepthRaises_;
-        raDepth_ = next;
-    } else if (acc <= cfg_.ra.lowAccuracy) {
-        const std::uint64_t next =
-            std::max(raDepth_ / 2, raDepthMin_);
-        if (next != raDepth_)
-            ++raDepthDrops_;
-        raDepth_ = next;
-    }
-    raWinUsedBase_ = rc.specUsed;
-    raWinWastedBase_ = rc.specWasted;
-    ++raWindows_;
-}
-
 std::uint64_t
 DiskController::readAheadBlocks(BlockNum media_start,
-                                std::uint64_t media_count)
+                                std::uint64_t media_count) const
 {
-    maybeAdaptRaDepth();
-    const std::uint64_t cap =
-        cfg_.ra.adaptive ? raDepth_ : maxReadBlocks_;
     std::uint64_t ra = 0;
-    const std::uint64_t budget =
-        media_count < cap ? cap - media_count : 0;
+    const std::uint64_t budget = media_count < maxReadBlocks_
+                                     ? maxReadBlocks_ - media_count
+                                     : 0;
 
     switch (cfg_.readAhead) {
       case ReadAheadMode::None:
@@ -766,16 +726,6 @@ DiskController::exportStats(stats::StatGroup& parent) const
     addU(rag, "spec_wasted", "speculative blocks dropped unconsumed",
          ra.specWasted);
     add(rag, "accuracy", "spec_used / spec_inserted", ra.accuracy());
-    if (cfg_.ra.adaptive) {
-        addU(rag, "depth_blocks", "current adaptive depth cap",
-             raDepth_);
-        addU(rag, "depth_windows", "accuracy windows resolved",
-             raWindows_);
-        addU(rag, "depth_raises", "windows that doubled the depth",
-             raDepthRaises_);
-        addU(rag, "depth_drops", "windows that halved the depth",
-             raDepthDrops_);
-    }
 
     const SchedulerStats& ss = sched_->schedStats();
     StatGroup& sg = g.makeGroup("sched");

@@ -32,7 +32,6 @@
 #include "disk/geometry.hh"
 #include "disk/mechanism.hh"
 #include "fault/fault_model.hh"
-#include "hdc/hdc_spec.hh"
 #include "sim/event_queue.hh"
 #include "sim/same_tick_batch.hh"
 #include "sim/ticks.hh"
@@ -64,9 +63,6 @@ struct ControllerConfig
 
     /** RNG seed for randomized replacement policies. */
     std::uint64_t seed = 1;
-
-    /** Feedback-directed read-ahead depth control. */
-    RaSpec ra;
 };
 
 /** Counters exported by one controller. */
@@ -313,19 +309,9 @@ class DiskController
     void startMedia(MediaJob* job);
     void onMediaDone(MediaJob* job, std::uint64_t ra_blocks);
 
-    /** Blocks of speculative read-ahead to append to a media read.
-     *  Non-const: under adaptive read-ahead this is also where the
-     *  depth controller re-evaluates the accuracy window. */
+    /** Blocks of speculative read-ahead to append to a media read. */
     std::uint64_t readAheadBlocks(BlockNum media_start,
-                                  std::uint64_t media_count);
-
-    /**
-     * Adaptive read-ahead feedback: once windowBlocks speculative
-     * blocks have resolved (used or wasted), double the depth at high
-     * accuracy and halve it at low accuracy, clamped to
-     * [minBlocks, maxBlocks]. No-op unless cfg_.ra.adaptive.
-     */
-    void maybeAdaptRaDepth();
+                                  std::uint64_t media_count) const;
 
     /** Run `fn` through the same-tick batch (inline without one). */
     void emitToHost(SameTickBatch::Action fn);
@@ -377,16 +363,6 @@ class DiskController
     const LayoutBitmap* bitmap_ = nullptr;
 
     std::uint64_t maxReadBlocks_;   ///< Segment-size read budget.
-
-    /** Adaptive read-ahead depth controller (cfg_.ra). */
-    std::uint64_t raDepth_ = 0;        ///< Current depth cap.
-    std::uint64_t raDepthMin_ = 1;     ///< Clamp floor.
-    std::uint64_t raDepthMax_ = 0;     ///< Clamp ceiling.
-    std::uint64_t raWinUsedBase_ = 0;  ///< specUsed at window start.
-    std::uint64_t raWinWastedBase_ = 0; ///< specWasted at window start.
-    std::uint64_t raWindows_ = 0;      ///< Accuracy windows resolved.
-    std::uint64_t raDepthRaises_ = 0;  ///< Windows that doubled depth.
-    std::uint64_t raDepthDrops_ = 0;   ///< Windows that halved depth.
 
     /**
      * Owns every in-flight record ever allocated. Scheduled events

@@ -39,34 +39,6 @@ Experiment::kind(SystemKind k)
 }
 
 Experiment&
-Experiment::hdc(const HdcSpec& spec)
-{
-    cfg_.system.hdc = spec;
-    return *this;
-}
-
-Experiment&
-Experiment::ra(const RaSpec& spec)
-{
-    cfg_.system.ra = spec;
-    return *this;
-}
-
-Experiment&
-Experiment::mirrored(bool on)
-{
-    cfg_.system.mirrored = on;
-    return *this;
-}
-
-Experiment&
-Experiment::faults(const FaultConfig& f)
-{
-    cfg_.system.fault = f;
-    return *this;
-}
-
-Experiment&
 Experiment::replay(const Trace& t)
 {
     extTrace_ = &t;
@@ -226,17 +198,6 @@ Experiment::trace()
 {
     prepare();
     return theTrace();
-}
-
-const std::vector<LayoutBitmap>&
-Experiment::layoutBitmaps()
-{
-    prepare();
-    if (extBitmaps_)
-        return *extBitmaps_;
-    if (ownBitmaps_.empty() && workload_.image)
-        ownBitmaps_ = workload_.image->buildBitmaps(striping());
-    return ownBitmaps_;
 }
 
 SweepJob

@@ -77,18 +77,6 @@ class Experiment
     /** Set the system kind under test. */
     Experiment& kind(SystemKind k);
 
-    /** Set the full typed HDC host-policy spec (hdc.*). */
-    Experiment& hdc(const HdcSpec& spec);
-
-    /** Set the read-ahead depth-control spec (ra.*). */
-    Experiment& ra(const RaSpec& spec);
-
-    /** Enable/disable RAID-10 mirroring. */
-    Experiment& mirrored(bool on);
-
-    /** Attach a fault-injection scenario (fault/fault_config.hh). */
-    Experiment& faults(const FaultConfig& f);
-
     ///@}
     /** @name Inputs. */
     ///@{
@@ -173,14 +161,6 @@ class Experiment
 
     /** The trace this experiment replays (prepares if needed). */
     const Trace& trace();
-
-    /**
-     * The FOR layout bitmaps of this experiment's image and striping,
-     * built on demand even for non-FOR systems so a prepared workload
-     * can be shared with a FOR variant (prepares if needed; empty
-     * when there is no file-system image).
-     */
-    const std::vector<LayoutBitmap>& layoutBitmaps();
 
     /** Execute the experiment (prepares if needed). */
     RunResult run();

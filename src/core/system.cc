@@ -32,7 +32,6 @@ SystemConfig::controllerConfig() const
     c.blockPolicy = blockPolicy;
     c.hdcBytes = hdc.enabled() ? hdc.budgetBytesPerDisk : 0;
     c.seed = seed;
-    c.ra = ra;
     switch (kind) {
       case SystemKind::Segm:
         c.org = CacheOrg::Segment;

@@ -38,9 +38,6 @@ struct SystemConfig
     /** HDC host policy: off | oracle | online | victim + knobs. */
     HdcSpec hdc;
 
-    /** Feedback-directed read-ahead depth control. */
-    RaSpec ra;
-
     unsigned disks = 8;
     std::uint64_t stripeUnitBytes = 128 * kKiB;
     DiskParams disk;

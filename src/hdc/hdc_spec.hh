@@ -1,7 +1,6 @@
 /**
  * @file
- * The typed host-policy specification of the HDC pinned region and
- * the read-ahead feedback loop.
+ * The typed host-policy specification of the HDC pinned region.
  *
  * HdcSpec replaces the ad-hoc budget/policy/ghost-size field trio
  * that used to live loose on SystemConfig: one struct carries the
@@ -12,10 +11,6 @@
  * legacy `system.hdc_bytes_per_disk` / `system.hdc_policy` /
  * `system.victim_ghost_blocks` keys stay bound to the same fields so
  * existing configs and result headers keep loading unchanged.
- *
- * RaSpec is the matching feedback-directed read-ahead specification
- * (the `ra.*` group): when adaptive, each controller scales its
- * speculative read-ahead depth by the observed RaCounters accuracy.
  */
 
 #ifndef DTSIM_HDC_HDC_SPEC_HH
@@ -123,47 +118,6 @@ struct HdcSpec
                sketchCols != d.sketchCols ||
                candidateBlocks != d.candidateBlocks ||
                churnThreshold != d.churnThreshold;
-    }
-};
-
-/** Feedback-directed read-ahead depth control (the ra.* group). */
-struct RaSpec
-{
-    /**
-     * Scale the per-controller speculative read-ahead depth by the
-     * observed read-ahead accuracy (off = the fixed segment-sized
-     * budget the paper models).
-     */
-    bool adaptive = false;
-
-    /** Lower bound on the adaptive depth, in blocks. */
-    std::uint64_t minBlocks = 1;
-
-    /** Upper bound on the adaptive depth (0 = the segment size). */
-    std::uint64_t maxBlocks = 0;
-
-    /**
-     * Speculative blocks that must resolve (used or wasted) before
-     * the depth is re-evaluated.
-     */
-    std::uint64_t windowBlocks = 256;
-
-    /** Window accuracy at or below which the depth halves. */
-    double lowAccuracy = 0.5;
-
-    /** Window accuracy at or above which the depth doubles. */
-    double highAccuracy = 0.85;
-
-    /** True when the ra.* group must appear in config headers. */
-    bool
-    headerNeeded() const
-    {
-        const RaSpec d;
-        return adaptive || minBlocks != d.minBlocks ||
-               maxBlocks != d.maxBlocks ||
-               windowBlocks != d.windowBlocks ||
-               lowAccuracy != d.lowAccuracy ||
-               highAccuracy != d.highAccuracy;
     }
 };
 

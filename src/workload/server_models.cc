@@ -540,6 +540,9 @@ makeServerWorkload(const ServerModelParams& params,
         return w;
     }
     // One replayer: the whole stream is one shard, drawn as it goes.
+    // Reserved like a fragment above, for one record per recorded
+    // request, so the trace never grows by doubling.
+    w.trace.reserve(params.numRequests);
     replayShard(stream, rng, 0, bounds.back(), *states[0], w.trace);
     w.bufferCache = states[0]->cache.stats();
     return w;

@@ -102,10 +102,10 @@ TEST(ConfigRoundTrip, NonDefaultEverything)
     expectRoundTrip(sim);
 }
 
-TEST(ConfigRoundTrip, OnlineHdcAndAdaptiveRa)
+TEST(ConfigRoundTrip, OnlineHdc)
 {
-    // Every hdc.* and ra.* knob off its default: the new groups must
-    // survive a dump/reload and the legacy aliases must agree.
+    // Every hdc.* knob off its default: the group must survive a
+    // dump/reload and the legacy aliases must agree.
     SimulationConfig sim = smallBase();
     sim.system.hdc.policy = HdcPolicy::Online;
     sim.system.hdc.budgetBytesPerDisk = 384 * kKiB;
@@ -114,12 +114,6 @@ TEST(ConfigRoundTrip, OnlineHdcAndAdaptiveRa)
     sim.system.hdc.sketchCols = 8192;
     sim.system.hdc.candidateBlocks = 4096;
     sim.system.hdc.churnThreshold = 0.25;
-    sim.system.ra.adaptive = true;
-    sim.system.ra.minBlocks = 2;
-    sim.system.ra.maxBlocks = 64;
-    sim.system.ra.windowBlocks = 128;
-    sim.system.ra.lowAccuracy = 0.3;
-    sim.system.ra.highAccuracy = 0.9;
     expectRoundTrip(sim);
 }
 

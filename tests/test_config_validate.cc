@@ -146,33 +146,6 @@ TEST(ConfigValidate, OnlineHdcSketchCellLimit)
     EXPECT_EQ(firstError(sim), "");
 }
 
-TEST(ConfigValidate, AdaptiveRaKnobs)
-{
-    SimulationConfig sim;
-    sim.system.ra.adaptive = true;
-    EXPECT_EQ(firstError(sim), "");
-
-    sim.system.ra.minBlocks = 0;
-    EXPECT_NE(firstError(sim).find("ra.min_blocks"),
-              std::string::npos);
-    sim.system.ra.minBlocks = 8;
-
-    sim.system.ra.maxBlocks = 4;   // Below min (0 would be valid).
-    EXPECT_NE(firstError(sim).find("ra.max_blocks"),
-              std::string::npos);
-    sim.system.ra.maxBlocks = 0;
-
-    sim.system.ra.windowBlocks = 0;
-    EXPECT_NE(firstError(sim).find("ra.window_blocks"),
-              std::string::npos);
-    sim.system.ra.windowBlocks = 256;
-
-    sim.system.ra.lowAccuracy = 0.9;
-    sim.system.ra.highAccuracy = 0.5;
-    EXPECT_NE(firstError(sim).find("ra.low_accuracy"),
-              std::string::npos);
-}
-
 TEST(ConfigValidate, StripeUnitMustBeBlockMultiple)
 {
     SimulationConfig sim;

@@ -2,9 +2,8 @@
  * @file
  * Tests for the online HDC host policy (hdc.policy = online): the
  * miss sketch, re-plan ranking, oracle convergence, phase-change
- * detection, the unified pin router it issues deltas through, the
- * buffer-cache observer hook that can feed it, and the adaptive FOR
- * read-ahead depth control that ships alongside it.
+ * detection, the unified pin router it issues deltas through and the
+ * buffer-cache observer hook that can feed it.
  *
  * OnlineHdcDifferential keeps the policy's original node-based
  * ranking (std::list + std::unordered_map candidate pool,
@@ -221,7 +220,7 @@ TEST(OnlineHdc, RunnerIntegration)
 TEST(OnlineHdc, OracleDumpStaysPure)
 {
     // An oracle-policy run's dump must carry no sim.hdc.online group
-    // and no hdc./ra. header lines: byte-compatibility with
+    // and no hdc. header lines: byte-compatibility with
     // pre-online dumps is load-bearing (golden_dump_smoke).
     SystemConfig cfg;
     cfg.disks = 2;
@@ -254,13 +253,10 @@ TEST(OnlineHdc, HeaderElisionFollowsPolicy)
     EXPECT_NE(plain.find("system.hdc_bytes_per_disk"),
               std::string::npos);
     EXPECT_EQ(plain.find("#conf hdc."), std::string::npos);
-    EXPECT_EQ(plain.find("#conf ra."), std::string::npos);
 
     sim.system.hdc.policy = HdcPolicy::Online;
-    sim.system.ra.adaptive = true;
     const std::string online = renderConfigHeader(sim);
     EXPECT_NE(online.find("hdc.policy = online"), std::string::npos);
-    EXPECT_NE(online.find("ra.adaptive = true"), std::string::npos);
 }
 
 TEST(PinRouter, ImmediateBeforeRunDeferredDuring)
@@ -320,54 +316,6 @@ TEST(BufferCacheObserver, FiresOnMissesAndEvictionsOnly)
         plain.install(b, wb2);
     EXPECT_EQ(plain.stats().readMisses, bc.stats().readMisses);
     EXPECT_EQ(plain.stats().evictions, bc.stats().evictions);
-}
-
-TEST(AdaptiveRa, DepthControlRunsAndExports)
-{
-    SimulationConfig sim;
-    sim.workload = WorkloadKind::Web;
-    sim.scale = 0.01;
-    sim.system.kind = SystemKind::FOR;
-    sim.system.disks = 4;
-    sim.system.ra.adaptive = true;
-    sim.system.ra.windowBlocks = 64;
-
-    std::ostringstream os;
-    Experiment e(sim);
-    e.statsTo(StatsSink::stream(os));
-    const RunResult r = e.run();
-    EXPECT_GT(r.requests, 0u);
-
-    const std::string dump = os.str();
-    EXPECT_NE(dump.find("read_ahead.depth_blocks"),
-              std::string::npos);
-    EXPECT_NE(dump.find("read_ahead.depth_windows"),
-              std::string::npos);
-    EXPECT_NE(dump.find("#conf ra.adaptive = true"),
-              std::string::npos);
-}
-
-TEST(AdaptiveRa, OffPathMatchesDefaultByteForByte)
-{
-    // ra.adaptive=false must not perturb anything: explicit defaults
-    // and an untouched RaSpec give byte-identical dumps.
-    SimulationConfig sim;
-    sim.workload = WorkloadKind::Web;
-    sim.scale = 0.01;
-    sim.system.kind = SystemKind::FOR;
-    sim.system.disks = 4;
-
-    const auto dump = [](const SimulationConfig& s) {
-        std::ostringstream os;
-        Experiment e(s);
-        e.statsTo(StatsSink::stream(os));
-        e.run();
-        return test::stripRuntime(os.str());
-    };
-    const std::string base = dump(sim);
-    SimulationConfig explicit_off = sim;
-    explicit_off.system.ra = RaSpec{};
-    EXPECT_EQ(dump(explicit_off), base);
 }
 
 // ---------------------------------------------------------------------

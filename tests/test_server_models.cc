@@ -241,6 +241,11 @@ expectSameWorkload(const ServerModelParams& p)
     const ServerWorkload one = buildWithJobs(p, "1");
     const ServerWorkload four = buildWithJobs(p, "4");
     ASSERT_EQ(one.trace.size(), four.trace.size()) << p.name;
+    // The inline path reserves its trace up front instead of growing
+    // it by doubling.
+    EXPECT_LE(one.trace.capacity(),
+              std::max<std::size_t>(one.trace.size(), p.numRequests))
+        << p.name;
     for (std::size_t i = 0; i < one.trace.size(); ++i) {
         const TraceRecord& a = one.trace[i];
         const TraceRecord& b = four.trace[i];

@@ -91,9 +91,9 @@ usage()
         "  --stats-out FILE    write the full stats dump to FILE\n"
         "                      (run.stats_out); under a sweep each\n"
         "                      point writes FILE.<key-value>[...], plus\n"
-        "                      non-default fault./hdc./ra. params when\n"
-        "                      a fault scenario or HDC/read-ahead\n"
-        "                      policy is configured\n"
+        "                      non-default fault./hdc. params when\n"
+        "                      a fault scenario or HDC policy is\n"
+        "                      configured\n"
         "  --trace FILE        one sampled 64-byte binary record per\n"
         "                      completed request (run.trace; view it\n"
         "                      with trace_summary [--to-jsonl], see\n"
@@ -286,14 +286,12 @@ coordSuffix(const SweepPoint& p)
         s += '-';
         s += fileToken(kv.second);
     }
-    // Same treatment for the HDC and read-ahead policy groups: a
-    // sweep mixing policies (or an adaptive-RA run) must not write
-    // over the plain run's files.
+    // Same treatment for the HDC policy group: a sweep mixing
+    // policies must not write over the plain run's files.
     const bool want_fault = p.cfg.system.fault.enabled();
     const bool want_hdc = p.cfg.system.hdc.enabled() ||
                           p.cfg.system.hdc.headerNeeded();
-    const bool want_ra = p.cfg.system.ra.headerNeeded();
-    if (want_fault || want_hdc || want_ra) {
+    if (want_fault || want_hdc) {
         // Two registries: one bound to the point (current values),
         // one to a default config (true defaults); only deviations
         // that are not already sweep coordinates are appended.
@@ -309,8 +307,7 @@ coordSuffix(const SweepPoint& p)
             const config::ParamEntry& e = curs[i];
             const bool take =
                 (want_fault && e.name.compare(0, 6, "fault.") == 0) ||
-                (want_hdc && e.name.compare(0, 4, "hdc.") == 0) ||
-                (want_ra && e.name.compare(0, 3, "ra.") == 0);
+                (want_hdc && e.name.compare(0, 4, "hdc.") == 0);
             if (!take)
                 continue;
             // The legacy system.hdc_* keys alias hdc.* fields; a
