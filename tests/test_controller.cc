@@ -3,12 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "bus/scsi_bus.hh"
 #include "controller/disk_controller.hh"
 #include "sim/event_queue.hh"
+#include "stats/stats.hh"
 
 namespace dtsim {
 namespace {
@@ -73,6 +75,34 @@ TEST(DiskController, BlindReadAheadFillsSegment)
     // The read-ahead data serves the sequential continuation.
     EXPECT_EQ(r.doRequest(1004, 4), ServiceClass::CacheHit);
     EXPECT_EQ(r.ctl->stats().mediaAccesses, 1u);
+}
+
+TEST(DiskController, ReadAheadStatsExportFixedBudget)
+{
+    // The read_ahead group reports what the fixed budget fetched and
+    // how much of it was used; there is no depth control to report.
+    Rig r;
+    r.doRequest(1000, 4);
+    r.doRequest(1004, 4);
+
+    stats::StatGroup root("ctl");
+    r.ctl->exportStats(root);
+    std::ostringstream os;
+    root.print(os);
+    const std::string dump = os.str();
+    EXPECT_NE(dump.find("read_ahead_blocks 28 "), std::string::npos)
+        << dump;
+    EXPECT_NE(dump.find("read_ahead.spec_inserted 28 "),
+              std::string::npos)
+        << dump;
+    EXPECT_NE(dump.find("read_ahead.spec_used 4 "), std::string::npos)
+        << dump;
+    // spec_inserted, spec_used, spec_wasted and accuracy only.
+    std::istringstream lines(dump);
+    int ra_stats = 0;
+    for (std::string line; std::getline(lines, line);)
+        ra_stats += line.find("read_ahead.") != std::string::npos;
+    EXPECT_EQ(ra_stats, 4) << dump;
 }
 
 TEST(DiskController, NoReadAheadReadsExactly)
