@@ -87,8 +87,7 @@ runSystems(const std::vector<SystemSpec>& specs)
         batch.push_back(std::move(e));
     }
     // Oracle-policy pin plans are derived per Experiment during
-    // prepare(); runAll() executes the batch through the parallel
-    // sweep runner.
+    // prepare(); runAll() runs the batch on its thread pool.
     return Experiment::runAll(batch);
 }
 

@@ -20,7 +20,6 @@
 
 #include "config/sweep_spec.hh"
 #include "core/runner.hh"
-#include "core/sweep.hh"
 #include "core/sweep_driver.hh"
 #include "hdc/hdc_planner.hh"
 #include "workload/server_models.hh"
@@ -71,15 +70,15 @@ struct SystemSpec
 
     /**
      * Observability options forwarded to the run (off by default).
-     * Give each spec its own output paths; see core/sweep.hh for the
-     * thread-safety expectations.
+     * Give each spec its own output paths; see Experiment::runAll()
+     * for the thread-safety expectations.
      */
     RunOptions opts;
 };
 
 /**
  * Run a batch of system variants as replay Experiments
- * (core/experiment.hh) through the parallel sweep runner, deriving
+ * (core/experiment.hh) through Experiment::runAll(), deriving
  * the Pinned-policy HDC pin plan per spec like runSystem(). Results
  * come back in spec order and are bit-identical to calling
  * runSystem() sequentially; thread count follows DTSIM_JOBS.

@@ -10,6 +10,7 @@
  */
 
 #include <cstdio>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_util.hh"
@@ -35,15 +36,27 @@ summarize(const ServerModelParams& params,
     const std::vector<LayoutBitmap> bitmaps =
         w.image->buildBitmaps(striping);
 
+    // The four variants run as one batch, in parallel (DTSIM_JOBS).
     const std::uint64_t hdc = 2 * kMiB;
-    const RunResult segm = bench::runSystem(SystemKind::Segm, 0, base,
-                                            w.trace, bitmaps);
-    const RunResult forr = bench::runSystem(SystemKind::FOR, 0, base,
-                                            w.trace, bitmaps);
-    const RunResult segm_hdc = bench::runSystem(
-        SystemKind::Segm, hdc, base, w.trace, bitmaps);
-    const RunResult for_hdc = bench::runSystem(
-        SystemKind::FOR, hdc, base, w.trace, bitmaps);
+    std::vector<bench::SystemSpec> specs;
+    for (const auto& [kind, bytes] :
+         {std::pair{SystemKind::Segm, std::uint64_t{0}},
+          std::pair{SystemKind::FOR, std::uint64_t{0}},
+          std::pair{SystemKind::Segm, hdc},
+          std::pair{SystemKind::FOR, hdc}}) {
+        bench::SystemSpec s;
+        s.kind = kind;
+        s.hdcBytes = bytes;
+        s.base = base;
+        s.trace = &w.trace;
+        s.bitmaps = &bitmaps;
+        specs.push_back(s);
+    }
+    const std::vector<RunResult> runs = bench::runSystems(specs);
+    const RunResult& segm = runs[0];
+    const RunResult& forr = runs[1];
+    const RunResult& segm_hdc = runs[2];
+    const RunResult& for_hdc = runs[3];
 
     auto improvement = [&](const RunResult& r) {
         return 1.0 - static_cast<double>(r.ioTime) /

@@ -1,12 +1,16 @@
 #include "core/experiment.hh"
 
+#include <atomic>
 #include <chrono>
+#include <exception>
 #include <sstream>
+#include <thread>
 #include <utility>
 
 #include "array/striping.hh"
 #include "core/run_impl.hh"
 #include "hdc/hdc_planner.hh"
+#include "sim/host_threads.hh"
 #include "sim/logging.hh"
 #include "workload/trace.hh"
 
@@ -20,6 +24,57 @@ double
 secondsSince(Clock::time_point t0)
 {
     return std::chrono::duration<double>(Clock::now() - t0).count();
+}
+
+/**
+ * Call `fn(i)` for every i in [0, n) on a pool of `threads` workers
+ * (0 = hostThreads(), capped at n; one thread or fewer runs inline on
+ * the calling thread). Workers claim indices off a shared counter.
+ * If calls throw, the first exception in index order is rethrown
+ * after every worker has stopped.
+ */
+template <typename Fn>
+void
+runEach(std::size_t n, unsigned threads, const Fn& fn)
+{
+    if (n == 0)
+        return;
+    if (threads == 0)
+        threads = hostThreads();
+    if (threads > n)
+        threads = static_cast<unsigned>(n);
+
+    std::vector<std::exception_ptr> errors(n);
+    std::atomic<std::size_t> next{0};
+    auto worker = [&] {
+        for (;;) {
+            const std::size_t i =
+                next.fetch_add(1, std::memory_order_relaxed);
+            if (i >= n)
+                return;
+            try {
+                fn(i);
+            } catch (...) {
+                errors[i] = std::current_exception();
+            }
+        }
+    };
+
+    if (threads <= 1) {
+        worker();
+    } else {
+        std::vector<std::thread> pool;
+        pool.reserve(threads);
+        for (unsigned t = 0; t < threads; ++t)
+            pool.emplace_back(worker);
+        for (std::thread& t : pool)
+            t.join();
+    }
+
+    for (const std::exception_ptr& e : errors) {
+        if (e)
+            std::rethrow_exception(e);
+    }
 }
 
 } // namespace
@@ -200,47 +255,41 @@ Experiment::trace()
     return theTrace();
 }
 
-SweepJob
-Experiment::job()
+RunResult
+Experiment::runPrepared() const
 {
-    SweepJob j;
-    j.cfg = cfg_.system;
-    j.trace = &theTrace();
     const std::vector<LayoutBitmap>& bm =
         extBitmaps_ ? *extBitmaps_ : ownBitmaps_;
-    if (!bm.empty())
-        j.bitmaps = &bm;
     const std::vector<ArrayBlock>& p = extPins_ ? *extPins_ : ownPins_;
-    if (!p.empty())
-        j.pinned = &p;
-    j.opts = opts_;
-    // The fs-stats pointer is resolved late so opts_ never holds a
+    // The fs-stats pointer is resolved here so opts_ never holds a
     // pointer into this Experiment (which would dangle on move).
-    if (!j.opts.fsStats && workload_.hasFsStats)
-        j.opts.fsStats = &workload_.fsStats;
-    return j;
+    RunOptions opts = opts_;
+    if (!opts.fsStats && workload_.hasFsStats)
+        opts.fsStats = &workload_.fsStats;
+    return runTrace(cfg_.system, theTrace(), opts,
+                    bm.empty() ? nullptr : &bm,
+                    p.empty() ? nullptr : &p);
 }
 
 RunResult
 Experiment::run()
 {
     prepare();
-    const SweepJob j = job();
-    return runTrace(j.cfg, *j.trace, j.opts, j.bitmaps, j.pinned);
+    return runPrepared();
 }
 
 std::vector<RunResult>
 Experiment::runAll(std::vector<Experiment>& batch, unsigned threads)
 {
-    // Prepare first, build jobs second: jobs hold pointers into the
-    // Experiments, which must not move once referenced.
-    std::vector<SweepJob> jobs;
-    jobs.reserve(batch.size());
+    // Prepare every experiment on the calling thread first; the
+    // workers then only read their experiment's inputs and write its
+    // own result slot, so results match running each one alone.
     for (Experiment& e : batch)
         e.prepare();
-    for (Experiment& e : batch)
-        jobs.push_back(e.job());
-    return runSweep(jobs, threads);
+    std::vector<RunResult> results(batch.size());
+    runEach(batch.size(), threads,
+            [&](std::size_t i) { results[i] = batch[i].runPrepared(); });
+    return results;
 }
 
 } // namespace dtsim

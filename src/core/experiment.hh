@@ -32,9 +32,8 @@
  *
  * Output destinations default from config().output and can be
  * overridden fluently (statsTo / traceTo / statsEvery). Batches of
- * prepared Experiments run concurrently through runAll(), which feeds
- * the parallel sweep runner, so results are bit-identical to calling
- * run() on each in order.
+ * Experiments run concurrently through runAll(), with results
+ * bit-identical to calling run() on each in order.
  */
 
 #ifndef DTSIM_CORE_EXPERIMENT_HH
@@ -46,7 +45,6 @@
 
 #include "config/sim_config.hh"
 #include "core/runner.hh"
-#include "core/sweep.hh"
 #include "core/sweep_driver.hh"
 
 namespace dtsim {
@@ -166,9 +164,17 @@ class Experiment
     RunResult run();
 
     /**
-     * Run a batch concurrently through the parallel sweep runner
-     * (thread count 0 = DTSIM_JOBS, see core/sweep.hh). Results come
-     * back in batch order, bit-identical to running each alone.
+     * Prepare every experiment of a batch, then run them on a pool of
+     * `threads` host threads (0 = hostThreads(): DTSIM_JOBS, else the
+     * hardware concurrency; capped at the batch size; one thread runs
+     * the batch inline). Each run owns its own EventQueue and
+     * DiskArray and only reads its trace, bitmaps and pins, so results
+     * come back in batch order, bit-identical to running each alone.
+     * Each experiment writes its own stats/trace outputs: give them
+     * distinct paths, and a stream-backed StatsSink must be safe to
+     * write from the worker that runs its experiment. If runs throw,
+     * the first exception in batch order is rethrown after every
+     * worker has stopped.
      */
     static std::vector<RunResult> runAll(std::vector<Experiment>& batch,
                                          unsigned threads = 0);
@@ -176,7 +182,10 @@ class Experiment
   private:
     const Trace& theTrace() const;
     StripingMap striping() const;
-    SweepJob job();
+
+    /** runTrace() over the prepared inputs; safe to call from a
+     *  worker thread while other experiments run. */
+    RunResult runPrepared() const;
 
     SimulationConfig cfg_;
     RunOptions opts_;

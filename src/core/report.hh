@@ -30,7 +30,9 @@ void printReport(std::ostream& os, const SystemConfig& cfg,
  * Write the full --stats-out dump: run-level results, configuration,
  * per-request service histograms, per-disk component counters, bus
  * counters, and (when given) the workload generator's buffer-cache
- * stats. Every line is documented in docs/METRICS.md.
+ * stats. Every line is documented in docs/METRICS.md. The dump is
+ * rendered before its "# runtime:" line is stamped, so that line's
+ * total_ms is result.totalSeconds plus the rendering.
  *
  * @param os Output stream.
  * @param cfg The system that ran.

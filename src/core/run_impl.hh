@@ -2,8 +2,8 @@
  * @file
  * The internal run engine behind the Experiment facade.
  *
- * Not part of the public surface: only experiment.cc and the sweep
- * worker pool (sweep.cc) may call runTrace() directly. Everything
+ * Not part of the public surface: only experiment.cc (run() and the
+ * runAll() worker pool) may call runTrace() directly. Everything
  * else -- CLI, benches, tests, examples -- goes through Experiment
  * (core/experiment.hh), which owns the setup ritual and forwards
  * here.

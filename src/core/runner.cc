@@ -32,6 +32,14 @@ runTrace(const SystemConfig& cfg, const Trace& trace,
          const std::vector<LayoutBitmap>* bitmaps,
          const std::vector<ArrayBlock>* pinned)
 {
+    const auto run_begin = std::chrono::steady_clock::now();
+    auto total_seconds = [&] {
+        return opts.prep.seconds() +
+               std::chrono::duration<double>(
+                   std::chrono::steady_clock::now() - run_begin)
+                   .count();
+    };
+
     EventQueue eq;
     DiskArray array(eq, cfg.arrayConfig());
 
@@ -352,10 +360,13 @@ runTrace(const SystemConfig& cfg, const Trace& trace,
     }
 
     if (stats_out) {
+        // The dump adds the time it takes to render itself.
+        res.totalSeconds = total_seconds();
         writeStatsDump(stats_out.os(), cfg, res, array, svc.get(),
                        opts.fsStats);
         stats_out.close();
     }
+    res.totalSeconds = total_seconds();
 
     return res;
 }

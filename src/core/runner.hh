@@ -38,6 +38,13 @@ struct PrepTimes
     double genSeconds = 0.0;      ///< Workload generation.
     double bitmapsSeconds = 0.0;  ///< FOR layout bitmaps.
     double planSeconds = 0.0;     ///< Oracle HDC pin planning.
+
+    /** The three phases together. */
+    double
+    seconds() const
+    {
+        return genSeconds + bitmapsSeconds + planSeconds;
+    }
 };
 
 /** Observability options of one run (all off by default). */
@@ -206,10 +213,21 @@ struct RunResult
 
     /**
      * Host wall-clock seconds of the simulation phase (replay +
-     * flush), excluding system construction and workload building.
-     * Volatile by nature; never part of deterministic output.
+     * flush), excluding system construction and workload building;
+     * reported as replay_ms. Volatile by nature; never part of
+     * deterministic output.
      */
     double wallSeconds = 0.0;
+
+    /**
+     * Host wall-clock seconds of the whole run: the preparation phases
+     * (prep) plus runTrace() from system construction through writing
+     * the stats dump; reported as total_ms. The dump's own runtime
+     * line is stamped once the rest of the dump is rendered, so it
+     * leaves out only the final write to the sink. Volatile like
+     * wallSeconds.
+     */
+    double totalSeconds = 0.0;
 
     /**
      * Of wallSeconds, the host seconds spent inside the online HDC

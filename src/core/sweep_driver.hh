@@ -2,7 +2,7 @@
  * @file
  * Configuration-driven experiment driver: turn SimulationConfigs /
  * expanded SweepSpec grids into built workloads, FOR bitmaps, HDC pin
- * plans, and parallel runTrace() executions.
+ * plans, and parallel runs through Experiment::runAll().
  *
  * This is the layer that makes sweeps data-driven: the CLI's --sweep
  * and --system all modes, the fig07-fig12 figure benches, and the
@@ -22,7 +22,7 @@
 #include <vector>
 
 #include "config/sweep_spec.hh"
-#include "core/sweep.hh"
+#include "core/runner.hh"
 #include "fs/buffer_cache.hh"
 #include "fs/file_layout.hh"
 #include "hdc/hdc_planner.hh"
@@ -101,8 +101,8 @@ class SweepCache
 };
 
 /**
- * Run every feasible point of an expanded sweep through the parallel
- * sweep runner (thread count: `jobs`, 0 = DTSIM_JOBS). Results come
+ * Run every feasible point of an expanded sweep through
+ * Experiment::runAll() (thread count: `jobs`, 0 = DTSIM_JOBS). Results come
  * back in point order; infeasible points get a default RunResult and
  * a warn(). Each point's cfg gets applyModelStreams() applied, its
  * output files are taken from cfg.output, and its stats/trace outputs

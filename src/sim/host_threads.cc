@@ -1,7 +1,11 @@
 #include "sim/host_threads.hh"
 
 #include <cstdlib>
+#include <string>
 #include <thread>
+
+#include "config/parse.hh"
+#include "sim/logging.hh"
 
 namespace dtsim {
 
@@ -9,9 +13,12 @@ unsigned
 hostThreads()
 {
     if (const char* env = std::getenv("DTSIM_JOBS")) {
-        const long n = std::strtol(env, nullptr, 10);
+        unsigned n = 0;
+        std::string err;
+        if (!config::parseValue(env, n, err))
+            fatal("DTSIM_JOBS: %s", err.c_str());
         if (n > 0)
-            return static_cast<unsigned>(n);
+            return n;
     }
     const unsigned hw = std::thread::hardware_concurrency();
     return hw > 0 ? hw : 1;

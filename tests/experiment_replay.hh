@@ -3,8 +3,7 @@
  * Test helper: replay a prepared trace through the Experiment facade.
  *
  * The deprecated direct runTrace() overloads that tests used to call
- * are gone (core/run_impl.hh is internal to the facade and the sweep
- * pool); this wrapper reproduces their exact semantics on top of
+ * are gone (core/run_impl.hh is internal to the facade); this wrapper reproduces their exact semantics on top of
  * Experiment. In particular, passing no pin plan means *no pins*: an
  * explicit empty plan suppresses the facade's automatic pin-plan
  * derivation, matching what the direct calls did.

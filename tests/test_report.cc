@@ -81,9 +81,24 @@ TEST(Report, RuntimeLineTimesPreparationPhases)
     const std::size_t at = text.find("# runtime:");
     ASSERT_NE(at, std::string::npos);
     const std::string line = text.substr(at, text.find('\n', at) - at);
-    for (const char* field : {" wall_ms=", " gen_ms=", " bitmaps_ms=",
-                              " plan_ms=", " replan_ms=0 "})
+    for (const char* field : {" replay_ms=", " gen_ms=", " bitmaps_ms=",
+                              " plan_ms=", " replan_ms=0 ", " total_ms="})
         EXPECT_NE(line.find(field), std::string::npos) << line;
+    EXPECT_EQ(line.find(" wall_ms="), std::string::npos) << line;
+
+    // total_ms covers the preparation phases and the replay; the
+    // result's total also covers writing the dump.
+    auto field_ms = [&](const char* name) {
+        const std::size_t f = line.find(name);
+        EXPECT_NE(f, std::string::npos) << line;
+        return std::stod(line.substr(f + std::string(name).size()));
+    };
+    // (The line prints 6 significant digits.)
+    const double total_ms = field_ms(" total_ms=");
+    const double parts_ms =
+        (r.prep.seconds() + r.wallSeconds) * 1.0e3;
+    EXPECT_GE(total_ms * (1 + 1e-5), parts_ms) << line;
+    EXPECT_GE(r.totalSeconds * 1.0e3 * (1 + 1e-5), total_ms) << line;
     // No online policy ran, so nothing re-planned.
     EXPECT_EQ(r.replanSeconds, 0.0);
 

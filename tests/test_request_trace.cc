@@ -2,15 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <unistd.h>
 
 #include "core/report.hh"
-#include "core/sweep.hh"
 #include "experiment_replay.hh"
 #include "stats_text.hh"
 #include "stats/trace.hh"
@@ -233,31 +234,51 @@ TEST(RequestTrace, StatsDumpContainsDocumentedNames)
 TEST(RequestTrace, SweepAggregationMatchesSerial)
 {
     const Trace trace = testTrace(200);
-    std::vector<SweepJob> jobs;
-    for (SystemKind k : {SystemKind::Segm, SystemKind::Block,
-                         SystemKind::NoRA, SystemKind::Segm}) {
-        SweepJob job;
-        job.cfg = testConfig(k);
-        job.trace = &trace;
-        jobs.push_back(job);
-    }
+    auto batch = [&] {
+        std::vector<Experiment> out;
+        for (SystemKind k : {SystemKind::Segm, SystemKind::Block,
+                             SystemKind::NoRA, SystemKind::Segm}) {
+            Experiment e(testConfig(k));
+            e.replay(trace);
+            out.push_back(std::move(e));
+        }
+        return out;
+    };
 
-    const std::vector<RunResult> serial = runSweep(jobs, 1);
-    const std::vector<RunResult> parallel = runSweep(jobs, 4);
+    std::vector<Experiment> serial_batch = batch();
+    std::vector<Experiment> parallel_batch = batch();
+    const std::vector<RunResult> serial =
+        Experiment::runAll(serial_batch, 1);
+    const std::vector<RunResult> parallel =
+        Experiment::runAll(parallel_batch, 4);
     ASSERT_EQ(serial.size(), parallel.size());
     for (std::size_t i = 0; i < serial.size(); ++i)
         expectSameResults(serial[i], parallel[i]);
 
-    const ControllerStats a = aggregateSweepStats(serial);
-    const ControllerStats b = aggregateSweepStats(parallel);
+    // Each run aggregated its own counters, so the batch totals do
+    // not depend on the thread count.
+    auto totals = [](const std::vector<RunResult>& results) {
+        ControllerStats agg;
+        RaCounters ra;
+        for (const RunResult& r : results) {
+            agg.reads += r.agg.reads;
+            agg.mediaAccesses += r.agg.mediaAccesses;
+            agg.queueTime += r.agg.queueTime;
+            agg.latencySum += r.agg.latencySum;
+            agg.latencyMax = std::max(agg.latencyMax, r.agg.latencyMax);
+            ra.specInserted += r.ra.specInserted;
+            ra.specUsed += r.ra.specUsed;
+            ra.specWasted += r.ra.specWasted;
+        }
+        return std::pair{agg, ra};
+    };
+    const auto [a, ra] = totals(serial);
+    const auto [b, rb] = totals(parallel);
     EXPECT_EQ(a.reads, b.reads);
     EXPECT_EQ(a.mediaAccesses, b.mediaAccesses);
     EXPECT_EQ(a.queueTime, b.queueTime);
     EXPECT_EQ(a.latencySum, b.latencySum);
     EXPECT_EQ(a.latencyMax, b.latencyMax);
-
-    const RaCounters ra = aggregateSweepRa(serial);
-    const RaCounters rb = aggregateSweepRa(parallel);
     EXPECT_EQ(ra.specInserted, rb.specInserted);
     EXPECT_EQ(ra.specUsed, rb.specUsed);
     EXPECT_EQ(ra.specWasted, rb.specWasted);

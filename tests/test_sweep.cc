@@ -1,7 +1,8 @@
 /**
  * @file
- * Tests for the parallel sweep runner: runSweep() must return results
- * bit-identical to sequential runTrace() calls, at any thread count.
+ * Tests for the parallel batch runner: Experiment::runAll() must
+ * return results bit-identical to sequential Experiment::run() calls,
+ * at any thread count.
  */
 
 #include <gtest/gtest.h>
@@ -10,7 +11,7 @@
 #include <iterator>
 #include <vector>
 
-#include "core/sweep.hh"
+#include "core/experiment.hh"
 #include "experiment_replay.hh"
 #include "hdc/hdc_planner.hh"
 #include "sim/host_threads.hh"
@@ -56,6 +57,15 @@ expectIdentical(const RunResult& a, const RunResult& b)
     EXPECT_EQ(a.agg.mediaBusy, b.agg.mediaBusy);
 }
 
+/** One run of the batch: a system over shared replay inputs. */
+struct Job
+{
+    SystemConfig cfg;
+    const Trace* trace = nullptr;
+    const std::vector<LayoutBitmap>* bitmaps = nullptr;
+    const std::vector<ArrayBlock>* pinned = nullptr;
+};
+
 /** A small Web-server workload plus jobs across striping/HDC/kind. */
 class SweepTest : public ::testing::Test
 {
@@ -82,13 +92,13 @@ class SweepTest : public ::testing::Test
             bitmaps_[i] =
                 workload_.image->buildBitmaps(striping);
 
-            SweepJob segm;
+            Job segm;
             segm.cfg = cfg;
             segm.cfg.kind = SystemKind::Segm;
             segm.trace = &workload_.trace;
             jobs_.push_back(std::move(segm));
 
-            SweepJob forr;
+            Job forr;
             forr.cfg = cfg;
             forr.cfg.kind = SystemKind::FOR;
             forr.trace = &workload_.trace;
@@ -101,7 +111,7 @@ class SweepTest : public ::testing::Test
             proto.disks,
             proto.stripeUnitBytes / proto.disk.blockSize,
             proto.disk.totalBlocks());
-        SweepJob hdc;
+        Job hdc;
         hdc.cfg = proto;
         hdc.cfg.streams = params.streams;
         hdc.cfg.hdc.budgetBytesPerDisk = 1 * kMiB;
@@ -116,18 +126,46 @@ class SweepTest : public ::testing::Test
     ServerWorkload workload_;
     std::vector<std::vector<LayoutBitmap>> bitmaps_;
     std::vector<ArrayBlock> pinned_;
-    std::vector<SweepJob> jobs_;
+    std::vector<Job> jobs_;
+
+    /** The jobs as replay Experiments; no pin plan means no pins,
+     *  like test::replayTrace(). */
+    std::vector<Experiment>
+    batch() const
+    {
+        static const std::vector<ArrayBlock> no_pins;
+        std::vector<Experiment> out;
+        for (const Job& job : jobs_) {
+            Experiment e(job.cfg);
+            e.replay(*job.trace);
+            if (job.bitmaps)
+                e.bitmaps(*job.bitmaps);
+            e.pins(job.pinned ? *job.pinned : no_pins);
+            out.push_back(std::move(e));
+        }
+        return out;
+    }
+
+    /** Each job run alone, one after another. */
+    std::vector<RunResult>
+    sequential() const
+    {
+        std::vector<RunResult> out;
+        for (const Job& job : jobs_) {
+            out.push_back(test::replayTrace(
+                job.cfg, *job.trace, job.bitmaps, job.pinned));
+        }
+        return out;
+    }
 };
 
 TEST_F(SweepTest, SingleThreadMatchesSequentialRunTrace)
 {
-    std::vector<RunResult> sequential;
-    for (const SweepJob& job : jobs_) {
-        sequential.push_back(test::replayTrace(
-            job.cfg, *job.trace, job.bitmaps, job.pinned));
-    }
+    const std::vector<RunResult> sequential = this->sequential();
 
-    const std::vector<RunResult> swept = runSweep(jobs_, 1);
+    std::vector<Experiment> experiments = batch();
+    const std::vector<RunResult> swept =
+        Experiment::runAll(experiments, 1);
     ASSERT_EQ(swept.size(), sequential.size());
     for (std::size_t i = 0; i < swept.size(); ++i) {
         SCOPED_TRACE(i);
@@ -137,15 +175,12 @@ TEST_F(SweepTest, SingleThreadMatchesSequentialRunTrace)
 
 TEST_F(SweepTest, MultiThreadIsBitIdenticalToSequential)
 {
-    std::vector<RunResult> sequential;
-    for (const SweepJob& job : jobs_) {
-        sequential.push_back(test::replayTrace(
-            job.cfg, *job.trace, job.bitmaps, job.pinned));
-    }
+    const std::vector<RunResult> sequential = this->sequential();
 
     for (unsigned threads : {2u, 4u, 7u}) {
+        std::vector<Experiment> experiments = batch();
         const std::vector<RunResult> swept =
-            runSweep(jobs_, threads);
+            Experiment::runAll(experiments, threads);
         ASSERT_EQ(swept.size(), sequential.size());
         for (std::size_t i = 0; i < swept.size(); ++i) {
             SCOPED_TRACE(::testing::Message()
@@ -157,8 +192,9 @@ TEST_F(SweepTest, MultiThreadIsBitIdenticalToSequential)
 
 TEST(Sweep, EmptyAndThreadCountEdgeCases)
 {
-    EXPECT_TRUE(runSweep({}, 0).empty());
-    EXPECT_TRUE(runSweep({}, 16).empty());
+    std::vector<Experiment> empty;
+    EXPECT_TRUE(Experiment::runAll(empty, 0).empty());
+    EXPECT_TRUE(Experiment::runAll(empty, 16).empty());
 }
 
 TEST(Sweep, JobsEnvOverridesThreadCount)
@@ -169,6 +205,19 @@ TEST(Sweep, JobsEnvOverridesThreadCount)
     EXPECT_GE(hostThreads(), 1u);
     unsetenv("DTSIM_JOBS");
     EXPECT_GE(hostThreads(), 1u);
+}
+
+TEST(Sweep, JobsEnvRejectsJunk)
+{
+    // Each value used to parse leniently: "abc" as all cores, "4x" as
+    // 4, "-1" as all cores.
+    for (const char* bad : {"abc", "4x", "-1"}) {
+        SCOPED_TRACE(bad);
+        setenv("DTSIM_JOBS", bad, 1);
+        EXPECT_EXIT(hostThreads(), ::testing::ExitedWithCode(1),
+                    "fatal: DTSIM_JOBS: ");
+    }
+    unsetenv("DTSIM_JOBS");
 }
 
 } // namespace
