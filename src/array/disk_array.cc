@@ -10,34 +10,16 @@ DiskArray::DiskArray(EventQueue& eq, const ArrayConfig& cfg)
     : eq_(eq), bus_(cfg.busBytesPerSec), mirrored_(cfg.mirrored),
       striping_(cfg.mirrored ? cfg.disks / 2 : cfg.disks,
                 cfg.stripeUnitBytes / cfg.disk.blockSize,
-                cfg.disk.totalBlocks()),
-      batch_(eq)
+                cfg.disk.totalBlocks())
 {
     if (cfg.stripeUnitBytes % cfg.disk.blockSize != 0)
         fatal("DiskArray: stripe unit must be a block multiple");
     if (cfg.mirrored && (cfg.disks < 2 || cfg.disks % 2 != 0))
         fatal("DiskArray: mirroring needs an even disk count");
-    if (cfg.mirrored) {
-        // Merge order for replica pairs: (logical disk, replica
-        // index), so same-tick actions of a pair run primary first
-        // regardless of physical numbering. Unmirrored arrays keep
-        // the identity order.
-        const unsigned half = cfg.disks / 2;
-        std::vector<unsigned> ranks(cfg.disks);
-        for (unsigned d = 0; d < cfg.disks; ++d) {
-            const unsigned logical = d < half ? d : d - half;
-            const unsigned replica = d < half ? 0u : 1u;
-            ranks[d] = logical * 2 + replica;
-        }
-        batch_.setMergeRanks(std::move(ranks));
-    }
     ctrls_.reserve(cfg.disks);
-    for (unsigned d = 0; d < cfg.disks; ++d) {
-        auto ctl = std::make_unique<DiskController>(
-            eq_, bus_, cfg.disk, cfg.controller, d);
-        ctl->setSameTickBatch(&batch_);
-        ctrls_.push_back(std::move(ctl));
-    }
+    for (unsigned d = 0; d < cfg.disks; ++d)
+        ctrls_.push_back(std::make_unique<DiskController>(
+            eq_, bus_, cfg.disk, cfg.controller, d));
 
     if (cfg.fault.enabled()) {
         faults_ = std::make_unique<FaultModel>(cfg.fault, cfg.disks);

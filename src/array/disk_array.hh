@@ -23,7 +23,6 @@
 #include "controller/layout_bitmap.hh"
 #include "fault/fault_model.hh"
 #include "sim/event_queue.hh"
-#include "sim/same_tick_batch.hh"
 
 namespace dtsim {
 
@@ -263,9 +262,6 @@ class DiskArray
     ScsiBus bus_;
     bool mirrored_;
     StripingMap striping_;
-
-    /** Orders every controller's same-tick host-side actions. */
-    SameTickBatch batch_;
 
     std::vector<std::unique_ptr<DiskController>> ctrls_;
 

@@ -58,6 +58,16 @@ parseValue(const std::string& text, std::uint64_t& out,
 {
     if (!checkNumericStart(text, false, err))
         return false;
+    // Base 0 reads "0x" as hex, which stays accepted, but would also
+    // read a leading 0 as octal: "010" (or "+010") would silently
+    // mean 8.
+    const std::size_t digits = text[0] == '+' ? 1 : 0;
+    if (text.size() > digits + 1 && text[digits] == '0' &&
+        std::isdigit(static_cast<unsigned char>(text[digits + 1]))) {
+        err = "leading zero in '" + text +
+              "' (octal is not accepted; write it in decimal or 0x hex)";
+        return false;
+    }
     errno = 0;
     char* end = nullptr;
     const unsigned long long v = std::strtoull(text.c_str(), &end, 0);

@@ -215,7 +215,7 @@ DiskController::handleRead(MediaJob* job)
         } else {
             req.served = ServiceClass::CacheHit;
         }
-        respond(job, eq_.now());
+        respond(job);
         return;
     }
 
@@ -243,7 +243,7 @@ DiskController::handleWrite(MediaJob* job)
         ++stats_.hdcHitRequests;
         ++stats_.cacheHitRequests;
         req.served = ServiceClass::HdcHit;
-        respond(job, eq_.now());
+        respond(job);
         return;
     }
 
@@ -263,13 +263,8 @@ DiskController::enqueueMedia(MediaJob* job)
 {
     job->enqueuedAt = eq_.now();
     sched_->push(job);
-    if (svc_) {
-        // The depth distribution is order-sensitive (streaming
-        // accumulator), so the sample takes the same-tick batch like
-        // the bus reservations it interleaves with.
-        const double depth = static_cast<double>(sched_->size());
-        emitToHost([this, depth]() { svc_->queueDepth.sample(depth); });
-    }
+    if (svc_)
+        svc_->queueDepth.sample(static_cast<double>(sched_->size()));
     tryStartMedia();
 }
 
@@ -457,46 +452,27 @@ DiskController::onMediaDone(MediaJob* job, std::uint64_t ra_blocks)
     }
 
     if (job->rebuild) {
-        // Rebuild traffic bypasses the host bus, but its completion
-        // chain (the array submits the paired write or the next chunk
-        // from it) takes the same-tick batch.
-        if (job->req.onComplete) {
-            emitToHost([this, job, when = eq_.now()]() {
-                job->req.onComplete(job->req, when);
-                recycleJob(job);
-            });
-        } else {
-            recycleJob(job);
-        }
+        // Rebuild traffic bypasses the host bus. Its completion chain
+        // (the array submits the paired write or the next chunk) runs
+        // here; the record is recycled only after it returns.
+        if (job->req.onComplete)
+            job->req.onComplete(job->req, eq_.now());
+        recycleJob(job);
     } else if (job->background) {
         ++stats_.flushWrites;
         recycleJob(job);
     } else {
-        respond(job, eq_.now());
+        respond(job);
     }
 
     tryStartMedia();
 }
 
 void
-DiskController::emitToHost(SameTickBatch::Action fn)
-{
-    if (batch_)
-        batch_->emit(diskId_, std::move(fn));
-    else
-        fn();
-}
-
-void
-DiskController::respond(MediaJob* job, Tick ready)
-{
-    emitToHost([this, job, ready]() { finishOverBus(job, ready); });
-}
-
-void
-DiskController::finishOverBus(MediaJob* job, Tick ready)
+DiskController::respond(MediaJob* job)
 {
     IoRequest& req = job->req;
+    const Tick ready = eq_.now();
     const Tick done =
         bus_.transfer(ready, req.count * params_.blockSize);
     req.timing.bus = done - ready;

@@ -33,7 +33,6 @@
 #include "disk/mechanism.hh"
 #include "fault/fault_model.hh"
 #include "sim/event_queue.hh"
-#include "sim/same_tick_batch.hh"
 #include "sim/ticks.hh"
 #include "stats/service_stats.hh"
 #include "stats/trace.hh"
@@ -163,14 +162,6 @@ class DiskController
     void submit(IoRequest req);
 
     /**
-     * Attach the array's same-tick batch (sim/same_tick_batch.hh).
-     * Bus reservations, queue-depth samples and rebuild completions
-     * then run at the end of their tick in merge-rank order. A
-     * controller without a batch (unit tests) runs them inline.
-     */
-    void setSameTickBatch(SameTickBatch* batch) { batch_ = batch; }
-
-    /**
      * Attach this disk's fault-injection state (null = faults off;
      * the default). With faults attached, media accesses consult the
      * per-disk error model (retries, remaps) and dispatches consult
@@ -182,9 +173,9 @@ class DiskController
      * Enqueue one mirror-rebuild media job over
      * [start, start+count). Rebuild traffic competes with foreground
      * I/O in the scheduler but bypasses the caches and the host bus;
-     * `done` fires at the end of the tick the media access completes
-     * in (through the same-tick batch). The command reaches the
-     * controller after commandLatency() ticks.
+     * `done` runs inside the media access's completion event, after
+     * the controller has finished its own bookkeeping for the job. The
+     * command reaches the controller after commandLatency() ticks.
      */
     void submitRebuild(BlockNum start, std::uint64_t count,
                        bool is_write, IoRequest::Callback done);
@@ -313,17 +304,11 @@ class DiskController
     std::uint64_t readAheadBlocks(BlockNum media_start,
                                   std::uint64_t media_count) const;
 
-    /** Run `fn` through the same-tick batch (inline without one). */
-    void emitToHost(SameTickBatch::Action fn);
-
-    /** Finish a request: bus transfer then completion callback. */
-    void respond(MediaJob* job, Tick ready);
-
     /**
-     * Second half of respond(), run from the same-tick batch: reserve
-     * the bus and schedule the completion.
+     * Finish a request: reserve the bus for its transfer now, in
+     * event order, and schedule the completion at the transfer's end.
      */
-    void finishOverBus(MediaJob* job, Tick ready);
+    void respond(MediaJob* job);
 
     /** Complete a host request and return its record to the pool. */
     void complete(MediaJob* job, Tick done);
@@ -380,7 +365,6 @@ class DiskController
     bool stallPending_ = false;
 
     DiskFaults* faults_ = nullptr;
-    SameTickBatch* batch_ = nullptr;
     std::uint64_t seq_ = 0;
     std::uint64_t outstanding_ = 0;
     ControllerStats stats_;

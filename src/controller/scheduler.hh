@@ -36,9 +36,9 @@ namespace dtsim {
  * its media range. A DiskController creates one per host request at
  * submit() and per background media job (HDC flush, mirror rebuild);
  * the record carries the request through the cache probe, the
- * scheduler, the mechanism, the same-tick batch, the bus and the
- * completion. The controller's pool owns every record; schedulers and
- * scheduled events only hold pointers.
+ * scheduler, the mechanism, the bus and the completion. The
+ * controller's pool owns every record; schedulers and scheduled
+ * events only hold pointers.
  */
 struct MediaJob
 {

@@ -23,7 +23,6 @@ printRuntimeLine(std::ostream& os, const RunResult& r,
                  double total_seconds)
 {
     os << "# runtime: events=" << r.eventsFired
-       << " tick_flushes=" << r.tickFlushes
        << " replay_ms=" << r.wallSeconds * 1.0e3
        << " replan_ms=" << r.replanSeconds * 1.0e3
        << " gen_ms=" << r.prep.genSeconds * 1.0e3

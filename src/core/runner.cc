@@ -291,7 +291,6 @@ runTrace(const SystemConfig& cfg, const Trace& trace,
     res.blocks = engine.metrics().blocks;
     res.meanLatencyMs = engine.metrics().meanLatencyMs();
     res.eventsFired = eq.fired();
-    res.tickFlushes = eq.tickEndFired();
     res.wallSeconds =
         std::chrono::duration<double>(wall_end - wall_begin).count();
     res.replanSeconds =

@@ -205,13 +205,6 @@ struct RunResult
     std::uint64_t eventsFired = 0;
 
     /**
-     * Of eventsFired, the end-of-tick flushes of the same-tick batch
-     * (the event queue's tick-end slot, which never touches the
-     * heap). Volatile like eventsFired.
-     */
-    std::uint64_t tickFlushes = 0;
-
-    /**
      * Host wall-clock seconds of the simulation phase (replay +
      * flush), excluding system construction and workload building;
      * reported as replay_ms. Volatile by nature; never part of

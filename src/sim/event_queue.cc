@@ -179,39 +179,13 @@ EventQueue::skipCancelled()
     return false;
 }
 
-void
-EventQueue::setTickEnd(Callback cb)
-{
-    if (cb && tickEnd_)
-        panic("EventQueue: the tick-end slot is already installed");
-    tickEnd_ = std::move(cb);
-    if (!tickEnd_)
-        tickEndSeq_ = 0;
-}
-
 bool
 EventQueue::step()
 {
-    const bool heap_live = skipCancelled();
-    if (tickEndFirst(heap_live)) {
-        fireTickEnd();
-        return true;
-    }
-    if (!heap_live)
+    if (!skipCancelled())
         return false;
     fireNext();
     return true;
-}
-
-void
-EventQueue::fireTickEnd()
-{
-    assert(tickEndWhen_ >= now_);
-    now_ = tickEndWhen_;
-    tickEndSeq_ = 0;
-    ++fired_;
-    ++tickEndFired_;
-    tickEnd_();
 }
 
 void
@@ -241,17 +215,8 @@ std::uint64_t
 EventQueue::runUntil(Tick until)
 {
     std::uint64_t n = 0;
-    for (;;) {
-        const bool heap_live = skipCancelled();
-        if (tickEndFirst(heap_live)) {
-            if (tickEndWhen_ > until)
-                break;
-            fireTickEnd();
-        } else if (heap_live && heap_.front().when <= until) {
-            fireNext();
-        } else {
-            break;
-        }
+    while (skipCancelled() && heap_.front().when <= until) {
+        fireNext();
         ++n;
     }
     if (now_ < until)

@@ -14,7 +14,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "sim/logging.hh"
 #include "sim/small_function.hh"
 #include "sim/ticks.hh"
 
@@ -95,47 +94,8 @@ class EventQueue
      */
     bool cancel(EventId id);
 
-    /**
-     * Install the tick-end slot: one reserved event, outside the heap,
-     * that armTickEnd() re-arms without allocating or sifting. A queue
-     * has at most one slot owner (sim/same_tick_batch.hh); installing
-     * over an existing slot panics, and nullptr uninstalls (and
-     * disarms) it. The callback must not reinstall the slot.
-     */
-    void setTickEnd(Callback cb);
-
-    /**
-     * Arm the tick-end slot at now(). Arming takes the next normal
-     * sequence number, so the slot fires exactly where
-     * scheduleAt(now(), cb) would: after every event already
-     * scheduled for this tick (and after front events, whenever they
-     * are scheduled), before every normal event scheduled later. A
-     * no-op while armed. The slot disarms before its callback runs,
-     * so the callback may arm it again.
-     */
-    void
-    armTickEnd()
-    {
-        if (tickEndSeq_ != 0)
-            return;
-        if (!tickEnd_)
-            panic("EventQueue: arming an uninstalled tick-end slot");
-        tickEndWhen_ = now_;
-        tickEndSeq_ = kNormalSeqBit | nextSeq_++;
-    }
-
-    /** True while the tick-end slot is armed. */
-    bool tickEndArmed() const { return tickEndSeq_ != 0; }
-
-    /**
-     * Number of pending (non-cancelled) events, counting an armed
-     * tick-end slot as one.
-     */
-    std::size_t
-    pending() const
-    {
-        return size_ + (tickEndArmed() ? 1 : 0);
-    }
+    /** Number of pending (non-cancelled) events. */
+    std::size_t pending() const { return size_; }
 
     /** True when no events are pending. */
     bool empty() const { return pending() == 0; }
@@ -159,12 +119,8 @@ class EventQueue
     /** Fire exactly one event, if any. @return true if one fired. */
     bool step();
 
-    /** Total events fired over the queue's lifetime (tick-end slot
-     * firings included). */
+    /** Total events fired over the queue's lifetime. */
     std::uint64_t fired() const { return fired_; }
-
-    /** Of fired(), the tick-end slot firings. */
-    std::uint64_t tickEndFired() const { return tickEndFired_; }
 
   private:
     /** Pooled storage for one scheduled callback. */
@@ -224,33 +180,11 @@ class EventQueue
     /** Pop and fire the front event. Requires a live front event. */
     void fireNext();
 
-    /**
-     * True when the armed tick-end slot precedes the heap front.
-     * @param heap_live skipCancelled()'s result.
-     */
-    bool
-    tickEndFirst(bool heap_live) const
-    {
-        return tickEndSeq_ != 0 &&
-               (!heap_live ||
-                before(Node{tickEndWhen_, tickEndSeq_, 0}, heap_.front()));
-    }
-
-    /** Disarm and run the tick-end slot. Requires it to be armed. */
-    void fireTickEnd();
-
     /** 4-ary min-heap ordered by (when, seq). */
     std::vector<Node> heap_;
 
     std::vector<Slot> slots_;
     std::vector<std::uint32_t> freeSlots_;
-
-    /** The tick-end slot: callback, and its (tick, seq) while armed
-     * (seq 0 = disarmed). */
-    Callback tickEnd_;
-    Tick tickEndWhen_ = 0;
-    std::uint64_t tickEndSeq_ = 0;
-    std::uint64_t tickEndFired_ = 0;
 
     Tick now_ = 0;
     std::uint64_t nextSeq_ = 1;

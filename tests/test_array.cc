@@ -106,6 +106,40 @@ TEST(DiskArray, AllCacheHitsFlagPropagates)
     EXPECT_TRUE(all_hits);
 }
 
+TEST(DiskArray, SameTickCompletionsReserveTheBusInEventOrder)
+{
+    // Disk 1's request is submitted first and disk 0's right after,
+    // at the same offset on each disk: both media accesses start and
+    // end on the same tick, disk 1's completion event first. The bus
+    // is reserved in that event order, not in disk-index order.
+    Rig r(2, 32 * kKiB);   // 8-block units: block 8 is disk 1's first.
+    Tick done[2] = {0, 0};
+    for (const unsigned d : {1u, 0u}) {
+        ArrayRequest req;
+        req.start = 8 * d;
+        req.count = 4;
+        req.onComplete = [&done, d](const ArrayRequest&, Tick when) {
+            done[d] = when;
+        };
+        r.array->submit(std::move(req));
+    }
+    r.eq.run();
+
+    const ControllerStats& s0 = r.array->controller(0).stats();
+    const ControllerStats& s1 = r.array->controller(1).stats();
+    ASSERT_EQ(s0.mediaAccesses, 1u);
+    ASSERT_EQ(s1.mediaAccesses, 1u);
+    ASSERT_EQ(s0.mediaBusy, s1.mediaBusy);    // same media end tick
+    ASSERT_EQ(s0.queueTime, s1.queueTime);
+
+    // Disk 1 gets the bus at once; disk 0 waits for disk 1's tenure.
+    const Tick tenure =
+        r.array->bus().transferTime(4 * r.cfg.disk.blockSize);
+    EXPECT_LT(done[1], done[0]);
+    EXPECT_EQ(done[0] - done[1], tenure);
+    EXPECT_LT(s1.busTime, s0.busTime);
+}
+
 TEST(DiskArray, PinRoutesToOwningDisk)
 {
     ArrayConfig cfg;

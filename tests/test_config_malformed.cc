@@ -294,6 +294,21 @@ TEST(ConfigMalformed, ExampleConfigMutants)
     EXPECT_GT(tally.refused, 0);
 }
 
+TEST(ConfigMalformed, OctalNumberNamesItsLine)
+{
+    // "010" would read as 8 under strtoull's base 0; it is refused at
+    // its file:line instead.
+    SimulationConfig sim;
+    config::ParamRegistry reg;
+    bindParams(reg, sim);
+    std::string err;
+    EXPECT_FALSE(config::loadConfigText(
+        "workload.kind = web\nsystem.disks = 010\n", "octal.conf", reg,
+        err));
+    EXPECT_EQ(err.rfind("octal.conf:2: ", 0), 0u) << err;
+    EXPECT_NE(err.find("leading zero in '010'"), std::string::npos) << err;
+}
+
 TEST(ConfigMalformed, SweepSpecMutants)
 {
     const std::vector<fs::path> files = confFiles(kExamples / "sweeps");

@@ -64,6 +64,27 @@ TEST(ConfigParse, U64Rejects)
     // One past uint64 max.
     EXPECT_TRUE(rejects<std::uint64_t>("18446744073709551616"));
     EXPECT_TRUE(rejects<std::uint64_t>(" 12"));
+    // A leading zero is refused, not read as octal.
+    EXPECT_TRUE(rejects<std::uint64_t>("010"));
+    EXPECT_TRUE(rejects<std::uint64_t>("09"));
+}
+
+TEST(ConfigParse, U64LeadingZeroHasItsOwnMessage)
+{
+    // "09" is not "trailing junk" after a 0, and a sign does not get
+    // an octal reading past the check.
+    for (const char* text : {"010", "09", "+010", "007"}) {
+        std::uint64_t out = 0;
+        std::string err;
+        EXPECT_FALSE(parseValue(text, out, err)) << text;
+        EXPECT_EQ(err.find("leading zero in '" + std::string(text) + "'"),
+                  0u)
+            << err;
+    }
+    EXPECT_EQ(accepts<std::uint64_t>("+10"), 10u);
+    EXPECT_EQ(accepts<std::uint64_t>("0x10"), 16u);
+    EXPECT_EQ(accepts<unsigned>("0"), 0u);
+    EXPECT_TRUE(rejects<unsigned>("010"));
 }
 
 TEST(ConfigParse, U32Rejects)

@@ -13,7 +13,7 @@
 
 #include "config/config_file.hh"
 #include "core/experiment.hh"
-#include "stats_text.hh"
+#include "stats/dump_reader.hh"
 
 using namespace dtsim;
 
@@ -60,7 +60,7 @@ expectRoundTrip(const SimulationConfig& sim)
         << err;
 
     const auto [dump2, result2] = runToString(reloaded);
-    EXPECT_EQ(test::stripRuntime(dump), test::stripRuntime(dump2));
+    EXPECT_EQ(stats::stripVolatile(dump), stats::stripVolatile(dump2));
     EXPECT_EQ(result.ioTime, result2.ioTime);
     EXPECT_EQ(result.flushTime, result2.flushTime);
     EXPECT_EQ(result.requests, result2.requests);

@@ -349,104 +349,71 @@ TEST(EventQueue, ManyEventsStressOrdering)
     EXPECT_TRUE(monotone);
 }
 
-TEST(EventQueue, TickEndSlotTakesScheduleAtNowPosition)
+TEST(EventQueue, ZeroDelayFromACallbackRunsAfterQueuedSameTickEvents)
 {
-    // Arming takes the next normal sequence number at now(): a
-    // zero-delay event scheduled before arming runs before the slot,
-    // one scheduled after arming runs after it.
+    // A disk-side host action that schedules follow-up work at now()
+    // queues behind the tick's already-scheduled events: same-tick
+    // work runs in event-queue order.
     EventQueue eq;
     std::vector<int> order;
-    eq.setTickEnd([&] { order.push_back(100); });
     eq.scheduleAt(10, [&] {
         order.push_back(0);
-        eq.scheduleAfter(0, [&] { order.push_back(1); });
-        eq.armTickEnd();
         eq.scheduleAfter(0, [&] { order.push_back(2); });
     });
+    eq.scheduleAt(10, [&] { order.push_back(1); });
     eq.scheduleAt(11, [&] { order.push_back(3); });
     eq.run();
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 100, 2, 3}));
-    EXPECT_EQ(eq.fired(), 5u);
-    EXPECT_EQ(eq.tickEndFired(), 1u);
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+    EXPECT_EQ(eq.fired(), 4u);
 }
 
-TEST(EventQueue, FrontEventAtNowRunsBeforeTheTickEndSlot)
+TEST(EventQueue, FrontEventAtNowFromACallbackRunsNext)
 {
     EventQueue eq;
     std::vector<int> order;
-    eq.setTickEnd([&] { order.push_back(100); });
     eq.scheduleAt(5, [&] {
-        eq.armTickEnd();
-        eq.scheduleAtFront(eq.now(), [&] { order.push_back(0); });
+        order.push_back(0);
+        eq.scheduleAtFront(eq.now(), [&] { order.push_back(1); });
     });
+    eq.scheduleAt(5, [&] { order.push_back(2); });
     eq.run();
-    EXPECT_EQ(order, (std::vector<int>{0, 100}));
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+    EXPECT_EQ(eq.now(), 5u);
 }
 
-TEST(EventQueue, RunUntilFiresTheTickEndSlot)
+TEST(EventQueue, RunUntilFiresWorkScheduledAtTheBoundary)
 {
     EventQueue eq;
-    int flushes = 0;
-    eq.setTickEnd([&] { ++flushes; });
-    eq.scheduleAt(10, [&] { eq.armTickEnd(); });
-    eq.scheduleAt(30, [&] { eq.armTickEnd(); });
+    std::vector<Tick> fired;
+    eq.scheduleAt(20, [&] {
+        fired.push_back(eq.now());
+        eq.scheduleAfter(0, [&] { fired.push_back(eq.now()); });
+        eq.scheduleAfter(1, [&] { fired.push_back(eq.now()); });
+    });
     EXPECT_EQ(eq.runUntil(20), 2u);
-    EXPECT_EQ(flushes, 1);
-    EXPECT_EQ(eq.now(), 20u);
-    EXPECT_EQ(eq.runUntil(30), 2u);
-    EXPECT_EQ(flushes, 2);
+    EXPECT_EQ(fired, (std::vector<Tick>{20, 20}));
+    EXPECT_EQ(eq.pending(), 1u);
+    EXPECT_EQ(eq.runUntil(21), 1u);
+    EXPECT_EQ(fired, (std::vector<Tick>{20, 20, 21}));
 }
 
-TEST(EventQueue, PendingCountsAnArmedTickEndSlot)
+TEST(EventQueue, PendingCountsBothClasses)
 {
     EventQueue eq;
-    eq.setTickEnd([] {});
-    EXPECT_TRUE(eq.empty());
-    eq.armTickEnd();
-    eq.armTickEnd();  // already armed: still one pending event
-    EXPECT_TRUE(eq.tickEndArmed());
-    EXPECT_EQ(eq.pending(), 1u);
-    EXPECT_FALSE(eq.empty());
+    int front_fired = 0;
     eq.scheduleAt(3, [] {});
+    const auto f = eq.scheduleAtFront(3, [&] { ++front_fired; });
+    eq.scheduleAtFront(3, [&] { ++front_fired; });
+    EXPECT_EQ(eq.pending(), 3u);
+    EXPECT_TRUE(eq.cancel(f));
     EXPECT_EQ(eq.pending(), 2u);
-    EXPECT_TRUE(eq.step());
-    EXPECT_FALSE(eq.tickEndArmed());
+    EXPECT_TRUE(eq.step());   // the surviving front event
+    EXPECT_EQ(front_fired, 1);
     EXPECT_EQ(eq.pending(), 1u);
-    EXPECT_EQ(eq.now(), 0u);
-    eq.run();
+    EXPECT_TRUE(eq.step());
     EXPECT_TRUE(eq.empty());
-}
-
-TEST(EventQueue, TickEndSlotCanRearmFromItsOwnCallback)
-{
-    // A flushed action that emits again gets a second flush at the
-    // same tick, after the events the first flush scheduled there.
-    EventQueue eq;
-    std::vector<int> order;
-    int flushes = 0;
-    eq.setTickEnd([&] {
-        order.push_back(100 + flushes);
-        if (++flushes == 1) {
-            eq.scheduleAfter(0, [&] { order.push_back(1); });
-            eq.armTickEnd();
-        }
-    });
-    eq.scheduleAt(4, [&] { eq.armTickEnd(); });
-    eq.run();
-    EXPECT_EQ(order, (std::vector<int>{100, 1, 101}));
-    EXPECT_EQ(eq.tickEndFired(), 2u);
-    EXPECT_EQ(eq.now(), 4u);
-}
-
-TEST(EventQueue, TickEndSlotHasOneOwner)
-{
-    EventQueue eq;
-    eq.setTickEnd([] {});
-    EXPECT_DEATH(eq.setTickEnd([] {}), "already installed");
-    eq.armTickEnd();
-    eq.setTickEnd(nullptr);  // uninstalling disarms
-    EXPECT_TRUE(eq.empty());
-    EXPECT_DEATH(eq.armTickEnd(), "uninstalled");
+    EXPECT_FALSE(eq.step());
+    EXPECT_EQ(eq.fired(), 2u);
 }
 
 } // namespace

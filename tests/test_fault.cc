@@ -14,10 +14,10 @@
 
 #include "array/disk_array.hh"
 #include "core/experiment.hh"
-#include "stats_text.hh"
 #include "fault/fault_config.hh"
 #include "fault/fault_model.hh"
 #include "sim/event_queue.hh"
+#include "stats/dump_reader.hh"
 
 namespace dtsim {
 namespace {
@@ -389,7 +389,7 @@ TEST(FaultEndToEnd, FaultRunsAreSeedReproducible)
     sim.system.fault.timeoutRate = 0.01;
     const auto [dump1, r1] = runToString(sim);
     const auto [dump2, r2] = runToString(sim);
-    EXPECT_EQ(test::stripRuntime(dump1), test::stripRuntime(dump2));
+    EXPECT_EQ(stats::stripVolatile(dump1), stats::stripVolatile(dump2));
     EXPECT_EQ(r1.ioTime, r2.ioTime);
     EXPECT_EQ(r1.faults.mediaErrors, r2.faults.mediaErrors);
     EXPECT_EQ(r1.faults.stalls, r2.faults.stalls);

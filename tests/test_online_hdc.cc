@@ -26,7 +26,6 @@
 #include "hdc/hdc_planner.hh"
 #include "hdc/online_policy.hh"
 #include "sim/rng.hh"
-#include "stats_text.hh"
 #include "workload/synthetic.hh"
 
 namespace dtsim {

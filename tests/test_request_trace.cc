@@ -13,7 +13,7 @@
 
 #include "core/report.hh"
 #include "experiment_replay.hh"
-#include "stats_text.hh"
+#include "stats/dump_reader.hh"
 #include "stats/trace.hh"
 #include "temp_path.hh"
 #include "workload/synthetic.hh"
@@ -199,8 +199,8 @@ TEST(RequestTrace, BackToBackRunsAreIdentical)
     // groups and produces a byte-identical dump (modulo the volatile
     // wall-clock line).
     expectSameResults(r1, r2);
-    EXPECT_EQ(test::stripRuntime(s1.str()),
-              test::stripRuntime(s2.str()));
+    EXPECT_EQ(stats::stripVolatile(s1.str()),
+              stats::stripVolatile(s2.str()));
 }
 
 TEST(RequestTrace, StatsDumpContainsDocumentedNames)

@@ -6,7 +6,7 @@
  * constant. The cases cover the figure-7..12 system shapes, the
  * ablation-style variants, mirroring, fault injection, the victim and
  * online HDC policies, periodic snapshots and stream frames --
- * every path whose same-tick ordering shows in a dump.
+ * every path whose event ordering shows in a dump.
  *
  * A mismatch prints the actual digest. Update a constant only with a
  * deliberate model change, and explain the dump diff alongside it.
@@ -24,15 +24,13 @@
 #include <utility>
 
 #include "core/experiment.hh"
+#include "stats/dump_reader.hh"
 #include "stats/trace.hh"
-#include "stats_text.hh"
 #include "temp_path.hh"
 #include "workload/server_models.hh"
 
 namespace dtsim {
 namespace {
-
-using test::stripRuntime;
 
 constexpr double kScale = 0.01;
 
@@ -45,17 +43,12 @@ slurp(const std::string& path)
     return os.str();
 }
 
-/** 64-bit FNV-1a of `text`, rendered as 16 hex digits. */
+/** stats::fnv1a of `text`, rendered as 16 hex digits. */
 std::string
 digest(const std::string& text)
 {
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    for (unsigned char c : text) {
-        h ^= c;
-        h *= 0x100000001b3ull;
-    }
     char buf[17];
-    std::snprintf(buf, sizeof buf, "%016" PRIx64, h);
+    std::snprintf(buf, sizeof buf, "%016" PRIx64, stats::fnv1a(text));
     return buf;
 }
 
@@ -79,7 +72,7 @@ struct DigestCase
         if (tweak)
             tweak(e);
         e.run();
-        const std::string d = stripRuntime(os.str());
+        const std::string d = stats::stripVolatile(os.str());
         EXPECT_NE(d.find("sim.io_time_ms"), std::string::npos);
         return d;
     }
@@ -117,13 +110,13 @@ faultConfig(std::uint64_t rebuild_blocks)
 TEST(SerialDumpDigest, Fig07WebStriping)
 {
     DigestCase c(webConfig(SystemKind::Segm, 16 * kKiB, 0));
-    EXPECT_DIGEST(c.dump(), "a94a7afc2c3b66c2");
+    EXPECT_DIGEST(c.dump(), "136b7e118ae8ee46");
 }
 
 TEST(SerialDumpDigest, Fig08WebForHdc)
 {
     DigestCase c(webConfig(SystemKind::FOR, 64 * kKiB, 2 * kMiB));
-    EXPECT_DIGEST(c.dump(), "ca553faffc9c28ec");
+    EXPECT_DIGEST(c.dump(), "4dc1afcab018c8c7");
 }
 
 TEST(SerialDumpDigest, Fig10ProxyHdc)
@@ -135,7 +128,7 @@ TEST(SerialDumpDigest, Fig10ProxyHdc)
     sim.system.disks = 4;
     sim.system.hdc.budgetBytesPerDisk = 2 * kMiB;
     DigestCase c(std::move(sim));
-    EXPECT_DIGEST(c.dump(), "a113385fbcd48661");
+    EXPECT_DIGEST(c.dump(), "73df0edf3b6f25fe");
 }
 
 TEST(SerialDumpDigest, Fig11FileServerStriping)
@@ -147,7 +140,7 @@ TEST(SerialDumpDigest, Fig11FileServerStriping)
     sim.system.disks = 4;
     sim.system.stripeUnitBytes = 16 * kKiB;
     DigestCase c(std::move(sim));
-    EXPECT_DIGEST(c.dump(), "fa16bb69e81c63b3");
+    EXPECT_DIGEST(c.dump(), "bcd8a9eece638212");
 }
 
 TEST(SerialDumpDigest, FileSegmSegmentPolicies)
@@ -155,9 +148,9 @@ TEST(SerialDumpDigest, FileSegmSegmentPolicies)
     // Every other case runs Segm under LRU; these pin the victim
     // scans of the other three segment policies.
     const std::pair<SegmentPolicy, const char*> cases[] = {
-        {SegmentPolicy::FIFO, "a9fecc7fc6f1a629"},
-        {SegmentPolicy::Random, "bfc98a5b9d0b6a02"},
-        {SegmentPolicy::RoundRobin, "9dea7db1ee5eafcb"},
+        {SegmentPolicy::FIFO, "e94f4a8e939d912b"},
+        {SegmentPolicy::Random, "ed93b5ed23ef7d38"},
+        {SegmentPolicy::RoundRobin, "94233e3e3366611d"},
     };
     for (const auto& [policy, expected] : cases) {
         SimulationConfig sim;
@@ -203,7 +196,7 @@ TEST(SerialDumpDigest, AblationNoReadAheadClook)
     sim.synthetic.numRequests = 400;
     sim.synthetic.zipfAlpha = 0.4;
     DigestCase c(std::move(sim));
-    EXPECT_DIGEST(c.dump(), "0e27a0cd5b07ce74");
+    EXPECT_DIGEST(c.dump(), "a124e7a9087398fe");
 }
 
 TEST(SerialDumpDigest, RequestTrace)
@@ -211,22 +204,22 @@ TEST(SerialDumpDigest, RequestTrace)
     DigestCase c(webConfig(SystemKind::Segm, 64 * kKiB, 0));
     const std::string path = test::tempPath("trace.bin");
     c.tweak = [&](Experiment& e) { e.traceTo(path); };
-    EXPECT_DIGEST(c.dump(), "4333e089869c7aa1");
+    EXPECT_DIGEST(c.dump(), "0bf924f445d8e7b1");
 
     const std::string trace = slurp(path);
     EXPECT_FALSE(trace.empty());
-    EXPECT_DIGEST(trace, "d4827380a31a12fe");
+    EXPECT_DIGEST(trace, "275eb94cb26f4eb3");
     std::remove(path.c_str());
 }
 
 TEST(SerialDumpDigest, MirroredWebStriping)
 {
-    // Same-tick completions of a replica pair reserve the bus in
-    // (logical disk, replica) order.
+    // Reads go to the replica with fewer outstanding requests, so
+    // the order completions reserve the bus in shows in the dump.
     SimulationConfig sim = webConfig(SystemKind::Segm, 16 * kKiB, 0);
     sim.system.mirrored = true;
     DigestCase c(std::move(sim));
-    EXPECT_DIGEST(c.dump(), "f7304b7555d25299");
+    EXPECT_DIGEST(c.dump(), "3ed16643433d2d6a");
 }
 
 TEST(SerialDumpDigest, MirroredForHdc)
@@ -235,7 +228,7 @@ TEST(SerialDumpDigest, MirroredForHdc)
         webConfig(SystemKind::FOR, 64 * kKiB, 2 * kMiB);
     sim.system.mirrored = true;
     DigestCase c(std::move(sim));
-    EXPECT_DIGEST(c.dump(), "0a72a519d859ccc3");
+    EXPECT_DIGEST(c.dump(), "e4a1526474df61f3");
 }
 
 TEST(SerialDumpDigest, FaultKillRepairRebuild)
@@ -246,7 +239,7 @@ TEST(SerialDumpDigest, FaultKillRepairRebuild)
     DigestCase c(faultConfig(512));
     const std::string d = c.dump();
     ASSERT_NE(d.find("# fault event @"), std::string::npos);
-    EXPECT_DIGEST(d, "4d598074a5cf0d1e");
+    EXPECT_DIGEST(d, "5faa2ae9e4d4e01a");
 }
 
 TEST(SerialDumpDigest, FaultMediaErrors)
@@ -258,7 +251,7 @@ TEST(SerialDumpDigest, FaultMediaErrors)
     sim.system.fault.mediaErrorRate = 0.02;
     sim.system.fault.badBlocks = "0:7,2:21";
     DigestCase c(std::move(sim));
-    EXPECT_DIGEST(c.dump(), "d0b5807ebc91ad4e");
+    EXPECT_DIGEST(c.dump(), "1194f7a2428682e1");
 }
 
 TEST(SerialDumpDigest, VictimCacheHdc)
@@ -270,7 +263,7 @@ TEST(SerialDumpDigest, VictimCacheHdc)
     sim.system.hdc.policy = HdcPolicy::Victim;
     sim.system.hdc.victimGhostBlocks = 256;
     DigestCase c(std::move(sim));
-    EXPECT_DIGEST(c.dump(), "7c61a12c4aca82b4");
+    EXPECT_DIGEST(c.dump(), "691e194f968525cd");
 }
 
 TEST(SerialDumpDigest, OnlineHdc)
@@ -282,7 +275,7 @@ TEST(SerialDumpDigest, OnlineHdc)
     sim.system.hdc.policy = HdcPolicy::Online;
     sim.system.hdc.replanIntervalTicks = 20 * kMsec;
     DigestCase c(std::move(sim));
-    EXPECT_DIGEST(c.dump(), "dc718a65da2f60bb");
+    EXPECT_DIGEST(c.dump(), "66054cb83b28261e");
 }
 
 TEST(SerialDumpDigest, OnlineHdcFastReplan)
@@ -295,7 +288,7 @@ TEST(SerialDumpDigest, OnlineHdcFastReplan)
     sim.system.hdc.replanIntervalTicks = 5 * kMsec;
     sim.system.hdc.churnThreshold = 0.1;
     DigestCase c(std::move(sim));
-    EXPECT_DIGEST(c.dump(), "2f2cc1df12428856");
+    EXPECT_DIGEST(c.dump(), "840b8ebf3ebff2b5");
 }
 
 TEST(SerialDumpDigest, OnlineHdcSmallPool)
@@ -310,16 +303,15 @@ TEST(SerialDumpDigest, OnlineHdcSmallPool)
     sim.system.hdc.candidateBlocks = 384;
     sim.system.hdc.sketchCols = 4096;
     DigestCase c(std::move(sim));
-    EXPECT_DIGEST(c.dump(), "91e1cb07abfdc6fa");
+    EXPECT_DIGEST(c.dump(), "362e2c235ddf131f");
 }
 
 TEST(SerialDumpDigest, ForReadAheadNoHdc)
 {
     // FOR read-ahead with no pinned store: the fixed budget is the
-    // only thing that bounds each speculative read. The digest is the
-    // same as before adaptive read-ahead was deleted.
+    // only thing that bounds each speculative read.
     DigestCase c(webConfig(SystemKind::FOR, 64 * kKiB, 0));
-    EXPECT_DIGEST(c.dump(), "50538e487e57bff0");
+    EXPECT_DIGEST(c.dump(), "aa3333d82c9b4a72");
 }
 
 TEST(SerialDumpDigest, PeriodicSnapshots)
@@ -330,7 +322,7 @@ TEST(SerialDumpDigest, PeriodicSnapshots)
     c.tweak = [](Experiment& e) { e.statsEvery(200 * kMsec); };
     const std::string d = c.dump();
     ASSERT_NE(d.find("# snapshot @"), std::string::npos);
-    EXPECT_DIGEST(d, "ea09c20ca56fa503");
+    EXPECT_DIGEST(d, "7c4a6385d28df262");
 }
 
 TEST(SerialDumpDigest, SnapshotsDuringFaultsAndMirroring)
@@ -342,7 +334,7 @@ TEST(SerialDumpDigest, SnapshotsDuringFaultsAndMirroring)
     const std::string d = c.dump();
     ASSERT_NE(d.find("# snapshot @"), std::string::npos);
     ASSERT_NE(d.find("# fault event @"), std::string::npos);
-    EXPECT_DIGEST(d, "b2385b5b65b7c954");
+    EXPECT_DIGEST(d, "c2aa421d289cc1e3");
 }
 
 TEST(SerialDumpDigest, StreamFrames)
@@ -351,11 +343,11 @@ TEST(SerialDumpDigest, StreamFrames)
     DigestCase c(webConfig(SystemKind::Segm, 64 * kKiB, 0));
     const std::string path = test::tempPath("stream.txt");
     c.tweak = [&](Experiment& e) { e.streamTo(path, 250 * kMsec); };
-    EXPECT_DIGEST(c.dump(), "4333e089869c7aa1");
+    EXPECT_DIGEST(c.dump(), "0bf924f445d8e7b1");
 
     const std::string stream = slurp(path);
     ASSERT_NE(stream.find("==> dtsim stats seq=0 "), std::string::npos);
-    EXPECT_DIGEST(stream, "44c3f24e5a36f7a8");
+    EXPECT_DIGEST(stream, "2501962cab47f70e");
     std::remove(path.c_str());
 }
 

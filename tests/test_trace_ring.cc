@@ -19,7 +19,7 @@
 
 #include "core/report.hh"
 #include "experiment_replay.hh"
-#include "stats_text.hh"
+#include "stats/dump_reader.hh"
 #include "stats/trace.hh"
 #include "stats/trace_ring.hh"
 #include "temp_path.hh"
@@ -394,8 +394,8 @@ TEST(SampledTrace, SampleZeroIsPure)
     expectSameResults(rp, rt);
     EXPECT_EQ(rt.traceRecords, 0u);
     EXPECT_EQ(rt.traceSampledOut, rt.requests);
-    EXPECT_EQ(test::stripRuntime(plain_stats.str()),
-              stripTraceConf(test::stripRuntime(traced_stats.str())));
+    EXPECT_EQ(stats::stripVolatile(plain_stats.str()),
+              stripTraceConf(stats::stripVolatile(traced_stats.str())));
 
     std::vector<RequestTraceEvent> events;
     ASSERT_TRUE(readTraceFile(traced.tracePath, events));
@@ -488,8 +488,8 @@ TEST(StatsStream, StreamingDoesNotPerturbResults)
         test::replayTrace(cfg, trace, nullptr, nullptr, streamed);
 
     expectSameResults(rp, rs);
-    EXPECT_EQ(test::stripRuntime(plain_stats.str()),
-              test::stripRuntime(streamed_stats.str()));
+    EXPECT_EQ(stats::stripVolatile(plain_stats.str()),
+              stats::stripVolatile(streamed_stats.str()));
     std::remove(streamed.statsStream.path.c_str());
 }
 

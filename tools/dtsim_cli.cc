@@ -13,12 +13,15 @@
  *   dtsim_cli --sweep examples/sweeps/fig07_web_striping.conf
  *   dtsim_cli --workload web --system all --jobs 4
  *   dtsim_cli --list-params
+ *   dtsim_cli --diff-stats old_stats.txt new_stats.txt
  */
 
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <iostream>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -29,6 +32,7 @@
 #include "core/report.hh"
 #include "core/sweep_driver.hh"
 #include "sim/logging.hh"
+#include "stats/dump_reader.hh"
 
 using namespace dtsim;
 
@@ -54,6 +58,10 @@ usage()
         "  --param-docs-md     print the Markdown configuration\n"
         "                      reference (docs/CONFIG.md is this\n"
         "                      output, verbatim)\n"
+        "  --diff-stats A B    print what differs from stats dump A\n"
+        "                      to B: '#conf' lines first, then every\n"
+        "                      stat that moved, largest relative\n"
+        "                      change first (nothing when equal)\n"
         "workload sugar (sets the parameter in parentheses):\n"
         "  --workload K        synthetic|web|proxy|file\n"
         "                      (workload.kind)\n"
@@ -123,6 +131,18 @@ arg(int argc, char** argv, int& i)
     if (i + 1 >= argc)
         fatal("missing value for %s", argv[i]);
     return argv[++i];
+}
+
+/** The whole of stats dump `path`; fatal when it cannot be read. */
+std::string
+readDump(const std::string& path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream text;
+    text << in.rdbuf();
+    if (!in)
+        fatal("cannot read stats dump %s", path.c_str());
+    return text.str();
 }
 
 /** Parse a sugar-flag value with the checked parser; fatal on junk. */
@@ -426,6 +446,16 @@ main(int argc, char** argv)
             return 0;
         } else if (a == "--param-docs-md") {
             paramDocsMarkdown(reg);
+            return 0;
+        } else if (a == "--diff-stats") {
+            if (i + 2 >= argc)
+                fatal("--diff-stats needs two stats dumps");
+            const std::string from = argv[++i];
+            const std::string to = argv[++i];
+            for (const std::string& line :
+                 stats::diffDumps(stats::parseDump(readDump(from)),
+                                  stats::parseDump(readDump(to))))
+                std::printf("%s\n", line.c_str());
             return 0;
         } else if (a == "--config") {
             const char* path = arg(argc, argv, i);

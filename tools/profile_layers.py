@@ -21,9 +21,9 @@ MAX_UNMAPPED = 0.05
 
 # (layer, pattern) in match order; the first match wins.
 LAYERS = [
-    # Event kernel: the queue, its type-erased callbacks and the
-    # same-tick batch, whatever component scheduled them.
-    ("kernel", r"EventQueue|SmallFunction|SameTickBatch|SlabList"),
+    # Event kernel: the queue and its type-erased callbacks, whatever
+    # component scheduled them.
+    ("kernel", r"EventQueue|SmallFunction|SlabList"),
     # Workload generation and the preparation around it: server-model
     # and synthetic generators, the host buffer cache and prefetcher
     # they drive, the file-system image, FOR bitmap construction, the
