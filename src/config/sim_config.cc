@@ -148,8 +148,9 @@ bindParams(ParamRegistry& reg, SimulationConfig& sim)
             "RAID-10 mirroring (halves the logical capacity; needs "
             "an even disk count)");
     reg.add("system.streams", sys.streams,
-            "concurrent I/O streams during replay (server workloads "
-            "override this with the model's concurrency)");
+            "concurrent I/O streams during replay (0 = the "
+            "workload's own: the server model's concurrency, 128 "
+            "for synthetic workloads and loaded traces)");
     reg.add("system.workers", sys.workers,
             "server I/O thread-pool size: records in flight at once "
             "(0 = one worker per stream)");
@@ -266,16 +267,6 @@ bindParams(ParamRegistry& reg, SimulationConfig& sim)
             "seed of the sampling RNG stream; the same seed on the "
             "same run reproduces the sampled set exactly");
 
-    // stats.* -- live stat streaming (docs/OBSERVABILITY.md).
-    // Volatile output: elided from headers when streaming is off.
-    StatsStreamConfig& st = out.stream;
-    reg.add("stats.stream", st.path,
-            "append framed incremental stat snapshots to this "
-            "file/FIFO for live tailing (empty = off)");
-    reg.add("stats.stream_interval_ticks", st.intervalTicks,
-            "simulated ticks between stream frames (0 = inherit "
-            "run.stats_interval_ticks)");
-
     // fault.* -- deterministic fault injection (docs/FAULTS.md).
     // Defaults mean "off"; runs with everything at the default are
     // byte-identical to a build without the fault layer, and the
@@ -380,7 +371,6 @@ validateConfig(const SimulationConfig& sim)
     check(errs, !sys.mirrored || sys.disks % 2 == 0,
           "system.mirrored needs an even system.disks (got " +
               u64s(sys.disks) + ")");
-    check(errs, sys.streams >= 1, "system.streams must be at least 1");
 
     check(errs, d.sectorSize > 0, "disk.sector_bytes must be > 0");
     check(errs,
@@ -507,12 +497,6 @@ validateConfig(const SimulationConfig& sim)
           "trace.sample must be in [0, 1]");
     check(errs, out.traceCfg.sample >= 1.0 || !out.trace.empty(),
           "trace.sample < 1 has no effect without run.trace");
-    check(errs,
-          !out.stream.enabled() || out.stream.intervalTicks > 0 ||
-              out.statsIntervalTicks > 0,
-          "stats.stream needs a frame cadence: set "
-          "stats.stream_interval_ticks (or run.stats_interval_ticks) "
-          "> 0");
 
     const FaultConfig& f = sys.fault;
     check(errs, f.mediaErrorRate >= 0 && f.mediaErrorRate <= 1,
@@ -609,15 +593,11 @@ renderConfigHeader(const SimulationConfig& sim,
         if (!sim.system.fault.enabled() &&
             e.name.compare(0, 6, "fault.") == 0)
             continue;
-        // Same contract for the sampled-tracing and live-streaming
-        // groups: headers only mention them when a knob was touched,
-        // so pre-sampling dumps stay byte-identical.
+        // Same contract for the sampled-tracing group: headers only
+        // mention it when a knob was touched, so pre-sampling dumps
+        // stay byte-identical.
         if (!sim.output.traceCfg.nonDefault() &&
             e.name.compare(0, 6, "trace.") == 0)
-            continue;
-        if (!sim.output.stream.enabled() &&
-            sim.output.stream.intervalTicks == 0 &&
-            e.name.compare(0, 6, "stats.") == 0)
             continue;
         // The typed hdc. group only appears once the state left what
         // the legacy system.hdc_* keys can express: pre-redesign

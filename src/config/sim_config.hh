@@ -18,7 +18,6 @@
 
 #include "config/param_registry.hh"
 #include "core/system.hh"
-#include "stats/stats_sink.hh"
 #include "stats/trace.hh"
 #include "workload/server_models.hh"
 #include "workload/synthetic.hh"
@@ -40,9 +39,6 @@ struct OutputConfig
     /** Sampling knobs of the trace (the trace.* group). */
     TraceConfig traceCfg;
 
-    /** Live stat streaming (the stats.* group). */
-    StatsStreamConfig stream;
-
     /** Periodic snapshot interval in ticks (0 = final dump only). */
     Tick statsIntervalTicks = 0;
 };
@@ -55,7 +51,16 @@ struct SimulationConfig
     /** Server-model request scale (web/proxy/file workloads). */
     double scale = 0.05;
 
-    SystemConfig system;
+    /**
+     * system.streams starts at 0, the workload's own concurrency;
+     * resolveStreams() (core/sweep_driver.hh) fills it in before a
+     * run, so an explicit value always wins.
+     */
+    SystemConfig system = [] {
+        SystemConfig s;
+        s.streams = 0;
+        return s;
+    }();
     SyntheticParams synthetic;
     OutputConfig output;
 };
@@ -74,10 +79,10 @@ const config::EnumTable<BlockPolicy>& blockPolicyTokens();
 
 /**
  * Declare every parameter of `sim` on `reg` (group prefixes:
- * workload., system., disk., synthetic., run., trace., stats.,
- * fault., hdc., ra.). `sim` must outlive
- * the registry. Field values at bind time become the documented
- * defaults, so bind default-constructed configs for canonical docs.
+ * workload., system., disk., synthetic., run., trace., fault.,
+ * hdc.). `sim` must outlive the registry. Field values at bind time
+ * become the documented defaults, so bind default-constructed configs
+ * for canonical docs.
  */
 void bindParams(config::ParamRegistry& reg, SimulationConfig& sim);
 

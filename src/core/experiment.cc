@@ -136,14 +136,6 @@ Experiment::traceTo(std::string path)
 }
 
 Experiment&
-Experiment::streamTo(std::string path, Tick interval)
-{
-    opts_.statsStream.path = std::move(path);
-    opts_.statsStream.intervalTicks = interval;
-    return *this;
-}
-
-Experiment&
 Experiment::statsEvery(Tick interval)
 {
     opts_.statsIntervalTicks = interval;
@@ -187,7 +179,6 @@ Experiment::prepare()
     prepared_ = true;
 
     if (!extTrace_) {
-        applyModelStreams(cfg_);
         const std::vector<std::string> errs = validateConfig(cfg_);
         if (!errs.empty()) {
             std::ostringstream os;
@@ -198,7 +189,9 @@ Experiment::prepare()
         const Clock::time_point t0 = Clock::now();
         workload_ = buildWorkload(cfg_);
         opts_.prep.genSeconds = secondsSince(t0);
+        resolveStreams(cfg_, &workload_);
     } else {
+        resolveStreams(cfg_, nullptr);
         // A caller's trace meets loadTrace()'s record checks here, not
         // mid-replay inside the array.
         const std::uint64_t capacity = arrayAddressableBlocks(cfg_.system);
@@ -235,8 +228,6 @@ Experiment::prepare()
         opts_.tracePath = cfg_.output.trace;
     if (opts_.trace == TraceConfig{})
         opts_.trace = cfg_.output.traceCfg;
-    if (opts_.statsStream == StatsStreamConfig{})
-        opts_.statsStream = cfg_.output.stream;
     if (opts_.statsIntervalTicks == 0)
         opts_.statsIntervalTicks = cfg_.output.statsIntervalTicks;
 

@@ -3,7 +3,7 @@
  * Experiment: the one front door for running a simulation.
  *
  * Every run used to be assembled by hand from the same parts --
- * applyModelStreams(), validateConfig(), buildWorkload(), FOR layout
+ * resolveStreams(), validateConfig(), buildWorkload(), FOR layout
  * bitmaps, the HDC pin plan, RunOptions -- and the CLI, the sweep
  * driver, the benches, and the examples each repeated the ritual with
  * slight variations. An Experiment owns the whole setup behind a
@@ -20,15 +20,16 @@
  *
  * Two input modes:
  *
- *  - **Built** (default): prepare() applies the server model's stream
- *    count, validates the full configuration (fatal on errors), and
- *    builds the workload the config asks for. FOR bitmaps and the
- *    oracle-policy HDC pin plan are derived automatically.
+ *  - **Built** (default): prepare() validates the full configuration
+ *    (fatal on errors), builds the workload the config asks for, and
+ *    resolves system.streams = 0 to its concurrency. FOR bitmaps and
+ *    the oracle-policy HDC pin plan are derived automatically.
  *
  *  - **Replay** (replay() called): the caller supplies the trace, and
  *    usually the bitmaps, directly; no workload build and no full
  *    config validation, matching the direct runTrace() path the
- *    benches always used.
+ *    benches always used. system.streams = 0 resolves to
+ *    SystemConfig's default, as the trace carries no concurrency.
  *
  * Output destinations default from config().output and can be
  * overridden fluently (statsTo / traceTo / statsEvery). Batches of
@@ -119,13 +120,6 @@ class Experiment
 
     /** Write one sampled record per completed request to `path`. */
     Experiment& traceTo(std::string path);
-
-    /**
-     * Stream framed live stat snapshots to `path` every `interval`
-     * simulated ticks (0 = inherit statsEvery / the config's
-     * run.stats_interval_ticks); see docs/OBSERVABILITY.md.
-     */
-    Experiment& streamTo(std::string path, Tick interval = 0);
 
     /** Snapshot stats every `interval` ticks (0 = final dump only). */
     Experiment& statsEvery(Tick interval);

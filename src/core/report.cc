@@ -242,7 +242,7 @@ writeStatsBody(std::ostream& os, const SystemConfig& cfg,
     // Component counters (per-disk + bus) join the same tree so one
     // print covers everything under the "sim." prefix. Clock-derived
     // ratios are pinned to the run's elapsed time, which a trailing
-    // snapshot/stream event may have advanced the queue clock past.
+    // snapshot event may have advanced the queue clock past.
     array.exportStats(root, r.elapsed);
     root.print(os);
 
@@ -287,27 +287,6 @@ writeStatsSnapshot(std::ostream& os, const DiskArray& array,
     root.print(os);
     if (svc)
         svc->group.print(os, "sim.");
-}
-
-void
-writeStatsFrame(std::ostream& os, const DiskArray& array,
-                const stats::ServiceStats* svc, Tick now,
-                std::uint64_t seq, bool final_frame)
-{
-    // Both delimiters carry the sequence number so a tail reader can
-    // match them up and detect torn frames; the body is the same
-    // incremental counter tree a snapshot prints.
-    os << "==> dtsim stats seq=" << seq << " tick=" << now << " ("
-       << toMillis(now) << " ms)" << (final_frame ? " final" : "")
-       << " <==\n";
-    stats::StatGroup root("sim");
-    array.exportStats(root, now);
-    root.print(os);
-    if (svc)
-        svc->group.print(os, "sim.");
-    os << "==> end seq=" << seq << " <==\n";
-    // A frame is only useful if the tail reader sees it while the
-    // run is still going.
     os.flush();
 }
 

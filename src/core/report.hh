@@ -47,23 +47,13 @@ void writeStatsDump(std::ostream& os, const SystemConfig& cfg,
                     const BufferCacheStats* fs_stats);
 
 /**
- * Write a mid-run snapshot (used by --stats-interval): the current
- * tick plus component and histogram counters, delimited by a
- * "# snapshot @tick" header line.
+ * Write a mid-run snapshot (used by --stats-interval and fault
+ * events): the current tick plus component and histogram counters,
+ * delimited by a "# snapshot @tick" header line, then flush `os` so
+ * a `tail -f` reader sees the snapshot while the run goes on.
  */
 void writeStatsSnapshot(std::ostream& os, const DiskArray& array,
                         const stats::ServiceStats* svc, Tick now);
-
-/**
- * Write one live-streaming frame (used by stats.stream): the
- * snapshot counter tree bracketed by "==> dtsim stats seq=N ... <=="
- * / "==> end seq=N <==" delimiter lines and flushed, so a `tail -f`
- * reader can consume whole frames as the run progresses. See
- * docs/OBSERVABILITY.md for the frame grammar.
- */
-void writeStatsFrame(std::ostream& os, const DiskArray& array,
-                     const stats::ServiceStats* svc, Tick now,
-                     std::uint64_t seq, bool final_frame);
 
 } // namespace dtsim
 

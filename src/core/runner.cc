@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <fstream>
 #include <functional>
 #include <memory>
 
@@ -63,8 +62,7 @@ runTrace(const SystemConfig& cfg, const Trace& trace,
     // direct runTrace() calls get a system/disk-level one.
     std::string config_header = opts.configHeader;
     if (config_header.empty() &&
-        (opts.wantsStats() || !opts.tracePath.empty() ||
-         opts.statsStream.enabled())) {
+        (opts.wantsStats() || !opts.tracePath.empty())) {
         SimulationConfig sim;
         sim.system = cfg;
         sim.output.traceCfg = opts.trace;
@@ -78,28 +76,9 @@ runTrace(const SystemConfig& cfg, const Trace& trace,
 
     stats::StatGroup live_root("sim");
     std::unique_ptr<stats::ServiceStats> svc;
-    if (opts.wantsStats() || opts.statsStream.enabled()) {
+    if (opts.wantsStats()) {
         svc = std::make_unique<stats::ServiceStats>(live_root);
         array.setServiceStats(svc.get());
-    }
-
-    // Live stat streaming (stats.stream): framed snapshots appended
-    // to a file/FIFO as simulated time passes.
-    StatsSink::Writer stream_out;
-    Tick stream_interval = 0;
-    std::uint64_t stream_seq = 0;
-    if (opts.statsStream.enabled()) {
-        stream_interval = opts.statsStream.intervalTicks > 0
-                              ? opts.statsStream.intervalTicks
-                              : opts.statsIntervalTicks;
-        if (stream_interval == 0)
-            fatal("stats.stream needs stats.stream_interval_ticks "
-                  "(or run.stats_interval_ticks) > 0");
-        stream_out =
-            StatsSink::file(opts.statsStream.path).open("stats stream");
-        if (!config_header.empty())
-            stream_out.os() << config_header;
-        stream_out.os().flush();
     }
 
     // Stamp scripted fault events (disk kill/repair/rebuild-done)
@@ -156,10 +135,10 @@ runTrace(const SystemConfig& cfg, const Trace& trace,
             });
     }
 
-    // Periodic snapshots and stream frames ride the simulation event
-    // queue as front events at absolute ticks: a front event at tick
-    // S runs before every normal tick-S event, so it reads the state
-    // before that tick's simulation work.
+    // Periodic snapshots ride the simulation event queue as front
+    // events at absolute ticks: a front event at tick S runs before
+    // every normal tick-S event, so it reads the state before that
+    // tick's simulation work.
     //
     // Each chain stops re-arming once no work other than housekeeping
     // is pending, so the chains never keep the queue alive by
@@ -182,25 +161,6 @@ runTrace(const SystemConfig& cfg, const Trace& trace,
         };
         ++housekeeping;
         eq.scheduleAtFront(opts.statsIntervalTicks, snapshot);
-    }
-
-    // Stream frames chain exactly like snapshots.
-    std::function<void()> stream_tick;
-    bool stream_chained = false;
-    if (stream_out) {
-        stream_chained = true;
-        stream_tick = [&]() {
-            --housekeeping;
-            writeStatsFrame(stream_out.os(), array, svc.get(),
-                            eq.now(), stream_seq++, false);
-            if (eq.pending() > housekeeping) {
-                ++housekeeping;
-                eq.scheduleAtFront(eq.now() + stream_interval,
-                                   stream_tick);
-            }
-        };
-        ++housekeeping;
-        eq.scheduleAtFront(stream_interval, stream_tick);
     }
 
     // Online HDC re-plans chain like snapshots: front events at
@@ -242,15 +202,14 @@ runTrace(const SystemConfig& cfg, const Trace& trace,
         array.flushAllHdc();
         eq.run();
         const Tick end = eq.now();
-        // A trailing snapshot or stream-frame event may have advanced
-        // the clock past the last completion before the flush began;
+        // A trailing snapshot or re-plan event may have advanced the
+        // clock past the last completion before the flush began;
         // charge the flush window from there so it is not inflated
         // (with both off, base == io_time and the result is identical
         // to a run without observability).
-        const Tick base =
-            (opts.statsIntervalTicks > 0 || stream_chained || online)
-                ? std::max(io_time, post_drain)
-                : io_time;
+        const Tick base = (opts.statsIntervalTicks > 0 || online)
+                              ? std::max(io_time, post_drain)
+                              : io_time;
         flush_time = end > base ? end - base : 0;
     }
     const auto wall_end = std::chrono::steady_clock::now();
@@ -350,13 +309,6 @@ runTrace(const SystemConfig& cfg, const Trace& trace,
     res.traceRecords = tracer.records();
     res.traceSampledOut = tracer.sampledOut();
     res.traceDropped = tracer.dropped();
-
-    if (stream_out) {
-        writeStatsFrame(stream_out.os(), array, svc.get(),
-                        res.elapsed, stream_seq++, true);
-        res.streamFrames = stream_seq;
-        stream_out.close();
-    }
 
     if (stats_out) {
         // The dump adds the time it takes to render itself.

@@ -67,13 +67,6 @@ struct RunOptions
     TraceConfig trace;
 
     /**
-     * Live stat streaming: periodically append a framed snapshot to
-     * a file/FIFO for `tail -f`. Frames come from a front-event chain
-     * at absolute ticks, so the frame sequence is deterministic.
-     */
-    StatsStreamConfig statsStream;
-
-    /**
      * Pre-rendered effective-config header (renderConfigHeader in
      * config/sim_config.hh) written at the top of every stats dump
      * and trace file so results are self-describing and reload via
@@ -86,10 +79,11 @@ struct RunOptions
     /**
      * Emit a periodic stats snapshot every this many ticks of
      * simulated time (0 = final dump only). Snapshots go to the
-     * stats file/stream; the snapshot events ride the simulation
-     * event queue as front events at absolute ticks. The reported HDC
-     * flush window can stretch by up to one interval; all other
-     * results are unaffected.
+     * stats file/stream, each flushed once written so `tail -f`
+     * follows a running simulation; the snapshot events ride the
+     * simulation event queue as front events at absolute ticks. The
+     * reported HDC flush window can stretch by up to one interval;
+     * all other results are unaffected.
      */
     Tick statsIntervalTicks = 0;
 
@@ -190,9 +184,6 @@ struct RunResult
      * deterministic output.
      */
     std::uint64_t traceDropped = 0;
-
-    /** Stream frames emitted (0 when stats.stream was off). */
-    std::uint64_t streamFrames = 0;
 
     /** Fault/recovery counters (all zero when faults are off). */
     FaultCounters faults;

@@ -33,11 +33,12 @@ buildWorkload(const SimulationConfig& sim)
 }
 
 void
-applyModelStreams(SimulationConfig& sim)
+resolveStreams(SimulationConfig& sim, const BuiltWorkload* built)
 {
-    if (sim.workload != WorkloadKind::Synthetic)
-        sim.system.streams =
-            serverPreset(sim.workload, sim.scale).streams;
+    if (sim.system.streams == 0)
+        sim.system.streams = built && built->modelStreams > 0
+                                 ? built->modelStreams
+                                 : SystemConfig{}.streams;
 }
 
 std::string
@@ -135,9 +136,8 @@ runSweepPoints(std::vector<SweepPoint>& points, SweepCache& cache,
                  p.whyNot.c_str());
             continue;
         }
-        applyModelStreams(p.cfg);
-
         BuiltWorkload& w = cache.workload(p.cfg);
+        resolveStreams(p.cfg, &w);
 
         Experiment e(p.cfg);
         e.replay(w.trace);

@@ -58,12 +58,14 @@ struct BuiltWorkload
 BuiltWorkload buildWorkload(const SimulationConfig& sim);
 
 /**
- * Server models fix their own concurrency: overwrite system.streams
- * with the model's stream count (no-op for synthetic workloads).
+ * Resolve system.streams = 0 to the workload's own concurrency: the
+ * server model's stream count when `built` is a server workload,
+ * else SystemConfig's default (synthetic workloads, and replayed
+ * traces, which pass no `built`). An explicit count is left alone.
  * Applied before running so the effective-config dump records the
  * concurrency that actually ran.
  */
-void applyModelStreams(SimulationConfig& sim);
+void resolveStreams(SimulationConfig& sim, const BuiltWorkload* built);
 
 /**
  * Workload/bitmap/pin-plan cache shared across the runs of a sweep.
@@ -104,7 +106,7 @@ class SweepCache
  * Run every feasible point of an expanded sweep through
  * Experiment::runAll() (thread count: `jobs`, 0 = DTSIM_JOBS). Results come
  * back in point order; infeasible points get a default RunResult and
- * a warn(). Each point's cfg gets applyModelStreams() applied, its
+ * a warn(). Each point's cfg gets resolveStreams() applied, its
  * output files are taken from cfg.output, and its stats/trace outputs
  * begin with the point's own effective-config header.
  *

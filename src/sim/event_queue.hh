@@ -80,7 +80,7 @@ class EventQueue
      * event at that tick. Front events fire in their own FIFO order
      * before any scheduleAt()/scheduleAfter() event with the same
      * `when`, regardless of scheduling order. Used for housekeeping
-     * (periodic snapshots, stream frames, online HDC re-plans) that
+     * (periodic snapshots, online HDC re-plans) that
      * must observe the state *before* the tick's simulation work
      * runs.
      */

@@ -55,9 +55,9 @@ stripVolatile(const std::string& dump)
 }
 
 std::uint64_t
-fnv1a(std::string_view text)
+fnv1a(std::string_view text, std::uint64_t seed)
 {
-    std::uint64_t h = 0xcbf29ce484222325ull;
+    std::uint64_t h = seed;
     for (unsigned char c : text) {
         h ^= c;
         h *= 0x100000001b3ull;

@@ -26,8 +26,15 @@ namespace stats {
  */
 std::string stripVolatile(const std::string& dump);
 
-/** 64-bit FNV-1a of `text`. */
-std::uint64_t fnv1a(std::string_view text);
+/** The 64-bit FNV-1a offset basis: the hash of no bytes. */
+constexpr std::uint64_t kFnv1aBasis = 0xcbf29ce484222325ull;
+
+/**
+ * 64-bit FNV-1a of `text`. A running hash passes the previous result
+ * as `seed`.
+ */
+std::uint64_t fnv1a(std::string_view text,
+                    std::uint64_t seed = kFnv1aBasis);
 
 /** One parsed stats dump. */
 struct ParsedDump

@@ -18,8 +18,6 @@
 #include <ostream>
 #include <string>
 
-#include "sim/ticks.hh"
-
 namespace dtsim {
 
 /** Where stats text goes: a file, a borrowed stream, or nowhere. */
@@ -112,31 +110,6 @@ class StatsSink
   private:
     std::string path_;
     std::ostream* os_ = nullptr;
-};
-
-/**
- * Live stat streaming knobs (the stats.* config group): periodically
- * append a framed incremental StatGroup snapshot to a file or FIFO so
- * a running simulation can be watched with `tail -f`. Frames are
- * emitted from front events on the simulation timeline; the stream is
- * a separate file and never part of the stats dump. See
- * docs/OBSERVABILITY.md for the frame format.
- */
-struct StatsStreamConfig
-{
-    /** Destination file/FIFO ("" = streaming off). */
-    std::string path;
-
-    /**
-     * Ticks of simulated time between frames. 0 inherits
-     * run.stats_interval_ticks; one of the two must be set when a
-     * stream path is configured.
-     */
-    Tick intervalTicks = 0;
-
-    bool operator==(const StatsStreamConfig&) const = default;
-
-    bool enabled() const { return !path.empty(); }
 };
 
 } // namespace dtsim

@@ -126,8 +126,9 @@ TEST(ConfigFile, EmbeddedModeParsesOnlyConfLines)
         << err;
     EXPECT_EQ(b.sim.system.kind, SystemKind::NoRA);
     EXPECT_EQ(b.sim.system.disks, 2u);
-    // Untouched keys keep their defaults.
-    EXPECT_EQ(b.sim.system.streams, 128u);
+    // Untouched keys keep their defaults (0 streams: the workload's
+    // own concurrency).
+    EXPECT_EQ(b.sim.system.streams, 0u);
 }
 
 TEST(ConfigFile, RenderedHeaderReloadsIdentically)

@@ -309,6 +309,27 @@ TEST(ConfigMalformed, OctalNumberNamesItsLine)
     EXPECT_NE(err.find("leading zero in '010'"), std::string::npos) << err;
 }
 
+TEST(ConfigMalformed, RemovedStatsStreamKeysNameTheirLine)
+{
+    // The live stat stream was folded into the stats dump's periodic
+    // snapshots; a config still setting its keys fails at its line
+    // instead of running without the output it asked for.
+    for (const char* line :
+         {"stats.stream = x", "stats.stream_interval_ticks = 5"}) {
+        SimulationConfig sim;
+        config::ParamRegistry reg;
+        bindParams(reg, sim);
+        std::string err;
+        EXPECT_FALSE(config::loadConfigText(
+            std::string("run.stats_interval_ticks = 5\n") + line + "\n",
+            "old.conf", reg, err))
+            << line;
+        EXPECT_EQ(err.rfind("old.conf:2: ", 0), 0u) << err;
+        EXPECT_NE(err.find("unknown parameter"), std::string::npos)
+            << err;
+    }
+}
+
 TEST(ConfigMalformed, SweepSpecMutants)
 {
     const std::vector<fs::path> files = confFiles(kExamples / "sweeps");

@@ -143,9 +143,9 @@ TEST(ConfigRoundTrip, LegacyHdcAliasesTrackSpec)
 
 TEST(ConfigRoundTrip, HeaderMatchesEffectiveStreams)
 {
-    // Server models override system.streams; the dumped header must
-    // record the concurrency that actually ran so a reload does not
-    // depend on the override being reapplied.
+    // An unset system.streams resolves to the server model's own
+    // concurrency; the dumped header must record the concurrency that
+    // actually ran so a reload does not depend on resolving it again.
     SimulationConfig sim;
     sim.workload = WorkloadKind::Web;
     sim.scale = 0.005;
@@ -159,6 +159,24 @@ TEST(ConfigRoundTrip, HeaderMatchesEffectiveStreams)
             "#conf system.streams = " +
             config::formatValue(exp.config().system.streams)),
         std::string::npos);
+}
+
+TEST(ConfigRoundTrip, ExplicitStreamsBeatServerModel)
+{
+    // An explicit system.streams wins over the web model's own 16
+    // streams, both in the header and in the run.
+    SimulationConfig sim;
+    sim.workload = WorkloadKind::Web;
+    sim.scale = 0.005;
+    config::ParamRegistry reg;
+    bindParams(reg, sim);
+    std::string err;
+    ASSERT_TRUE(reg.set("system.streams", "8", err)) << err;
+    std::ostringstream stats;
+    Experiment(sim).statsTo(StatsSink::stream(stats)).run();
+    const std::string dump = stats.str();
+    EXPECT_NE(dump.find("#conf system.streams = 8\n"), std::string::npos);
+    EXPECT_NE(dump.find("\nsim.config.streams 8 "), std::string::npos);
 }
 
 } // namespace

@@ -275,7 +275,7 @@ TEST(ConfigValidate, ReportsEveryViolationAtOnce)
 {
     SimulationConfig sim;
     sim.system.disks = 0;
-    sim.system.streams = 0;
+    sim.system.disk.rpm = 0;
     sim.system.stripeUnitBytes = 3;
     const std::vector<std::string> errs = validateConfig(sim);
     EXPECT_GE(errs.size(), 3u);

@@ -6,6 +6,7 @@
 #include "core/replay.hh"
 #include "core/system.hh"
 #include "sim/rng.hh"
+#include "stats/dump_reader.hh"
 
 namespace dtsim {
 namespace {
@@ -73,12 +74,12 @@ replayOutcome(const Trace& trace, unsigned streams, unsigned workers)
     cfg.stripeUnitBytes = 16 * kKiB;
     DiskArray array(eq, cfg.arrayConfig());
     ReplayEngine engine(eq, array, trace, streams, workers);
-    std::uint64_t h = 14695981039346656037ULL;
+    std::uint64_t h = stats::kFnv1aBasis;
     const auto mix = [&h](std::uint64_t v) {
-        for (int b = 0; b < 8; ++b) {
-            h ^= (v >> (8 * b)) & 0xff;
-            h *= 1099511628211ULL;
-        }
+        char bytes[8];
+        for (int b = 0; b < 8; ++b)
+            bytes[b] = static_cast<char>(v >> (8 * b));
+        h = stats::fnv1a({bytes, sizeof bytes}, h);
     };
     engine.setObserver([&](const TraceRecord& rec, Tick when) {
         mix(static_cast<std::uint64_t>(&rec - trace.data()));

@@ -305,5 +305,51 @@ TEST(RequestTrace, PeriodicSnapshotsLeaveResultsIntact)
     EXPECT_NE(out.find("sim.io_time_ms"), std::string::npos);
 }
 
+/** A string buffer that logs its length at every sync (flush). */
+class SyncLog : public std::stringbuf
+{
+  public:
+    std::vector<std::size_t> syncs;
+
+  protected:
+    int
+    sync() override
+    {
+        syncs.push_back(static_cast<std::size_t>(pptr() - pbase()));
+        return std::stringbuf::sync();
+    }
+};
+
+TEST(RequestTrace, SnapshotsFlushOnceWritten)
+{
+    // `tail -f` on the stats file follows a run only if each snapshot
+    // is flushed as soon as it is written, not when the dump closes.
+    const Trace trace = testTrace(150);
+    SyncLog buf;
+    std::ostream os(&buf);
+    Experiment e(testConfig());
+    e.replay(trace)
+        .statsTo(StatsSink::stream(os))
+        .statsEvery(fromMicros(2000));
+    e.run();
+
+    // A snapshot ends where the next '#' section line begins (another
+    // snapshot or the final dump); the stream was flushed right there.
+    const std::string out = buf.str();
+    std::size_t snapshots = 0;
+    std::size_t unflushed = 0;
+    for (std::size_t at = out.find("# snapshot @");
+         at != std::string::npos;
+         at = out.find("# snapshot @", at + 1)) {
+        ++snapshots;
+        const std::size_t end = out.find("\n#", at) + 1;
+        if (std::find(buf.syncs.begin(), buf.syncs.end(), end) ==
+            buf.syncs.end())
+            ++unflushed;
+    }
+    EXPECT_GT(snapshots, 0u);
+    EXPECT_EQ(unflushed, 0u) << "of " << snapshots << " snapshots";
+}
+
 } // namespace
 } // namespace dtsim

@@ -1,12 +1,12 @@
 /**
  * @file
  * Serial dump regression: each configuration runs once and the FNV-1a
- * digest of its runtime-stripped stats dump (plus its request trace or
- * stats stream, where the case writes one) must equal a committed
- * constant. The cases cover the figure-7..12 system shapes, the
- * ablation-style variants, mirroring, fault injection, the victim and
- * online HDC policies, periodic snapshots and stream frames --
- * every path whose event ordering shows in a dump.
+ * digest of its runtime-stripped stats dump (plus its request trace,
+ * where the case writes one) must equal a committed constant. The
+ * cases cover the figure-7..12 system shapes, the ablation-style
+ * variants, mirroring, fault injection, the victim and online HDC
+ * policies, and periodic snapshots -- every path whose event ordering
+ * shows in a dump.
  *
  * A mismatch prints the actual digest. Update a constant only with a
  * deliberate model change, and explain the dump diff alongside it.
@@ -57,7 +57,7 @@ struct DigestCase
 {
     SimulationConfig sim;
 
-    /** Extra run options (snapshots, streaming, tracing, ...). */
+    /** Extra run options (snapshots, tracing, ...). */
     std::function<void(Experiment&)> tweak;
 
     explicit DigestCase(SimulationConfig s) : sim(std::move(s)) {}
@@ -335,20 +335,6 @@ TEST(SerialDumpDigest, SnapshotsDuringFaultsAndMirroring)
     ASSERT_NE(d.find("# snapshot @"), std::string::npos);
     ASSERT_NE(d.find("# fault event @"), std::string::npos);
     EXPECT_DIGEST(d, "c2aa421d289cc1e3");
-}
-
-TEST(SerialDumpDigest, StreamFrames)
-{
-    // Stream frames ride the same front-event chain as snapshots.
-    DigestCase c(webConfig(SystemKind::Segm, 64 * kKiB, 0));
-    const std::string path = test::tempPath("stream.txt");
-    c.tweak = [&](Experiment& e) { e.streamTo(path, 250 * kMsec); };
-    EXPECT_DIGEST(c.dump(), "0bf924f445d8e7b1");
-
-    const std::string stream = slurp(path);
-    ASSERT_NE(stream.find("==> dtsim stats seq=0 "), std::string::npos);
-    EXPECT_DIGEST(stream, "2501962cab47f70e");
-    std::remove(path.c_str());
 }
 
 } // namespace

@@ -18,6 +18,7 @@
 #include <cstdio>
 #include <string>
 
+#include "stats/dump_reader.hh"
 #include "workload/server_models.hh"
 
 namespace dtsim {
@@ -25,17 +26,17 @@ namespace {
 
 constexpr std::uint64_t kCapacity = 64ULL << 20;   // Blocks.
 
-/** 64-bit FNV-1a, fed one little-endian integer at a time. */
-class Fnv1a
+/** Running stats::fnv1a, fed one little-endian integer at a time. */
+class Digest
 {
   public:
     void
     add(std::uint64_t v)
     {
-        for (int i = 0; i < 8; ++i) {
-            h_ ^= (v >> (8 * i)) & 0xff;
-            h_ *= 0x100000001b3ull;
-        }
+        char bytes[8];
+        for (int i = 0; i < 8; ++i)
+            bytes[i] = static_cast<char>(v >> (8 * i));
+        h_ = stats::fnv1a({bytes, sizeof bytes}, h_);
     }
 
     std::string
@@ -47,7 +48,7 @@ class Fnv1a
     }
 
   private:
-    std::uint64_t h_ = 0xcbf29ce484222325ull;
+    std::uint64_t h_ = stats::kFnv1aBasis;
 };
 
 /** Digest of everything makeServerWorkload reports. */
@@ -56,7 +57,7 @@ digestOf(const ServerModelParams& p)
 {
     const ServerWorkload w = makeServerWorkload(p, kCapacity);
     EXPECT_FALSE(w.trace.empty());
-    Fnv1a h;
+    Digest h;
     h.add(w.trace.size());
     for (const TraceRecord& r : w.trace) {
         h.add(r.start);

@@ -1,9 +1,8 @@
 /**
  * @file
- * Tests of the sampled-tracing pipeline and live stat streaming:
- * the SPSC TraceRing, binary record pack/unpack, the RequestTracer
- * writer thread, sampling determinism, sample=0 purity, and
- * streamed stat frames.
+ * Tests of the sampled-tracing pipeline: the SPSC TraceRing, binary
+ * record pack/unpack, the RequestTracer writer thread, sampling
+ * determinism, and sample=0 purity.
  */
 
 #include <gtest/gtest.h>
@@ -401,117 +400,6 @@ TEST(SampledTrace, SampleZeroIsPure)
     ASSERT_TRUE(readTraceFile(traced.tracePath, events));
     EXPECT_TRUE(events.empty());
     std::remove(traced.tracePath.c_str());
-}
-
-/** Parse "==> dtsim stats seq=..." / "==> end seq=..." frames. */
-struct FrameScan
-{
-    std::uint64_t frames = 0;
-    std::uint64_t ends = 0;
-    bool sawFinal = false;
-    bool seqsMonotonic = true;
-    bool bodiesNonEmpty = true;
-};
-
-FrameScan
-scanFrames(const std::string& path)
-{
-    FrameScan s;
-    std::ifstream in(path);
-    EXPECT_TRUE(in.is_open()) << path;
-    std::string line;
-    long expect_seq = 0;
-    std::uint64_t body_lines = 0;
-    bool in_frame = false;
-    while (std::getline(in, line)) {
-        if (line.rfind("==> dtsim stats seq=", 0) == 0) {
-            const long seq = std::atol(line.c_str() + 20);
-            if (seq != expect_seq)
-                s.seqsMonotonic = false;
-            ++expect_seq;
-            ++s.frames;
-            if (line.find(" final <==") != std::string::npos)
-                s.sawFinal = true;
-            in_frame = true;
-            body_lines = 0;
-        } else if (line.rfind("==> end seq=", 0) == 0) {
-            ++s.ends;
-            if (body_lines == 0)
-                s.bodiesNonEmpty = false;
-            in_frame = false;
-        } else if (in_frame) {
-            ++body_lines;
-        }
-    }
-    return s;
-}
-
-TEST(StatsStream, SerialRunEmitsWellFormedFrames)
-{
-    const Trace trace = testTrace();
-    const SystemConfig cfg = testConfig();
-
-    const std::string path = test::tempPath("stream.txt");
-    RunOptions opts;
-    opts.statsStream.path = path;
-    opts.statsStream.intervalTicks = 20 * kMsec;
-    const RunResult r =
-        test::replayTrace(cfg, trace, nullptr, nullptr, opts);
-
-    const FrameScan s = scanFrames(path);
-    EXPECT_EQ(s.frames, r.streamFrames);
-    EXPECT_EQ(s.ends, s.frames);
-    EXPECT_GE(s.frames, 2u);  // at least one mid-run + the final one
-    EXPECT_TRUE(s.sawFinal);
-    EXPECT_TRUE(s.seqsMonotonic);
-    EXPECT_TRUE(s.bodiesNonEmpty);
-    std::remove(path.c_str());
-}
-
-TEST(StatsStream, StreamingDoesNotPerturbResults)
-{
-    const Trace trace = testTrace();
-    const SystemConfig cfg = testConfig();
-
-    std::ostringstream plain_stats;
-    RunOptions plain;
-    plain.stats = StatsSink::stream(plain_stats);
-    const RunResult rp =
-        test::replayTrace(cfg, trace, nullptr, nullptr, plain);
-
-    std::ostringstream streamed_stats;
-    RunOptions streamed;
-    streamed.stats = StatsSink::stream(streamed_stats);
-    streamed.statsStream.path = test::tempPath("stream.txt");
-    streamed.statsStream.intervalTicks = 20 * kMsec;
-    const RunResult rs =
-        test::replayTrace(cfg, trace, nullptr, nullptr, streamed);
-
-    expectSameResults(rp, rs);
-    EXPECT_EQ(stats::stripVolatile(plain_stats.str()),
-              stats::stripVolatile(streamed_stats.str()));
-    std::remove(streamed.statsStream.path.c_str());
-}
-
-TEST(StatsStream, InheritsSnapshotIntervalWhenUnset)
-{
-    const Trace trace = testTrace();
-    const SystemConfig cfg = testConfig();
-
-    const std::string path = test::tempPath("stream.txt");
-    std::ostringstream sink;
-    RunOptions opts;
-    opts.stats = StatsSink::stream(sink);
-    opts.statsIntervalTicks = 20 * kMsec;  // snapshot cadence
-    opts.statsStream.path = path;             // interval unset: inherit
-    const RunResult r =
-        test::replayTrace(cfg, trace, nullptr, nullptr, opts);
-
-    const FrameScan s = scanFrames(path);
-    EXPECT_EQ(s.frames, r.streamFrames);
-    EXPECT_GE(s.frames, 2u);
-    EXPECT_TRUE(s.sawFinal);
-    std::remove(path.c_str());
 }
 
 } // namespace

@@ -87,7 +87,8 @@ usage()
         "  --disks N           array size (system.disks)\n"
         "  --unit-kb N         striping unit in KiB\n"
         "                      (system.stripe_unit_bytes)\n"
-        "  --streams N         concurrent streams (system.streams)\n"
+        "  --streams N         concurrent streams, 0 = the workload's\n"
+        "                      own (system.streams)\n"
         "  --workers N         I/O thread pool, 0 = streams\n"
         "                      (system.workers)\n"
         "  --sched S           fcfs|look|clook|sstf (system.scheduler)\n"
@@ -112,12 +113,9 @@ usage()
         "                      stream (trace.sample; default 1 =\n"
         "                      every request, seed via trace.seed)\n"
         "  --stats-interval T  also snapshot stats every T ticks (ns)\n"
+        "                      into the stats dump, each flushed as\n"
+        "                      written so `tail -f` follows the run\n"
         "                      (run.stats_interval_ticks)\n"
-        "  --stats-stream FILE append framed live stat snapshots to\n"
-        "                      FILE/FIFO for `tail -f` (stats.stream;\n"
-        "                      cadence stats.stream_interval_ticks,\n"
-        "                      default --stats-interval); suffixed\n"
-        "                      per point under a sweep\n"
         "  --jobs N            sweep threads (default DTSIM_JOBS,\n"
         "                      else all cores)\n"
         "  --log-level L       quiet|warn|inform|debug (also the\n"
@@ -387,8 +385,6 @@ runSweepMode(const SweepSpec& spec, unsigned jobs)
             p.cfg.output.statsOut += coordSuffix(p);
         if (!p.cfg.output.trace.empty())
             p.cfg.output.trace += coordSuffix(p);
-        if (!p.cfg.output.stream.path.empty())
-            p.cfg.output.stream.path += coordSuffix(p);
     }
 
     std::size_t label_w = 8;
@@ -536,8 +532,6 @@ main(int argc, char** argv)
         } else if (a == "--stats-interval") {
             setParam(reg, "run.stats_interval_ticks",
                      arg(argc, argv, i));
-        } else if (a == "--stats-stream") {
-            setParam(reg, "stats.stream", arg(argc, argv, i));
         } else if (a == "--log-level") {
             const char* name = arg(argc, argv, i);
             LogLevel level;
@@ -590,7 +584,7 @@ main(int argc, char** argv)
         Experiment replay(sim);
         replay.replay(trace);
         const RunResult r = replay.run();
-        printReport(std::cout, sim.system, r);
+        printReport(std::cout, replay.config().system, r);
         return 0;
     }
 
