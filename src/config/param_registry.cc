@@ -1,7 +1,5 @@
 #include "config/param_registry.hh"
 
-#include <ostream>
-
 #include "sim/logging.hh"
 
 namespace dtsim {
@@ -49,14 +47,6 @@ ParamRegistry::get(const std::string& name) const
         panic("ParamRegistry::get: unknown parameter '%s'",
               name.c_str());
     return entries_[it->second].get();
-}
-
-void
-ParamRegistry::dump(std::ostream& os,
-                    const std::string& line_prefix) const
-{
-    for (const ParamEntry& e : entries_)
-        os << line_prefix << e.name << " = " << e.get() << "\n";
 }
 
 } // namespace config

@@ -20,7 +20,6 @@
 #define DTSIM_CONFIG_PARAM_REGISTRY_HH
 
 #include <functional>
-#include <iosfwd>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -114,16 +113,6 @@ class ParamRegistry
     {
         return entries_;
     }
-
-    /**
-     * Write every parameter as a "key = value" line, each prefixed
-     * with `line_prefix`. With the "#conf " prefix this is the
-     * effective-config header embedded in stats dumps and traces;
-     * with an empty prefix it is a plain config file. Both reload
-     * through config/config_file.hh.
-     */
-    void dump(std::ostream& os,
-              const std::string& line_prefix = "") const;
 
   private:
     static std::string typeName(const std::uint64_t&) { return "u64"; }

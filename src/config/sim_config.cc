@@ -1,6 +1,5 @@
 #include "config/sim_config.hh"
 
-#include <ostream>
 #include <sstream>
 
 #include "sim/logging.hh"
@@ -609,15 +608,6 @@ renderConfigHeader(const SimulationConfig& sim,
     }
     os << "# end of effective config\n";
     return os.str();
-}
-
-void
-dumpEffectiveConfig(std::ostream& os, const SimulationConfig& sim)
-{
-    SimulationConfig copy = sim;
-    ParamRegistry reg;
-    bindParams(reg, copy);
-    reg.dump(os);
 }
 
 } // namespace dtsim

@@ -106,10 +106,6 @@ std::string
 renderConfigHeader(const SimulationConfig& sim,
                    const std::vector<std::string>& groups = {});
 
-/** Dump as a plain "key = value" config file (no prefix). */
-void dumpEffectiveConfig(std::ostream& os,
-                         const SimulationConfig& sim);
-
 } // namespace dtsim
 
 #endif // DTSIM_CONFIG_SIM_CONFIG_HH

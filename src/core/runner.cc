@@ -226,8 +226,9 @@ runTrace(const SystemConfig& cfg, const Trace& trace,
     }
 
     // Conservation identities: every disk's counters account for each
-    // request, block and media job once, and every trace record
-    // completed exactly once.
+    // request, block and media job once, every trace record completed
+    // exactly once, and every disk request that completed was either
+    // written to the request trace or skipped by its sampling draw.
     std::string violations;
     for (unsigned d = 0; d < array.disks(); ++d)
         for (const std::string& v : array.controller(d).accountingErrors())
@@ -238,6 +239,15 @@ runTrace(const SystemConfig& cfg, const Trace& trace,
                              static_cast<unsigned long long>(
                                  engine.metrics().requests),
                              trace.size());
+    const ControllerStats agg = array.aggregateStats();
+    if (tracer.enabled() &&
+        tracer.records() + tracer.sampledOut() != agg.reads + agg.writes)
+        violations += strfmt("\n  request trace: records+sampled_out "
+                             "== reads+writes (%llu vs %llu)",
+                             static_cast<unsigned long long>(
+                                 tracer.records() + tracer.sampledOut()),
+                             static_cast<unsigned long long>(
+                                 agg.reads + agg.writes));
     if (!violations.empty())
         panic("runTrace: stats violate their identities:%s",
               violations.c_str());
@@ -270,7 +280,7 @@ runTrace(const SystemConfig& cfg, const Trace& trace,
         res.onlinePins = oc.pins;
         res.onlineUnpins = oc.unpins;
     }
-    res.agg = array.aggregateStats();
+    res.agg = agg;
     res.ra = array.aggregateRaCounters();
     res.faults = array.faultCounters();
 
@@ -303,12 +313,9 @@ runTrace(const SystemConfig& cfg, const Trace& trace,
             bytes / toSeconds(res.elapsed) / 1.0e6;
     }
 
-    // close() joins the writer thread, so the drop counter is final
-    // and every accepted record has reached the file.
     tracer.close();
     res.traceRecords = tracer.records();
     res.traceSampledOut = tracer.sampledOut();
-    res.traceDropped = tracer.dropped();
 
     if (stats_out) {
         // The dump adds the time it takes to render itself.

@@ -177,14 +177,6 @@ struct RunResult
      * a given seed and configuration). */
     std::uint64_t traceSampledOut = 0;
 
-    /**
-     * Trace records lost because the writer thread fell behind and
-     * the ring filled. Timing-dependent and therefore volatile: it
-     * appears in reports and the "# trace:" dump comment, never in
-     * deterministic output.
-     */
-    std::uint64_t traceDropped = 0;
-
     /** Fault/recovery counters (all zero when faults are off). */
     FaultCounters faults;
 

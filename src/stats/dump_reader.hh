@@ -22,7 +22,8 @@ namespace stats {
 
 /**
  * The dump without its volatile lines: "# runtime:" (host timings)
- * and "# trace:" (writer-thread drop counts).
+ * and "# trace:" (request-trace accounting, present only on traced
+ * runs, so a traced dump compares equal to an untraced one).
  */
 std::string stripVolatile(const std::string& dump);
 

@@ -1,6 +1,5 @@
 #include "stats/trace.hh"
 
-#include <algorithm>
 #include <cinttypes>
 #include <cstring>
 #include <fstream>
@@ -24,6 +23,13 @@ traceOutcomeName(TraceOutcome o)
 }
 
 namespace {
+
+/**
+ * Bytes of the trace file's stdio buffer. Records are written on the
+ * simulation thread, so a buffer well past the default 4 KiB keeps
+ * write system calls rare: 4096 records per call.
+ */
+constexpr std::size_t kTraceBufferBytes = 256 * 1024;
 
 std::uint32_t
 sat32(std::uint64_t v)
@@ -129,6 +135,8 @@ RequestTracer::open(const std::string& path, const TraceConfig& cfg)
     out_ = std::fopen(path.c_str(), "wb");
     if (!out_)
         fatal("cannot open trace file %s for writing", path.c_str());
+    buf_ = std::make_unique<char[]>(kTraceBufferBytes);
+    std::setvbuf(out_, buf_.get(), _IOFBF, kTraceBufferBytes);
     path_ = path;
     cfg_ = cfg;
     sampleAll_ = cfg.sample >= 1.0;
@@ -136,21 +144,7 @@ RequestTracer::open(const std::string& path, const TraceConfig& cfg)
     rng_ = Rng(cfg.seed);
     records_ = 0;
     sampledOut_ = 0;
-    droppedFinal_ = 0;
     markerWritten_ = false;
-    const std::uint64_t capacity =
-        cfg.bufferRecords ? cfg.bufferRecords : 65536;
-    ring_ = std::make_unique<TraceRing>(
-        static_cast<std::size_t>(capacity));
-    // Wake the parked writer once this many records are queued: a
-    // write batch when the ring is big enough, half the ring when it
-    // is not (so small test rings still drain before they overflow).
-    wakeBatch_ = std::min<std::size_t>(256, ring_->capacity() / 2);
-    if (wakeBatch_ == 0)
-        wakeBatch_ = 1;
-    stop_.store(false, std::memory_order_relaxed);
-    parked_.store(false, std::memory_order_relaxed);
-    writer_ = std::thread([this] { writerLoop(); });
 }
 
 void
@@ -158,31 +152,16 @@ RequestTracer::close()
 {
     if (!out_)
         return;
-    stop_.store(true, std::memory_order_release);
-    // The writer may be parked with sub-batch records still queued:
-    // wake it unconditionally so it sees stop_, drains, and exits.
-    parked_.store(false, std::memory_order_release);
-    parked_.notify_one();
-    writer_.join();
     // An empty binary trace still needs its marker so readers can
     // identify the format.
     if (!markerWritten_)
         writeBinaryMarker();
-    droppedFinal_ = ring_->dropped();
-    ring_.reset();
     const bool failed = std::ferror(out_) != 0;
     const bool closed = std::fclose(out_) == 0;
     out_ = nullptr;
+    buf_.reset();
     if (failed || !closed)
         fatal("cannot write trace file %s", path_.c_str());
-}
-
-std::uint64_t
-RequestTracer::dropped() const
-{
-    // Before close() the producer-owned ring counter may lag; after
-    // close() the captured value is exact.
-    return ring_ ? ring_->dropped() : droppedFinal_;
 }
 
 void
@@ -198,22 +177,17 @@ RequestTracer::writePreamble(const std::string& text)
 }
 
 void
-RequestTracer::enqueueRecord(const RequestTraceEvent& ev)
+RequestTracer::record(const RequestTraceEvent& ev)
 {
-    // push() never blocks: a full ring drops the record (counted by
-    // the ring) instead of stalling the simulation thread.
-    if (ring_->push(packTraceRecord(ev)))
-        ++records_;
-    // Waking only at wakeBatch_ keeps wakeups (and their context
-    // switches) amortized over whole write batches. The exchange is
-    // a read-modify-write on parked_, like the writer's park, so the
-    // two are totally ordered: either it reads the writer's `true`
-    // and wakes it, or it comes first and its release hands this push
-    // to the writer's acquire, whose recheck then sees the record. A
-    // record can never be stranded behind a parked writer.
-    if (ring_->size() >= wakeBatch_ &&
-        parked_.exchange(false, std::memory_order_acq_rel))
-        parked_.notify_one();
+    if (!out_)
+        return;
+    if (!markerWritten_)
+        writeBinaryMarker();
+    // A short write sets the stream's error flag, which close()
+    // reports.
+    const BinaryTraceRecord rec = packTraceRecord(ev);
+    std::fwrite(&rec, sizeof(rec), 1, out_);
+    ++records_;
 }
 
 void
@@ -223,51 +197,6 @@ RequestTracer::writeBinaryMarker()
                 out_);
     std::fputc('\n', out_);
     markerWritten_ = true;
-}
-
-void
-RequestTracer::writeBatch(const BinaryTraceRecord* recs, std::size_t n)
-{
-    if (!markerWritten_)
-        writeBinaryMarker();
-    std::fwrite(recs, sizeof(BinaryTraceRecord), n, out_);
-}
-
-void
-RequestTracer::writerLoop()
-{
-    BinaryTraceRecord batch[256];
-    constexpr std::size_t kBatch = sizeof(batch) / sizeof(batch[0]);
-    for (;;) {
-        const std::size_t n = ring_->pop(batch, kBatch);
-        if (n) {
-            writeBatch(batch, n);
-            continue;
-        }
-        if (stop_.load(std::memory_order_acquire)) {
-            // The acquire synchronizes with the producer's release
-            // store in close(), so every record pushed before the
-            // stop request is now visible: drain and exit.
-            std::size_t m;
-            while ((m = ring_->pop(batch, kBatch)) != 0)
-                writeBatch(batch, m);
-            return;
-        }
-        // Ring drained: park until the producer accumulates a wake
-        // batch or close() raises stop_. Parking is a read-modify-
-        // write that pairs with the producer's (enqueueRecord) and
-        // with close()'s release store, so a push or stop between our
-        // park and the recheck below is always caught by one side.
-        // wait() can return spuriously with parked_ still true; the
-        // loop simply comes back around, re-parks, and waits again.
-        parked_.exchange(true, std::memory_order_acq_rel);
-        if (ring_->size() != 0 ||
-            stop_.load(std::memory_order_acquire)) {
-            parked_.store(false, std::memory_order_relaxed);
-            continue;
-        }
-        parked_.wait(true, std::memory_order_acquire);
-    }
 }
 
 bool

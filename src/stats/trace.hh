@@ -8,7 +8,7 @@
  * time breakdown (queue, seek, rotation, transfer, bus, total latency),
  * all in ticks (nanoseconds). The file holds '#' comment lines
  * carrying the effective config, a "#dtsim-binary-trace" marker line,
- * then fixed 64-byte little-endian records (stats/trace_ring.hh).
+ * then fixed 64-byte little-endian records (BinaryTraceRecord below).
  * That is the only on-disk encoding; traceRecordToJsonl renders a
  * record as one JSON object per line, the human view `trace_summary
  * --to-jsonl` prints.
@@ -18,31 +18,24 @@
  * deterministic RNG stream (`trace.seed`), so the simulation RNGs are
  * never perturbed and the sampled set is reproducible, because
  * records are drawn in completion order. Accepted records are packed
- * into 64-byte BinaryTraceRecords and pushed through a lock-free SPSC
- * ring drained by a background writer thread; when the writer falls
- * behind and the ring fills, records are dropped and counted
- * (dropped()) rather than ever blocking the simulation thread. The
- * writer never polls — it parks in a futex-backed atomic wait and the
- * producer wakes it only when a batch of records has accumulated — so
- * an armed tracer costs the simulation nothing while idle, even on a
- * single-CPU host where the two threads share one core. An untraced
- * run pays one null check per completion.
+ * into 64-byte BinaryTraceRecords and written on the simulation
+ * thread through the trace file's stdio buffer, so every accepted
+ * record reaches the file and the file's bytes depend only on the
+ * run's configuration. An untraced run pays one null check per
+ * completion.
  */
 
 #ifndef DTSIM_STATS_TRACE_HH
 #define DTSIM_STATS_TRACE_HH
 
-#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "sim/rng.hh"
 #include "sim/ticks.hh"
-#include "stats/trace_ring.hh"
 
 namespace dtsim {
 
@@ -73,18 +66,9 @@ struct TraceConfig
     /** Seed of the sampling RNG stream (independent of run seeds). */
     std::uint64_t seed = 1;
 
-    /**
-     * Ring capacity in records between the simulation thread and the
-     * background writer (rounded up to a power of two). Larger rings
-     * absorb longer writer stalls before dropping records. Not a
-     * config key: only tests shrink it.
-     */
-    std::uint64_t bufferRecords = 65536;
-
     bool operator==(const TraceConfig&) const = default;
 
-    /** True when a config-key knob differs from its default
-     * (bufferRecords is not a key and is excluded). */
+    /** True when a knob differs from its default. */
     bool
     nonDefault() const
     {
@@ -113,6 +97,44 @@ struct RequestTraceEvent
                                  ///< mirror ("degraded": 0/1)
 };
 
+/**
+ * One traced request as stored on disk: 64 bytes, little-endian,
+ * field order below (see docs/OBSERVABILITY.md for the authoritative
+ * field table). Tick-valued fields that can exceed 4.29 seconds
+ * (completion tick, latency, queue wait) are 64-bit; the per-component
+ * service times (seek, rotation, transfer, bus) are 32-bit — they are
+ * bounded by single-access mechanics, orders of magnitude under the
+ * 4.29 s limit — and saturate rather than wrap if an exotic
+ * configuration ever exceeds them.
+ */
+struct BinaryTraceRecord
+{
+    std::uint64_t completed;   ///< completion tick ("t")
+    std::uint64_t lba;         ///< first block number
+    std::uint64_t latency;     ///< submit-to-complete ticks
+    std::uint64_t queue;       ///< scheduler queue wait ticks
+    std::uint32_t seek;        ///< seek + settle ticks (saturating)
+    std::uint32_t rotation;    ///< rotational delay ticks (saturating)
+    std::uint32_t transfer;    ///< media transfer ticks (saturating)
+    std::uint32_t bus;         ///< SCSI bus ticks (saturating)
+    std::uint32_t blocks;      ///< request length in blocks
+    std::uint16_t disk;        ///< physical disk id
+    std::uint8_t flags;        ///< bit 0 = write, bit 1 = degraded
+    std::uint8_t outcome;      ///< TraceOutcome as an integer
+    std::uint16_t faults;      ///< failed media attempts (saturating)
+    std::uint16_t retries;     ///< media retries (saturating)
+    std::uint32_t reserved;    ///< zero; room for future fields
+};
+
+static_assert(sizeof(BinaryTraceRecord) == 64,
+              "binary trace records are a stable 64-byte format");
+
+/** BinaryTraceRecord::flags bits. */
+enum : std::uint8_t {
+    kTraceFlagWrite = 1u << 0,
+    kTraceFlagDegraded = 1u << 1,
+};
+
 /** Pack an event into the 64-byte on-disk record (saturating the
  * narrow component fields). */
 BinaryTraceRecord packTraceRecord(const RequestTraceEvent& ev);
@@ -126,10 +148,9 @@ RequestTraceEvent unpackTraceRecord(const BinaryTraceRecord& rec);
 std::string traceRecordToJsonl(const BinaryTraceRecord& rec);
 
 /**
- * Writes sampled request records to a trace file through a background
- * writer thread. A default-constructed tracer is disabled; open()
- * arms it and starts the writer. The recording side (shouldRecord /
- * record) must be driven by exactly one thread — the simulation host
+ * Writes sampled request records to a trace file. A
+ * default-constructed tracer is disabled; open() arms it. The
+ * recording side (shouldRecord / record) runs on the simulation host
  * context; sweep jobs each own their own tracer.
  */
 class RequestTracer
@@ -143,17 +164,17 @@ class RequestTracer
 
     /**
      * Start writing to `path` (truncates) with the given sampling
-     * configuration, and start the background writer thread.
-     * fatal() if the file cannot be opened.
+     * configuration. fatal() if trace.sample is outside [0, 1] or
+     * the file cannot be opened.
      */
     void open(const std::string& path, const TraceConfig& cfg = {});
 
     /**
-     * Stop the writer thread (draining every queued record), flush
-     * and close the output file; the tracer becomes disabled.
-     * fatal() naming the file if any write to it failed. The
-     * records()/sampledOut()/dropped() counters survive close() and
-     * report the finished run.
+     * Flush and close the output file (writing the binary marker if
+     * no record did); the tracer becomes disabled. fatal() naming
+     * the file if any write to it or its close failed. The
+     * records()/sampledOut() counters survive close() and report the
+     * finished run.
      */
     void close();
 
@@ -196,34 +217,23 @@ class RequestTracer
     }
 
     /**
-     * Queue one request record for the writer thread; no-op when
-     * disabled. Does not itself sample — pair with shouldRecord().
+     * Pack one request record and write it to the file's stdio
+     * buffer; no-op when disabled. Does not itself sample — pair
+     * with shouldRecord().
      */
-    void
-    record(const RequestTraceEvent& ev)
-    {
-        if (out_)
-            enqueueRecord(ev);
-    }
+    void record(const RequestTraceEvent& ev);
 
-    /** Records accepted for writing since open() (every one of these
-     * reaches the file; ring overflow is counted in dropped()). */
+    /** Records written since open(). */
     std::uint64_t records() const { return records_; }
 
     /** Sampling candidates skipped by the trace.sample draw. */
     std::uint64_t sampledOut() const { return sampledOut_; }
 
-    /** Records lost to ring overflow (writer thread fell behind).
-     * Final after close(); timing-dependent, never deterministic. */
-    std::uint64_t dropped() const;
-
   private:
-    void enqueueRecord(const RequestTraceEvent& ev);
-    void writerLoop();
-    void writeBatch(const BinaryTraceRecord* recs, std::size_t n);
     void writeBinaryMarker();
 
     std::FILE* out_ = nullptr;
+    std::unique_ptr<char[]> buf_; ///< out_'s stdio buffer
     std::string path_;           ///< for the close() failure report
     TraceConfig cfg_;
     Rng rng_;                    ///< dedicated sampling stream
@@ -231,24 +241,7 @@ class RequestTracer
     bool sampleNone_ = false;    ///< sample <= 0: skip the draw
     std::uint64_t records_ = 0;
     std::uint64_t sampledOut_ = 0;
-    std::uint64_t droppedFinal_ = 0;  ///< captured at close()
-    std::unique_ptr<TraceRing> ring_;
-    std::thread writer_;
-    std::atomic<bool> stop_{false};
-
-    /**
-     * True while the writer thread is blocked in an atomic wait. The
-     * writer never polls: once the ring drains it parks here and the
-     * producer wakes it (enqueueRecord) only when wakeBatch_ records
-     * have accumulated, so an idle or lightly-sampled trace costs
-     * zero context switches — essential on single-CPU hosts, where a
-     * periodically polling writer steals timeslices from the
-     * simulation thread itself. Records below the threshold sit in
-     * the ring until the batch fills or close() drains everything.
-     */
-    std::atomic<bool> parked_{false};
-    std::size_t wakeBatch_ = 1;  ///< ring fill that triggers a wake
-    bool markerWritten_ = false; ///< writer thread / close() only
+    bool markerWritten_ = false; ///< the first record writes it
 };
 
 /**

@@ -16,7 +16,6 @@
 
 #include "sim/rng.hh"
 #include "stats/trace.hh"
-#include "stats/trace_ring.hh"
 #include "temp_path.hh"
 
 namespace dtsim {

@@ -67,7 +67,7 @@ TEST(DumpReader, DiffListsConfThenLargestRelativeChange)
 TEST(DumpReader, StripVolatileDropsOnlyRuntimeAndTraceLines)
 {
     const std::string dump = "#conf system.disks = 4\n"
-                             "# trace: dropped=3\n"
+                             "# trace: records=3 sampled_out=1\n"
                              "# snapshot @10 (0.00001 ms)\n"
                              "sim.requests 1\n"
                              "# runtime: events=2\n"

@@ -40,7 +40,7 @@ LAYERS = [
     # victim HDC managers, tracing and statistics.
     ("host",
      r"ReplayEngine|OnlineHdcPolicy|VictimHdcManager|VictimCache|"
-     r"RequestTracer|TraceRing|ServiceStats|stats::|runTrace|"
+     r"RequestTracer|ServiceStats|stats::|runTrace|"
      r"Experiment|writeStats"),
     # Array and bus: striping, request splitting and mirroring, the
     # shared SCSI bus.
