@@ -10,7 +10,8 @@ DiskArray::DiskArray(EventQueue& eq, const ArrayConfig& cfg)
     : eq_(eq), bus_(cfg.busBytesPerSec), mirrored_(cfg.mirrored),
       striping_(cfg.mirrored ? cfg.disks / 2 : cfg.disks,
                 cfg.stripeUnitBytes / cfg.disk.blockSize,
-                cfg.disk.totalBlocks())
+                cfg.disk.totalBlocks()),
+      fault_(cfg.fault)
 {
     if (cfg.stripeUnitBytes % cfg.disk.blockSize != 0)
         fatal("DiskArray: stripe unit must be a block multiple");
@@ -21,30 +22,24 @@ DiskArray::DiskArray(EventQueue& eq, const ArrayConfig& cfg)
         ctrls_.push_back(std::make_unique<DiskController>(
             eq_, bus_, cfg.disk, cfg.controller, d));
 
-    if (cfg.fault.enabled()) {
-        faults_ = std::make_unique<FaultModel>(cfg.fault, cfg.disks);
+    if (fault_.enabled()) {
+        if (fault_.killDisk >= cfg.disks)
+            fatal("DiskArray: fault.kill_disk %u out of range "
+                  "(%u disks)",
+                  fault_.killDisk, cfg.disks);
+        health_.assign(cfg.disks, DiskHealth::Alive);
         rebuildEnd_.assign(cfg.disks, 0);
-        for (unsigned d = 0; d < cfg.disks; ++d)
-            ctrls_[d]->setFaults(&faults_->disk(d));
-
-        const FaultConfig& fc = cfg.fault;
-        if (fc.killAtTicks > 0) {
-            if (fc.killDisk >= cfg.disks)
-                fatal("DiskArray: fault.kill_disk %u out of range "
-                      "(%u disks)",
-                      fc.killDisk, cfg.disks);
-            eq_.scheduleAt(fc.killAtTicks, [this, d = fc.killDisk]() {
-                failDisk(d);
-            });
-            if (fc.repairAtTicks > 0) {
-                if (fc.repairAtTicks <= fc.killAtTicks)
-                    fatal("DiskArray: fault.repair_at_ticks must be "
-                          "after fault.kill_at_ticks");
-                eq_.scheduleAt(fc.repairAtTicks,
-                               [this, d = fc.killDisk]() {
-                                   repairDisk(d);
-                               });
-            }
+        eq_.scheduleAt(fault_.killAtTicks, [this, d = fault_.killDisk]() {
+            failDisk(d);
+        });
+        if (fault_.repairAtTicks > 0) {
+            if (fault_.repairAtTicks <= fault_.killAtTicks)
+                fatal("DiskArray: fault.repair_at_ticks must be "
+                      "after fault.kill_at_ticks");
+            eq_.scheduleAt(fault_.repairAtTicks,
+                           [this, d = fault_.killDisk]() {
+                               repairDisk(d);
+                           });
         }
     }
 }
@@ -81,11 +76,11 @@ DiskArray::pickReplica(unsigned disk) const
 unsigned
 DiskArray::pickReadTarget(unsigned disk, bool& degraded)
 {
-    if (!faults_)
+    if (health_.empty())
         return pickReplica(disk);
 
     if (!mirrored_) {
-        if (faults_->health(disk) != DiskHealth::Alive)
+        if (health_[disk] != DiskHealth::Alive)
             fatal("DiskArray: I/O on failed disk %u with no mirror "
                   "to fall back on -- enable system.mirrored or "
                   "drop the fault.kill_at_ticks script",
@@ -96,10 +91,8 @@ DiskArray::pickReadTarget(unsigned disk, bool& degraded)
     const unsigned mirror = partnerOf(disk);
     // A rebuilding disk absorbs writes but cannot serve reads until
     // the copy-back completes.
-    const bool primary_ok =
-        faults_->health(disk) == DiskHealth::Alive;
-    const bool mirror_ok =
-        faults_->health(mirror) == DiskHealth::Alive;
+    const bool primary_ok = health_[disk] == DiskHealth::Alive;
+    const bool mirror_ok = health_[mirror] == DiskHealth::Alive;
     if (primary_ok && mirror_ok)
         return pickReplica(disk);
     if (!primary_ok && !mirror_ok)
@@ -108,7 +101,7 @@ DiskArray::pickReadTarget(unsigned disk, bool& degraded)
               "read",
               disk, mirror);
     degraded = true;
-    ++faults_->counters().degradedReads;
+    ++faultCounters_.degradedReads;
     return primary_ok ? disk : mirror;
 }
 
@@ -184,8 +177,8 @@ DiskArray::submit(ArrayRequest req)
     pending->req = std::move(req);
 
     const unsigned half = striping_.disks();
-    if (!faults_) {
-        // Fast path, byte-identical to the pre-fault-model array.
+    if (health_.empty()) {
+        // Fast path: no disk can fail, so no health checks.
         // A mirrored write lands on both replicas of each sub-range.
         pending->remaining =
             mirrored_ && is_write ? subs.size() * 2 : subs.size();
@@ -209,10 +202,9 @@ DiskArray::submit(ArrayRequest req)
         // first sub-request is issued.
         std::size_t targets = 0;
         for (const SubRange& sr : subs) {
-            const bool p_dead =
-                faults_->health(sr.disk) == DiskHealth::Dead;
+            const bool p_dead = health_[sr.disk] == DiskHealth::Dead;
             const bool m_dead =
-                faults_->health(sr.disk + half) == DiskHealth::Dead;
+                health_[sr.disk + half] == DiskHealth::Dead;
             if (p_dead && m_dead)
                 fatal("DiskArray: both replicas of disk %u are "
                       "offline; a write has nowhere to land",
@@ -221,12 +213,11 @@ DiskArray::submit(ArrayRequest req)
         }
         pending->remaining = targets;
         for (const SubRange& sr : subs) {
-            const bool p_dead =
-                faults_->health(sr.disk) == DiskHealth::Dead;
+            const bool p_dead = health_[sr.disk] == DiskHealth::Dead;
             const bool m_dead =
-                faults_->health(sr.disk + half) == DiskHealth::Dead;
+                health_[sr.disk + half] == DiskHealth::Dead;
             if (p_dead || m_dead)
-                ++faults_->counters().degradedWrites;
+                ++faultCounters_.degradedWrites;
             if (!p_dead)
                 submitSub(sr.disk, sr, true, pending, m_dead);
             if (!m_dead)
@@ -317,7 +308,7 @@ DiskArray::unpinOnDisk(unsigned d, BlockNum b)
 void
 DiskArray::failDisk(unsigned d)
 {
-    ++faults_->counters().diskFailures;
+    ++faultCounters_.diskFailures;
     if (!mirrored_)
         fatal("DiskArray: disk %u failed at tick %llu but the array "
               "is unmirrored; no redundancy exists to serve its "
@@ -325,12 +316,12 @@ DiskArray::failDisk(unsigned d)
               "the fault.kill_at_ticks script",
               d, static_cast<unsigned long long>(eq_.now()));
     const unsigned partner = partnerOf(d);
-    if (faults_->health(partner) != DiskHealth::Alive)
+    if (health_[partner] != DiskHealth::Alive)
         fatal("DiskArray: disk %u failed while its mirror partner "
               "%u is already offline; the mirrored pair has no "
               "readable copy left",
               d, partner);
-    faults_->setHealth(d, DiskHealth::Dead);
+    health_[d] = DiskHealth::Dead;
     inform("fault: disk %u failed at tick %llu (mirror partner %u "
            "takes over reads)",
            d, static_cast<unsigned long long>(eq_.now()), partner);
@@ -341,15 +332,14 @@ DiskArray::failDisk(unsigned d)
 void
 DiskArray::repairDisk(unsigned d)
 {
-    if (faults_->health(d) != DiskHealth::Dead)
+    if (health_[d] != DiskHealth::Dead)
         return;
-    ++faults_->counters().diskRepairs;
-    faults_->setHealth(d, DiskHealth::Rebuilding);
+    ++faultCounters_.diskRepairs;
+    health_[d] = DiskHealth::Rebuilding;
 
-    const FaultConfig& fc = faults_->config();
-    std::uint64_t span = fc.rebuildBlocks == 0
+    std::uint64_t span = fault_.rebuildBlocks == 0
                              ? ctrls_[d]->params().totalBlocks()
-                             : fc.rebuildBlocks;
+                             : fault_.rebuildBlocks;
     span = std::min(span, ctrls_[d]->params().totalBlocks());
     inform("fault: disk %u repaired at tick %llu; rebuilding %llu "
            "blocks from mirror %u",
@@ -366,7 +356,7 @@ DiskArray::issueRebuildChunk(unsigned d, std::uint64_t start)
 {
     const std::uint64_t end = rebuildEnd_[d];
     if (start >= end) {
-        faults_->setHealth(d, DiskHealth::Alive);
+        health_[d] = DiskHealth::Alive;
         inform("fault: disk %u rebuild complete at tick %llu",
                d, static_cast<unsigned long long>(eq_.now()));
         if (faultHook_)
@@ -374,8 +364,7 @@ DiskArray::issueRebuildChunk(unsigned d, std::uint64_t start)
         return;
     }
     const std::uint64_t chunk =
-        std::max<std::uint64_t>(faults_->config().rebuildChunkBlocks,
-                                1);
+        std::max<std::uint64_t>(fault_.rebuildChunkBlocks, 1);
     const std::uint64_t n = std::min(chunk, end - start);
     const unsigned partner = partnerOf(d);
     // Read the chunk from the surviving replica, then write it back
@@ -421,7 +410,7 @@ DiskArray::aggregateStats() const
         total.flushWrites += s.flushWrites;
         total.flushBlocks += s.flushBlocks;
         total.rebuildJobs += s.rebuildJobs;
-        total.retries += s.retries;
+        total.rebuildBlocks += s.rebuildBlocks;
         total.seekTime += s.seekTime;
         total.rotTime += s.rotTime;
         total.xferTime += s.xferTime;
@@ -432,6 +421,17 @@ DiskArray::aggregateStats() const
         total.latencyMax = std::max(total.latencyMax, s.latencyMax);
     }
     return total;
+}
+
+FaultCounters
+DiskArray::faultCounters() const
+{
+    FaultCounters f = faultCounters_;
+    for (const auto& c : ctrls_) {
+        f.rebuildJobs += c->stats().rebuildJobs;
+        f.rebuildBlocks += c->stats().rebuildBlocks;
+    }
+    return f;
 }
 
 RaCounters
@@ -475,32 +475,14 @@ DiskArray::exportStats(stats::StatGroup& parent, Tick asOf) const
     bg.make<Scalar>("utilization", "bus busy fraction of elapsed time")
         .set(bus_.utilization(asOf ? asOf : eq_.now()));
 
-    if (faults_) {
-        const FaultCounters& f = faults_->counters();
+    if (faultsEnabled()) {
+        const FaultCounters f = faultCounters();
         auto addU = [](stats::StatGroup& g, const char* name,
                        const char* desc, std::uint64_t v) {
             g.make<Scalar>(name, desc)
                 .set(static_cast<double>(v));
         };
         stats::StatGroup& fg = parent.makeGroup("fault");
-        addU(fg, "mediaErrors", "failed media access attempts",
-             f.mediaErrors);
-        addU(fg, "retries", "media attempts re-serviced after an error",
-             f.retries);
-        fg.make<Scalar>("retry_ms", "time spent re-servicing retries")
-            .set(toMillis(f.retryTicks));
-        addU(fg, "remapEvents",
-             "retry budgets exhausted (sector remapped)",
-             f.remapEvents);
-        addU(fg, "remappedBlocks", "blocks moved to the spare region",
-             f.remappedBlocks);
-        addU(fg, "remappedAccesses",
-             "accesses paying the permanent remap penalty",
-             f.remappedAccesses);
-        addU(fg, "stalls", "controller dispatch stalls and timeouts",
-             f.stalls);
-        fg.make<Scalar>("stall_ms", "dispatch time lost to stalls")
-            .set(toMillis(f.stallTicks));
         addU(fg, "diskFailures", "scripted whole-disk failures",
              f.diskFailures);
         addU(fg, "diskRepairs", "scripted disk repairs", f.diskRepairs);

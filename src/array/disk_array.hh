@@ -21,7 +21,7 @@
 #include "bus/scsi_bus.hh"
 #include "controller/disk_controller.hh"
 #include "controller/layout_bitmap.hh"
-#include "fault/fault_model.hh"
+#include "fault/fault_config.hh"
 #include "sim/event_queue.hh"
 
 namespace dtsim {
@@ -64,10 +64,10 @@ struct ArrayConfig
     bool mirrored = false;
 
     /**
-     * Fault-injection knobs (defaults = everything off). When any
-     * source is enabled the array owns a FaultModel, wires per-disk
-     * fault state into every controller, and schedules the scripted
-     * kill/repair events. See docs/FAULTS.md.
+     * Whole-disk fault script (default: no kill). When a kill is
+     * scripted the array tracks every disk's health, schedules the
+     * kill and repair events, and routes degraded reads and rebuild
+     * traffic. See docs/FAULTS.md.
      */
     FaultConfig fault;
 };
@@ -168,22 +168,20 @@ class DiskArray
     /** True when the array mirrors its stripes (RAID-10). */
     bool mirrored() const { return mirrored_; }
 
-    /** True when a fault model is attached (any fault.* enabled). */
-    bool faultsEnabled() const { return faults_ != nullptr; }
+    /** True when a disk kill is scripted (fault.kill_at_ticks). */
+    bool faultsEnabled() const { return !health_.empty(); }
 
     /**
-     * Array-wide fault/recovery counters; all-zero when the fault
-     * model is off.
+     * Array-wide fault/recovery counters; all-zero when no kill is
+     * scripted. The rebuild counters are summed from the controllers,
+     * which count each rebuild job when its media access starts.
      */
-    FaultCounters faultCounters() const
-    {
-        return faults_ ? faults_->counters() : FaultCounters{};
-    }
+    FaultCounters faultCounters() const;
 
-    /** Health of one physical disk (Alive when faults are off). */
+    /** Health of one physical disk (Alive when no kill is scripted). */
     DiskHealth diskHealth(unsigned d) const
     {
-        return faults_ ? faults_->health(d) : DiskHealth::Alive;
+        return health_.empty() ? DiskHealth::Alive : health_[d];
     }
 
     /**
@@ -277,8 +275,15 @@ class DiskArray
     std::uint64_t nextSubId_ = 1;
     std::uint64_t outstanding_ = 0;
 
-    /** Fault-injection state; null when every fault.* is off. */
-    std::unique_ptr<FaultModel> faults_;
+    /** The fault script; only read when health_ is non-empty. */
+    FaultConfig fault_;
+
+    /** Per-disk health; empty when no kill is scripted. */
+    std::vector<DiskHealth> health_;
+
+    /** Kill, repair and degraded-I/O counters (rebuild ones are the
+     * controllers'). */
+    FaultCounters faultCounters_;
     FaultEventHook faultHook_;
 
     /** Per-disk rebuild end block (kept out of the chunk-completion

@@ -266,30 +266,10 @@ bindParams(ParamRegistry& reg, SimulationConfig& sim)
             "seed of the sampling RNG stream; the same seed on the "
             "same run reproduces the sampled set exactly");
 
-    // fault.* -- deterministic fault injection (docs/FAULTS.md).
-    // Defaults mean "off"; runs with everything at the default are
-    // byte-identical to a build without the fault layer, and the
-    // whole group is elided from effective-config headers.
+    // fault.* -- scripted whole-disk kill, repair and mirror rebuild
+    // (docs/FAULTS.md). Without a kill the group is inert and elided
+    // from effective-config headers.
     FaultConfig& f = sys.fault;
-    reg.add("fault.media_error_rate", f.mediaErrorRate,
-            "per-attempt probability that a media access fails [0,1]");
-    reg.add("fault.bad_blocks", f.badBlocks,
-            "scripted always-failing blocks, 'disk:block,...' "
-            "(empty = none)");
-    reg.add("fault.max_retries", f.maxRetries,
-            "failed-attempt retries before the sector is remapped");
-    reg.add("fault.remap_penalty_ms", f.remapPenaltyMs,
-            "extra seek per access touching a remapped sector");
-    reg.add("fault.timeout_rate", f.timeoutRate,
-            "per-dispatch probability of a transient controller "
-            "timeout [0,1]");
-    reg.add("fault.stall_windows", f.stallWindows,
-            "scripted controller stalls, 'startTick:durationTicks,"
-            "...' (empty = none)");
-    reg.add("fault.backoff_us", f.backoffUs,
-            "initial exponential backoff after a timeout, in us");
-    reg.add("fault.backoff_max_us", f.backoffMaxUs,
-            "upper bound on the timeout backoff, in us");
     reg.add("fault.kill_at_ticks", f.killAtTicks,
             "tick at which fault.kill_disk dies (0 = never)");
     reg.add("fault.kill_disk", f.killDisk,
@@ -302,8 +282,6 @@ bindParams(ParamRegistry& reg, SimulationConfig& sim)
             "(0 = the whole disk)");
     reg.add("fault.rebuild_chunk_blocks", f.rebuildChunkBlocks,
             "blocks per rebuild media job");
-    reg.add("fault.seed", f.seed,
-            "seed of the dedicated fault RNG streams");
 
     // hdc.* -- the typed host HDC policy (docs/DESIGN.md "Online
     // HDC"). policy/budget/ghost share storage with the deprecated
@@ -498,15 +476,6 @@ validateConfig(const SimulationConfig& sim)
           "trace.sample < 1 has no effect without run.trace");
 
     const FaultConfig& f = sys.fault;
-    check(errs, f.mediaErrorRate >= 0 && f.mediaErrorRate <= 1,
-          "fault.media_error_rate must be in [0,1]");
-    check(errs, f.timeoutRate >= 0 && f.timeoutRate <= 1,
-          "fault.timeout_rate must be in [0,1]");
-    check(errs, f.backoffUs >= 0, "fault.backoff_us must be >= 0");
-    check(errs, f.backoffMaxUs >= f.backoffUs,
-          "fault.backoff_max_us must be at least fault.backoff_us");
-    check(errs, f.remapPenaltyMs >= 0,
-          "fault.remap_penalty_ms must be >= 0");
     check(errs, f.rebuildChunkBlocks >= 1,
           "fault.rebuild_chunk_blocks must be at least 1");
     check(errs, f.killAtTicks == 0 || f.killDisk < sys.disks,
@@ -516,25 +485,12 @@ validateConfig(const SimulationConfig& sim)
     check(errs, f.killAtTicks == 0 || sys.mirrored,
           "fault.kill_at_ticks needs system.mirrored: an unmirrored "
           "array has no redundancy to survive a disk failure");
+    check(errs, f.repairAtTicks == 0 || f.killAtTicks > 0,
+          "fault.repair_at_ticks needs fault.kill_at_ticks: there is "
+          "no killed disk to repair");
     check(errs,
           f.repairAtTicks == 0 || f.repairAtTicks > f.killAtTicks,
           "fault.repair_at_ticks must be after fault.kill_at_ticks");
-    {
-        std::vector<BadBlockSpec> bb;
-        std::string err;
-        if (!fault::parseBadBlocks(f.badBlocks, bb, err)) {
-            errs.push_back("fault.bad_blocks: " + err);
-        } else {
-            for (const BadBlockSpec& s : bb)
-                check(errs, s.disk < sys.disks,
-                      "fault.bad_blocks names disk " + u64s(s.disk) +
-                          " beyond system.disks (" + u64s(sys.disks) +
-                          ")");
-        }
-        std::vector<StallWindow> sw;
-        if (!fault::parseStallWindows(f.stallWindows, sw, err))
-            errs.push_back("fault.stall_windows: " + err);
-    }
 
     if (sim.workload == WorkloadKind::Synthetic) {
         const SyntheticParams& sp = sim.synthetic;
@@ -587,7 +543,7 @@ renderConfigHeader(const SimulationConfig& sim,
             if (!match)
                 continue;
         }
-        // With every fault switched off the group is pure noise (and
+        // Without a scripted disk kill the group is pure noise (and
         // pre-fault headers must stay byte-identical): elide it.
         if (!sim.system.fault.enabled() &&
             e.name.compare(0, 6, "fault.") == 0)

@@ -271,22 +271,8 @@ DiskController::enqueueMedia(MediaJob* job)
 void
 DiskController::tryStartMedia()
 {
-    if (mediaBusy_ || stallPending_ || sched_->empty())
+    if (mediaBusy_ || sched_->empty())
         return;
-    if (faults_) {
-        const Tick delay = faults_->dispatchDelay(eq_.now());
-        if (delay > 0) {
-            // Transient bus/controller stall: hold every dispatch
-            // until the delay (scripted window or timeout backoff)
-            // expires, then try again.
-            stallPending_ = true;
-            eq_.scheduleAfter(delay, [this]() {
-                stallPending_ = false;
-                tryStartMedia();
-            });
-            return;
-        }
-    }
     startMedia(sched_->pop(mech_.currentCylinder()));
 }
 
@@ -335,62 +321,14 @@ DiskController::startMedia(MediaJob* job)
     acc.isWrite = job->req.isWrite;
 
     const ServiceTiming t = mech_.service(acc, eq_.now());
-    Tick seek = t.seek + t.settle;
-    Tick rot = t.rotational;
-    Tick xfer = t.transfer;
-    Tick total = t.total();
-
-    if (faults_) {
-        FaultCounters& fc = faults_->counters();
-        const std::uint64_t span = job->mediaCount + ra;
-        if (faults_->touchesRemapped(job->mediaStart, span)) {
-            // Permanently remapped blocks live in the spare region:
-            // every access pays an extra positioning trip.
-            const Tick penalty = faults_->remapPenalty();
-            seek += penalty;
-            total += penalty;
-            ++fc.remappedAccesses;
-        }
-        unsigned attempt = 0;
-        while (faults_->attemptFails(job->mediaStart, span)) {
-            ++job->req.faults;
-            ++fc.mediaErrors;
-            if (attempt >= faults_->maxRetries()) {
-                // Retry budget exhausted: remap the failing blocks
-                // to spares. The final transfer from the spare
-                // region is charged as the remap penalty.
-                const Tick penalty = faults_->remapPenalty();
-                fc.remappedBlocks +=
-                    faults_->remapRange(job->mediaStart, span);
-                ++fc.remapEvents;
-                seek += penalty;
-                total += penalty;
-                break;
-            }
-            // Retry: the mechanism re-services the access from
-            // wherever the previous attempt left the arm, at the
-            // time the previous attempt ends.
-            ++attempt;
-            ++job->req.retries;
-            ++fc.retries;
-            ++stats_.retries;
-            const ServiceTiming rt =
-                mech_.service(acc, eq_.now() + total);
-            seek += rt.seek + rt.settle;
-            rot += rt.rotational;
-            xfer += rt.transfer;
-            total += rt.total();
-            fc.retryTicks += rt.total();
-        }
-    }
+    const Tick seek = t.seek + t.settle;
+    const Tick total = t.total();
 
     ++stats_.mediaAccesses;
     if (job->rebuild) {
-        FaultCounters& fc = faults_->counters();
-        ++fc.rebuildJobs;
         ++stats_.rebuildJobs;
         if (job->req.isWrite)
-            fc.rebuildBlocks += job->mediaCount;
+            stats_.rebuildBlocks += job->mediaCount;
     } else if (job->background) {
         stats_.flushBlocks += job->mediaCount;
     } else {
@@ -398,14 +336,14 @@ DiskController::startMedia(MediaJob* job)
     }
     stats_.readAheadBlocks += ra;
     stats_.seekTime += seek;
-    stats_.rotTime += rot;
-    stats_.xferTime += xfer;
+    stats_.rotTime += t.rotational;
+    stats_.xferTime += t.transfer;
     stats_.mediaBusy += total;
 
     job->req.timing.queue = eq_.now() - job->enqueuedAt;
     job->req.timing.seek = seek;
-    job->req.timing.rotation = rot;
-    job->req.timing.transfer = xfer;
+    job->req.timing.rotation = t.rotational;
+    job->req.timing.transfer = t.transfer;
 
     eq_.scheduleAfter(total,
                       [this, job, ra]() { onMediaDone(job, ra); });
@@ -535,8 +473,6 @@ DiskController::noteComplete(const IoRequest& req, Tick done)
         ev.transfer = req.timing.transfer;
         ev.bus = req.timing.bus;
         ev.latency = latency;
-        ev.faults = req.faults;
-        ev.retries = req.retries;
         ev.degraded = req.degraded;
         tracer_->record(ev);
     }
@@ -611,9 +547,8 @@ accountingErrors(unsigned disk, const ControllerStats& s,
           blocks, from);
     check(sched.pushes == sched.pops, "sched.pushes == sched.pops",
           sched.pushes, sched.pops);
-    check(sched.pops + s.retries == mech.accesses,
-          "sched.pops+retries == mech.accesses", sched.pops + s.retries,
-          mech.accesses);
+    check(sched.pops == mech.accesses, "sched.pops == mech.accesses",
+          sched.pops, mech.accesses);
     const std::uint64_t spec = ra.specUsed + ra.specWasted;
     check(ra.specInserted >= spec,
           "spec_inserted >= spec_used+spec_wasted", ra.specInserted,

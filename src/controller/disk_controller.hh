@@ -31,7 +31,6 @@
 #include "disk/disk_params.hh"
 #include "disk/geometry.hh"
 #include "disk/mechanism.hh"
-#include "fault/fault_model.hh"
 #include "sim/event_queue.hh"
 #include "sim/ticks.hh"
 #include "stats/service_stats.hh"
@@ -90,7 +89,7 @@ struct ControllerStats
     std::uint64_t flushWrites = 0;         ///< HDC flush media jobs.
     std::uint64_t flushBlocks = 0;         ///< Blocks they wrote.
     std::uint64_t rebuildJobs = 0;         ///< Mirror-rebuild jobs.
-    std::uint64_t retries = 0;             ///< Re-serviced attempts.
+    std::uint64_t rebuildBlocks = 0;       ///< Blocks they wrote.
 
     Tick seekTime = 0;
     Tick rotTime = 0;
@@ -120,8 +119,8 @@ struct ControllerStats
  *  - every host block comes from the HDC store, the read-ahead
  *    cache or the media: read + write blocks = HDC hit blocks + RA
  *    hit blocks + media blocks;
- *  - every scheduled job is dequeued and serviced once, plus once
- *    per retry: pushes = pops, pops + retries = mechanism accesses;
+ *  - every scheduled job is dequeued and serviced once: pushes =
+ *    pops = mechanism accesses;
  *  - no speculative block is both used and wasted: spec_inserted >=
  *    spec_used + spec_wasted.
  */
@@ -160,14 +159,6 @@ class DiskController
 
     /** Submit a host request; the callback fires on completion. */
     void submit(IoRequest req);
-
-    /**
-     * Attach this disk's fault-injection state (null = faults off;
-     * the default). With faults attached, media accesses consult the
-     * per-disk error model (retries, remaps) and dispatches consult
-     * the stall model. Owned by the DiskArray's FaultModel.
-     */
-    void setFaults(DiskFaults* faults) { faults_ = faults; }
 
     /**
      * Enqueue one mirror-rebuild media job over
@@ -361,10 +352,6 @@ class DiskController
 
     bool mediaBusy_ = false;
 
-    /** A fault-model stall delay is pending before the next dispatch. */
-    bool stallPending_ = false;
-
-    DiskFaults* faults_ = nullptr;
     std::uint64_t seq_ = 0;
     std::uint64_t outstanding_ = 0;
     ControllerStats stats_;

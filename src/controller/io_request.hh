@@ -62,12 +62,6 @@ struct IoRequest
     /** Service-time breakdown (set as the request is serviced). */
     ServiceBreakdown timing;
 
-    /** Media-error attempts that failed while serving this request. */
-    std::uint32_t faults = 0;
-
-    /** Media retries performed while serving this request. */
-    std::uint32_t retries = 0;
-
     /** True when the read was re-routed off a dead mirror replica. */
     bool degraded = false;
 

@@ -158,11 +158,7 @@ printReport(std::ostream& os, const SystemConfig& cfg,
            << "  pins=" << r.onlinePins
            << "  unpins=" << r.onlineUnpins << "\n";
     if (r.faults.any())
-        os << "faults: media-errors=" << r.faults.mediaErrors
-           << "  retries=" << r.faults.retries
-           << "  remaps=" << r.faults.remapEvents
-           << "  stalls=" << r.faults.stalls
-           << "  disk-failures=" << r.faults.diskFailures
+        os << "faults: disk-failures=" << r.faults.diskFailures
            << "  degraded-reads=" << r.faults.degradedReads
            << "  rebuilt-blocks=" << r.faults.rebuildBlocks << "\n";
     root.print(os);

@@ -19,7 +19,7 @@
 #include "controller/layout_bitmap.hh"
 #include "core/replay.hh"
 #include "core/system.hh"
-#include "fault/fault_model.hh"
+#include "fault/fault_config.hh"
 #include "fs/buffer_cache.hh"
 #include "stats/stats_sink.hh"
 #include "stats/trace.hh"

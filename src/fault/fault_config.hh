@@ -1,197 +1,85 @@
 /**
  * @file
- * Configuration for the deterministic fault-injection layer.
+ * Whole-disk fault model of a mirrored array: configuration, the
+ * array-wide counters, and per-disk health.
  *
- * Everything here is plain data plus small inline parsers so that the
- * config subsystem (which binds and validates these fields) does not
- * need to link against the fault model itself. The semantics live in
- * fault/fault_model.{hh,cc}; the full narrative is docs/FAULTS.md.
+ * Plain data only: the config subsystem binds and validates
+ * FaultConfig as the `fault.*` group, and the DiskArray owns the
+ * health vector and counters, schedules the scripted kill and repair,
+ * and routes degraded reads and rebuild traffic. The full narrative is
+ * docs/FAULTS.md.
  *
- * All defaults mean "off": a default-constructed FaultConfig leaves
- * every run byte-identical to a build without the fault layer.
+ * A default-constructed FaultConfig kills no disk and leaves every run
+ * byte-identical to one without the fault model.
  */
 
 #ifndef DTSIM_FAULT_FAULT_CONFIG_HH
 #define DTSIM_FAULT_FAULT_CONFIG_HH
 
 #include <cstdint>
-#include <stdexcept>
-#include <string>
-#include <vector>
 
 #include "sim/ticks.hh"
 
 namespace dtsim {
 
-/** One scripted bad block: media accesses touching it fail. */
-struct BadBlockSpec
-{
-    unsigned disk = 0;         ///< Physical disk index.
-    std::uint64_t block = 0;   ///< Disk-local block number.
-};
-
-/** One scripted controller stall window, in ticks. */
-struct StallWindow
-{
-    Tick start = 0;     ///< First tick of the stall.
-    Tick duration = 0;  ///< Length; dispatches resume at start+duration.
-};
-
 /**
- * Fault-injection knobs, bound as the `fault.*` parameter group.
+ * Fault knobs, bound as the `fault.*` parameter group.
  *
- * Media errors: `mediaErrorRate` draws a Bernoulli failure per media
- * access attempt from a dedicated per-disk RNG stream (seeded from
- * `seed`, independent of the workload and cache streams); `badBlocks`
- * scripts deterministic always-failing blocks. A failed attempt is
- * retried up to `maxRetries` times (each re-priced by the disk
- * mechanism, i.e. a realistic re-seek), then the failing block is
- * remapped to a spare region and every later access touching it pays
- * `remapPenaltyMs` of extra seek.
- *
- * Transient timeouts: `stallWindows` scripts controller stalls;
- * `timeoutRate` draws probabilistic dispatch timeouts which back off
- * exponentially from `backoffUs` capped at `backoffMaxUs`.
- *
- * Whole-disk failure: at `killAtTicks` disk `killDisk` dies. Reads
- * are redirected to the RAID-1/0 mirror partner (unmirrored arrays
- * abort with a diagnostic). At `repairAtTicks` the disk comes back
- * and a sequential rebuild of `rebuildBlocks` blocks (0 = the whole
- * disk) is injected in chunks of `rebuildChunkBlocks`, competing with
+ * At `killAtTicks` disk `killDisk` dies. Reads are redirected to the
+ * RAID-1/0 mirror partner (unmirrored arrays abort with a
+ * diagnostic). At `repairAtTicks` the disk comes back and a
+ * sequential rebuild of `rebuildBlocks` blocks (0 = the whole disk)
+ * is injected in chunks of `rebuildChunkBlocks`, competing with
  * foreground I/O.
  */
 struct FaultConfig
 {
-    double mediaErrorRate = 0.0;     ///< P(media attempt fails).
-    std::string badBlocks;           ///< "disk:block,disk:block,...".
-    unsigned maxRetries = 3;         ///< Retries before remapping.
-    double remapPenaltyMs = 2.0;     ///< Extra seek on remapped blocks.
-    double timeoutRate = 0.0;        ///< P(dispatch timeout).
-    std::string stallWindows;        ///< "start:duration,..." (ticks).
-    double backoffUs = 100.0;        ///< Initial timeout backoff.
-    double backoffMaxUs = 10000.0;   ///< Backoff cap.
     Tick killAtTicks = 0;            ///< Disk-kill tick; 0 = never.
     unsigned killDisk = 0;           ///< Which disk dies.
     Tick repairAtTicks = 0;          ///< Repair tick; 0 = never.
     std::uint64_t rebuildBlocks = 32768;   ///< Rebuild span; 0 = all.
     std::uint64_t rebuildChunkBlocks = 256; ///< Blocks per rebuild job.
-    std::uint64_t seed = 1;          ///< Fault RNG seed (own stream).
 
-    /** True when any fault source is switched on. */
+    /** True when a disk kill is scripted. */
     bool
     enabled() const
     {
-        return mediaErrorRate > 0.0 || !badBlocks.empty() ||
-               timeoutRate > 0.0 || !stallWindows.empty() ||
-               killAtTicks > 0;
+        return killAtTicks > 0;
     }
 };
 
-namespace fault {
-
 /**
- * Parse a "disk:block[,disk:block...]" scripted bad-block list.
- * Whitespace around entries is not accepted; the format is the same
- * one renderConfigHeader round-trips. Returns false and sets `err`
- * on malformed input. An empty string parses to an empty list.
+ * Every fault and recovery action, counted once array-wide. Exported
+ * as the sim.fault.* StatGroup (names match the fields verbatim).
  */
-inline bool
-parseBadBlocks(const std::string& text,
-               std::vector<BadBlockSpec>& out, std::string& err)
+struct FaultCounters
 {
-    out.clear();
-    if (text.empty())
-        return true;
-    std::size_t pos = 0;
-    while (pos <= text.size()) {
-        const std::size_t comma = text.find(',', pos);
-        const std::string entry =
-            text.substr(pos, comma == std::string::npos
-                                 ? std::string::npos
-                                 : comma - pos);
-        const std::size_t colon = entry.find(':');
-        if (colon == std::string::npos || colon == 0 ||
-            colon + 1 >= entry.size()) {
-            err = "bad_blocks entry '" + entry +
-                  "' is not disk:block";
-            return false;
-        }
-        BadBlockSpec spec;
-        try {
-            std::size_t used = 0;
-            const unsigned long d =
-                std::stoul(entry.substr(0, colon), &used);
-            if (used != colon)
-                throw std::invalid_argument(entry);
-            spec.disk = static_cast<unsigned>(d);
-            const std::string blk = entry.substr(colon + 1);
-            spec.block = std::stoull(blk, &used);
-            if (used != blk.size())
-                throw std::invalid_argument(entry);
-        } catch (...) {
-            err = "bad_blocks entry '" + entry +
-                  "' is not disk:block";
-            return false;
-        }
-        out.push_back(spec);
-        if (comma == std::string::npos)
-            break;
-        pos = comma + 1;
-    }
-    return true;
-}
+    std::uint64_t diskFailures = 0;     ///< Whole-disk kill events.
+    std::uint64_t diskRepairs = 0;      ///< Repair events.
+    std::uint64_t degradedReads = 0;    ///< Reads re-routed off a
+                                        ///< dead replica.
+    std::uint64_t degradedWrites = 0;   ///< Writes that reached only
+                                        ///< one replica.
+    std::uint64_t rebuildJobs = 0;      ///< Rebuild media jobs started.
+    std::uint64_t rebuildBlocks = 0;    ///< Blocks copied by rebuild.
 
-/**
- * Parse a "start:duration[,start:duration...]" stall-window script
- * (both fields in ticks). Returns false and sets `err` on malformed
- * input. An empty string parses to an empty list.
- */
-inline bool
-parseStallWindows(const std::string& text,
-                  std::vector<StallWindow>& out, std::string& err)
+    /** True when anything at all happened. */
+    bool
+    any() const
+    {
+        return diskFailures || diskRepairs || degradedReads ||
+               degradedWrites || rebuildJobs;
+    }
+};
+
+/** Health of one physical disk. */
+enum class DiskHealth
 {
-    out.clear();
-    if (text.empty())
-        return true;
-    std::size_t pos = 0;
-    while (pos <= text.size()) {
-        const std::size_t comma = text.find(',', pos);
-        const std::string entry =
-            text.substr(pos, comma == std::string::npos
-                                 ? std::string::npos
-                                 : comma - pos);
-        const std::size_t colon = entry.find(':');
-        if (colon == std::string::npos || colon == 0 ||
-            colon + 1 >= entry.size()) {
-            err = "stall_windows entry '" + entry +
-                  "' is not start:duration";
-            return false;
-        }
-        StallWindow w;
-        try {
-            std::size_t used = 0;
-            const std::string s = entry.substr(0, colon);
-            w.start = std::stoull(s, &used);
-            if (used != s.size())
-                throw std::invalid_argument(entry);
-            const std::string d = entry.substr(colon + 1);
-            w.duration = std::stoull(d, &used);
-            if (used != d.size())
-                throw std::invalid_argument(entry);
-        } catch (...) {
-            err = "stall_windows entry '" + entry +
-                  "' is not start:duration";
-            return false;
-        }
-        out.push_back(w);
-        if (comma == std::string::npos)
-            break;
-        pos = comma + 1;
-    }
-    return true;
-}
+    Alive,      ///< Serving I/O normally.
+    Dead,       ///< Killed; no reads, writes are dropped (lost).
+    Rebuilding, ///< Back online, absorbing writes + rebuild traffic.
+};
 
-} // namespace fault
 } // namespace dtsim
 
 #endif // DTSIM_FAULT_FAULT_CONFIG_HH

@@ -67,8 +67,7 @@ packTraceRecord(const RequestTraceEvent& ev)
         (ev.isWrite ? kTraceFlagWrite : 0) |
         (ev.degraded ? kTraceFlagDegraded : 0));
     rec.outcome = static_cast<std::uint8_t>(ev.outcome);
-    rec.faults = sat16(ev.faults);
-    rec.retries = sat16(ev.retries);
+    rec.unused = 0;
     rec.reserved = 0;
     return rec;
 }
@@ -89,8 +88,6 @@ unpackTraceRecord(const BinaryTraceRecord& rec)
     ev.transfer = rec.transfer;
     ev.bus = rec.bus;
     ev.latency = rec.latency;
-    ev.faults = rec.faults;
-    ev.retries = rec.retries;
     ev.degraded = (rec.flags & kTraceFlagDegraded) != 0;
     return ev;
 }
@@ -109,8 +106,7 @@ traceRecordToJsonl(const BinaryTraceRecord& rec)
         "{\"t\":%" PRIu64 ",\"disk\":%" PRIu32 ",\"lba\":%" PRIu64
         ",\"n\":%" PRIu32 ",\"w\":%d,\"how\":\"%s\",\"q\":%" PRIu64
         ",\"seek\":%" PRIu64 ",\"rot\":%" PRIu64 ",\"xfer\":%" PRIu64
-        ",\"bus\":%" PRIu64 ",\"lat\":%" PRIu64 ",\"faults\":%" PRIu32
-        ",\"retries\":%" PRIu32 ",\"degraded\":%d}\n",
+        ",\"bus\":%" PRIu64 ",\"lat\":%" PRIu64 ",\"degraded\":%d}\n",
         rec.completed, static_cast<std::uint32_t>(rec.disk), rec.lba,
         rec.blocks, (rec.flags & kTraceFlagWrite) ? 1 : 0,
         traceOutcomeName(static_cast<TraceOutcome>(rec.outcome)),
@@ -118,8 +114,6 @@ traceRecordToJsonl(const BinaryTraceRecord& rec)
         static_cast<std::uint64_t>(rec.rotation),
         static_cast<std::uint64_t>(rec.transfer),
         static_cast<std::uint64_t>(rec.bus), rec.latency,
-        static_cast<std::uint32_t>(rec.faults),
-        static_cast<std::uint32_t>(rec.retries),
         (rec.flags & kTraceFlagDegraded) ? 1 : 0);
     if (n <= 0 || static_cast<std::size_t>(n) >= sizeof(buf))
         panic("trace record formatting overflowed");

@@ -91,8 +91,6 @@ struct RequestTraceEvent
     Tick transfer = 0;           ///< media transfer time ("xfer")
     Tick bus = 0;                ///< SCSI bus transfer time ("bus")
     Tick latency = 0;            ///< submit-to-complete time ("lat")
-    std::uint32_t faults = 0;    ///< failed media attempts ("faults")
-    std::uint32_t retries = 0;   ///< media retries ("retries")
     bool degraded = false;       ///< served off a dead replica's
                                  ///< mirror ("degraded": 0/1)
 };
@@ -121,8 +119,9 @@ struct BinaryTraceRecord
     std::uint16_t disk;        ///< physical disk id
     std::uint8_t flags;        ///< bit 0 = write, bit 1 = degraded
     std::uint8_t outcome;      ///< TraceOutcome as an integer
-    std::uint16_t faults;      ///< failed media attempts (saturating)
-    std::uint16_t retries;     ///< media retries (saturating)
+    std::uint32_t unused;      ///< written as zero, ignored on read
+                               ///< (older traces kept media-error
+                               ///< and retry counts here)
     std::uint32_t reserved;    ///< zero; room for future fields
 };
 

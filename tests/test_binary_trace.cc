@@ -200,6 +200,21 @@ TEST(BinaryTraceInput, NonzeroReservedWordIsRejected)
                        ": nonzero reserved word");
 }
 
+TEST(BinaryTraceInput, UnusedWordIsIgnored)
+{
+    // Bytes 56-59 held media-error and retry counts in older traces;
+    // the reader still accepts such a record and drops the word.
+    BinaryTraceRecord rec = lastRecord();
+    rec.unused = 0x00020003u;
+    std::string warning;
+    std::vector<RequestTraceEvent> events;
+    ASSERT_TRUE(readBytes(traceBytes(rec), warning, &events)) << warning;
+    ASSERT_EQ(events.size(), kRecords);
+    EXPECT_EQ(packTraceRecord(events.back()).unused, 0u);
+    EXPECT_EQ(traceRecordToJsonl(packTraceRecord(events.back())),
+              traceRecordToJsonl(lastRecord()));
+}
+
 TEST(BinaryTraceInput, SeededCorruptionNeverCrashes)
 {
     // Flip random bytes and cut at random lengths: the reader either

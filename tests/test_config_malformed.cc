@@ -330,6 +330,55 @@ TEST(ConfigMalformed, RemovedStatsStreamKeysNameTheirLine)
     }
 }
 
+TEST(ConfigMalformed, RemovedFaultKeysNameTheirLine)
+{
+    // Media errors, retries, remaps, stalls and their RNG seed were
+    // removed from the fault model; a config still setting one of
+    // their keys fails at its line instead of running without the
+    // fault it asked for.
+    for (const char* line :
+         {"fault.media_error_rate = 0.01", "fault.bad_blocks = 0:7",
+          "fault.max_retries = 3", "fault.remap_penalty_ms = 2",
+          "fault.timeout_rate = 0.01", "fault.stall_windows = 1000:500",
+          "fault.backoff_us = 100", "fault.backoff_max_us = 10000",
+          "fault.seed = 1"}) {
+        SimulationConfig sim;
+        config::ParamRegistry reg;
+        bindParams(reg, sim);
+        std::string err;
+        EXPECT_FALSE(config::loadConfigText(
+            std::string("fault.kill_at_ticks = 1000000\n") + line + "\n",
+            "old.conf", reg, err))
+            << line;
+        EXPECT_EQ(err.rfind("old.conf:2: ", 0), 0u) << err;
+        EXPECT_NE(err.find("unknown parameter"), std::string::npos)
+            << err;
+    }
+
+    // A dump header written while those keys existed: every one is
+    // printed, so loading it stops at the first.
+    const fs::path old_header = fs::path(DTSIM_SOURCE_DIR) / "tests" /
+                                "data" /
+                                "degraded_header_with_fault_keys.conf";
+    const std::vector<std::string> lines = splitLines(slurp(old_header));
+    std::size_t first = 0;
+    while (first < lines.size() &&
+           lines[first].rfind("#conf fault.media_error_rate", 0) != 0)
+        ++first;
+    ASSERT_LT(first, lines.size());
+    SimulationConfig sim;
+    config::ParamRegistry reg;
+    bindParams(reg, sim);
+    std::string err;
+    EXPECT_FALSE(config::loadConfigText(joinLines(lines), "old.txt",
+                                        reg, err));
+    EXPECT_EQ(err.rfind("old.txt:" + std::to_string(first + 1) + ": ", 0),
+              0u)
+        << err;
+    EXPECT_NE(err.find("fault.media_error_rate"), std::string::npos)
+        << err;
+}
+
 TEST(ConfigMalformed, SweepSpecMutants)
 {
     const std::vector<fs::path> files = confFiles(kExamples / "sweeps");

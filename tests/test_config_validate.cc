@@ -221,6 +221,76 @@ TEST(ConfigValidate, MirroringNeedsEvenDisks)
     EXPECT_EQ(firstError(sim), "");
 }
 
+TEST(ConfigValidate, RepairNeedsKill)
+{
+    // A repair with no kill has no disk to repair; without a kill the
+    // fault.* group is not even printed, so the dump would not show
+    // the ignored key.
+    SimulationConfig sim;
+    sim.system.fault.repairAtTicks = 5000;
+    const std::string err = firstError(sim);
+    EXPECT_NE(err.find("fault.repair_at_ticks"), std::string::npos)
+        << err;
+    EXPECT_NE(err.find("fault.kill_at_ticks"), std::string::npos) << err;
+
+    sim.system.mirrored = true;
+    sim.system.fault.killAtTicks = 1000;
+    EXPECT_EQ(firstError(sim), "");
+}
+
+TEST(ConfigValidate, KillNeedsMirroring)
+{
+    SimulationConfig sim;
+    sim.system.fault.killAtTicks = 1000;
+    const std::string err = firstError(sim);
+    EXPECT_NE(err.find("fault.kill_at_ticks"), std::string::npos) << err;
+    EXPECT_NE(err.find("system.mirrored"), std::string::npos) << err;
+
+    sim.system.mirrored = true;
+    EXPECT_EQ(firstError(sim), "");
+}
+
+TEST(ConfigValidate, KillDiskMustExist)
+{
+    SimulationConfig sim;
+    sim.system.mirrored = true;
+    sim.system.disks = 8;
+    sim.system.fault.killAtTicks = 1000;
+    sim.system.fault.killDisk = 8;
+    const std::string err = firstError(sim);
+    EXPECT_NE(err.find("fault.kill_disk (8)"), std::string::npos) << err;
+    EXPECT_NE(err.find("8 system.disks"), std::string::npos) << err;
+
+    sim.system.fault.killDisk = 7;
+    EXPECT_EQ(firstError(sim), "");
+}
+
+TEST(ConfigValidate, RepairMustFollowKill)
+{
+    SimulationConfig sim;
+    sim.system.mirrored = true;
+    sim.system.fault.killAtTicks = 1000;
+    for (Tick repair : {Tick(1000), Tick(999)}) {
+        sim.system.fault.repairAtTicks = repair;
+        EXPECT_NE(firstError(sim).find("fault.repair_at_ticks must be "
+                                       "after fault.kill_at_ticks"),
+                  std::string::npos)
+            << repair;
+    }
+    sim.system.fault.repairAtTicks = 1001;
+    EXPECT_EQ(firstError(sim), "");
+}
+
+TEST(ConfigValidate, RebuildChunkMustBePositive)
+{
+    SimulationConfig sim;
+    sim.system.fault.rebuildChunkBlocks = 0;
+    EXPECT_NE(firstError(sim).find("fault.rebuild_chunk_blocks"),
+              std::string::npos);
+    sim.system.fault.rebuildChunkBlocks = 1;
+    EXPECT_EQ(firstError(sim), "");
+}
+
 TEST(ConfigValidate, SyntheticRanges)
 {
     SimulationConfig sim;

@@ -281,7 +281,7 @@ TEST(DiskController, DrainedCountersSatisfyIdentities)
 TEST(DiskController, AccountingErrorsNameEachBrokenIdentity)
 {
     // A consistent set: 10 requests, 4 of them cache hits, 6 media
-    // accesses plus one flush and one rebuild job, one retry.
+    // accesses plus one flush and one rebuild job.
     ControllerStats s;
     s.reads = 8;
     s.writes = 2;
@@ -294,11 +294,10 @@ TEST(DiskController, AccountingErrorsNameEachBrokenIdentity)
     s.mediaBlocks = 25;
     s.flushWrites = 1;
     s.rebuildJobs = 1;
-    s.retries = 1;
     SchedulerStats sched;
     sched.pushes = sched.pops = 8;
     MechCounters mech;
-    mech.accesses = 9;
+    mech.accesses = 8;
     RaCounters ra;
     ra.specInserted = 20;
     ra.specUsed = 12;
@@ -325,7 +324,7 @@ TEST(DiskController, AccountingErrorsNameEachBrokenIdentity)
     stuck.pushes = 9;
     only(s, stuck, mech, ra, "sched.pushes == sched.pops");
     MechCounters extra = mech;
-    extra.accesses = 10;
+    extra.accesses = 9;
     only(s, sched, extra, ra, "mech.accesses");
     RaCounters over = ra;
     over.specWasted = 9;

@@ -1,207 +1,33 @@
 /**
  * @file
- * Tests for the fault-injection subsystem: the script parsers, the
- * per-disk DiskFaults state machine (media errors, remaps, stalls,
- * backoff, seed stability), the retry/remap accounting observed
- * through a whole array, and the all-faults-off guarantees (no
- * fault.* header lines, no sim.fault group, identical timings).
+ * Tests for the whole-disk fault model seen end to end: the
+ * faults-off guarantees (no fault.* header lines, no sim.fault group,
+ * zero counters), a kill/repair script's header and stats, a kill
+ * that fires after the last request leaving every timing unchanged,
+ * a kill with no repair, the fault-event snapshots, the trace's
+ * degraded flag, and reproducible fault runs. Array-level tests pin
+ * the array-wide counters for every killed disk and the rebuild span
+ * and chunking. The degraded-mode state machine itself
+ * is tested in test_degraded_mirror.cc.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "array/disk_array.hh"
 #include "core/experiment.hh"
 #include "fault/fault_config.hh"
-#include "fault/fault_model.hh"
 #include "sim/event_queue.hh"
 #include "stats/dump_reader.hh"
+#include "stats/trace.hh"
+#include "temp_path.hh"
 
 namespace dtsim {
 namespace {
-
-// ---------------------------------------------------------------------
-// Script parsers.
-// ---------------------------------------------------------------------
-
-TEST(FaultParsers, BadBlocksGood)
-{
-    std::vector<BadBlockSpec> specs;
-    std::string err;
-    ASSERT_TRUE(fault::parseBadBlocks("0:5,2:100", specs, err));
-    ASSERT_EQ(specs.size(), 2u);
-    EXPECT_EQ(specs[0].disk, 0u);
-    EXPECT_EQ(specs[0].block, 5u);
-    EXPECT_EQ(specs[1].disk, 2u);
-    EXPECT_EQ(specs[1].block, 100u);
-
-    ASSERT_TRUE(fault::parseBadBlocks("", specs, err));
-    EXPECT_TRUE(specs.empty());
-}
-
-TEST(FaultParsers, BadBlocksMalformed)
-{
-    std::vector<BadBlockSpec> specs;
-    std::string err;
-    for (const char* bad :
-         {"5", "0:", ":5", "0:5x", "a:5", "0:5,,1:2", "0:5,"}) {
-        err.clear();
-        EXPECT_FALSE(fault::parseBadBlocks(bad, specs, err)) << bad;
-        EXPECT_FALSE(err.empty()) << bad;
-    }
-}
-
-TEST(FaultParsers, StallWindowsGood)
-{
-    std::vector<StallWindow> windows;
-    std::string err;
-    ASSERT_TRUE(
-        fault::parseStallWindows("1000:500,2000:1", windows, err));
-    ASSERT_EQ(windows.size(), 2u);
-    EXPECT_EQ(windows[0].start, 1000u);
-    EXPECT_EQ(windows[0].duration, 500u);
-    EXPECT_EQ(windows[1].start, 2000u);
-    EXPECT_EQ(windows[1].duration, 1u);
-
-    ASSERT_TRUE(fault::parseStallWindows("", windows, err));
-    EXPECT_TRUE(windows.empty());
-}
-
-TEST(FaultParsers, StallWindowsMalformed)
-{
-    std::vector<StallWindow> windows;
-    std::string err;
-    for (const char* bad : {"1000", "x:5", "5:", ":5", "1:2,bad"}) {
-        err.clear();
-        EXPECT_FALSE(fault::parseStallWindows(bad, windows, err))
-            << bad;
-        EXPECT_FALSE(err.empty()) << bad;
-    }
-}
-
-// ---------------------------------------------------------------------
-// DiskFaults: the per-disk state machine.
-// ---------------------------------------------------------------------
-
-TEST(DiskFaults, ScriptedBadBlockFailsUntilRemapped)
-{
-    FaultConfig cfg;
-    cfg.badBlocks = "0:10";
-    FaultCounters c;
-    DiskFaults df(cfg, 0, c);
-
-    // Any attempt overlapping the bad block fails, every time.
-    EXPECT_TRUE(df.attemptFails(10, 1));
-    EXPECT_TRUE(df.attemptFails(8, 4));
-    EXPECT_FALSE(df.attemptFails(11, 2));
-    EXPECT_FALSE(df.attemptFails(0, 10));
-
-    // Remapping moves it to the spare region: attempts succeed but
-    // the range now pays the permanent penalty.
-    EXPECT_FALSE(df.touchesRemapped(10, 1));
-    EXPECT_EQ(df.remapRange(8, 4), 1u);
-    EXPECT_FALSE(df.attemptFails(10, 1));
-    EXPECT_TRUE(df.touchesRemapped(10, 1));
-    EXPECT_TRUE(df.touchesRemapped(8, 4));
-    EXPECT_FALSE(df.touchesRemapped(11, 1));
-}
-
-TEST(DiskFaults, BadBlocksApplyOnlyToTheirDisk)
-{
-    FaultConfig cfg;
-    cfg.badBlocks = "1:10";
-    FaultCounters c;
-    DiskFaults d0(cfg, 0, c);
-    DiskFaults d1(cfg, 1, c);
-    EXPECT_FALSE(d0.attemptFails(10, 1));
-    EXPECT_TRUE(d1.attemptFails(10, 1));
-}
-
-TEST(DiskFaults, ProbabilisticRemapBlamesFirstBlock)
-{
-    FaultConfig cfg;          // No scripted bad blocks.
-    FaultCounters c;
-    DiskFaults df(cfg, 0, c);
-    EXPECT_EQ(df.remapRange(40, 8), 1u);
-    EXPECT_TRUE(df.touchesRemapped(40, 1));
-    EXPECT_FALSE(df.touchesRemapped(41, 7));
-}
-
-TEST(DiskFaults, MediaErrorStreamIsSeedStable)
-{
-    FaultConfig cfg;
-    cfg.mediaErrorRate = 0.3;
-    cfg.seed = 42;
-
-    auto sequence = [](const FaultConfig& fc, unsigned disk) {
-        FaultCounters c;
-        DiskFaults df(fc, disk, c);
-        std::string s;
-        for (int i = 0; i < 200; ++i)
-            s += df.attemptFails(0, 1) ? '1' : '0';
-        return s;
-    };
-
-    // Same seed + disk: identical decisions. Different disk or seed:
-    // an independent stream.
-    EXPECT_EQ(sequence(cfg, 0), sequence(cfg, 0));
-    EXPECT_NE(sequence(cfg, 0), sequence(cfg, 1));
-    FaultConfig other = cfg;
-    other.seed = 43;
-    EXPECT_NE(sequence(cfg, 0), sequence(other, 0));
-}
-
-TEST(DiskFaults, ScriptedStallDelaysToWindowEnd)
-{
-    FaultConfig cfg;
-    cfg.stallWindows = "1000:500";
-    FaultCounters c;
-    DiskFaults df(cfg, 0, c);
-
-    EXPECT_EQ(df.dispatchDelay(999), 0u);   // Before the window.
-    EXPECT_EQ(df.dispatchDelay(1000), 500u);
-    EXPECT_EQ(df.dispatchDelay(1200), 300u);
-    EXPECT_EQ(df.dispatchDelay(1500), 0u);  // Window already over.
-
-    EXPECT_EQ(c.stalls, 2u);
-    EXPECT_EQ(c.stallTicks, 800u);
-}
-
-TEST(DiskFaults, TimeoutBackoffDoublesUpToCap)
-{
-    FaultConfig cfg;
-    cfg.timeoutRate = 1.0;     // Every dispatch times out.
-    cfg.backoffUs = 100.0;
-    cfg.backoffMaxUs = 400.0;
-    FaultCounters c;
-    DiskFaults df(cfg, 0, c);
-
-    EXPECT_EQ(df.dispatchDelay(0), fromMicros(100.0));
-    EXPECT_EQ(df.dispatchDelay(0), fromMicros(200.0));
-    EXPECT_EQ(df.dispatchDelay(0), fromMicros(400.0));
-    EXPECT_EQ(df.dispatchDelay(0), fromMicros(400.0));
-    EXPECT_EQ(c.stalls, 4u);
-    EXPECT_EQ(c.stallTicks, fromMicros(1100.0));
-}
-
-TEST(DiskFaults, CleanDispatchResetsBackoff)
-{
-    // With no probabilistic timeouts the backoff path is never
-    // entered and the delay is always zero -- the faults-off fast
-    // path a controller relies on.
-    FaultConfig cfg;
-    FaultCounters c;
-    DiskFaults df(cfg, 0, c);
-    for (Tick t = 0; t < 10; ++t)
-        EXPECT_EQ(df.dispatchDelay(t * 1000), 0u);
-    EXPECT_EQ(c.stalls, 0u);
-}
-
-// ---------------------------------------------------------------------
-// Array-level accounting: retries, remaps, stalls.
-// ---------------------------------------------------------------------
 
 struct FaultRig
 {
@@ -228,47 +54,6 @@ struct FaultRig
     }
 };
 
-TEST(FaultArray, RetryThenRemapAccounting)
-{
-    FaultConfig fault;
-    fault.badBlocks = "0:0";   // Logical block 0 -> disk 0, block 0.
-    fault.maxRetries = 2;
-    FaultRig r(fault);
-
-    // A persistent bad block burns the whole retry budget: the
-    // initial attempt plus maxRetries retries all fail, then the
-    // block is remapped.
-    r.doRequest(0, 1, true);
-    FaultCounters c = r.array->faultCounters();
-    EXPECT_EQ(c.mediaErrors, 3u);
-    EXPECT_EQ(c.retries, 2u);
-    EXPECT_GT(c.retryTicks, 0u);
-    EXPECT_EQ(c.remapEvents, 1u);
-    EXPECT_EQ(c.remappedBlocks, 1u);
-    EXPECT_EQ(c.remappedAccesses, 0u);
-
-    // Later accesses succeed but pay the permanent remap penalty.
-    r.doRequest(0, 1, true);
-    c = r.array->faultCounters();
-    EXPECT_EQ(c.mediaErrors, 3u);
-    EXPECT_EQ(c.retries, 2u);
-    EXPECT_EQ(c.remapEvents, 1u);
-    EXPECT_EQ(c.remappedAccesses, 1u);
-}
-
-TEST(FaultArray, ScriptedStallChargesDispatch)
-{
-    FaultConfig fault;
-    fault.stallWindows = "0:100000";   // Stalled from tick 0.
-    FaultRig r(fault);
-
-    r.doRequest(0, 1, false);
-    const FaultCounters c = r.array->faultCounters();
-    EXPECT_GE(c.stalls, 1u);
-    EXPECT_GT(c.stallTicks, 0u);
-    EXPECT_EQ(c.mediaErrors, 0u);
-}
-
 TEST(FaultArray, FaultsOffKeepsCountersZero)
 {
     FaultConfig fault;   // Default: everything off.
@@ -278,38 +63,127 @@ TEST(FaultArray, FaultsOffKeepsCountersZero)
     EXPECT_FALSE(r.array->faultCounters().any());
 }
 
+/** A 4-disk mirrored array (logical disks 0, 1; mirrors 2, 3) on
+ * 4 MiB drives, small enough to rebuild a whole disk. */
+std::unique_ptr<DiskArray>
+mirroredArray(EventQueue& eq, const FaultConfig& fault)
+{
+    ArrayConfig cfg;
+    cfg.disks = 4;
+    cfg.stripeUnitBytes = 32 * kKiB;
+    cfg.mirrored = true;
+    cfg.disk.capacityBytes = 4 * kMiB;
+    cfg.fault = fault;
+    return std::make_unique<DiskArray>(eq, cfg);
+}
+
 TEST(FaultArray, EveryDiskWritesTheArrayCounters)
 {
-    // One bad block on each of two disks: both disks' retries and
-    // remaps land in the one array-wide counter set.
-    EventQueue eq;
-    ArrayConfig cfg;
-    cfg.disks = 2;
-    cfg.fault.badBlocks = "0:0,1:0";
-    cfg.fault.maxRetries = 1;
-    DiskArray array(eq, cfg);
-    const ArrayBlock on_disk1 = array.striping().toLogical(1, 0);
-    for (ArrayBlock lb : {ArrayBlock{0}, on_disk1}) {
-        ArrayRequest req;
-        req.start = lb;
-        req.count = 1;
-        array.submit(std::move(req));
-        eq.run();
-    }
-    const FaultCounters c = array.faultCounters();
-    EXPECT_EQ(c.mediaErrors, 4u);
-    EXPECT_EQ(c.retries, 2u);
-    EXPECT_EQ(c.remapEvents, 2u);
-    EXPECT_EQ(c.remappedBlocks, 2u);
+    // Whichever disk dies, its degraded I/O and both halves of its
+    // rebuild (the partner's reads, its own write-backs) land in the
+    // one array-wide FaultCounters.
+    for (unsigned d = 0; d < 4; ++d) {
+        SCOPED_TRACE("killed disk " + std::to_string(d));
+        FaultConfig fault;
+        fault.killAtTicks = 1;
+        fault.killDisk = d;
+        fault.repairAtTicks = 1000;
+        fault.rebuildBlocks = 32;
+        fault.rebuildChunkBlocks = 16;
+        EventQueue eq;
+        std::unique_ptr<DiskArray> array = mirroredArray(eq, fault);
 
-    // The stall counters of every DiskFaults are the model's counters.
-    FaultConfig stall;
-    stall.stallWindows = "0:1000";
-    FaultModel model(stall, 3);
-    for (unsigned d = 0; d < 3; ++d)
-        EXPECT_EQ(model.disk(d).dispatchDelay(400), 600u);
-    EXPECT_EQ(model.counters().stalls, 3u);
-    EXPECT_EQ(model.counters().stallTicks, 1800u);
+        // At the kill, read and write the first stripe unit of the
+        // dead disk's logical disk: both reach only the partner.
+        const ArrayBlock unit = 32 * kKiB / 4096;
+        array->setFaultEventHook(
+            [&](const char* event, unsigned, Tick) {
+                if (std::string(event) != "failure")
+                    return;
+                for (bool write : {false, true}) {
+                    ArrayRequest req;
+                    req.start = (d % 2) * unit;
+                    req.count = 4;
+                    req.isWrite = write;
+                    array->submit(std::move(req));
+                }
+            });
+        eq.run();
+
+        const unsigned partner = (d + 2) % 4;
+        EXPECT_EQ(array->diskHealth(d), DiskHealth::Alive);
+        const FaultCounters c = array->faultCounters();
+        EXPECT_EQ(c.diskFailures, 1u);
+        EXPECT_EQ(c.diskRepairs, 1u);
+        EXPECT_EQ(c.degradedReads, 1u);
+        EXPECT_EQ(c.degradedWrites, 1u);
+        EXPECT_EQ(c.rebuildJobs, 4u);
+        EXPECT_EQ(c.rebuildBlocks, 32u);
+        EXPECT_EQ(array->controller(d).stats().reads, 0u);
+        EXPECT_EQ(array->controller(d).stats().writes, 0u);
+        EXPECT_EQ(array->controller(partner).stats().reads, 1u);
+        EXPECT_EQ(array->controller(partner).stats().writes, 1u);
+        EXPECT_EQ(array->controller(d).stats().rebuildJobs, 2u);
+        EXPECT_EQ(array->controller(d).stats().rebuildBlocks, 32u);
+        EXPECT_EQ(array->controller(partner).stats().rebuildJobs, 2u);
+        EXPECT_EQ(array->controller(partner).stats().rebuildBlocks, 0u);
+    }
+}
+
+TEST(FaultArray, RebuildLastChunkIsPartial)
+{
+    // 40 blocks in 16-block chunks: 16 + 16 + 8, each a read and a
+    // write-back.
+    FaultConfig fault;
+    fault.killAtTicks = 1;
+    fault.killDisk = 1;
+    fault.repairAtTicks = 1000;
+    fault.rebuildBlocks = 40;
+    fault.rebuildChunkBlocks = 16;
+    EventQueue eq;
+    std::unique_ptr<DiskArray> array = mirroredArray(eq, fault);
+    eq.run();
+
+    const FaultCounters c = array->faultCounters();
+    EXPECT_EQ(c.rebuildJobs, 6u);
+    EXPECT_EQ(c.rebuildBlocks, 40u);
+    EXPECT_EQ(array->diskHealth(1), DiskHealth::Alive);
+}
+
+TEST(FaultArray, RebuildZeroCopiesTheWholeDisk)
+{
+    FaultConfig fault;
+    fault.killAtTicks = 1;
+    fault.killDisk = 2;
+    fault.repairAtTicks = 1000;
+    fault.rebuildBlocks = 0;
+    fault.rebuildChunkBlocks = 256;
+    EventQueue eq;
+    std::unique_ptr<DiskArray> array = mirroredArray(eq, fault);
+    eq.run();
+
+    // 1024 blocks on a 4 MiB drive, in four 256-block chunks.
+    const FaultCounters c = array->faultCounters();
+    EXPECT_EQ(c.rebuildBlocks, 1024u);
+    EXPECT_EQ(c.rebuildJobs, 8u);
+    EXPECT_EQ(array->diskHealth(2), DiskHealth::Alive);
+}
+
+TEST(FaultArray, RebuildSpanIsClampedToTheDisk)
+{
+    FaultConfig fault;
+    fault.killAtTicks = 1;
+    fault.killDisk = 3;
+    fault.repairAtTicks = 1000;
+    fault.rebuildBlocks = 5000;
+    fault.rebuildChunkBlocks = 512;
+    EventQueue eq;
+    std::unique_ptr<DiskArray> array = mirroredArray(eq, fault);
+    eq.run();
+
+    const FaultCounters c = array->faultCounters();
+    EXPECT_EQ(c.rebuildBlocks, 1024u);
+    EXPECT_EQ(c.rebuildJobs, 4u);
 }
 
 // ---------------------------------------------------------------------
@@ -324,6 +198,20 @@ smallSim()
     sim.synthetic.numFiles = 2000;
     sim.synthetic.seed = 7;
     sim.system.seed = 7;
+    return sim;
+}
+
+/** smallSim() on a mirrored array: disk 1 dies at 1 ms and is
+ * repaired at 200 ms, then 512 blocks are rebuilt. */
+SimulationConfig
+killRepairSim()
+{
+    SimulationConfig sim = smallSim();
+    sim.system.mirrored = true;
+    sim.system.fault.killAtTicks = 1 * kMsec;
+    sim.system.fault.killDisk = 1;
+    sim.system.fault.repairAtTicks = 200 * kMsec;
+    sim.system.fault.rebuildBlocks = 512;
     return sim;
 }
 
@@ -347,26 +235,36 @@ TEST(FaultEndToEnd, FaultsOffLeavesNoTraceInDump)
 
 TEST(FaultEndToEnd, FaultsOnStampHeaderAndStats)
 {
-    SimulationConfig sim = smallSim();
-    sim.system.fault.mediaErrorRate = 0.02;
-    const auto [dump, r] = runToString(sim);
-    EXPECT_NE(dump.find("#conf fault.media_error_rate"),
+    const auto [dump, r] = runToString(killRepairSim());
+    EXPECT_NE(dump.find("#conf fault.kill_at_ticks = 1000000"),
               std::string::npos);
-    EXPECT_NE(dump.find("sim.fault.mediaErrors"), std::string::npos);
-    EXPECT_GT(r.faults.mediaErrors, 0u);
-    EXPECT_GT(r.faults.retries, 0u);
+    EXPECT_NE(dump.find("#conf fault.repair_at_ticks = 200000000"),
+              std::string::npos);
+    EXPECT_NE(dump.find("sim.fault.degradedReads"), std::string::npos);
+    EXPECT_NE(dump.find("# fault event @1000000: failure disk 1"),
+              std::string::npos);
+    EXPECT_EQ(r.faults.diskFailures, 1u);
+    EXPECT_EQ(r.faults.diskRepairs, 1u);
+    EXPECT_GT(r.faults.degradedReads, 0u);
+    // 512 blocks in 256-block chunks: a read and a write-back each.
+    EXPECT_EQ(r.faults.rebuildJobs, 4u);
+    EXPECT_EQ(r.faults.rebuildBlocks, 512u);
 }
 
 TEST(FaultEndToEnd, InertFaultConfigDoesNotPerturbTiming)
 {
-    // A fault scenario that never fires (a stall window far past the
-    // end of the run) must yield the exact timings of a faults-off
-    // run: enabling the subsystem costs nothing but the bookkeeping.
-    const auto [dump_off, off] = runToString(smallSim());
+    // A kill scripted past the last completion fires on a drained
+    // array: the run's timings equal a faults-off mirrored run's, and
+    // no request was degraded.
+    SimulationConfig base = smallSim();
+    base.system.mirrored = true;
+    const auto [dump_off, off] = runToString(base);
 
-    SimulationConfig sim = smallSim();
-    sim.system.fault.stallWindows = "99000000000000:1";
+    SimulationConfig sim = base;
+    sim.system.fault.killAtTicks = 99000000000000ULL;
+    sim.system.fault.killDisk = 1;
     const auto [dump_on, on] = runToString(sim);
+    ASSERT_LT(off.ioTime, sim.system.fault.killAtTicks);
 
     EXPECT_EQ(on.ioTime, off.ioTime);
     EXPECT_EQ(on.flushTime, off.flushTime);
@@ -374,25 +272,95 @@ TEST(FaultEndToEnd, InertFaultConfigDoesNotPerturbTiming)
     EXPECT_EQ(on.blocks, off.blocks);
     EXPECT_EQ(on.agg.reads, off.agg.reads);
     EXPECT_EQ(on.agg.writes, off.agg.writes);
-    EXPECT_FALSE(on.faults.any());
+    EXPECT_EQ(on.agg.latencySum, off.agg.latencySum);
+    EXPECT_EQ(on.faults.degradedReads, 0u);
+    EXPECT_EQ(on.faults.degradedWrites, 0u);
+    EXPECT_EQ(on.faults.rebuildJobs, 0u);
 
     // The enabled run documents the scenario in its header.
-    EXPECT_NE(dump_on.find("#conf fault.stall_windows"),
+    EXPECT_NE(dump_on.find("#conf fault.kill_at_ticks"),
               std::string::npos);
     EXPECT_EQ(dump_off.find("#conf fault."), std::string::npos);
 }
 
-TEST(FaultEndToEnd, FaultRunsAreSeedReproducible)
+TEST(FaultEndToEnd, KillWithoutRepairStaysDegraded)
 {
-    SimulationConfig sim = smallSim();
-    sim.system.fault.mediaErrorRate = 0.02;
-    sim.system.fault.timeoutRate = 0.01;
+    SimulationConfig sim = killRepairSim();
+    sim.system.fault.repairAtTicks = 0;
+    const auto [dump, r] = runToString(sim);
+    EXPECT_EQ(r.faults.diskFailures, 1u);
+    EXPECT_EQ(r.faults.diskRepairs, 0u);
+    EXPECT_GT(r.faults.degradedReads, 0u);
+    EXPECT_EQ(r.faults.rebuildJobs, 0u);
+    EXPECT_EQ(r.faults.rebuildBlocks, 0u);
+    EXPECT_NE(dump.find("# fault event @1000000: failure disk 1"),
+              std::string::npos);
+    EXPECT_EQ(dump.find(": repair disk"), std::string::npos);
+    EXPECT_EQ(dump.find(": rebuilt disk"), std::string::npos);
+}
+
+TEST(FaultEndToEnd, FaultEventSnapshotsFollowTheScript)
+{
+    // One snapshot per event, in script order, each carrying the
+    // counters as they stand at that tick.
+    const auto [dump, r] = runToString(killRepairSim());
+    const std::size_t fail =
+        dump.find("# fault event @1000000: failure disk 1\n");
+    const std::size_t repair =
+        dump.find("# fault event @200000000: repair disk 1\n");
+    const std::size_t rebuilt = dump.find(": rebuilt disk 1\n");
+    ASSERT_NE(fail, std::string::npos);
+    ASSERT_NE(repair, std::string::npos);
+    ASSERT_NE(rebuilt, std::string::npos);
+    EXPECT_LT(fail, repair);
+    EXPECT_LT(repair, rebuilt);
+
+    auto counterAfter = [&](std::size_t at, const std::string& name) {
+        const std::size_t p = dump.find("sim.fault." + name + " ", at);
+        EXPECT_NE(p, std::string::npos) << name;
+        return std::stoull(dump.substr(p + 11 + name.size()));
+    };
+    EXPECT_EQ(counterAfter(fail, "diskFailures"), 1u);
+    EXPECT_EQ(counterAfter(fail, "diskRepairs"), 0u);
+    EXPECT_EQ(counterAfter(repair, "diskRepairs"), 1u);
+    EXPECT_EQ(counterAfter(rebuilt, "rebuildBlocks"), 512u);
+    EXPECT_EQ(counterAfter(rebuilt, "rebuildJobs"), r.faults.rebuildJobs);
+}
+
+TEST(FaultEndToEnd, TraceFlagsEveryDegradedRequest)
+{
+    // Each degraded read and each single-replica write reaches one
+    // disk as one request marked degraded; nothing else is marked.
+    SimulationConfig sim = killRepairSim();
+    sim.synthetic.writeProb = 0.3;
+    sim.output.trace = test::tempPath("degraded.bin");
+    const auto [dump, r] = runToString(sim);
+    ASSERT_GT(r.faults.degradedReads, 0u);
+    ASSERT_GT(r.faults.degradedWrites, 0u);
+
+    std::vector<RequestTraceEvent> events;
+    ASSERT_TRUE(readTraceFile(sim.output.trace, events));
+    std::uint64_t reads = 0, writes = 0;
+    for (const RequestTraceEvent& ev : events) {
+        if (!ev.degraded)
+            continue;
+        EXPECT_NE(ev.disk, 1u);
+        ++(ev.isWrite ? writes : reads);
+    }
+    EXPECT_EQ(reads, r.faults.degradedReads);
+    EXPECT_EQ(writes, r.faults.degradedWrites);
+    std::remove(sim.output.trace.c_str());
+}
+
+TEST(FaultEndToEnd, FaultRunsAreReproducible)
+{
+    const SimulationConfig sim = killRepairSim();
     const auto [dump1, r1] = runToString(sim);
     const auto [dump2, r2] = runToString(sim);
     EXPECT_EQ(stats::stripVolatile(dump1), stats::stripVolatile(dump2));
     EXPECT_EQ(r1.ioTime, r2.ioTime);
-    EXPECT_EQ(r1.faults.mediaErrors, r2.faults.mediaErrors);
-    EXPECT_EQ(r1.faults.stalls, r2.faults.stalls);
+    EXPECT_EQ(r1.faults.degradedReads, r2.faults.degradedReads);
+    EXPECT_EQ(r1.faults.rebuildBlocks, r2.faults.rebuildBlocks);
 }
 
 } // namespace

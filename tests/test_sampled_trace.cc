@@ -116,8 +116,6 @@ TEST(SampledTrace, PackUnpackRoundTripAndSaturation)
     ev.transfer = 6000000;
     ev.bus = 7000000;
     ev.latency = 123456789ull;
-    ev.faults = 3;
-    ev.retries = 2;
     ev.degraded = true;
 
     const RequestTraceEvent back =
@@ -134,17 +132,16 @@ TEST(SampledTrace, PackUnpackRoundTripAndSaturation)
     EXPECT_EQ(back.transfer, ev.transfer);
     EXPECT_EQ(back.bus, ev.bus);
     EXPECT_EQ(back.latency, ev.latency);
-    EXPECT_EQ(back.faults, ev.faults);
-    EXPECT_EQ(back.retries, ev.retries);
     EXPECT_EQ(back.degraded, ev.degraded);
 
     // Narrow component fields saturate instead of wrapping.
     RequestTraceEvent wide;
     wide.seek = Tick(1) << 40;
-    wide.faults = 1u << 20;
+    wide.disk = 1u << 20;
     const BinaryTraceRecord rec = packTraceRecord(wide);
     EXPECT_EQ(rec.seek, 0xffffffffu);
-    EXPECT_EQ(rec.faults, 0xffffu);
+    EXPECT_EQ(rec.disk, 0xffffu);
+    EXPECT_EQ(rec.unused, 0u);
 }
 
 /** A distinct event per index, so a reorder or a loss shows. */

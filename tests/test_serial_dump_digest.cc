@@ -239,19 +239,7 @@ TEST(SerialDumpDigest, FaultKillRepairRebuild)
     DigestCase c(faultConfig(512));
     const std::string d = c.dump();
     ASSERT_NE(d.find("# fault event @"), std::string::npos);
-    EXPECT_DIGEST(d, "5faa2ae9e4d4e01a");
-}
-
-TEST(SerialDumpDigest, FaultMediaErrors)
-{
-    // Probabilistic media errors + scripted bad blocks: retries,
-    // remaps, and penalties.
-    SimulationConfig sim =
-        webConfig(SystemKind::FOR, 64 * kKiB, 2 * kMiB);
-    sim.system.fault.mediaErrorRate = 0.02;
-    sim.system.fault.badBlocks = "0:7,2:21";
-    DigestCase c(std::move(sim));
-    EXPECT_DIGEST(c.dump(), "1194f7a2428682e1");
+    EXPECT_DIGEST(d, "121251e4a1a04c17");
 }
 
 TEST(SerialDumpDigest, VictimCacheHdc)
@@ -334,7 +322,7 @@ TEST(SerialDumpDigest, SnapshotsDuringFaultsAndMirroring)
     const std::string d = c.dump();
     ASSERT_NE(d.find("# snapshot @"), std::string::npos);
     ASSERT_NE(d.find("# fault event @"), std::string::npos);
-    EXPECT_DIGEST(d, "c2aa421d289cc1e3");
+    EXPECT_DIGEST(d, "73c3d42ac08f6062");
 }
 
 } // namespace

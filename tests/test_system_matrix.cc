@@ -87,11 +87,10 @@ TEST_P(SystemMatrix, CompletesWithConsistentAccounting)
     // runTrace() panics unless every disk satisfies its conservation
     // identities (accountingErrors), so each grid point has already
     // checked them per disk; their array-wide sums hold too. The
-    // grid injects no faults, so there are no rebuild jobs or
-    // retries.
+    // grid injects no faults, so there are no rebuild jobs.
     EXPECT_EQ(r.agg.reads + r.agg.writes + r.agg.flushWrites,
               r.agg.cacheHitRequests + r.agg.mediaAccesses);
-    EXPECT_EQ(r.agg.rebuildJobs + r.agg.retries, 0u);
+    EXPECT_EQ(r.agg.rebuildJobs, 0u);
     EXPECT_GE(r.ra.specInserted, r.ra.specUsed + r.ra.specWasted);
 
     // Timing components sum to the media busy time.

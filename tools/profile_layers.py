@@ -46,10 +46,10 @@ LAYERS = [
     # shared SCSI bus.
     ("array/bus", r"DiskArray|StripingMap|ScsiBus"),
     # Controller: request handling, schedulers, the read-ahead and HDC
-    # caches, FOR bitmap lookups and fault handling.
+    # caches and FOR bitmap lookups.
     ("controller",
      r"DiskController|Scheduler|SegmentCache|BlockCache|HdcStore|"
-     r"LayoutBitmap|ControllerCache|DiskFaults|FaultModel"),
+     r"LayoutBitmap|ControllerCache"),
     # Mechanism: seek, rotation and transfer timing.
     ("mechanism", r"DiskMechanism|SeekModel|DiskGeometry|Zone"),
 ]

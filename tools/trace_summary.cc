@@ -87,8 +87,7 @@ summarize(const std::string& path)
     OutcomeTotals by_outcome[3];
     Tick queue = 0, seek = 0, rotation = 0, transfer = 0, bus = 0,
          latency = 0;
-    std::uint64_t faults = 0, retries = 0;
-    std::uint64_t faulted_reqs = 0, degraded_reqs = 0;
+    std::uint64_t degraded_reqs = 0;
     Tick degraded_latency = 0;
     std::vector<Tick> lats;
     lats.reserve(events.size());
@@ -96,9 +95,6 @@ summarize(const std::string& path)
     for (const RequestTraceEvent& ev : events) {
         blocks += ev.blocks;
         writes += ev.isWrite ? 1 : 0;
-        faults += ev.faults;
-        retries += ev.retries;
-        faulted_reqs += ev.faults ? 1 : 0;
         if (ev.degraded) {
             ++degraded_reqs;
             degraded_latency += ev.latency;
@@ -159,16 +155,10 @@ summarize(const std::string& path)
                 toMillis(lats.back()),
                 toMillis(latency) / static_cast<double>(n));
 
-    // Fault attribution: which requests paid for media errors or
-    // degraded-mode redirection (printed only when any did, so
-    // fault-free traces keep their familiar output).
-    if (faults || retries || degraded_reqs) {
-        std::printf("  faults:     media-errors=%llu retries=%llu "
-                    "faulted-reqs=%llu (%.1f%%)\n",
-                    static_cast<unsigned long long>(faults),
-                    static_cast<unsigned long long>(retries),
-                    static_cast<unsigned long long>(faulted_reqs),
-                    pct(faulted_reqs, n));
+    // Degraded-mode attribution: which requests were redirected off
+    // a dead replica (printed only when any were, so fault-free
+    // traces keep their familiar output).
+    if (degraded_reqs) {
         std::printf("  degraded:   requests=%llu (%.1f%%) mean "
                     "lat(ms)=%.3f\n",
                     static_cast<unsigned long long>(degraded_reqs),
@@ -226,8 +216,7 @@ outliers(const std::string& path)
     }
 
     // The tail set: everything at or above the p99.9 latency.
-    std::uint64_t tn = 0, tn_writes = 0, tn_degraded = 0,
-                  tn_faulted = 0;
+    std::uint64_t tn = 0, tn_writes = 0, tn_degraded = 0;
     Tick tq = 0, ts = 0, tr = 0, tx = 0, tb = 0, tl = 0;
     std::uint64_t by_outcome[3] = {0, 0, 0};
     std::map<std::uint32_t, std::uint64_t> by_disk;
@@ -237,7 +226,6 @@ outliers(const std::string& path)
         ++tn;
         tn_writes += ev.isWrite ? 1 : 0;
         tn_degraded += ev.degraded ? 1 : 0;
-        tn_faulted += ev.faults ? 1 : 0;
         tq += ev.queue;
         ts += ev.seek;
         tr += ev.rotation;
@@ -253,11 +241,10 @@ outliers(const std::string& path)
     }
 
     std::printf("  tail (>= p99.9): %llu requests  writes=%.1f%%  "
-                "degraded=%llu  faulted=%llu\n",
+                "degraded=%llu\n",
                 static_cast<unsigned long long>(tn),
                 pct(tn_writes, tn),
-                static_cast<unsigned long long>(tn_degraded),
-                static_cast<unsigned long long>(tn_faulted));
+                static_cast<unsigned long long>(tn_degraded));
 
     std::printf("  by outcome: ");
     const TraceOutcome outcomes[] = {TraceOutcome::Media,
