@@ -1,6 +1,7 @@
 #include "config/sim_config.hh"
 
 #include <sstream>
+#include <utility>
 
 #include "sim/logging.hh"
 
@@ -488,6 +489,18 @@ validateConfig(const SimulationConfig& sim)
     check(errs, f.repairAtTicks == 0 || f.killAtTicks > 0,
           "fault.repair_at_ticks needs fault.kill_at_ticks: there is "
           "no killed disk to repair");
+    // Without a kill the fault.* header group is elided, so a knob set
+    // here would change nothing and the dump would not record it.
+    const FaultConfig idle;
+    for (const auto& [key, set] :
+         {std::pair{"fault.kill_disk", f.killDisk != idle.killDisk},
+          std::pair{"fault.rebuild_blocks",
+                    f.rebuildBlocks != idle.rebuildBlocks},
+          std::pair{"fault.rebuild_chunk_blocks",
+                    f.rebuildChunkBlocks != idle.rebuildChunkBlocks}})
+        check(errs, !set || f.killAtTicks > 0,
+              std::string(key) + " needs fault.kill_at_ticks: without "
+              "a killed disk it has no effect");
     check(errs,
           f.repairAtTicks == 0 || f.repairAtTicks > f.killAtTicks,
           "fault.repair_at_ticks must be after fault.kill_at_ticks");

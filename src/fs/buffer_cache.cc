@@ -23,8 +23,6 @@ BufferCache::readHit(ArrayBlock block)
     const std::uint32_t* slot = map_.find(block);
     if (!slot) {
         ++stats_.readMisses;
-        if (onReadMiss_)
-            onReadMiss_(block);
         return false;
     }
     Ops::moveToFront(slab_, lru_, *slot);
@@ -45,8 +43,6 @@ BufferCache::evictOne(std::vector<ArrayBlock>& writebacks)
         writebacks.push_back(victim.block);
         ++stats_.dirtyWritebacks;
     }
-    if (onEvict_)
-        onEvict_(victim.block);
 }
 
 void

@@ -21,7 +21,6 @@
 #define DTSIM_FS_BUFFER_CACHE_HH
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "array/striping.hh"
@@ -123,24 +122,6 @@ class BufferCache
     std::uint64_t capacity() const { return capacity_; }
     const BufferCacheStats& stats() const { return stats_; }
 
-    /** Per-block activity callback (miss or eviction). */
-    using BlockHook = std::function<void(ArrayBlock)>;
-
-    /**
-     * Observe cache activity: `on_read_miss` fires on every read
-     * lookup that misses, `on_evict` on every eviction (after the
-     * victim left the cache). Either may be null. Observation only --
-     * the hooks cannot alter cache decisions, so attaching them never
-     * changes generated traces. This is the feed of the online HDC
-     * policy's miss sketch (docs/DESIGN.md "Online HDC").
-     */
-    void
-    setObserver(BlockHook on_read_miss, BlockHook on_evict)
-    {
-        onReadMiss_ = std::move(on_read_miss);
-        onEvict_ = std::move(on_evict);
-    }
-
   private:
     /**
      * A cached block, packed into one word so a slab node is 16
@@ -173,8 +154,6 @@ class BufferCache
     FlatTable<std::uint32_t> map_;  ///< block -> slab slot
     std::uint64_t dirty_ = 0;  ///< dirty entries (sync early-exit)
     BufferCacheStats stats_;
-    BlockHook onReadMiss_;  ///< Fired per read miss (may be null).
-    BlockHook onEvict_;     ///< Fired per eviction (may be null).
 };
 
 } // namespace dtsim

@@ -1,41 +1,11 @@
 #include "hdc/hdc_planner.hh"
 
 #include <algorithm>
+#include <utility>
 
 namespace dtsim {
 
-void
-MissCounter::addTrace(const Trace& trace)
-{
-    for (const TraceRecord& r : trace)
-        for (std::uint32_t i = 0; i < r.count; ++i)
-            add(r.start + i);
-}
-
-void
-MissCounter::add(ArrayBlock block, std::uint64_t count)
-{
-    *counts_.insert(block, 0).first += count;
-}
-
-std::uint64_t
-MissCounter::count(ArrayBlock block) const
-{
-    const std::uint64_t* n = counts_.find(block);
-    return n ? *n : 0;
-}
-
 namespace {
-
-/** Heap order: `a` ranks after `b` (count desc, block asc). */
-bool
-ranksAfter(const std::pair<ArrayBlock, std::uint64_t>& a,
-           const std::pair<ArrayBlock, std::uint64_t>& b)
-{
-    if (a.second != b.second)
-        return a.second < b.second;
-    return a.first > b.first;
-}
 
 MissCounter
 countMisses(const Trace& trace)
@@ -54,39 +24,50 @@ MissRanking::MissRanking(const Trace& trace)
 
 MissRanking::MissRanking(const MissCounter& counter)
 {
-    entries_.reserve(counter.distinctBlocks());
-    counter.forEachCount([&](ArrayBlock block, std::uint64_t n) {
-        entries_.emplace_back(block, n);
+    // at[k]: blocks of count k, with counts above the number of
+    // distinct blocks capped to it; then the first rank of the next
+    // such block. Higher counts rank first.
+    const std::uint64_t cap = counter.distinctBlocks();
+    std::vector<std::size_t> at;
+    bool capped = false;
+    counter.forEachCount([&](ArrayBlock, std::uint64_t n) {
+        capped |= n > cap;
+        const std::uint64_t k = std::min(n, cap);
+        if (k >= at.size())
+            at.resize(k + 1);
+        ++at[k];
     });
-    std::make_heap(entries_.begin(), entries_.end(), ranksAfter);
-    heapEnd_ = entries_.size();
-}
+    std::size_t rank = 0;
+    for (std::size_t k = at.size(); k-- > 1;)
+        rank += std::exchange(at[k], rank);
 
-bool
-MissRanking::rankNext()
-{
-    if (heapEnd_ == 0)
-        return false;
-    std::pop_heap(entries_.begin(),
-                  entries_.begin() + static_cast<std::ptrdiff_t>(heapEnd_),
-                  ranksAfter);
-    --heapEnd_;
-    return true;
+    // Block order within a count is the tie-break: place by block.
+    ranked_.resize(counter.distinctBlocks());
+    counter.forEachCount([&](ArrayBlock block, std::uint64_t n) {
+        ranked_[at[std::min(n, cap)]++] = block;
+    });
+    if (capped) {
+        // The top bucket now ends at at[cap]; order it by true count.
+        const auto top_end =
+            ranked_.begin() + static_cast<std::ptrdiff_t>(at[cap]);
+        std::stable_sort(ranked_.begin(), top_end,
+                         [&](ArrayBlock a, ArrayBlock b) {
+                             return counter.count(a) > counter.count(b);
+                         });
+    }
 }
 
 std::vector<ArrayBlock>
 MissRanking::select(const StripingMap& striping,
-                    std::uint64_t per_disk_budget_blocks)
+                    std::uint64_t per_disk_budget_blocks) const
 {
     std::vector<std::uint64_t> budget(striping.disks(),
                                       per_disk_budget_blocks);
     std::uint64_t left = per_disk_budget_blocks * striping.disks();
 
     std::vector<ArrayBlock> pinned;
-    for (std::size_t k = 0; left != 0; ++k) {
-        if (k == entries_.size() - heapEnd_ && !rankNext())
-            break;
-        const ArrayBlock block = entries_[entries_.size() - 1 - k].first;
+    for (std::size_t k = 0; left != 0 && k < ranked_.size(); ++k) {
+        const ArrayBlock block = ranked_[k];
         const unsigned disk = striping.toPhysical(block).disk;
         if (budget[disk] == 0)
             continue;

@@ -14,50 +14,12 @@
 #define DTSIM_HDC_HDC_PLANNER_HH
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "array/striping.hh"
-#include "sim/flat_table.hh"
 #include "workload/trace.hh"
 
 namespace dtsim {
-
-/** Per-block miss counting over a disk trace. */
-class MissCounter
-{
-  public:
-    /** Accumulate one trace (every record is a host-cache miss). */
-    void addTrace(const Trace& trace);
-
-    /** Accumulate one access. */
-    void add(ArrayBlock block, std::uint64_t count = 1);
-
-    /** Access count of one block. */
-    std::uint64_t count(ArrayBlock block) const;
-
-    /** Distinct blocks seen. */
-    std::size_t distinctBlocks() const { return counts_.size(); }
-
-    /** Visit every (block, count) pair in unspecified order. */
-    template <typename Fn>
-    void
-    forEachCount(Fn&& fn) const
-    {
-        counts_.forEach([&](std::uint64_t block, const std::uint64_t& n) {
-            fn(static_cast<ArrayBlock>(block), n);
-        });
-    }
-
-  private:
-    /**
-     * block -> miss count. Open addressing: planning scans multi-
-     * million-record traces, and the probe-per-access dominates the
-     * plan cost. MissRanking orders by (count desc, block asc), so
-     * the table's iteration order never reaches the output.
-     */
-    FlatTable<std::uint64_t> counts_;
-};
 
 /**
  * A trace's blocks ranked by miss count, most-missed first, ties
@@ -65,10 +27,11 @@ class MissCounter
  * striping, so one ranking serves the pin selection of every
  * striping unit and disk count of a sweep.
  *
- * The ranking is lazy: the (block, count) pairs sit in a max-heap,
- * and a ranked prefix grows by popping it only as far as a
- * selection reads. Pin budgets are tiny next to a trace's block
- * population, so most of the heap is never sorted.
+ * The ranking is one counting sort of a MissCounter: a histogram of
+ * the counts, then one walk in block order that drops each block at
+ * its count's next free rank. Counts above the number of distinct
+ * blocks share the top bucket, which a stable sort by count then
+ * orders, so the histogram never outgrows the ranking itself.
  */
 class MissRanking
 {
@@ -89,19 +52,12 @@ class MissRanking
      * @return Logical block numbers to pin, in ranking order.
      */
     std::vector<ArrayBlock> select(const StripingMap& striping,
-                                   std::uint64_t per_disk_budget_blocks);
+                                   std::uint64_t per_disk_budget_blocks)
+        const;
 
   private:
-    /** Rank one more block; false once every block is ranked. */
-    bool rankNext();
-
-    /**
-     * (block, count) pairs. [0, heapEnd_) is the max-heap of the
-     * unranked; pop_heap leaves each popped maximum right after it,
-     * so rank k is entries_[size() - 1 - k].
-     */
-    std::vector<std::pair<ArrayBlock, std::uint64_t>> entries_;
-    std::size_t heapEnd_ = 0;
+    /** Every counted block, most-missed first. */
+    std::vector<ArrayBlock> ranked_;
 };
 
 /**

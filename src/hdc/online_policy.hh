@@ -7,10 +7,10 @@
  * (hdc_planner.hh). This policy earns the region at runtime instead:
  *
  *  - Observe: every host buffer-cache miss (the replayed trace is
- *    exactly that stream; BufferCache::setObserver feeds the same
- *    sketch at generation time) bumps the block in a count-min
- *    sketch with conservative update, and refreshes the block in a
- *    bounded LRU candidate pool that caps the policy's memory.
+ *    exactly that stream, fed record by record through onAccess)
+ *    bumps the block in a count-min sketch with conservative
+ *    update, and refreshes the block in a bounded LRU candidate
+ *    pool that caps the policy's memory.
  *  - Re-plan: every replan interval a host-side front event ranks
  *    the candidates per logical disk by sketch estimate (incumbents
  *    score a small hysteresis margin so equal-value challengers
@@ -83,10 +83,7 @@ class OnlineHdcPolicy
      */
     void onAccess(ArrayBlock start, std::uint64_t count);
 
-    /**
-     * Observe a single-block miss, e.g. from
-     * BufferCache::setObserver at workload-generation time.
-     */
+    /** Observe a single-block miss. */
     void observeMiss(ArrayBlock block);
 
     /**

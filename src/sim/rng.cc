@@ -140,6 +140,8 @@ ZipfSampler::ZipfSampler(std::size_t n, double alpha)
 {
     if (n == 0)
         throw std::invalid_argument("ZipfSampler: n must be >= 1");
+    if (n >= kExact)
+        throw std::invalid_argument("ZipfSampler: n must be below 2^31");
     if (alpha < 0.0)
         throw std::invalid_argument("ZipfSampler: alpha must be >= 0");
 
@@ -154,14 +156,26 @@ ZipfSampler::ZipfSampler(std::size_t n, double alpha)
         c /= total;
     cdf_.back() = 1.0;
 
+    const auto edge = [n](std::size_t j) {
+        return static_cast<double>(j) / static_cast<double>(n);
+    };
     guide_.resize(n);
-    std::size_t i = 0;
+    std::uint32_t i = 0;
     for (std::size_t j = 0; j < n; ++j) {
-        const double edge =
-            static_cast<double>(j) / static_cast<double>(n);
-        while (cdf_[i] < edge)
+        while (cdf_[i] < edge(j))
             ++i;
         guide_[j] = i;
+    }
+    // A draw u that indexOf puts in bucket j, floor(u * n) == j with
+    // u * n rounded by at most half an ulp, lies in [edge(j - 1),
+    // edge(j + 2)) for any n below 2^31: the same one-bucket slack the
+    // scans in indexOf absorb. So when guide_[j - 1] is already g
+    // (cdf_[g - 1] < edge(j - 1) <= u) and cdf_[g] >= edge(j + 2) > u
+    // (so guide_[j + 1] is g too), every draw in bucket j answers g.
+    for (std::size_t j = 1; j + 1 < n; ++j) {
+        const std::uint32_t g = guide_[j];
+        if ((guide_[j - 1] & ~kExact) == g && cdf_[g] >= edge(j + 2))
+            guide_[j] |= kExact;
     }
 }
 
@@ -172,7 +186,10 @@ ZipfSampler::indexOf(double u) const
     const std::size_t n = cdf_.size();
     const std::size_t bucket = std::min(
         static_cast<std::size_t>(u * static_cast<double>(n)), n - 1);
-    std::size_t i = guide_[bucket];
+    const std::uint32_t entry = guide_[bucket];
+    if (entry & kExact)
+        return entry & ~kExact;
+    std::size_t i = entry;
     // The guide is only a starting point: rounding in u * n can land
     // a draw one bucket off, so step back while the previous entry
     // still covers u, then forward to the first entry >= u. Both

@@ -72,13 +72,15 @@ class Rng
  * reads the guide entry for floor(u * n) and finishes with a short
  * exact scan, so it returns exactly the index a binary search over
  * the CDF would, in O(1) expected steps for the Zipf exponents used
- * here.
+ * here. A bucket whose every draw has one answer, even a draw that
+ * rounding moved one bucket over, is flagged in its guide entry and
+ * answered without reading the CDF at all.
  */
 class ZipfSampler
 {
   public:
     /**
-     * @param n Number of items (ranks 1..n); must be >= 1.
+     * @param n Number of items (ranks 1..n); must be in [1, 2^31).
      * @param alpha Zipf exponent, >= 0.
      */
     ZipfSampler(std::size_t n, double alpha);
@@ -104,8 +106,14 @@ class ZipfSampler
   private:
     std::vector<double> cdf_;
 
-    /** guide_[j]: the first index i with cdf_[i] >= j / n. */
-    std::vector<std::size_t> guide_;
+    /** Guide-entry flag: every draw in the bucket answers the index. */
+    static constexpr std::uint32_t kExact = std::uint32_t{1} << 31;
+
+    /**
+     * guide_[j]: the first index i with cdf_[i] >= j / n, or'd with
+     * kExact when that i answers every draw in bucket j.
+     */
+    std::vector<std::uint32_t> guide_;
     double alpha_;
 };
 

@@ -7,25 +7,75 @@
 #include <fstream>
 #include <stdexcept>
 
-#include "sim/flat_table.hh"
 #include "sim/logging.hh"
 
 namespace dtsim {
 
-namespace {
-
-/** Per-block access counts of a trace. */
-FlatTable<std::uint64_t>
-blockCounts(const Trace& trace)
+void
+MissCounter::addTrace(const Trace& trace)
 {
-    FlatTable<std::uint64_t> counts(trace.size());
     for (const TraceRecord& r : trace)
-        for (std::uint32_t i = 0; i < r.count; ++i)
-            ++*counts.insert(r.start + i, 0).first;
-    return counts;
+        addRun(r.start, r.count);
 }
 
-} // namespace
+void
+MissCounter::addRun(ArrayBlock start, std::uint64_t n)
+{
+    // A local tally: distinct_ could alias the counters, which would
+    // store it on every increment.
+    std::size_t fresh = 0;
+    while (n != 0) {
+        std::uint64_t* counts = pageOf(start);
+        const std::uint64_t first = start & (kPageBlocks - 1);
+        const std::uint64_t span = std::min(n, kPageBlocks - first);
+        for (std::uint64_t i = first; i < first + span; ++i)
+            fresh += counts[i]++ == 0;
+        start += span;
+        n -= span;
+    }
+    distinct_ += fresh;
+}
+
+void
+MissCounter::add(ArrayBlock block, std::uint64_t count)
+{
+    std::uint64_t& n = pageOf(block)[block & (kPageBlocks - 1)];
+    distinct_ += n == 0 && count != 0;
+    n += count;
+}
+
+std::uint64_t
+MissCounter::count(ArrayBlock block) const
+{
+    const std::uint32_t* slot = slotOf_.find(block >> kPageShift);
+    return slot ? pages_[*slot].counts[block & (kPageBlocks - 1)] : 0;
+}
+
+std::uint64_t*
+MissCounter::pageOf(ArrayBlock block)
+{
+    const std::uint64_t number = block >> kPageShift;
+    const auto [slot, added] = slotOf_.insert(
+        number, static_cast<std::uint32_t>(pages_.size()));
+    if (added)
+        pages_.push_back(
+            {number, std::make_unique<std::uint64_t[]>(kPageBlocks)});
+    return pages_[*slot].counts.get();
+}
+
+std::vector<const MissCounter::Page*>
+MissCounter::pagesByNumber() const
+{
+    std::vector<const Page*> order;
+    order.reserve(pages_.size());
+    for (const Page& p : pages_)
+        order.push_back(&p);
+    std::sort(order.begin(), order.end(),
+              [](const Page* a, const Page* b) {
+                  return a->number < b->number;
+              });
+    return order;
+}
 
 TraceStats
 computeStats(const Trace& trace)
@@ -70,10 +120,11 @@ computeStats(const Trace& trace)
 BlockAccessStats
 blockAccessStats(const Trace& trace)
 {
+    MissCounter counts;
+    counts.addTrace(trace);
     BlockAccessStats s;
-    const FlatTable<std::uint64_t> counts = blockCounts(trace);
-    s.distinctBlocks = counts.size();
-    counts.forEach([&](std::uint64_t, std::uint64_t n) {
+    s.distinctBlocks = counts.distinctBlocks();
+    counts.forEachCount([&](ArrayBlock, std::uint64_t n) {
         s.maxBlockAccesses = std::max(s.maxBlockAccesses, n);
     });
     return s;
@@ -82,11 +133,12 @@ blockAccessStats(const Trace& trace)
 std::vector<std::uint64_t>
 accessCountsSorted(const Trace& trace, std::size_t top)
 {
-    const FlatTable<std::uint64_t> counts = blockCounts(trace);
+    MissCounter counts;
+    counts.addTrace(trace);
     std::vector<std::uint64_t> out;
-    out.reserve(counts.size());
-    counts.forEach(
-        [&](std::uint64_t, std::uint64_t n) { out.push_back(n); });
+    out.reserve(counts.distinctBlocks());
+    counts.forEachCount(
+        [&](ArrayBlock, std::uint64_t n) { out.push_back(n); });
     std::sort(out.begin(), out.end(), std::greater<>());
     if (top != 0 && out.size() > top)
         out.resize(top);

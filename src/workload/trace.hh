@@ -13,10 +13,12 @@
 #define DTSIM_WORKLOAD_TRACE_HH
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "array/striping.hh"
+#include "sim/flat_table.hh"
 
 namespace dtsim {
 
@@ -56,6 +58,71 @@ struct TraceStats
  */
 TraceStats computeStats(const Trace& trace);
 
+/**
+ * Per-block access counts over traces (every record of a disk trace is
+ * a host-cache miss, hence the name).
+ *
+ * Counters are dense: 4096 to a page, a page allocated when one of its
+ * blocks is first counted and found by `block >> 12`. The blocks of
+ * the generated workloads lie in the file-system image, which is laid
+ * out from block 0, so a few pages hold a whole trace and counting a
+ * block is one increment, with no hashing per block. A trace whose
+ * blocks lie far apart costs a 32 KB page for each 4096-block window
+ * it touches.
+ */
+class MissCounter
+{
+  public:
+    static constexpr unsigned kPageShift = 12;
+    static constexpr std::uint64_t kPageBlocks = std::uint64_t{1}
+                                                 << kPageShift;
+
+    /** Accumulate one trace (every block of every record). */
+    void addTrace(const Trace& trace);
+
+    /** Accumulate `count` accesses of one block. */
+    void add(ArrayBlock block, std::uint64_t count = 1);
+
+    /** Access count of one block. */
+    std::uint64_t count(ArrayBlock block) const;
+
+    /** Distinct blocks counted at least once. */
+    std::size_t distinctBlocks() const { return distinct_; }
+
+    /** Visit every (block, count) with a nonzero count, by block. */
+    template <typename Fn>
+    void
+    forEachCount(Fn&& fn) const
+    {
+        for (const Page* p : pagesByNumber()) {
+            const ArrayBlock base = p->number << kPageShift;
+            for (std::uint64_t i = 0; i < kPageBlocks; ++i)
+                if (p->counts[i] != 0)
+                    fn(base + i, p->counts[i]);
+        }
+    }
+
+  private:
+    struct Page
+    {
+        std::uint64_t number;  ///< block >> kPageShift
+        std::unique_ptr<std::uint64_t[]> counts;
+    };
+
+    /** Count one access of each of `n` blocks from `start`. */
+    void addRun(ArrayBlock start, std::uint64_t n);
+
+    /** The counters of `block`'s page, allocated on first touch. */
+    std::uint64_t* pageOf(ArrayBlock block);
+
+    /** The pages in ascending page number. */
+    std::vector<const Page*> pagesByNumber() const;
+
+    std::vector<Page> pages_;  ///< In first-touch order.
+    FlatTable<std::uint32_t> slotOf_;  ///< page number -> pages_ index
+    std::size_t distinct_ = 0;
+};
+
 /** Per-block access statistics of a trace. */
 struct BlockAccessStats
 {
@@ -65,8 +132,8 @@ struct BlockAccessStats
 
 /**
  * Count the distinct blocks a trace touches and the largest access
- * count of any block. Builds a hash table over every distinct block,
- * so call it only where these values are printed.
+ * count of any block. Counts every block with a MissCounter, so call
+ * it only where these values are printed.
  */
 BlockAccessStats blockAccessStats(const Trace& trace);
 

@@ -238,6 +238,46 @@ TEST(ConfigValidate, RepairNeedsKill)
     EXPECT_EQ(firstError(sim), "");
 }
 
+TEST(ConfigValidate, KillKnobsNeedKill)
+{
+    // Like a lone repair, these knobs act only on a killed disk, and
+    // the dump elides the fault.* group without a kill.
+    SimulationConfig base;
+    base.system.mirrored = true;
+    const auto errorFor = [&](void (*set)(FaultConfig&)) {
+        SimulationConfig sim = base;
+        set(sim.system.fault);
+        const std::string err = firstError(sim);
+        sim.system.fault.killAtTicks = 1000;
+        EXPECT_EQ(firstError(sim), "");
+        return err;
+    };
+    const std::string disk =
+        errorFor([](FaultConfig& f) { f.killDisk = 3; });
+    EXPECT_NE(disk.find("fault.kill_disk needs fault.kill_at_ticks"),
+              std::string::npos)
+        << disk;
+    const std::string blocks =
+        errorFor([](FaultConfig& f) { f.rebuildBlocks = 7; });
+    EXPECT_NE(blocks.find("fault.rebuild_blocks needs "
+                          "fault.kill_at_ticks"),
+              std::string::npos)
+        << blocks;
+    const std::string chunk =
+        errorFor([](FaultConfig& f) { f.rebuildChunkBlocks = 64; });
+    EXPECT_NE(chunk.find("fault.rebuild_chunk_blocks needs "
+                         "fault.kill_at_ticks"),
+              std::string::npos)
+        << chunk;
+
+    // All three at once: one error each.
+    SimulationConfig sim = base;
+    sim.system.fault.killDisk = 3;
+    sim.system.fault.rebuildBlocks = 7;
+    sim.system.fault.rebuildChunkBlocks = 64;
+    EXPECT_EQ(validateConfig(sim).size(), 3u);
+}
+
 TEST(ConfigValidate, KillNeedsMirroring)
 {
     SimulationConfig sim;
@@ -284,6 +324,8 @@ TEST(ConfigValidate, RepairMustFollowKill)
 TEST(ConfigValidate, RebuildChunkMustBePositive)
 {
     SimulationConfig sim;
+    sim.system.mirrored = true;
+    sim.system.fault.killAtTicks = 1000;
     sim.system.fault.rebuildChunkBlocks = 0;
     EXPECT_NE(firstError(sim).find("fault.rebuild_chunk_blocks"),
               std::string::npos);

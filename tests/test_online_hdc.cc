@@ -2,8 +2,7 @@
  * @file
  * Tests for the online HDC host policy (hdc.policy = online): the
  * miss sketch, re-plan ranking, oracle convergence, phase-change
- * detection, the unified pin router it issues deltas through and the
- * buffer-cache observer hook that can feed it.
+ * detection and the unified pin router it issues deltas through.
  *
  * OnlineHdcDifferential keeps the policy's original node-based
  * ranking (std::list + std::unordered_map candidate pool,
@@ -22,7 +21,6 @@
 #include <vector>
 
 #include "core/experiment.hh"
-#include "fs/buffer_cache.hh"
 #include "hdc/hdc_planner.hh"
 #include "hdc/online_policy.hh"
 #include "sim/rng.hh"
@@ -282,39 +280,6 @@ TEST(PinRouter, ImmediateBeforeRunDeferredDuring)
     });
     r.eq.run();
     EXPECT_EQ(r.pinnedTotal(), 1u);
-}
-
-TEST(BufferCacheObserver, FiresOnMissesAndEvictionsOnly)
-{
-    BufferCache bc(4);
-    std::vector<ArrayBlock> misses;
-    std::vector<ArrayBlock> evicts;
-    bc.setObserver([&](ArrayBlock b) { misses.push_back(b); },
-                   [&](ArrayBlock b) { evicts.push_back(b); });
-
-    std::vector<ArrayBlock> wb;
-    EXPECT_FALSE(bc.readHit(7));          // Miss.
-    bc.install(7, wb);
-    EXPECT_TRUE(bc.readHit(7));           // Hit: no callback.
-    ASSERT_EQ(misses.size(), 1u);
-    EXPECT_EQ(misses[0], 7u);
-    EXPECT_TRUE(evicts.empty());
-
-    for (ArrayBlock b = 10; b < 14; ++b)  // Fill; evicts 7.
-        bc.install(b, wb);
-    ASSERT_EQ(evicts.size(), 1u);
-    EXPECT_EQ(evicts[0], 7u);
-
-    // Observation only: stats match an unobserved cache.
-    BufferCache plain(4);
-    std::vector<ArrayBlock> wb2;
-    plain.readHit(7);
-    plain.install(7, wb2);
-    plain.readHit(7);
-    for (ArrayBlock b = 10; b < 14; ++b)
-        plain.install(b, wb2);
-    EXPECT_EQ(plain.stats().readMisses, bc.stats().readMisses);
-    EXPECT_EQ(plain.stats().evictions, bc.stats().evictions);
 }
 
 // ---------------------------------------------------------------------

@@ -127,6 +127,10 @@ TEST(ZipfSampler, RejectsBadArguments)
 {
     EXPECT_THROW(ZipfSampler(0, 0.5), std::invalid_argument);
     EXPECT_THROW(ZipfSampler(10, -0.1), std::invalid_argument);
+    // Guide entries are 32-bit with a flag bit; rejected before any
+    // table is allocated.
+    EXPECT_THROW(ZipfSampler(std::size_t{1} << 31, 1.0),
+                 std::invalid_argument);
 }
 
 TEST(ZipfSampler, PmfSumsToOne)
@@ -238,7 +242,8 @@ TEST_P(ZipfGuideExact, MatchesBinarySearch)
     }
 
     // Exactly on (and one ulp either side of) every CDF entry and
-    // every guide bucket edge j/n.
+    // every guide bucket edge j/n: the draws that a bucket answered
+    // from its guide entry alone would get wrong first.
     for (std::size_t i = 0; i < n; ++i) {
         const double c = z.topMass(i + 1);
         const double edge =
@@ -257,10 +262,12 @@ TEST_P(ZipfGuideExact, MatchesBinarySearch)
 INSTANTIATE_TEST_SUITE_P(
     Grid, ZipfGuideExact,
     ::testing::Combine(::testing::Values(std::size_t{1}, std::size_t{2},
-                                         std::size_t{3},
+                                         std::size_t{3}, std::size_t{17},
                                          std::size_t{1000},
+                                         std::size_t{30000},
                                          std::size_t{70000}),
-                       ::testing::Values(0.0, 0.55, 0.75, 0.8, 1.0)));
+                       ::testing::Values(0.0, 0.55, 0.75, 0.8, 1.0,
+                                         1.5)));
 
 } // namespace
 } // namespace dtsim

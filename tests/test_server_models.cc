@@ -104,7 +104,7 @@ TEST(ServerModel, DayCycleCausesRepeatMisses)
 TEST(ServerModel, TraceSummariesMatchMapCounts)
 {
     // computeStats counts a server trace's jobs in one pass and
-    // blockAccessStats counts its blocks by hash table; both must
+    // blockAccessStats counts its blocks with a MissCounter; both must
     // agree with ordered containers.
     ServerModelParams p = tinyModel();
     p.dayEveryRequests = 500;

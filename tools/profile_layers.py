@@ -33,9 +33,9 @@ LAYERS = [
      r"jobIdOf|makeServerWorkload|"
      r"makeSynthetic|ServerModel|BufferCache|Prefetcher|coalesce|"
      r"ZipfSampler|FileSystemImage|FileLayout|Rng::|computeStats|"
-     r"blockAccessStats|accessCountsSorted|MissCounter|HdcPlanner|"
-     r"selectPinnedBlocks|SweepCache|LayoutBitmap::(setRange|set|grow)\b|"
-     r"loadTrace|saveTrace"),
+     r"blockAccessStats|accessCountsSorted|MissCounter|MissRanking|"
+     r"selectPinnedBlocks|SweepCache|"
+     r"LayoutBitmap::(setRange|set|grow)\b|loadTrace|saveTrace"),
     # Host side of the replay: the closed-loop engine, the online and
     # victim HDC managers, tracing and statistics.
     ("host",
