@@ -14,6 +14,8 @@
 #include <vector>
 
 #include "bench/bench_util.hh"
+#include "core/experiment.hh"
+#include "workload/server_models.hh"
 
 using namespace dtsim;
 
@@ -36,23 +38,21 @@ summarize(const ServerModelParams& params,
     const std::vector<LayoutBitmap> bitmaps =
         w.image->buildBitmaps(striping);
 
-    // The four variants run as one batch, in parallel (DTSIM_JOBS).
+    // The four variants run as one batch, in parallel (DTSIM_JOBS);
+    // each derives its oracle HDC pin plan in Experiment::prepare().
     const std::uint64_t hdc = 2 * kMiB;
-    std::vector<bench::SystemSpec> specs;
+    std::vector<Experiment> batch;
     for (const auto& [kind, bytes] :
          {std::pair{SystemKind::Segm, std::uint64_t{0}},
           std::pair{SystemKind::FOR, std::uint64_t{0}},
           std::pair{SystemKind::Segm, hdc},
           std::pair{SystemKind::FOR, hdc}}) {
-        bench::SystemSpec s;
-        s.kind = kind;
-        s.hdcBytes = bytes;
-        s.base = base;
-        s.trace = &w.trace;
-        s.bitmaps = &bitmaps;
-        specs.push_back(s);
+        Experiment e(base);
+        e.config().system.hdc.budgetBytesPerDisk = bytes;
+        e.kind(kind).replay(w.trace).bitmaps(bitmaps);
+        batch.push_back(std::move(e));
     }
-    const std::vector<RunResult> runs = bench::runSystems(specs);
+    const std::vector<RunResult> runs = Experiment::runAll(batch);
     const RunResult& segm = runs[0];
     const RunResult& forr = runs[1];
     const RunResult& segm_hdc = runs[2];

@@ -3,8 +3,8 @@
  * Data-driven parameter sweeps: a grid of registered-parameter values
  * parsed from a config file, expanded into one SimulationConfig per
  * grid point. New parameter studies need a .conf file, not new C++ --
- * the fig07-fig12 figure sweeps ship as .conf files under examples/
- * and the figure benches build the same specs programmatically.
+ * every figure and ablation grid of the paper ships as one under
+ * examples/sweeps/.
  *
  * Sweep-file syntax is the plain config-file syntax plus axis lines:
  *

@@ -5,12 +5,13 @@
  * plans, and parallel runs through Experiment::runAll().
  *
  * This is the layer that makes sweeps data-driven: the CLI's --sweep
- * and --system all modes, the fig07-fig12 figure benches, and the
- * shipped sweep .conf files in examples/ all expand to SweepPoints and
- * run through runSweepPoints(). Workloads, bitmaps, and pin plans are
- * deduplicated across grid points (a striping sweep builds its server
- * workload once, like the hand-written benches did), and every run's
- * outputs begin with its own effective-config header.
+ * and --system all modes expand to SweepPoints and run through
+ * runSweepPoints(), and so does every figure and ablation grid of the
+ * paper, shipped as a sweep file under examples/sweeps/. Workloads,
+ * bitmaps, and pin plans are deduplicated across grid points (a
+ * striping sweep builds its server workload once; a synthetic grid
+ * whose axis changes the workload builds one per value), and every
+ * run's outputs begin with its own effective-config header.
  */
 
 #ifndef DTSIM_CORE_SWEEP_DRIVER_HH

@@ -1,10 +1,12 @@
 /**
  * @file
- * Figure-7 equivalence: a striping sweep expressed as a sweep config
- * file and run through the config-driven sweep driver must produce
- * results identical (to the tick) to the hand-wired run sequence the
- * figure benches used -- same workload build, same bitmaps, same HDC
- * pin plan, same replay.
+ * Figure-7 equivalence: a grid expressed as a sweep config file and
+ * run through the config-driven sweep driver must produce results
+ * identical (to the tick) to the hand-wired run sequence the figure
+ * benches used -- same workload build, same bitmaps, same HDC pin
+ * plan, same replay. Covered twice: a server workload shared by every
+ * point (the Figure 7 striping grid) and a synthetic grid whose axis
+ * changes the workload (the Figure 3-6 and ablation grids).
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +19,7 @@
 #include "experiment_replay.hh"
 #include "hdc/hdc_planner.hh"
 #include "workload/server_models.hh"
+#include "workload/synthetic.hh"
 
 using namespace dtsim;
 
@@ -24,77 +27,137 @@ namespace {
 
 constexpr double kScale = 0.01;
 
-TEST(Fig07Equivalence, SweepFileMatchesHandWiredRuns)
+/** Expand and run `sweep_text`, expecting `n` feasible points. */
+std::vector<RunResult>
+runSweepText(const std::string& sweep_text, std::size_t n)
 {
-    // The fig07 grid shape at test scale: striping unit rows, the
-    // figure's Segm / Segm+HDC / FOR / FOR+HDC columns.
-    const std::string sweep_text =
-        "workload.kind = web\n"
-        "workload.scale = " + std::to_string(kScale) + "\n"
-        "sweep system.stripe_unit_bytes = 16384, 65536\n"
-        "sweep system.kind = segm, for\n"
-        "sweep system.hdc_bytes_per_disk = 0, 2097152\n";
-
     SweepSpec spec;
     std::string err;
-    ASSERT_TRUE(loadSweepText(sweep_text, "fig07.conf", spec, err))
+    EXPECT_TRUE(loadSweepText(sweep_text, "grid.conf", spec, err))
         << err;
     std::vector<SweepPoint> points = expandSweep(spec, err);
-    ASSERT_EQ(points.size(), 8u) << err;
+    EXPECT_EQ(points.size(), n) << err;
+    for (std::size_t i = 0; i < points.size(); ++i)
+        EXPECT_TRUE(points[i].feasible)
+            << i << ": " << points[i].whyNot;
+    return runSweepPoints(points);
+}
 
-    const std::vector<RunResult> driver = runSweepPoints(points);
-    ASSERT_EQ(driver.size(), 8u);
+/**
+ * The hand-wired run of one grid cell: bitmaps for `cfg`'s striping,
+ * an oracle pin plan when HDC is on, then one replay.
+ */
+RunResult
+handWiredRun(const SystemConfig& cfg, const Trace& trace,
+             const FileSystemImage& image)
+{
+    StripingMap striping(cfg.disks,
+                         cfg.stripeUnitBytes / cfg.disk.blockSize,
+                         cfg.disk.totalBlocks());
+    const std::vector<LayoutBitmap> bitmaps =
+        image.buildBitmaps(striping);
+    std::vector<ArrayBlock> pinned;
+    const std::vector<ArrayBlock>* pp = nullptr;
+    if (cfg.hdc.budgetBytesPerDisk > 0) {
+        pinned = selectPinnedBlocks(trace, striping,
+                                    hdcBlocksPerDisk(cfg));
+        pp = &pinned;
+    }
+    return dtsim::test::replayTrace(cfg, trace, &bitmaps, pp);
+}
 
-    // The hand-wired equivalent, exactly as the pre-config figure
-    // benches did it: build the workload once, bitmaps per unit, a
-    // pin plan per (unit, budget), then one replay per cell.
-    const ServerModelParams params = webServerParams(kScale);
-    SystemConfig base;
-    base.streams = params.streams;
-    ServerWorkload w = makeServerWorkload(
-        params, base.disks * base.disk.totalBlocks());
+void
+expectSameRun(const RunResult& got, const RunResult& ref,
+              std::size_t cell)
+{
+    EXPECT_EQ(got.ioTime, ref.ioTime) << "cell " << cell;
+    EXPECT_EQ(got.flushTime, ref.flushTime) << "cell " << cell;
+    EXPECT_EQ(got.blocks, ref.blocks) << "cell " << cell;
+    EXPECT_EQ(got.agg.reads, ref.agg.reads) << "cell " << cell;
+    EXPECT_EQ(got.agg.hdcHitRequests, ref.agg.hdcHitRequests)
+        << "cell " << cell;
+}
 
-    std::size_t i = 0;
-    for (std::uint64_t unit_bytes : {16384u, 65536u}) {
-        SystemConfig cfg = base;
-        cfg.stripeUnitBytes = unit_bytes;
-        StripingMap striping(cfg.disks,
-                             cfg.stripeUnitBytes / cfg.disk.blockSize,
-                             cfg.disk.totalBlocks());
-        const std::vector<LayoutBitmap> bitmaps =
-            w.image->buildBitmaps(striping);
+TEST(Fig07Equivalence, SweepFileMatchesHandWiredRuns)
+{
+    {
+        // The fig07 grid shape at test scale: striping unit rows, the
+        // figure's Segm / Segm+HDC / FOR / FOR+HDC columns.
+        SCOPED_TRACE("web striping grid");
+        const std::vector<RunResult> driver = runSweepText(
+            "workload.kind = web\n"
+            "workload.scale = " + std::to_string(kScale) + "\n"
+            "sweep system.stripe_unit_bytes = 16384, 65536\n"
+            "sweep system.kind = segm, for\n"
+            "sweep hdc.budget_bytes_per_disk = 0, 2097152\n",
+            8);
+        ASSERT_EQ(driver.size(), 8u);
 
-        for (SystemKind kind : {SystemKind::Segm, SystemKind::FOR}) {
-            for (std::uint64_t hdc : {0ull, 2097152ull}) {
-                cfg.kind = kind;
-                cfg.hdc.budgetBytesPerDisk = hdc;
+        // The hand-wired equivalent, exactly as the pre-config figure
+        // benches did it: build the workload once, then one run per
+        // cell.
+        const ServerModelParams params = webServerParams(kScale);
+        SystemConfig base;
+        base.streams = params.streams;
+        ServerWorkload w = makeServerWorkload(
+            params, base.disks * base.disk.totalBlocks());
 
-                std::vector<ArrayBlock> pinned;
-                const std::vector<ArrayBlock>* pp = nullptr;
-                if (hdc > 0) {
-                    pinned = selectPinnedBlocks(
-                        w.trace, striping, hdcBlocksPerDisk(cfg));
-                    pp = &pinned;
+        std::size_t i = 0;
+        for (std::uint64_t unit_bytes : {16384u, 65536u}) {
+            for (SystemKind kind :
+                 {SystemKind::Segm, SystemKind::FOR}) {
+                for (std::uint64_t hdc : {0ull, 2097152ull}) {
+                    SystemConfig cfg = base;
+                    cfg.stripeUnitBytes = unit_bytes;
+                    cfg.kind = kind;
+                    cfg.hdc.budgetBytesPerDisk = hdc;
+                    expectSameRun(
+                        driver[i],
+                        handWiredRun(cfg, w.trace, *w.image), i);
+                    ++i;
                 }
-                const RunResult ref = dtsim::test::replayTrace(
-                    cfg, w.trace, &bitmaps, pp);
-
-                ASSERT_TRUE(points[i].feasible)
-                    << i << ": " << points[i].whyNot;
-                EXPECT_EQ(driver[i].ioTime, ref.ioTime) << "cell " << i;
-                EXPECT_EQ(driver[i].flushTime, ref.flushTime)
-                    << "cell " << i;
-                EXPECT_EQ(driver[i].blocks, ref.blocks) << "cell " << i;
-                EXPECT_EQ(driver[i].agg.reads, ref.agg.reads)
-                    << "cell " << i;
-                EXPECT_EQ(driver[i].agg.hdcHitRequests,
-                          ref.agg.hdcHitRequests)
-                    << "cell " << i;
-                ++i;
             }
         }
+        EXPECT_EQ(i, 8u);
     }
-    EXPECT_EQ(i, 8u);
+    {
+        // A synthetic grid whose first axis changes the workload, so
+        // each row builds its own trace, image, bitmaps and pins.
+        SCOPED_TRACE("synthetic write grid");
+        const std::vector<RunResult> driver = runSweepText(
+            "workload.kind = synthetic\n"
+            "synthetic.requests = 1000\n"
+            "sweep synthetic.write_prob = 0, 0.6\n"
+            "sweep system.kind = segm, for\n"
+            "sweep hdc.budget_bytes_per_disk = 0, 2097152\n",
+            8);
+        ASSERT_EQ(driver.size(), 8u);
+
+        // The hand-wired equivalent, as the synthetic figure benches
+        // ran it: makeSynthetic per row, then one run per cell.
+        const SystemConfig base;
+        std::size_t i = 0;
+        for (double write_prob : {0.0, 0.6}) {
+            SyntheticParams sp;
+            sp.numRequests = 1000;
+            sp.writeProb = write_prob;
+            SyntheticWorkload w = makeSynthetic(
+                sp, base.disks * base.disk.totalBlocks());
+            for (SystemKind kind :
+                 {SystemKind::Segm, SystemKind::FOR}) {
+                for (std::uint64_t hdc : {0ull, 2097152ull}) {
+                    SystemConfig cfg = base;
+                    cfg.kind = kind;
+                    cfg.hdc.budgetBytesPerDisk = hdc;
+                    expectSameRun(
+                        driver[i],
+                        handWiredRun(cfg, w.trace, *w.image), i);
+                    ++i;
+                }
+            }
+        }
+        EXPECT_EQ(i, 8u);
+    }
 }
 
 TEST(Fig07Equivalence, CacheSharingDoesNotChangeResults)

@@ -95,7 +95,7 @@ def check_file(path, root, errors):
         if not (token.startswith(PATH_PREFIXES) or token in ROOT_FILES):
             continue
         full = os.path.join(root, token)
-        # `bench/fig07_web_striping` and friends name build targets;
+        # `bench/table2_summary` and friends name build targets;
         # they count as resolved when the matching source file exists.
         if not (os.path.exists(full) or
                 any(os.path.exists(full + ext)

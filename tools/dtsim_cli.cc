@@ -237,7 +237,8 @@ paramDocsMarkdown(const config::ParamRegistry& reg)
         "Points that fail cross-parameter validation (for example an\n"
         "HDC budget that leaves no read-ahead cache memory) are\n"
         "reported and skipped rather than aborting the sweep. The\n"
-        "shipped figure sweeps live in `examples/sweeps/`.\n"
+        "paper's figure and ablation grids ship as sweep files in\n"
+        "`examples/sweeps/`.\n"
         "\n"
         "## Validation\n"
         "\n"
@@ -394,9 +395,9 @@ runSweepMode(const SweepSpec& spec, unsigned jobs)
     const std::vector<RunResult> results =
         runSweepPoints(points, jobs);
 
-    std::printf("\n%-*s %-10s %-10s %-8s %-10s %-10s\n",
+    std::printf("\n%-*s %-10s %-10s %-8s %-10s %-10s %-10s\n",
                 static_cast<int>(label_w), "point", "io(s)", "MB/s",
-                "util", "cache-hit", "lat(ms)");
+                "util", "cache-hit", "hdc-hit", "lat(ms)");
     for (std::size_t i = 0; i < points.size(); ++i) {
         const std::string label = coordLabel(points[i]);
         if (!points[i].feasible) {
@@ -406,10 +407,11 @@ runSweepMode(const SweepSpec& spec, unsigned jobs)
             continue;
         }
         const RunResult& r = results[i];
-        std::printf("%-*s %-10.3f %-10.2f %-8.3f %-10.3f %-10.3f\n",
+        std::printf("%-*s %-10.3f %-10.2f %-8.3f %-10.3f %-10.3f "
+                    "%-10.3f\n",
                     static_cast<int>(label_w), label.c_str(),
                     toSeconds(r.ioTime), r.throughputMBps,
-                    r.diskUtilization, r.cacheHitRate,
+                    r.diskUtilization, r.cacheHitRate, r.hdcHitRate,
                     r.meanLatencyMs);
     }
     return 0;
