@@ -106,9 +106,8 @@ class DiskArray
      *  - Mid-run the command reaches the owning controller after its
      *    commandLatency(), like any other host->controller command.
      *    The caller models HDC capacity host-side (see
-     *    VictimHdcManager / OnlineHdcPolicy), so a failure at the
-     *    controller is a model bug and fatal()s; the call returns
-     *    true.
+     *    OnlineHdcPolicy), so a failure at the controller is a model
+     *    bug and fatal()s; the call returns true.
      */
     bool pinLogicalBlock(ArrayBlock lb);
 

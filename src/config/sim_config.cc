@@ -56,7 +56,6 @@ hdcPolicyTokens()
         {"pinned", HdcPolicy::Oracle},
         {"oracle", HdcPolicy::Oracle},
         {"online", HdcPolicy::Online},
-        {"victim", HdcPolicy::Victim},
         {"off", HdcPolicy::Off},
     }};
     return t;
@@ -71,7 +70,6 @@ hdcPolicyCanonicalTokens()
         {"off", HdcPolicy::Off},
         {"oracle", HdcPolicy::Oracle},
         {"online", HdcPolicy::Online},
-        {"victim", HdcPolicy::Victim},
         {"pinned", HdcPolicy::Oracle},
     }};
     return t;
@@ -137,9 +135,6 @@ bindParams(ParamRegistry& reg, SimulationConfig& sim)
                 hdcPolicyTokens(),
                 "host policy driving the HDC region; deprecated alias "
                 "of hdc.policy (pinned = oracle)");
-    reg.add("system.victim_ghost_blocks", sys.hdc.victimGhostBlocks,
-            "mirrored host-cache size for the victim HDC policy; "
-            "deprecated alias of hdc.ghost_blocks");
     reg.add("system.disks", sys.disks, "disks in the array");
     reg.add("system.stripe_unit_bytes", sys.stripeUnitBytes,
             "striping unit in bytes (must be a multiple of "
@@ -163,8 +158,6 @@ bindParams(ParamRegistry& reg, SimulationConfig& sim)
     reg.addEnum("system.block_policy", sys.blockPolicy,
                 blockPolicyTokens(),
                 "block-cache replacement policy (MRU per the paper)");
-    reg.add("system.flush_hdc_at_end", sys.flushHdcAtEnd,
-            "issue flush_hdc() after the trace drains");
     reg.add("system.seed", sys.seed,
             "RNG seed of randomized cache policies");
 
@@ -285,7 +278,7 @@ bindParams(ParamRegistry& reg, SimulationConfig& sim)
             "blocks per rebuild media job");
 
     // hdc.* -- the typed host HDC policy (docs/DESIGN.md "Online
-    // HDC"). policy/budget/ghost share storage with the deprecated
+    // HDC"). policy/budget share storage with the deprecated
     // system.hdc_* keys; both spellings read and write the same
     // fields. The group is elided from effective-config headers
     // whenever the legacy keys can express the state, so
@@ -294,14 +287,11 @@ bindParams(ParamRegistry& reg, SimulationConfig& sim)
     reg.addEnum("hdc.policy", h.policy, hdcPolicyCanonicalTokens(),
                 "host policy driving the HDC region: off, oracle "
                 "(top-k pin set from perfect trace knowledge, pinned "
-                "at t=0), online (miss-sketch-driven incremental "
-                "re-planning during the run), or victim (array-wide "
-                "victim cache)");
+                "at t=0), or online (miss-sketch-driven incremental "
+                "re-planning during the run)");
     reg.add("hdc.budget_bytes_per_disk", h.budgetBytesPerDisk,
             "HDC pinned-region budget per controller in bytes "
             "(0 = HDC off; else a multiple of disk.block_bytes)");
-    reg.add("hdc.ghost_blocks", h.victimGhostBlocks,
-            "mirrored host-cache size for the victim policy");
     reg.add("hdc.replan_interval_ticks", h.replanIntervalTicks,
             "online policy: base re-plan period in simulated ticks");
     reg.add("hdc.sketch_rows", h.sketchRows,
@@ -402,7 +392,7 @@ validateConfig(const SimulationConfig& sim)
               u64s(d.blockSize) + ")");
     std::uint64_t carved = hdc_bytes;
     std::string carve_what =
-        "system.hdc_bytes_per_disk (" + u64s(hdc_bytes) + ")";
+        "hdc.budget_bytes_per_disk (" + u64s(hdc_bytes) + ")";
     // The bitmap's size divides by disk.block_bytes; a zero block size
     // is reported above.
     if (sys.kind == SystemKind::FOR && d.blockSize > 0) {
@@ -413,13 +403,6 @@ validateConfig(const SimulationConfig& sim)
     check(errs, carved < d.usableCacheBytes(),
           carve_what + " must leave read-ahead cache memory out of "
           "the usable " + u64s(d.usableCacheBytes()) + " bytes");
-
-    check(errs,
-          sys.hdc.budgetBytesPerDisk == 0 ||
-              sys.hdc.policy != HdcPolicy::Victim ||
-              sys.hdc.victimGhostBlocks >= 1,
-          "system.victim_ghost_blocks must be at least 1 under the "
-          "victim HDC policy");
 
     if (sys.hdc.online()) {
         check(errs, sys.hdc.replanIntervalTicks >= 1,

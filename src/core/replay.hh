@@ -63,8 +63,7 @@ class ReplayEngine
 
     /**
      * Install a host-side observer invoked after each record
-     * completes (e.g. the victim-cache HDC manager issuing pin/unpin
-     * commands).
+     * completes (the online HDC policy counting its miss stream).
      */
     using Observer = std::function<void(const TraceRecord&, Tick)>;
     void setObserver(Observer obs) { observer_ = std::move(obs); }

@@ -103,8 +103,6 @@ fillRunGroup(stats::StatGroup& root, const RunResult& r)
     addScalarU(cache, "hdc_hit_blocks",
                "blocks served from the HDC store",
                r.agg.hdcHitBlocks);
-    addScalarU(cache, "victim_pins",
-               "victim-policy pin commands issued", r.victimPins);
 
     stats::StatGroup& ra = root.makeGroup("read_ahead");
     addScalarU(ra, "spec_inserted",

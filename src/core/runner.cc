@@ -10,7 +10,6 @@
 #include "config/sim_config.hh"
 #include "core/report.hh"
 #include "hdc/online_policy.hh"
-#include "hdc/victim_cache.hh"
 #include "sim/logging.hh"
 #include "stats/service_stats.hh"
 #include "stats/trace.hh"
@@ -113,16 +112,6 @@ runTrace(const SystemConfig& cfg, const Trace& trace,
 
     ReplayEngine engine(eq, array, trace, cfg.streams, cfg.workers);
 
-    std::unique_ptr<VictimHdcManager> victim;
-    if (cfg.hdc.enabled() && cfg.hdc.policy == HdcPolicy::Victim) {
-        victim = std::make_unique<VictimHdcManager>(
-            array, cfg.hdc.victimGhostBlocks);
-        engine.setObserver(
-            [&victim](const TraceRecord& rec, Tick) {
-                victim->onAccess(rec.start, rec.count);
-            });
-    }
-
     // The online HDC policy observes the replayed miss stream (each
     // trace record is a host buffer-cache miss by construction) and
     // re-plans pin sets from the front-event chain armed below.
@@ -198,7 +187,7 @@ runTrace(const SystemConfig& cfg, const Trace& trace,
     const Tick post_drain = eq.now();
 
     Tick flush_time = 0;
-    if (cfg.hdc.enabled() && cfg.flushHdcAtEnd) {
+    if (cfg.hdc.enabled()) {
         array.flushAllHdc();
         eq.run();
         const Tick end = eq.now();
@@ -268,10 +257,6 @@ runTrace(const SystemConfig& cfg, const Trace& trace,
     rusage ru{};
     if (getrusage(RUSAGE_SELF, &ru) == 0)
         res.processPeakRssMb = static_cast<double>(ru.ru_maxrss) / 1024.0;
-    if (victim) {
-        res.victimPins = victim->pins();
-        res.victimUnpins = victim->unpins();
-    }
     if (online) {
         const OnlineHdcCounters& oc = online->counters();
         res.onlineMisses = oc.misses;

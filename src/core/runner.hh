@@ -60,9 +60,8 @@ struct RunOptions
     std::string tracePath;
 
     /**
-     * Sampling probability, RNG seed, on-disk format, and ring
-     * capacity of the trace (stats/trace.hh). The defaults record
-     * every request in the binary format.
+     * Sampling probability and RNG seed of the trace
+     * (stats/trace.hh). The defaults record every request.
      */
     TraceConfig trace;
 
@@ -152,10 +151,6 @@ struct RunResult
     double throughputElapsedMBps = 0.0;
 
     double meanLatencyMs = 0.0;
-
-    /** Victim-cache policy activity (zero under other policies). */
-    std::uint64_t victimPins = 0;
-    std::uint64_t victimUnpins = 0;
 
     /** Online-policy activity (all zero under other policies). */
     std::uint64_t onlineMisses = 0;       ///< Miss observations.

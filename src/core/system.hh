@@ -35,7 +35,7 @@ struct SystemConfig
 {
     SystemKind kind = SystemKind::Segm;
 
-    /** HDC host policy: off | oracle | online | victim + knobs. */
+    /** HDC host policy: off | oracle | online + knobs. */
     HdcSpec hdc;
 
     unsigned disks = 8;
@@ -58,9 +58,6 @@ struct SystemConfig
     SchedulerKind scheduler = SchedulerKind::LOOK;
     SegmentPolicy segmentPolicy = SegmentPolicy::LRU;
     BlockPolicy blockPolicy = BlockPolicy::MRU;
-
-    /** Issue flush_hdc() after the trace drains. */
-    bool flushHdcAtEnd = true;
 
     std::uint64_t seed = 1;
 

@@ -2,15 +2,13 @@
  * @file
  * The typed host-policy specification of the HDC pinned region.
  *
- * HdcSpec replaces the ad-hoc budget/policy/ghost-size field trio
- * that used to live loose on SystemConfig: one struct carries the
- * policy choice (off | oracle | online | victim), the per-disk byte
- * budget, and the knobs of the online planner (re-plan cadence,
- * count-min sketch shape, candidate-pool size, phase-change
+ * One struct carries the policy choice (off | oracle | online), the
+ * per-disk byte budget, and the knobs of the online planner (re-plan
+ * cadence, count-min sketch shape, candidate-pool size, phase-change
  * threshold). It is registered as the `hdc.*` parameter group; the
- * legacy `system.hdc_bytes_per_disk` / `system.hdc_policy` /
- * `system.victim_ghost_blocks` keys stay bound to the same fields so
- * existing configs and result headers keep loading unchanged.
+ * legacy `system.hdc_bytes_per_disk` / `system.hdc_policy` keys stay
+ * bound to the same fields so existing configs and result headers
+ * keep loading unchanged.
  */
 
 #ifndef DTSIM_HDC_HDC_SPEC_HH
@@ -50,10 +48,6 @@ enum class HdcPolicy
      * pin/unpin deltas to the controllers mid-run.
      */
     Online,
-
-    /** Array-wide victim cache for the host buffer cache (the other
-     *  use Section 5 proposes). */
-    Victim,
 };
 
 /** Typed configuration of the HDC host policy (the hdc.* group). */
@@ -64,9 +58,6 @@ struct HdcSpec
 
     /** HDC pinned-region budget per controller (0 = HDC off). */
     std::uint64_t budgetBytesPerDisk = 0;
-
-    /** Mirrored host-cache size for the Victim policy. */
-    std::uint64_t victimGhostBlocks = 100000;
 
     /** Online: base re-plan period in simulated ticks. */
     Tick replanIntervalTicks = 100 * kMsec;

@@ -117,19 +117,6 @@ computeStats(const Trace& trace)
     return s;
 }
 
-BlockAccessStats
-blockAccessStats(const Trace& trace)
-{
-    MissCounter counts;
-    counts.addTrace(trace);
-    BlockAccessStats s;
-    s.distinctBlocks = counts.distinctBlocks();
-    counts.forEachCount([&](ArrayBlock, std::uint64_t n) {
-        s.maxBlockAccesses = std::max(s.maxBlockAccesses, n);
-    });
-    return s;
-}
-
 std::vector<std::uint64_t>
 accessCountsSorted(const Trace& trace, std::size_t top)
 {

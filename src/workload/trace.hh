@@ -123,20 +123,6 @@ class MissCounter
     std::size_t distinct_ = 0;
 };
 
-/** Per-block access statistics of a trace. */
-struct BlockAccessStats
-{
-    std::uint64_t distinctBlocks = 0;
-    std::uint64_t maxBlockAccesses = 0;
-};
-
-/**
- * Count the distinct blocks a trace touches and the largest access
- * count of any block. Counts every block with a MissCounter, so call
- * it only where these values are printed.
- */
-BlockAccessStats blockAccessStats(const Trace& trace);
-
 /**
  * Per-block access counts, sorted descending: the series plotted in
  * Figure 2. Only the `top` most-accessed blocks are returned (0 = all).

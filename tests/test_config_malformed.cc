@@ -23,6 +23,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "config/config_file.hh"
@@ -356,27 +357,84 @@ TEST(ConfigMalformed, RemovedFaultKeysNameTheirLine)
     }
 
     // A dump header written while those keys existed: every one is
-    // printed, so loading it stops at the first.
+    // printed, so loading it stops at the first #conf key the registry
+    // no longer knows. The removed HDC keys come before the fault
+    // group; with their lines dropped the load stops at the first
+    // removed fault key.
     const fs::path old_header = fs::path(DTSIM_SOURCE_DIR) / "tests" /
                                 "data" /
                                 "degraded_header_with_fault_keys.conf";
-    const std::vector<std::string> lines = splitLines(slurp(old_header));
-    std::size_t first = 0;
-    while (first < lines.size() &&
-           lines[first].rfind("#conf fault.media_error_rate", 0) != 0)
-        ++first;
-    ASSERT_LT(first, lines.size());
-    SimulationConfig sim;
-    config::ParamRegistry reg;
-    bindParams(reg, sim);
-    std::string err;
-    EXPECT_FALSE(config::loadConfigText(joinLines(lines), "old.txt",
-                                        reg, err));
-    EXPECT_EQ(err.rfind("old.txt:" + std::to_string(first + 1) + ": ", 0),
-              0u)
-        << err;
-    EXPECT_NE(err.find("fault.media_error_rate"), std::string::npos)
-        << err;
+    std::vector<std::string> lines = splitLines(slurp(old_header));
+    const auto expectStopsAtFirstUnknown =
+        [](const std::vector<std::string>& header,
+           const std::string& want_key) {
+            SimulationConfig sim;
+            config::ParamRegistry reg;
+            bindParams(reg, sim);
+            std::size_t first = 0;
+            std::string key;
+            for (; first < header.size(); ++first) {
+                if (header[first].rfind("#conf ", 0) != 0)
+                    continue;
+                key = header[first].substr(
+                    6, header[first].find(' ', 6) - 6);
+                if (!reg.has(key))
+                    break;
+            }
+            ASSERT_LT(first, header.size());
+            EXPECT_EQ(key, want_key);
+            std::string err;
+            EXPECT_FALSE(config::loadConfigText(joinLines(header),
+                                                "old.txt", reg, err));
+            EXPECT_EQ(err.rfind("old.txt:" + std::to_string(first + 1) +
+                                    ": unknown parameter '" + key + "'",
+                                0),
+                      0u)
+                << err;
+        };
+    expectStopsAtFirstUnknown(lines, "system.victim_ghost_blocks");
+    const auto removedHdcKey = [](const std::string& l) {
+        for (const char* key :
+             {"#conf system.victim_ghost_blocks ", "#conf hdc.ghost_blocks ",
+              "#conf system.flush_hdc_at_end "})
+            if (l.rfind(key, 0) == 0)
+                return true;
+        return false;
+    };
+    lines.erase(std::remove_if(lines.begin(), lines.end(), removedHdcKey),
+                lines.end());
+    expectStopsAtFirstUnknown(lines, "fault.media_error_rate");
+}
+
+TEST(ConfigMalformed, RemovedHdcKeysNameTheirLine)
+{
+    // The victim-cache HDC policy and the flush_hdc_at_end switch were
+    // removed; a config file or a dump header still setting one of
+    // their keys, or asking for the victim policy, fails at its line
+    // instead of running some other policy.
+    const std::pair<const char*, const char*> cases[] = {
+        {"hdc.ghost_blocks = 256", "unknown parameter"},
+        {"system.victim_ghost_blocks = 256", "unknown parameter"},
+        {"system.flush_hdc_at_end = false", "unknown parameter"},
+        {"hdc.policy = victim", "unknown value 'victim'"},
+        {"system.hdc_policy = victim", "unknown value 'victim'"},
+    };
+    for (const auto& [line, why] : cases) {
+        for (const char* prefix : {"", "#conf "}) {
+            SimulationConfig sim;
+            config::ParamRegistry reg;
+            bindParams(reg, sim);
+            std::string err;
+            EXPECT_FALSE(config::loadConfigText(
+                std::string(prefix) +
+                    "hdc.budget_bytes_per_disk = 1048576\n" + prefix +
+                    line + "\n",
+                "old.conf", reg, err))
+                << prefix << line;
+            EXPECT_EQ(err.rfind("old.conf:2: ", 0), 0u) << err;
+            EXPECT_NE(err.find(why), std::string::npos) << err;
+        }
+    }
 }
 
 TEST(ConfigMalformed, SweepSpecMutants)

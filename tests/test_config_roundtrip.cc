@@ -94,8 +94,7 @@ TEST(ConfigRoundTrip, NonDefaultEverything)
     sim.system.scheduler = SchedulerKind::SSTF;
     sim.system.streams = 16;
     sim.system.hdc.budgetBytesPerDisk = 256 * kKiB;
-    sim.system.hdc.policy = HdcPolicy::Victim;
-    sim.system.hdc.victimGhostBlocks = 5000;
+    sim.system.hdc.policy = HdcPolicy::Off;
     sim.synthetic.zipfAlpha = 0.7;
     sim.synthetic.writeProb = 0.25;
     sim.synthetic.fragmentation = 0.3;
@@ -127,12 +126,11 @@ TEST(ConfigRoundTrip, LegacyHdcAliasesTrackSpec)
     std::string err;
     ASSERT_TRUE(reg.set("system.hdc_bytes_per_disk", "1048576", err))
         << err;
-    ASSERT_TRUE(reg.set("system.hdc_policy", "victim", err)) << err;
-    ASSERT_TRUE(reg.set("system.victim_ghost_blocks", "777", err))
-        << err;
+    ASSERT_TRUE(reg.set("system.hdc_policy", "off", err)) << err;
     EXPECT_EQ(sim.system.hdc.budgetBytesPerDisk, kMiB);
-    EXPECT_EQ(sim.system.hdc.policy, HdcPolicy::Victim);
-    EXPECT_EQ(sim.system.hdc.victimGhostBlocks, 777u);
+    EXPECT_EQ(sim.system.hdc.policy, HdcPolicy::Off);
+    ASSERT_TRUE(reg.set("system.hdc_policy", "online", err)) << err;
+    EXPECT_EQ(sim.system.hdc.policy, HdcPolicy::Online);
 
     ASSERT_TRUE(reg.set("hdc.policy", "online", err)) << err;
     EXPECT_EQ(sim.system.hdc.policy, HdcPolicy::Online);

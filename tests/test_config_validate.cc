@@ -169,7 +169,7 @@ TEST(ConfigValidate, HdcMustLeaveCacheMemory)
 
     // Segm: the HDC region alone must stay under the usable cache.
     sim.system.hdc.budgetBytesPerDisk = sim.system.disk.usableCacheBytes();
-    EXPECT_NE(firstError(sim).find("system.hdc_bytes_per_disk"),
+    EXPECT_NE(firstError(sim).find("hdc.budget_bytes_per_disk"),
               std::string::npos);
 
     // FOR additionally charges the layout bitmap, so a budget that

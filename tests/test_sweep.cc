@@ -35,8 +35,6 @@ expectIdentical(const RunResult& a, const RunResult& b)
     EXPECT_EQ(a.throughputMBps, b.throughputMBps);
     EXPECT_EQ(a.throughputElapsedMBps, b.throughputElapsedMBps);
     EXPECT_EQ(a.meanLatencyMs, b.meanLatencyMs);
-    EXPECT_EQ(a.victimPins, b.victimPins);
-    EXPECT_EQ(a.victimUnpins, b.victimUnpins);
 
     EXPECT_EQ(a.agg.reads, b.agg.reads);
     EXPECT_EQ(a.agg.writes, b.agg.writes);

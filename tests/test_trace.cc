@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdio>
+#include <functional>
 #include <map>
 #include <set>
 #include <stdexcept>
@@ -44,10 +46,11 @@ TEST(TraceStats, CountsRecordsAndBlocks)
 
 TEST(TraceStats, DistinctAndMax)
 {
-    const BlockAccessStats s = blockAccessStats(sampleTrace());
+    const std::vector<std::uint64_t> counts =
+        accessCountsSorted(sampleTrace());
     // Blocks 100..105 and 500: 7 distinct; 100..103 accessed twice.
-    EXPECT_EQ(s.distinctBlocks, 7u);
-    EXPECT_EQ(s.maxBlockAccesses, 2u);
+    ASSERT_EQ(counts.size(), 7u);
+    EXPECT_EQ(counts.front(), 2u);
 }
 
 TEST(TraceStats, EmptyTrace)
@@ -87,22 +90,22 @@ TEST(TraceStats, AscendingJobIdsCountedInOnePass)
     EXPECT_EQ(computeStats(t).jobs, 4u);
 }
 
-/** Distinct blocks and largest per-block count by std::map. */
-BlockAccessStats
-mapBlockAccessStats(const Trace& trace)
+/** Per-block access counts by std::map, sorted descending. */
+std::vector<std::uint64_t>
+mapAccessCountsSorted(const Trace& trace)
 {
     std::map<ArrayBlock, std::uint64_t> counts;
     for (const TraceRecord& r : trace)
         for (std::uint32_t i = 0; i < r.count; ++i)
             ++counts[r.start + i];
-    BlockAccessStats s;
-    s.distinctBlocks = counts.size();
+    std::vector<std::uint64_t> out;
     for (const auto& [block, n] : counts)
-        s.maxBlockAccesses = std::max(s.maxBlockAccesses, n);
-    return s;
+        out.push_back(n);
+    std::sort(out.begin(), out.end(), std::greater<>());
+    return out;
 }
 
-TEST(BlockAccessStats, MatchesMapCountOnRandomTraces)
+TEST(AccessCounts, MatchesMapCountOnRandomTraces)
 {
     Rng rng(0xb10c);
     for (int round = 0; round < 40; ++round) {
@@ -111,10 +114,16 @@ TEST(BlockAccessStats, MatchesMapCountOnRandomTraces)
             rec.start = rng.below(2000);
             rec.count = static_cast<std::uint32_t>(1 + rng.below(16));
         }
-        const BlockAccessStats want = mapBlockAccessStats(t);
-        const BlockAccessStats got = blockAccessStats(t);
-        EXPECT_EQ(got.distinctBlocks, want.distinctBlocks);
-        EXPECT_EQ(got.maxBlockAccesses, want.maxBlockAccesses);
+        const std::vector<std::uint64_t> want = mapAccessCountsSorted(t);
+        EXPECT_EQ(accessCountsSorted(t), want) << "round " << round;
+        // top keeps the largest counts; a top past the end keeps all.
+        const std::size_t top = 1 + rng.below(want.size() + 8);
+        const std::vector<std::uint64_t> prefix(
+            want.begin(),
+            want.begin() + static_cast<std::ptrdiff_t>(
+                               std::min(top, want.size())));
+        EXPECT_EQ(accessCountsSorted(t, top), prefix)
+            << "round " << round << " top " << top;
     }
 }
 

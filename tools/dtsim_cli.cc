@@ -82,7 +82,7 @@ usage()
         "                      parallel sweep\n"
         "  --hdc-kb N          per-disk HDC budget in KiB\n"
         "                      (hdc.budget_bytes_per_disk)\n"
-        "  --hdc-policy P      off|oracle|online|victim\n"
+        "  --hdc-policy P      off|oracle|online\n"
         "                      (hdc.policy; pinned = oracle)\n"
         "  --disks N           array size (system.disks)\n"
         "  --unit-kb N         striping unit in KiB\n"
@@ -336,8 +336,6 @@ coordSuffix(const SweepPoint& p)
                 alias = "system.hdc_policy";
             else if (e.name == "hdc.budget_bytes_per_disk")
                 alias = "system.hdc_bytes_per_disk";
-            else if (e.name == "hdc.ghost_blocks")
-                alias = "system.victim_ghost_blocks";
             bool is_axis = false;
             for (const auto& kv : p.coords)
                 is_axis = is_axis || kv.first == e.name ||

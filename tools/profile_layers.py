@@ -33,13 +33,13 @@ LAYERS = [
      r"jobIdOf|makeServerWorkload|"
      r"makeSynthetic|ServerModel|BufferCache|Prefetcher|coalesce|"
      r"ZipfSampler|FileSystemImage|FileLayout|Rng::|computeStats|"
-     r"blockAccessStats|accessCountsSorted|MissCounter|MissRanking|"
+     r"accessCountsSorted|MissCounter|MissRanking|"
      r"selectPinnedBlocks|SweepCache|"
      r"LayoutBitmap::(setRange|set|grow)\b|loadTrace|saveTrace"),
-    # Host side of the replay: the closed-loop engine, the online and
-    # victim HDC managers, tracing and statistics.
+    # Host side of the replay: the closed-loop engine, the online HDC
+    # policy, tracing and statistics.
     ("host",
-     r"ReplayEngine|OnlineHdcPolicy|VictimHdcManager|VictimCache|"
+     r"ReplayEngine|OnlineHdcPolicy|"
      r"RequestTracer|ServiceStats|stats::|runTrace|"
      r"Experiment|writeStats"),
     # Array and bus: striping, request splitting and mirroring, the
