@@ -282,6 +282,94 @@ TEST(PinRouter, ImmediateBeforeRunDeferredDuring)
     EXPECT_EQ(r.pinnedTotal(), 1u);
 }
 
+TEST(PinRouter, DeferredPinLandsAfterCommandLatency)
+{
+    Rig r;
+    const Tick lat = r.array->commandLatency();
+    ASSERT_GT(lat, 0);
+    const Tick call = 1 * kMsec;
+    std::uint64_t just_before = ~0ull;
+    r.eq.scheduleAt(call, [&] { r.array->pinLogicalBlock(3); });
+    r.eq.scheduleAt(call + lat - 1,
+                    [&] { just_before = r.pinnedTotal(); });
+    r.eq.run();
+    EXPECT_EQ(just_before, 0u);
+    EXPECT_EQ(r.pinnedTotal(), 1u);
+    // Logical block 3 lives on disk 1 under unit striping.
+    EXPECT_EQ(r.array->controller(0).hdcPinnedBlocks(), 0u);
+    EXPECT_EQ(r.array->controller(1).hdcPinnedBlocks(), 1u);
+}
+
+TEST(PinRouter, UnpinThenPinInIssueOrderNeverOverflows)
+{
+    Rig r;   // Capacity: 4 blocks per disk.
+    // Fill disk 0's region at warm start: logical 0,2,4,6 are its
+    // physical blocks 0..3. A fifth pin is refused.
+    for (ArrayBlock b = 0; b < 8; b += 2)
+        ASSERT_TRUE(r.array->pinLogicalBlock(b)) << "block " << b;
+    EXPECT_FALSE(r.array->pinLogicalBlock(8));
+
+    // Mid-run, retire the oldest pin and pin a new block in the same
+    // host step, eight times over. Both commands pay the same latency
+    // and land in issue order, so the full region never has to hold a
+    // fifth block (a deferred pin that fails is fatal).
+    for (ArrayBlock k = 0; k < 8; ++k)
+        r.eq.scheduleAt((1 + k) * kMsec, [&r, k] {
+            EXPECT_TRUE(r.array->unpinLogicalBlock(2 * k));
+            EXPECT_TRUE(r.array->pinLogicalBlock(2 * (k + 4)));
+        });
+    r.eq.run();
+
+    DiskController& d0 = r.array->controller(0);
+    EXPECT_EQ(d0.hdcPinnedBlocks(), 4u);
+    EXPECT_EQ(r.array->controller(1).hdcPinnedBlocks(), 0u);
+    // The region holds the last four pinned: physical blocks 8..11.
+    for (BlockNum b = 0; b < 8; ++b)
+        EXPECT_FALSE(d0.unpinBlock(b)) << "block " << b;
+    for (BlockNum b = 8; b < 12; ++b)
+        EXPECT_TRUE(d0.unpinBlock(b)) << "block " << b;
+}
+
+TEST(PinRouter, MirroredDeferredCommandsReachBothReplicas)
+{
+    EventQueue eq;
+    ArrayConfig cfg;
+    cfg.disks = 4;   // Two mirrored pairs: 0/2 and 1/3.
+    cfg.stripeUnitBytes = 4 * kKiB;
+    cfg.mirrored = true;
+    cfg.controller.hdcBytes = 4 * 4096;
+    DiskArray array(eq, cfg);
+
+    // Logical block 5 lives on disk 1; its replica is disk 3.
+    eq.scheduleAt(1 * kMsec, [&] { array.pinLogicalBlock(5); });
+    eq.run();
+    EXPECT_EQ(array.controller(0).hdcPinnedBlocks(), 0u);
+    EXPECT_EQ(array.controller(1).hdcPinnedBlocks(), 1u);
+    EXPECT_EQ(array.controller(2).hdcPinnedBlocks(), 0u);
+    EXPECT_EQ(array.controller(3).hdcPinnedBlocks(), 1u);
+
+    eq.scheduleAt(2 * kMsec, [&] { array.unpinLogicalBlock(5); });
+    eq.run();
+    EXPECT_EQ(array.controller(1).hdcPinnedBlocks(), 0u);
+    EXPECT_EQ(array.controller(3).hdcPinnedBlocks(), 0u);
+}
+
+TEST(OnlineHdc, ZeroBudgetNeverPins)
+{
+    Rig r(0);   // No HDC region on any controller.
+    OnlineHdcPolicy p(*r.array, onlineSpec());
+    for (int rep = 0; rep < 4; ++rep) {
+        for (ArrayBlock b = 0; b < 20; ++b)
+            p.observeMiss(b);
+        p.replan();
+    }
+    r.eq.run();
+    EXPECT_EQ(p.counters().misses, 80u);
+    EXPECT_EQ(p.counters().pins, 0u);
+    EXPECT_EQ(p.pinnedNow(), 0u);
+    EXPECT_EQ(r.pinnedTotal(), 0u);
+}
+
 // ---------------------------------------------------------------------
 // Production policy vs. the original node-based re-planner.
 // ---------------------------------------------------------------------
