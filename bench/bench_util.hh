@@ -1,10 +1,10 @@
 /**
  * @file
  * Shared helpers for the figure/table benches that are not replay
- * grids (Figures 1-2, Tables 1-2, the validation micro-benchmark):
- * the standard workload scale and aligned table printing. The paper's
- * replay grids (Figures 3-12 and the ablations) are sweep files under
- * examples/sweeps/, run with dtsim_cli --sweep.
+ * grids (Figures 1-2, Table 1, the validation micro-benchmark): the
+ * standard workload scale and aligned table printing. The paper's
+ * replay grids (Figures 3-12, Table 2 and the ablations) are sweep
+ * files under examples/sweeps/, run with dtsim_cli --sweep.
  */
 
 #ifndef DTSIM_BENCH_BENCH_UTIL_HH

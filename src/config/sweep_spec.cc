@@ -134,6 +134,16 @@ std::vector<SweepPoint>
 expandSweep(const SweepSpec& spec, std::string& err)
 {
     std::vector<SweepPoint> points;
+    // A repeated key would label each point with two values of it
+    // while only the later one runs.
+    for (std::size_t i = 0; i < spec.axes.size(); ++i) {
+        for (std::size_t j = 0; j < i; ++j) {
+            if (spec.axes[j].key == spec.axes[i].key) {
+                err = "duplicate sweep axis '" + spec.axes[i].key + "'";
+                return points;
+            }
+        }
+    }
     const std::size_t total = spec.points();
     if (total > kMaxPoints) {
         err = "sweep grid has " + std::to_string(total) +

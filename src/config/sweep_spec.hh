@@ -80,9 +80,10 @@ bool loadSweepText(const std::string& text,
 /**
  * Expand the grid: one SweepPoint per combination, first axis
  * slowest. Combinations failing cross-validation come back with
- * feasible = false. Returns an empty vector with `err` set when an
- * axis names an unknown key or a value fails to parse (only possible
- * for hand-built specs; loadSweepFile pre-checks).
+ * feasible = false. Returns an empty vector with `err` set when two
+ * axes share a key, an axis names an unknown key or a value fails to
+ * parse (only possible for hand-built specs; loadSweepFile
+ * pre-checks).
  */
 std::vector<SweepPoint> expandSweep(const SweepSpec& spec,
                                     std::string& err);

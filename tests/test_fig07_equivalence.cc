@@ -6,7 +6,9 @@
  * benches used -- same workload build, same bitmaps, same HDC pin
  * plan, same replay. Covered twice: a server workload shared by every
  * point (the Figure 7 striping grid) and a synthetic grid whose axis
- * changes the workload (the Figure 3-6 and ablation grids).
+ * changes the workload (the Figure 3-6 and ablation grids). The
+ * shipped Table 2 sweep files must reproduce the matching cells of the
+ * Figure 7/9/11 files.
  */
 
 #include <gtest/gtest.h>
@@ -70,12 +72,54 @@ void
 expectSameRun(const RunResult& got, const RunResult& ref,
               std::size_t cell)
 {
-    EXPECT_EQ(got.ioTime, ref.ioTime) << "cell " << cell;
-    EXPECT_EQ(got.flushTime, ref.flushTime) << "cell " << cell;
-    EXPECT_EQ(got.blocks, ref.blocks) << "cell " << cell;
-    EXPECT_EQ(got.agg.reads, ref.agg.reads) << "cell " << cell;
-    EXPECT_EQ(got.agg.hdcHitRequests, ref.agg.hdcHitRequests)
-        << "cell " << cell;
+    SCOPED_TRACE("cell " + std::to_string(cell));
+    EXPECT_EQ(got.ioTime, ref.ioTime);
+    EXPECT_EQ(got.flushTime, ref.flushTime);
+    EXPECT_EQ(got.requests, ref.requests);
+    EXPECT_EQ(got.blocks, ref.blocks);
+    EXPECT_EQ(got.cacheHitRate, ref.cacheHitRate);
+    EXPECT_EQ(got.hdcHitRate, ref.hdcHitRate);
+    const ControllerStats& a = got.agg;
+    const ControllerStats& b = ref.agg;
+    EXPECT_EQ(a.reads, b.reads);
+    EXPECT_EQ(a.writes, b.writes);
+    EXPECT_EQ(a.readBlocks, b.readBlocks);
+    EXPECT_EQ(a.writeBlocks, b.writeBlocks);
+    EXPECT_EQ(a.cacheHitRequests, b.cacheHitRequests);
+    EXPECT_EQ(a.hdcHitRequests, b.hdcHitRequests);
+    EXPECT_EQ(a.hdcHitBlocks, b.hdcHitBlocks);
+    EXPECT_EQ(a.raHitBlocks, b.raHitBlocks);
+    EXPECT_EQ(a.mediaAccesses, b.mediaAccesses);
+    EXPECT_EQ(a.mediaBlocks, b.mediaBlocks);
+    EXPECT_EQ(a.readAheadBlocks, b.readAheadBlocks);
+    EXPECT_EQ(a.flushWrites, b.flushWrites);
+    EXPECT_EQ(a.flushBlocks, b.flushBlocks);
+    EXPECT_EQ(a.rebuildJobs, b.rebuildJobs);
+    EXPECT_EQ(a.rebuildBlocks, b.rebuildBlocks);
+    EXPECT_EQ(a.seekTime, b.seekTime);
+    EXPECT_EQ(a.rotTime, b.rotTime);
+    EXPECT_EQ(a.xferTime, b.xferTime);
+    EXPECT_EQ(a.mediaBusy, b.mediaBusy);
+    EXPECT_EQ(a.queueTime, b.queueTime);
+    EXPECT_EQ(a.busTime, b.busTime);
+    EXPECT_EQ(a.latencySum, b.latencySum);
+    EXPECT_EQ(a.latencyMax, b.latencyMax);
+}
+
+/** Load a shipped sweep file at test scale and expand its grid. */
+std::vector<SweepPoint>
+shippedGrid(const std::string& name)
+{
+    SweepSpec spec;
+    std::string err;
+    EXPECT_TRUE(loadSweepFile(std::string(DTSIM_SOURCE_DIR) +
+                                  "/examples/sweeps/" + name,
+                              spec, err))
+        << err;
+    spec.base.scale = kScale;
+    std::vector<SweepPoint> points = expandSweep(spec, err);
+    EXPECT_EQ(points.size(), spec.points()) << name << ": " << err;
+    return points;
 }
 
 TEST(Fig07Equivalence, SweepFileMatchesHandWiredRuns)
@@ -157,6 +201,48 @@ TEST(Fig07Equivalence, SweepFileMatchesHandWiredRuns)
             }
         }
         EXPECT_EQ(i, 8u);
+    }
+}
+
+TEST(Fig07Equivalence, Table2CellsAreStripingFigureCells)
+{
+    // Each Table 2 file shares four points with its server's striping
+    // figure: Segm and FOR at HDC 0 and 2 MiB, at the table's unit. A
+    // base key that drifts between the two files changes those cells.
+    // Only the shared points run; the rest of either grid is dropped
+    // after expansion.
+    const struct
+    {
+        const char* table;
+        const char* figure;
+    } pairs[] = {
+        {"table2_web.conf", "fig07_web_striping.conf"},
+        {"table2_proxy.conf", "fig09_proxy_striping.conf"},
+        {"table2_file.conf", "fig11_file_striping.conf"},
+    };
+    for (const auto& pair : pairs) {
+        SCOPED_TRACE(pair.table);
+        std::vector<SweepPoint> table = shippedGrid(pair.table);
+        std::vector<SweepPoint> figure = shippedGrid(pair.figure);
+        ASSERT_EQ(table.size(), 6u);
+        const std::uint64_t unit = table.front().cfg.system.stripeUnitBytes;
+        std::erase_if(table, [](const SweepPoint& p) {
+            return p.cfg.system.kind == SystemKind::NoRA;
+        });
+        std::erase_if(figure, [unit](const SweepPoint& p) {
+            return p.cfg.system.stripeUnitBytes != unit;
+        });
+        ASSERT_EQ(table.size(), 4u);
+        ASSERT_EQ(figure.size(), 4u);
+        for (std::size_t i = 0; i < 4; ++i) {
+            EXPECT_EQ(table[i].cfg.system.kind, figure[i].cfg.system.kind);
+            EXPECT_EQ(table[i].cfg.system.hdc.budgetBytesPerDisk,
+                      figure[i].cfg.system.hdc.budgetBytesPerDisk);
+        }
+        const std::vector<RunResult> got = runSweepPoints(table);
+        const std::vector<RunResult> ref = runSweepPoints(figure);
+        for (std::size_t i = 0; i < 4; ++i)
+            expectSameRun(got[i], ref[i], i);
     }
 }
 

@@ -141,4 +141,20 @@ TEST(SweepSpec, ExpansionErrorsOnHandBuiltBadAxis)
     EXPECT_NE(err.find("unknown parameter"), std::string::npos);
 }
 
+TEST(SweepSpec, ExpansionRejectsARepeatedAxisKey)
+{
+    // A file's system.kind axis plus `dtsim_cli --system all`'s own:
+    // each point would carry two kind labels while only the later one
+    // runs.
+    SweepSpec spec;
+    spec.axes.push_back({"system.kind", {"segm", "for"}});
+    spec.axes.push_back({"hdc.budget_bytes_per_disk", {"0", "2097152"}});
+    spec.axes.push_back({"system.kind", {"segm", "block", "nora", "for"}});
+    std::string err;
+    EXPECT_TRUE(expandSweep(spec, err).empty());
+    EXPECT_NE(err.find("duplicate sweep axis 'system.kind'"),
+              std::string::npos)
+        << err;
+}
+
 } // namespace

@@ -53,6 +53,7 @@ usage()
         "                      KEY = v1, v2, ...' axis lines over a\n"
         "                      base config), run every feasible point\n"
         "                      in parallel, and print a result table\n"
+        "                      (one --sweep per run)\n"
         "  --list-params       list every parameter with its type,\n"
         "                      default, and description\n"
         "  --param-docs-md     print the Markdown configuration\n"
@@ -426,7 +427,7 @@ main(int argc, char** argv)
 
     std::string load_trace, save_trace;
     SweepSpec sweep;
-    bool have_sweep = false;
+    std::string sweep_path;
     bool all_systems = false;
     unsigned jobs = 0;
 
@@ -468,12 +469,16 @@ main(int argc, char** argv)
             // Applied at this position: the file's base assignments
             // land now, so later --set / sugar flags override them.
             const char* path = arg(argc, argv, i);
+            if (!sweep_path.empty())
+                fatal("--sweep %s: a run takes one sweep file, and %s "
+                      "was already given",
+                      path, sweep_path.c_str());
             sweep.base = sim;
             std::string err;
             if (!loadSweepFile(path, sweep, err))
                 fatal("%s", err.c_str());
             sim = sweep.base;
-            have_sweep = true;
+            sweep_path = path;
         } else if (a == "--workload") {
             setParam(reg, "workload.kind", arg(argc, argv, i));
         } else if (a == "--jobs") {
@@ -551,7 +556,7 @@ main(int argc, char** argv)
 
     // Sweep modes: an explicit sweep file, or --system all expanded
     // to a one-axis sweep over the system kind.
-    if (have_sweep || all_systems) {
+    if (!sweep_path.empty() || all_systems) {
         if (!load_trace.empty())
             fatal("sweeps generate their workloads; --load-trace "
                   "only applies to single runs");
