@@ -46,7 +46,9 @@ measuredMsPerAccess(bool writes, std::uint64_t blocks_per_access)
 
     std::vector<LayoutBitmap> bitmaps;
     bitmaps.emplace_back(cfg.disk.totalBlocks());
-    Experiment e(cfg);
+    SimulationConfig sim;
+    sim.system = cfg;
+    Experiment e(sim);
     e.replay(trace).bitmaps(bitmaps);
     const RunResult r = e.run();
     return toMillis(r.ioTime) / static_cast<double>(n);

@@ -39,6 +39,17 @@ ParamRegistry::set(const std::string& name, const std::string& text,
     return true;
 }
 
+bool
+ParamRegistry::sameField(const std::string& a, const std::string& b) const
+{
+    if (a == b)
+        return true;
+    const auto ia = index_.find(a);
+    const auto ib = index_.find(b);
+    return ia != index_.end() && ib != index_.end() &&
+           entries_[ia->second].field == entries_[ib->second].field;
+}
+
 std::string
 ParamRegistry::get(const std::string& name) const
 {

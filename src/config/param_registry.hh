@@ -40,6 +40,10 @@ struct ParamEntry
     /** The bound field's value at registration time, formatted. */
     std::string defaultValue;
 
+    /** Address of the bound field: keys that alias one field share
+     *  it. */
+    const void* field = nullptr;
+
     /** Read the bound field, canonically formatted. */
     std::function<std::string()> get;
 
@@ -65,6 +69,7 @@ class ParamRegistry
         e.type = typeName(field);
         e.doc = doc;
         e.defaultValue = formatValue(field);
+        e.field = &field;
         e.get = [&field]() { return formatValue(field); };
         e.set = [&field](const std::string& text, std::string& err) {
             return parseValue(text, field, err);
@@ -83,6 +88,7 @@ class ParamRegistry
         e.type = table.tokens();
         e.doc = doc;
         e.defaultValue = table.format(field);
+        e.field = &field;
         e.get = [&field, &table]() { return table.format(field); };
         e.set = [&field, &table](const std::string& text,
                                  std::string& err) {
@@ -101,6 +107,12 @@ class ParamRegistry
      */
     bool set(const std::string& name, const std::string& text,
              std::string& err);
+
+    /**
+     * Whether keys `a` and `b` set the same field: the same key, or
+     * a deprecated alias and the key it aliases.
+     */
+    bool sameField(const std::string& a, const std::string& b) const;
 
     /**
      * Current value of `name`, canonically formatted. panic() on an

@@ -53,7 +53,7 @@ struct SimulationConfig
 
     /**
      * system.streams starts at 0, the workload's own concurrency;
-     * resolveStreams() (core/sweep_driver.hh) fills it in before a
+     * Experiment::prepare() (core/experiment.hh) fills it in before a
      * run, so an explicit value always wins.
      */
     SystemConfig system = [] {

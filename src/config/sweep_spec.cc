@@ -40,6 +40,19 @@ splitList(const std::string& text)
     return out;
 }
 
+/**
+ * The error for axis `key` over the field an earlier axis `prev`
+ * already sweeps (under the same key or a deprecated alias).
+ */
+std::string
+duplicateAxis(const std::string& prev, const std::string& key)
+{
+    std::string why = "duplicate sweep axis '" + key + "'";
+    if (prev != key)
+        why += " (sets the same field as '" + prev + "')";
+    return why;
+}
+
 } // namespace
 
 std::size_t
@@ -85,9 +98,8 @@ loadSweepText(const std::string& text, const std::string& origin,
                                          values, why))
                 return fail(why);
             for (const SweepAxis& prev : spec.axes) {
-                if (prev.key == axis.key)
-                    return fail("duplicate sweep axis '" + axis.key +
-                                "'");
+                if (scratch_reg.sameField(prev.key, axis.key))
+                    return fail(duplicateAxis(prev.key, axis.key));
             }
             axis.values = splitList(values);
             if (axis.values.empty())
@@ -134,12 +146,16 @@ std::vector<SweepPoint>
 expandSweep(const SweepSpec& spec, std::string& err)
 {
     std::vector<SweepPoint> points;
-    // A repeated key would label each point with two values of it
+    // A repeated field would label each point with two values of it
     // while only the later one runs.
+    SimulationConfig scratch = spec.base;
+    config::ParamRegistry scratch_reg;
+    bindParams(scratch_reg, scratch);
     for (std::size_t i = 0; i < spec.axes.size(); ++i) {
         for (std::size_t j = 0; j < i; ++j) {
-            if (spec.axes[j].key == spec.axes[i].key) {
-                err = "duplicate sweep axis '" + spec.axes[i].key + "'";
+            if (scratch_reg.sameField(spec.axes[j].key,
+                                      spec.axes[i].key)) {
+                err = duplicateAxis(spec.axes[j].key, spec.axes[i].key);
                 return points;
             }
         }

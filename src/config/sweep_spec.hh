@@ -81,7 +81,8 @@ bool loadSweepText(const std::string& text,
  * Expand the grid: one SweepPoint per combination, first axis
  * slowest. Combinations failing cross-validation come back with
  * feasible = false. Returns an empty vector with `err` set when two
- * axes share a key, an axis names an unknown key or a value fails to
+ * axes set one field (the same key, or a deprecated alias and its
+ * key), an axis names an unknown key or a value fails to
  * parse (only possible for hand-built specs; loadSweepFile
  * pre-checks).
  */

@@ -7,9 +7,7 @@
 #include <thread>
 #include <utility>
 
-#include "array/striping.hh"
 #include "core/run_impl.hh"
-#include "hdc/hdc_planner.hh"
 #include "sim/host_threads.hh"
 #include "sim/logging.hh"
 #include "workload/trace.hh"
@@ -24,6 +22,23 @@ double
 secondsSince(Clock::time_point t0)
 {
     return std::chrono::duration<double>(Clock::now() - t0).count();
+}
+
+/**
+ * Resolve system.streams = 0 to the workload's own concurrency: the
+ * server model's stream count when `built` is a server workload,
+ * else SystemConfig's default (synthetic workloads, and replayed
+ * traces, which pass no `built`). An explicit count is left alone.
+ * Applied before running so the effective-config dump records the
+ * concurrency that actually ran.
+ */
+void
+resolveStreams(SimulationConfig& sim, const BuiltWorkload* built)
+{
+    if (sim.system.streams == 0)
+        sim.system.streams = built && built->modelStreams > 0
+                                 ? built->modelStreams
+                                 : SystemConfig{}.streams;
 }
 
 /**
@@ -79,38 +94,35 @@ runEach(std::size_t n, unsigned threads, const Fn& fn)
 
 } // namespace
 
-Experiment::Experiment(SimulationConfig sim) : cfg_(std::move(sim)) {}
-
-Experiment::Experiment(const SystemConfig& sys)
+Experiment::Experiment(SimulationConfig sim)
+    : cfg_(std::move(sim)), ownCache_(std::make_unique<SweepCache>())
 {
-    cfg_.system = sys;
+    cache_ = ownCache_.get();
 }
 
-Experiment&
-Experiment::kind(SystemKind k)
+Experiment::Experiment(SimulationConfig sim, SweepCache& cache)
+    : cfg_(std::move(sim)), cache_(&cache)
 {
-    cfg_.system.kind = k;
-    return *this;
 }
 
 Experiment&
 Experiment::replay(const Trace& t)
 {
-    extTrace_ = &t;
+    trace_ = &t;
     return *this;
 }
 
 Experiment&
 Experiment::bitmaps(const std::vector<LayoutBitmap>& bm)
 {
-    extBitmaps_ = &bm;
+    bitmaps_ = &bm;
     return *this;
 }
 
 Experiment&
 Experiment::pins(const std::vector<ArrayBlock>& p)
 {
-    extPins_ = &p;
+    pins_ = &p;
     return *this;
 }
 
@@ -156,21 +168,6 @@ Experiment::options(const RunOptions& opts)
     return *this;
 }
 
-const Trace&
-Experiment::theTrace() const
-{
-    return extTrace_ ? *extTrace_ : workload_.trace;
-}
-
-StripingMap
-Experiment::striping() const
-{
-    const SystemConfig& sys = cfg_.system;
-    return StripingMap(logicalDisks(sys),
-                       sys.stripeUnitBytes / sys.disk.blockSize,
-                       sys.disk.totalBlocks());
-}
-
 void
 Experiment::prepare()
 {
@@ -178,7 +175,9 @@ Experiment::prepare()
         return;
     prepared_ = true;
 
-    if (!extTrace_) {
+    SweepCache& cache = *cache_;
+    const bool replaying = trace_ != nullptr;
+    if (!replaying) {
         const std::vector<std::string> errs = validateConfig(cfg_);
         if (!errs.empty()) {
             std::ostringstream os;
@@ -187,16 +186,19 @@ Experiment::prepare()
             fatal("invalid configuration:%s", os.str().c_str());
         }
         const Clock::time_point t0 = Clock::now();
-        workload_ = buildWorkload(cfg_);
+        const BuiltWorkload& w = cache.workload(cfg_);
         opts_.prep.genSeconds = secondsSince(t0);
-        resolveStreams(cfg_, &workload_);
+        resolveStreams(cfg_, &w);
+        trace_ = &w.trace;
+        if (!opts_.fsStats && w.hasFsStats)
+            opts_.fsStats = &w.fsStats;
     } else {
         resolveStreams(cfg_, nullptr);
         // A caller's trace meets loadTrace()'s record checks here, not
         // mid-replay inside the array.
         const std::uint64_t capacity = arrayAddressableBlocks(cfg_.system);
-        for (std::size_t i = 0; i < extTrace_->size(); ++i) {
-            const TraceRecord& r = (*extTrace_)[i];
+        for (std::size_t i = 0; i < trace_->size(); ++i) {
+            const TraceRecord& r = (*trace_)[i];
             const std::string why =
                 traceRecordError(r.start, r.count, capacity);
             if (!why.empty())
@@ -206,19 +208,20 @@ Experiment::prepare()
     }
 
     const SystemConfig& sys = cfg_.system;
-    if (!extBitmaps_ && sys.kind == SystemKind::FOR &&
-        workload_.image) {
+    if (!bitmaps_ && !replaying && sys.kind == SystemKind::FOR) {
         const Clock::time_point t0 = Clock::now();
-        ownBitmaps_ = workload_.image->buildBitmaps(striping());
+        bitmaps_ = &cache.bitmaps(cfg_);
         opts_.prep.bitmapsSeconds = secondsSince(t0);
     }
-    if (!extPins_ && sys.hdc.enabled() &&
+    if (!pins_ && sys.hdc.enabled() &&
         sys.hdc.policy == HdcPolicy::Oracle) {
         const Clock::time_point t0 = Clock::now();
-        ownPins_ = selectPinnedBlocks(theTrace(), striping(),
-                                      hdcBlocksPerDisk(sys));
+        pins_ = replaying ? &cache.pins(sys, *trace_) : &cache.pins(cfg_);
         opts_.prep.planSeconds = secondsSince(t0);
     }
+    // A lone run's pins are planned: free its ranking before replay.
+    if (ownCache_)
+        ownCache_->dropRankings();
 
     // Output destinations the caller did not set fluently come from
     // the configuration's run.* group, like the CLI always honoured.
@@ -231,35 +234,37 @@ Experiment::prepare()
     if (opts_.statsIntervalTicks == 0)
         opts_.statsIntervalTicks = cfg_.output.statsIntervalTicks;
 
-    // Built mode knows the full configuration, so outputs get the
-    // complete self-describing header; replay mode leaves synthesis
-    // of a system/disk-level one to runTrace().
-    if (opts_.configHeader.empty() && !extTrace_ &&
-        (opts_.wantsStats() || !opts_.tracePath.empty()))
-        opts_.configHeader = renderConfigHeader(cfg_);
+    // Every output begins with the effective-config header. Built
+    // mode knows the full configuration; a replayed trace carries no
+    // workload, so its header covers the groups that shaped the run.
+    if (opts_.configHeader.empty() &&
+        (opts_.wantsStats() || !opts_.tracePath.empty())) {
+        if (!replaying) {
+            opts_.configHeader = renderConfigHeader(cfg_);
+        } else {
+            SimulationConfig shown = cfg_;
+            shown.output.traceCfg = opts_.trace;
+            opts_.configHeader = renderConfigHeader(
+                shown, {"system.", "disk.", "hdc.", "trace.", "fault."});
+        }
+    }
 }
 
 const Trace&
 Experiment::trace()
 {
     prepare();
-    return theTrace();
+    return *trace_;
 }
 
 RunResult
 Experiment::runPrepared() const
 {
-    const std::vector<LayoutBitmap>& bm =
-        extBitmaps_ ? *extBitmaps_ : ownBitmaps_;
-    const std::vector<ArrayBlock>& p = extPins_ ? *extPins_ : ownPins_;
-    // The fs-stats pointer is resolved here so opts_ never holds a
-    // pointer into this Experiment (which would dangle on move).
-    RunOptions opts = opts_;
-    if (!opts.fsStats && workload_.hasFsStats)
-        opts.fsStats = &workload_.fsStats;
-    return runTrace(cfg_.system, theTrace(), opts,
-                    bm.empty() ? nullptr : &bm,
-                    p.empty() ? nullptr : &p);
+    const bool has_bitmaps = bitmaps_ && !bitmaps_->empty();
+    const bool has_pins = pins_ && !pins_->empty();
+    return runTrace(cfg_.system, *trace_, opts_,
+                    has_bitmaps ? bitmaps_ : nullptr,
+                    has_pins ? pins_ : nullptr);
 }
 
 RunResult

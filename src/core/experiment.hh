@@ -2,34 +2,29 @@
  * @file
  * Experiment: the one front door for running a simulation.
  *
- * Every run used to be assembled by hand from the same parts --
- * resolveStreams(), validateConfig(), buildWorkload(), FOR layout
- * bitmaps, the HDC pin plan, RunOptions -- and the CLI, the sweep
- * driver, the benches, and the examples each repeated the ritual with
- * slight variations. An Experiment owns the whole setup behind a
- * fluent interface and a single run():
+ * An Experiment owns the whole setup of a run -- validation, stream
+ * resolution, the workload, FOR layout bitmaps, the HDC pin plan and
+ * output wiring -- behind a fluent interface and a single run():
  *
  *     RunResult r = Experiment(sim).run();
  *
- *     Experiment e(base);                    // bench-style replay
- *     e.kind(SystemKind::FOR)
- *      .replay(trace)
- *      .bitmaps(bitmaps);
- *     e.config().system.hdc.budgetBytesPerDisk = 2 * kMiB;
+ *     Experiment e(sim);                     // replay a saved trace
+ *     e.replay(trace).statsTo(StatsSink::file("out.txt"));
  *     RunResult r = e.run();
  *
  * Two input modes:
  *
  *  - **Built** (default): prepare() validates the full configuration
- *    (fatal on errors), builds the workload the config asks for, and
- *    resolves system.streams = 0 to its concurrency. FOR bitmaps and
- *    the oracle-policy HDC pin plan are derived automatically.
+ *    (fatal on errors) and takes the workload, the FOR bitmaps and
+ *    the oracle-policy HDC pin plan from a SweepCache -- its own, or
+ *    a sweep's shared one. system.streams = 0 resolves to the
+ *    workload's concurrency.
  *
  *  - **Replay** (replay() called): the caller supplies the trace, and
- *    usually the bitmaps, directly; no workload build and no full
- *    config validation, matching the direct runTrace() path the
- *    benches always used. system.streams = 0 resolves to
- *    SystemConfig's default, as the trace carries no concurrency.
+ *    the bitmaps for FOR; no workload build and no full config
+ *    validation. The oracle pin plan, unless supplied, is derived
+ *    from the trace. system.streams = 0 resolves to SystemConfig's
+ *    default, as the trace carries no concurrency.
  *
  * Output destinations default from config().output and can be
  * overridden fluently (statsTo / traceTo / statsEvery). Batches of
@@ -40,7 +35,7 @@
 #ifndef DTSIM_CORE_EXPERIMENT_HH
 #define DTSIM_CORE_EXPERIMENT_HH
 
-#include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -54,39 +49,35 @@ namespace dtsim {
 class Experiment
 {
   public:
-    /** An experiment over the workload and system `sim` describes. */
+    /**
+     * An experiment over the workload and system `sim` describes,
+     * with its own SweepCache.
+     */
     explicit Experiment(SimulationConfig sim = SimulationConfig{});
 
     /**
-     * A replay experiment over a bare SystemConfig (bench style):
-     * equivalent to wrapping `sys` in a default SimulationConfig; a
-     * trace must be supplied with replay() before running.
+     * The same, taking its inputs from `cache`, which other
+     * experiments (a sweep's points) may share; `cache` must outlive
+     * the Experiment.
      */
-    explicit Experiment(const SystemConfig& sys);
+    Experiment(SimulationConfig sim, SweepCache& cache);
 
-    /** Move-only: prepared state may be large (the built workload). */
+    /** Move-only: a lone run owns its cache, which may be large. */
     Experiment(Experiment&&) = default;
     Experiment& operator=(Experiment&&) = default;
     Experiment(const Experiment&) = delete;
     Experiment& operator=(const Experiment&) = delete;
 
-    /** @name Fluent system knobs (call before prepare()/run()). */
-    ///@{
-
-    /** Set the system kind under test. */
-    Experiment& kind(SystemKind k);
-
-    ///@}
     /** @name Inputs. */
     ///@{
 
     /**
      * Replay `t` instead of building a workload; `t` must outlive the
      * Experiment. Disables workload building and full-config
-     * validation (the caller vouches for the config, like direct
-     * runTrace() callers always did). The records are still checked
-     * at prepare(): a zero-length record, or one past the array's
-     * addressable blocks, is fatal and names the record's index.
+     * validation (the caller vouches for the config). The records
+     * are still checked at prepare(): a zero-length record, or one
+     * past the array's addressable blocks, is fatal and names the
+     * record's index.
      */
     Experiment& replay(const Trace& t);
 
@@ -100,8 +91,7 @@ class Experiment
     /**
      * Use this HDC warm-start pin plan instead of deriving one from
      * the trace; must outlive the Experiment. Only meaningful under
-     * the oracle policy; it is the way to share one oracle derivation
-     * across runs.
+     * the oracle policy.
      */
     Experiment& pins(const std::vector<ArrayBlock>& p);
 
@@ -127,7 +117,8 @@ class Experiment
     /**
      * Use this pre-rendered effective-config header; when unset,
      * prepare() renders one from the full configuration (built mode)
-     * or leaves synthesis to the runner (replay mode).
+     * or from its system./disk./hdc./trace./fault. groups (replay
+     * mode).
      */
     Experiment& header(std::string text);
 
@@ -144,9 +135,10 @@ class Experiment
     const RunOptions& runOptions() const { return opts_; }
 
     /**
-     * Resolve the experiment: validate and build the workload (built
-     * mode), derive bitmaps/pins, and fill output options from
-     * config().output. Idempotent; run() calls it automatically.
+     * Resolve the experiment: validate and take the workload from the
+     * cache (built mode), take bitmaps/pins from it, and fill output
+     * options from config().output. Each cache call is timed into
+     * runOptions().prep. Idempotent; run() calls it automatically.
      * fatal()s on an invalid configuration.
      */
     void prepare();
@@ -174,9 +166,6 @@ class Experiment
                                          unsigned threads = 0);
 
   private:
-    const Trace& theTrace() const;
-    StripingMap striping() const;
-
     /** runTrace() over the prepared inputs; safe to call from a
      *  worker thread while other experiments run. */
     RunResult runPrepared() const;
@@ -184,13 +173,15 @@ class Experiment
     SimulationConfig cfg_;
     RunOptions opts_;
 
-    const Trace* extTrace_ = nullptr;
-    const std::vector<LayoutBitmap>* extBitmaps_ = nullptr;
-    const std::vector<ArrayBlock>* extPins_ = nullptr;
+    /** Where the inputs come from: ownCache_, or a shared cache. */
+    SweepCache* cache_ = nullptr;
+    std::unique_ptr<SweepCache> ownCache_;
 
-    BuiltWorkload workload_;
-    std::vector<LayoutBitmap> ownBitmaps_;
-    std::vector<ArrayBlock> ownPins_;
+    /** Set fluently, or by prepare() from the cache; a trace set
+     *  before prepare() selects replay mode. */
+    const Trace* trace_ = nullptr;
+    const std::vector<LayoutBitmap>* bitmaps_ = nullptr;
+    const std::vector<ArrayBlock>* pins_ = nullptr;
     bool prepared_ = false;
 };
 

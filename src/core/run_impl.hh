@@ -4,9 +4,9 @@
  *
  * Not part of the public surface: only experiment.cc (run() and the
  * runAll() worker pool) may call runTrace() directly. Everything
- * else -- CLI, benches, tests, examples -- goes through Experiment
- * (core/experiment.hh), which owns the setup ritual and forwards
- * here.
+ * else -- CLI, sweeps, benches, perfbench, tests -- goes through
+ * Experiment (core/experiment.hh), which prepares the inputs and the
+ * config header and forwards here.
  */
 
 #ifndef DTSIM_CORE_RUN_IMPL_HH

@@ -7,7 +7,6 @@
 
 #include <sys/resource.h>
 
-#include "config/sim_config.hh"
 #include "core/report.hh"
 #include "hdc/online_policy.hh"
 #include "sim/logging.hh"
@@ -56,22 +55,11 @@ runTrace(const SystemConfig& cfg, const Trace& trace,
     // Observability wiring. The service histograms are only attached
     // when a stats destination is configured, so plain runs pay
     // nothing; the tracer's fast-path guard is an inline null check.
-    // Every output begins with the effective-config header; callers
-    // that built the run from a full SimulationConfig pass theirs,
-    // direct runTrace() calls get a system/disk-level one.
-    std::string config_header = opts.configHeader;
-    if (config_header.empty() &&
-        (opts.wantsStats() || !opts.tracePath.empty())) {
-        SimulationConfig sim;
-        sim.system = cfg;
-        sim.output.traceCfg = opts.trace;
-        config_header = renderConfigHeader(
-            sim, {"system.", "disk.", "trace.", "fault."});
-    }
-
+    // Every output begins with the effective-config header that
+    // Experiment::prepare() rendered.
     StatsSink::Writer stats_out = opts.stats.open("runTrace");
     if (stats_out)
-        stats_out.os() << config_header;
+        stats_out.os() << opts.configHeader;
 
     stats::StatGroup live_root("sim");
     std::unique_ptr<stats::ServiceStats> svc;
@@ -106,7 +94,7 @@ runTrace(const SystemConfig& cfg, const Trace& trace,
     RequestTracer tracer;
     if (!opts.tracePath.empty()) {
         tracer.open(opts.tracePath, opts.trace);
-        tracer.writePreamble(config_header);
+        tracer.writePreamble(opts.configHeader);
         array.setTracer(&tracer);
     }
 

@@ -1,12 +1,12 @@
 /**
  * @file
- * Run-level option and result types shared by every run path.
+ * Run-level option and result types.
  *
  * The run engine itself is internal (core/run_impl.hh); all user code
  * goes through the Experiment facade (core/experiment.hh), which owns
- * workload building, bitmap/pin attachment, and output wiring, and is
- * the only run path used by the CLI, the sweep driver, the benches,
- * and the examples.
+ * input derivation (through a SweepCache), bitmap/pin attachment, and
+ * output wiring, and is the only run path of the CLI, the sweep
+ * driver, the benches and perfbench.
  */
 
 #ifndef DTSIM_CORE_RUNNER_HH
@@ -69,9 +69,8 @@ struct RunOptions
      * Pre-rendered effective-config header (renderConfigHeader in
      * config/sim_config.hh) written at the top of every stats dump
      * and trace file so results are self-describing and reload via
-     * `--config`. When empty, runTrace() synthesizes one covering
-     * the system./disk. groups -- callers that know the full
-     * workload configuration (the CLI and the sweep driver) set it.
+     * `--config`. Experiment::prepare() renders it when the caller
+     * set none.
      */
     std::string configHeader;
 

@@ -10,6 +10,16 @@
 
 namespace dtsim {
 
+namespace {
+
+StripingMap
+stripingOf(const SystemConfig& sys)
+{
+    return StripingMap(logicalDisks(sys),
+                       sys.stripeUnitBytes / sys.disk.blockSize,
+                       sys.disk.totalBlocks());
+}
+
 BuiltWorkload
 buildWorkload(const SimulationConfig& sim)
 {
@@ -32,14 +42,7 @@ buildWorkload(const SimulationConfig& sim)
     return out;
 }
 
-void
-resolveStreams(SimulationConfig& sim, const BuiltWorkload* built)
-{
-    if (sim.system.streams == 0)
-        sim.system.streams = built && built->modelStreams > 0
-                                 ? built->modelStreams
-                                 : SystemConfig{}.streams;
-}
+} // namespace
 
 std::string
 SweepCache::workloadKey(const SimulationConfig& sim)
@@ -77,13 +80,8 @@ SweepCache::bitmaps(const SimulationConfig& sim)
     if (it == bitmaps_.end()) {
         BuiltWorkload& w = workload(sim);
         auto built = std::make_unique<std::vector<LayoutBitmap>>();
-        if (w.image) {
-            StripingMap striping(
-                logicalDisks(sys),
-                sys.stripeUnitBytes / sys.disk.blockSize,
-                sys.disk.totalBlocks());
-            *built = w.image->buildBitmaps(striping);
-        }
+        if (w.image)
+            *built = w.image->buildBitmaps(stripingOf(sys));
         it = bitmaps_.emplace(key, std::move(built)).first;
     }
     return *it->second;
@@ -103,15 +101,20 @@ SweepCache::pins(const SimulationConfig& sim)
         BuiltWorkload& w = workload(sim);
         if (!w.ranking)
             w.ranking = std::make_unique<MissRanking>(w.trace);
-        StripingMap striping(
-            logicalDisks(sys),
-            sys.stripeUnitBytes / sys.disk.blockSize,
-            sys.disk.totalBlocks());
         auto built = std::make_unique<std::vector<ArrayBlock>>(
-            w.ranking->select(striping, hdcBlocksPerDisk(sys)));
+            w.ranking->select(stripingOf(sys), hdcBlocksPerDisk(sys)));
         it = pins_.emplace(key, std::move(built)).first;
     }
     return *it->second;
+}
+
+const std::vector<ArrayBlock>&
+SweepCache::pins(const SystemConfig& sys, const Trace& trace)
+{
+    tracePins_.push_back(std::make_unique<std::vector<ArrayBlock>>(
+        MissRanking(trace).select(stripingOf(sys),
+                                  hdcBlocksPerDisk(sys))));
+    return *tracePins_.back();
 }
 
 void
@@ -136,31 +139,9 @@ runSweepPoints(std::vector<SweepPoint>& points, SweepCache& cache,
                  p.whyNot.c_str());
             continue;
         }
-        BuiltWorkload& w = cache.workload(p.cfg);
-        resolveStreams(p.cfg, &w);
-
-        Experiment e(p.cfg);
-        e.replay(w.trace);
-        if (p.cfg.system.kind == SystemKind::FOR) {
-            const std::vector<LayoutBitmap>& bm = cache.bitmaps(p.cfg);
-            if (bm.empty()) {
-                p.feasible = false;
-                p.whyNot = "FOR needs a file-system image for its "
-                           "layout bitmaps";
-                warn("sweep point %zu skipped: %s", i,
-                     p.whyNot.c_str());
-                continue;
-            }
-            e.bitmaps(bm);
-        }
-        if (p.cfg.system.hdc.enabled() &&
-            p.cfg.system.hdc.policy == HdcPolicy::Oracle) {
-            e.pins(cache.pins(p.cfg));
-        }
-        if (w.hasFsStats)
-            e.fsStats(w.fsStats);
-        e.header(renderConfigHeader(p.cfg));
-
+        Experiment e(p.cfg, cache);
+        e.prepare();
+        p.cfg = e.config();
         batch_point.push_back(i);
         batch.push_back(std::move(e));
     }

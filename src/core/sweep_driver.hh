@@ -1,8 +1,9 @@
 /**
  * @file
- * Configuration-driven experiment driver: turn SimulationConfigs /
- * expanded SweepSpec grids into built workloads, FOR bitmaps, HDC pin
- * plans, and parallel runs through Experiment::runAll().
+ * Configuration-driven experiment driver: SweepCache turns
+ * SimulationConfigs into built workloads, FOR bitmaps and HDC pin
+ * plans, and runSweepPoints() runs expanded SweepSpec grids in
+ * parallel through Experiment::runAll().
  *
  * This is the layer that makes sweeps data-driven: the CLI's --sweep
  * and --system all modes expand to SweepPoints and run through
@@ -46,39 +47,29 @@ struct BuiltWorkload
     /**
      * The trace's miss ranking, shared by the pin plans of every
      * striping. SweepCache::pins() builds it on first use;
-     * runSweepPoints() drops it before replay.
+     * SweepCache::dropRankings() frees it before replay.
      */
     std::unique_ptr<MissRanking> ranking;
 };
 
 /**
- * Build the workload `sim` asks for: the Section 6.2 synthetic
- * workload or one of the Section 6.3 server models at workload.scale,
- * sized to the configured array capacity.
- */
-BuiltWorkload buildWorkload(const SimulationConfig& sim);
-
-/**
- * Resolve system.streams = 0 to the workload's own concurrency: the
- * server model's stream count when `built` is a server workload,
- * else SystemConfig's default (synthetic workloads, and replayed
- * traces, which pass no `built`). An explicit count is left alone.
- * Applied before running so the effective-config dump records the
- * concurrency that actually ran.
- */
-void resolveStreams(SimulationConfig& sim, const BuiltWorkload* built);
-
-/**
- * Workload/bitmap/pin-plan cache shared across the runs of a sweep.
- * Keyed on the workload- and layout-relevant parameter groups, so
- * grid points differing only in controller policy share one build.
- * Not thread-safe; build happens on the calling thread (generation
- * is deterministic, so results never depend on sharing).
+ * The one place a SimulationConfig becomes a run's inputs: the
+ * workload, the FOR layout bitmaps and the oracle HDC pin plan. Every
+ * built Experiment takes them from a cache -- its own for a lone run,
+ * the sweep's shared one under runSweepPoints(). Keyed on the
+ * workload- and layout-relevant parameter groups, so grid points
+ * differing only in controller policy share one build. Not
+ * thread-safe; build happens on the calling thread (generation is
+ * deterministic, so results never depend on sharing).
  */
 class SweepCache
 {
   public:
-    /** The built workload for `sim` (built on first use). */
+    /**
+     * The workload `sim` asks for (built on first use): the Section
+     * 6.2 synthetic workload or one of the Section 6.3 server models
+     * at workload.scale, sized to the configured array capacity.
+     */
     BuiltWorkload& workload(const SimulationConfig& sim);
 
     /** Per-disk FOR bitmaps for `sim`'s striping (may be empty when
@@ -88,6 +79,14 @@ class SweepCache
 
     /** The HDC warm-start pin plan for `sim`. */
     const std::vector<ArrayBlock>& pins(const SimulationConfig& sim);
+
+    /**
+     * The HDC warm-start pin plan of a caller's trace replayed on
+     * `sys`. Planned afresh on every call (the cache cannot tell one
+     * caller's trace from another's) and kept until the cache goes.
+     */
+    const std::vector<ArrayBlock>& pins(const SystemConfig& sys,
+                                        const Trace& trace);
 
     /** Free the workloads' miss rankings (pins() rebuilds one if a
      *  new plan needs it). */
@@ -101,15 +100,19 @@ class SweepCache
         bitmaps_;
     std::map<std::string, std::unique_ptr<std::vector<ArrayBlock>>>
         pins_;
+    std::vector<std::unique_ptr<std::vector<ArrayBlock>>> tracePins_;
 };
 
 /**
- * Run every feasible point of an expanded sweep through
- * Experiment::runAll() (thread count: `jobs`, 0 = DTSIM_JOBS). Results come
- * back in point order; infeasible points get a default RunResult and
- * a warn(). Each point's cfg gets resolveStreams() applied, its
- * output files are taken from cfg.output, and its stats/trace outputs
- * begin with the point's own effective-config header.
+ * Run every feasible point of an expanded sweep as an Experiment over
+ * `cache` through Experiment::runAll() (thread count: `jobs`, 0 =
+ * DTSIM_JOBS). Every point is prepared first, then the cache's miss
+ * rankings are dropped, then the batch runs. Results come back in
+ * point order; infeasible points get a default RunResult and a
+ * warn(). Each point's cfg becomes its prepared config (streams
+ * resolved), its output files are taken from cfg.output, and its
+ * stats/trace outputs begin with the point's own effective-config
+ * header.
  *
  * Results are bit-identical to running each point alone: jobs only
  * share the immutable trace/bitmap/pin inputs.

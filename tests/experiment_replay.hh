@@ -19,6 +19,15 @@
 namespace dtsim {
 namespace test {
 
+/** A default SimulationConfig around `sys`, for replay experiments. */
+inline SimulationConfig
+withSystem(const SystemConfig& sys)
+{
+    SimulationConfig sim;
+    sim.system = sys;
+    return sim;
+}
+
 inline RunResult
 replayTrace(const SystemConfig& cfg, const Trace& trace,
             const std::vector<LayoutBitmap>* bitmaps = nullptr,
@@ -26,7 +35,7 @@ replayTrace(const SystemConfig& cfg, const Trace& trace,
             const RunOptions& opts = RunOptions{})
 {
     static const std::vector<ArrayBlock> no_pins;
-    Experiment e(cfg);
+    Experiment e(withSystem(cfg));
     e.replay(trace).options(opts);
     if (bitmaps)
         e.bitmaps(*bitmaps);

@@ -177,4 +177,37 @@ TEST(ConfigRoundTrip, ExplicitStreamsBeatServerModel)
     EXPECT_NE(dump.find("\nsim.config.streams 8 "), std::string::npos);
 }
 
+TEST(ConfigRoundTrip, ReplayedOnlineHdc)
+{
+    // A replayed trace's dump carries no workload, but its header must
+    // still carry every hdc.* knob, or the reload re-plans on the
+    // defaults' schedule.
+    SimulationConfig sim = smallBase();
+    Experiment gen(sim);
+    const Trace& trace = gen.trace();
+
+    sim.system.hdc.policy = HdcPolicy::Online;
+    sim.system.hdc.budgetBytesPerDisk = kMiB;
+    sim.system.hdc.sketchRows = 2;
+    sim.system.hdc.replanIntervalTicks = 5 * kMsec;
+    std::ostringstream first;
+    Experiment(sim).replay(trace).statsTo(StatsSink::stream(first)).run();
+    const std::string dump = first.str();
+    ASSERT_NE(dump.find("#conf hdc.sketch_rows = 2\n"), std::string::npos)
+        << dump;
+
+    SimulationConfig reloaded;
+    config::ParamRegistry reg;
+    bindParams(reg, reloaded);
+    std::string err;
+    ASSERT_TRUE(config::loadConfigText(dump, "dump", reg, err)) << err;
+    std::ostringstream second;
+    Experiment(reloaded)
+        .replay(trace)
+        .statsTo(StatsSink::stream(second))
+        .run();
+    EXPECT_EQ(stats::stripVolatile(dump),
+              stats::stripVolatile(second.str()));
+}
+
 } // namespace

@@ -8,11 +8,16 @@
  * point (the Figure 7 striping grid) and a synthetic grid whose axis
  * changes the workload (the Figure 3-6 and ablation grids). The
  * shipped Table 2 sweep files must reproduce the matching cells of the
- * Figure 7/9/11 files.
+ * Figure 7/9/11 files. A lone Experiment and the same configuration
+ * as a one-point sweep share one derivation path, so their dumps
+ * match byte for byte.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -20,6 +25,8 @@
 #include "core/sweep_driver.hh"
 #include "experiment_replay.hh"
 #include "hdc/hdc_planner.hh"
+#include "stats/dump_reader.hh"
+#include "temp_path.hh"
 #include "workload/server_models.hh"
 #include "workload/synthetic.hh"
 
@@ -267,6 +274,54 @@ TEST(Fig07Equivalence, CacheSharingDoesNotChangeResults)
         EXPECT_EQ(ra[i].ioTime, rb[i].ioTime);
         EXPECT_EQ(ra[i].blocks, rb[i].blocks);
     }
+}
+
+/** The stripped stats dump at `path`. */
+std::string
+readStripped(const std::string& path)
+{
+    std::ifstream in(path);
+    std::ostringstream os;
+    os << in.rdbuf();
+    return stats::stripVolatile(os.str());
+}
+
+/**
+ * Run `sim` alone and as a one-point sweep, both dumping to the same
+ * path (the header names it), and expect the same stripped dump.
+ */
+void
+expectLoneRunMatchesOnePointSweep(SimulationConfig sim)
+{
+    sim.output.statsOut = test::tempPath("stats.txt");
+    Experiment(sim).run();
+    const std::string lone = readStripped(sim.output.statsOut);
+    ASSERT_NE(lone.find("#conf workload.kind = "), std::string::npos);
+
+    std::vector<SweepPoint> points(1);
+    points[0].cfg = sim;
+    runSweepPoints(points);
+    EXPECT_EQ(readStripped(sim.output.statsOut), lone);
+    std::remove(sim.output.statsOut.c_str());
+}
+
+TEST(Fig07Equivalence, LoneRunMatchesOnePointSweepWebForHdc)
+{
+    SimulationConfig sim;
+    sim.workload = WorkloadKind::Web;
+    sim.scale = kScale;
+    sim.system.kind = SystemKind::FOR;
+    sim.system.stripeUnitBytes = 16 * kKiB;
+    sim.system.hdc.budgetBytesPerDisk = 2 * kMiB;
+    expectLoneRunMatchesOnePointSweep(sim);
+}
+
+TEST(Fig07Equivalence, LoneRunMatchesOnePointSweepSyntheticSegm)
+{
+    SimulationConfig sim;
+    sim.synthetic.numRequests = 2000;
+    sim.system.kind = SystemKind::Segm;
+    expectLoneRunMatchesOnePointSweep(sim);
 }
 
 } // namespace

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "core/experiment.hh"
+#include "experiment_replay.hh"
 #include "hdc/hdc_planner.hh"
 #include "hdc/online_policy.hh"
 #include "sim/rng.hh"
@@ -201,7 +202,7 @@ TEST(OnlineHdc, RunnerIntegration)
     const SyntheticWorkload w =
         makeSynthetic(sp, cfg.disks * cfg.disk.totalBlocks());
 
-    Experiment e(cfg);
+    Experiment e(test::withSystem(cfg));
     e.replay(w.trace);
     const RunResult r = e.run();
 
@@ -233,7 +234,7 @@ TEST(OnlineHdc, OracleDumpStaysPure)
         makeSynthetic(sp, cfg.disks * cfg.disk.totalBlocks());
 
     std::ostringstream os;
-    Experiment e(cfg);
+    Experiment e(test::withSystem(cfg));
     e.replay(w.trace).statsTo(StatsSink::stream(os));
     e.run();
     const std::string dump = os.str();

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/experiment.hh"
+#include "experiment_replay.hh"
 #include "core/replay.hh"
 #include "core/system.hh"
 #include "sim/rng.hh"
@@ -245,18 +246,18 @@ TEST(ExperimentReplay, RejectsBadRecordsAtTheBoundary)
     cfg.disks = 4;
     Trace zero = simpleTrace(2, 2);
     zero[3].count = 0;
-    EXPECT_DEATH(Experiment(cfg).replay(zero).run(),
+    EXPECT_DEATH(Experiment(test::withSystem(cfg)).replay(zero).run(),
                  "trace record 3: zero-length record");
 
     Trace past = simpleTrace(2, 2);
     past[2].start = arrayAddressableBlocks(cfg) - 2;
-    EXPECT_DEATH(Experiment(cfg).replay(past).run(),
+    EXPECT_DEATH(Experiment(test::withSystem(cfg)).replay(past).run(),
                  "trace record 2: record runs past the end of the "
                  "array");
 
     Trace wrap = simpleTrace(1, 1);
     wrap[0].start = ~ArrayBlock{0};
-    EXPECT_DEATH(Experiment(cfg).replay(wrap).run(),
+    EXPECT_DEATH(Experiment(test::withSystem(cfg)).replay(wrap).run(),
                  "trace record 0: record runs past the last block "
                  "number");
 }

@@ -238,7 +238,7 @@ TEST(RequestTrace, SweepAggregationMatchesSerial)
         std::vector<Experiment> out;
         for (SystemKind k : {SystemKind::Segm, SystemKind::Block,
                              SystemKind::NoRA, SystemKind::Segm}) {
-            Experiment e(testConfig(k));
+            Experiment e(test::withSystem(testConfig(k)));
             e.replay(trace);
             out.push_back(std::move(e));
         }
@@ -327,7 +327,7 @@ TEST(RequestTrace, SnapshotsFlushOnceWritten)
     const Trace trace = testTrace(150);
     SyncLog buf;
     std::ostream os(&buf);
-    Experiment e(testConfig());
+    Experiment e(test::withSystem(testConfig()));
     e.replay(trace)
         .statsTo(StatsSink::stream(os))
         .statsEvery(fromMicros(2000));

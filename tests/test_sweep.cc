@@ -134,7 +134,7 @@ class SweepTest : public ::testing::Test
         static const std::vector<ArrayBlock> no_pins;
         std::vector<Experiment> out;
         for (const Job& job : jobs_) {
-            Experiment e(job.cfg);
+            Experiment e(test::withSystem(job.cfg));
             e.replay(*job.trace);
             if (job.bitmaps)
                 e.bitmaps(*job.bitmaps);

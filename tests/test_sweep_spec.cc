@@ -157,4 +157,42 @@ TEST(SweepSpec, ExpansionRejectsARepeatedAxisKey)
         << err;
 }
 
+TEST(SweepSpec, RejectsAnAxisOverAnAliasedField)
+{
+    // A deprecated system.hdc_* key sets the same field as its hdc.*
+    // key: two axes over the pair would label each point with two
+    // values while only the later one runs.
+    const std::pair<SweepAxis, SweepAxis> pairs[] = {
+        {{"system.hdc_bytes_per_disk", {"0", "2097152"}},
+         {"hdc.budget_bytes_per_disk", {"0", "1048576"}}},
+        {{"system.hdc_policy", {"oracle", "off"}},
+         {"hdc.policy", {"online"}}},
+    };
+    for (const auto& [first, second] : pairs) {
+        const std::string want = "duplicate sweep axis '" + second.key +
+                                 "' (sets the same field as '" +
+                                 first.key + "')";
+
+        std::string text;
+        for (const SweepAxis* a : {&first, &second}) {
+            text += "sweep " + a->key + " = ";
+            for (const std::string& v : a->values)
+                text += v + ",";
+            text += "\n";
+        }
+        SweepSpec loaded;
+        std::string err;
+        EXPECT_FALSE(loadSweepText(text, "alias.conf", loaded, err))
+            << text;
+        EXPECT_NE(err.find("alias.conf:2: " + want), std::string::npos)
+            << err;
+
+        SweepSpec built;
+        built.axes = {first, second};
+        err.clear();
+        EXPECT_TRUE(expandSweep(built, err).empty()) << first.key;
+        EXPECT_NE(err.find(want), std::string::npos) << err;
+    }
+}
+
 } // namespace

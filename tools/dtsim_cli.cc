@@ -330,17 +330,11 @@ coordSuffix(const SweepPoint& p)
                 (want_hdc && e.name.compare(0, 4, "hdc.") == 0);
             if (!take)
                 continue;
-            // The legacy system.hdc_* keys alias hdc.* fields; a
-            // sweep axis over either spelling covers both.
-            std::string alias;
-            if (e.name == "hdc.policy")
-                alias = "system.hdc_policy";
-            else if (e.name == "hdc.budget_bytes_per_disk")
-                alias = "system.hdc_bytes_per_disk";
+            // A sweep axis over a deprecated alias covers the field
+            // it aliases.
             bool is_axis = false;
             for (const auto& kv : p.coords)
-                is_axis = is_axis || kv.first == e.name ||
-                          (!alias.empty() && kv.first == alias);
+                is_axis = is_axis || cur.sameField(kv.first, e.name);
             if (is_axis)
                 continue;
             const std::string v = e.get();
