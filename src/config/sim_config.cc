@@ -296,7 +296,7 @@ bindParams(ParamRegistry& reg, SimulationConfig& sim)
             "online policy: base re-plan period in simulated ticks");
     reg.add("hdc.sketch_rows", h.sketchRows,
             "online policy: count-min sketch rows (independent hash "
-            "functions)");
+            "functions, at most 8)");
     reg.add("hdc.sketch_cols", h.sketchCols,
             "online policy: count-min sketch counters per row (rows "
             "x cols at most 2^28)");
@@ -433,6 +433,15 @@ validateConfig(const SimulationConfig& sim)
                   ") x hdc.sketch_cols (" + u64s(sys.hdc.sketchCols) +
                   ") must be at most 2^28 sketch counters under the "
                   "online HDC policy");
+        // Each candidate caches its counter in every row inside its
+        // fixed-size pool record, which has room for kMaxSketchRows.
+        check(errs, sys.hdc.sketchRows <= kMaxSketchRows,
+              "hdc.sketch_rows (" + u64s(sys.hdc.sketchRows) +
+                  ") must be at most " + u64s(kMaxSketchRows) +
+                  " under the online HDC policy: each of the "
+                  "hdc.candidate_blocks (" +
+                  u64s(sys.hdc.candidateBlocks) +
+                  ") candidates caches one sketch counter per row");
     }
     check(errs,
           sys.hdc.churnThreshold >= 0 && sys.hdc.churnThreshold <= 1,

@@ -29,6 +29,15 @@ namespace dtsim {
  */
 constexpr std::uint64_t kMaxSketchCells = std::uint64_t{1} << 28;
 
+/**
+ * Most count-min rows (hdc.sketch_rows) an online sketch may have:
+ * each candidate caches its counter in every row inside its one
+ * cache-line record, so the per-candidate cache is bounded by the
+ * record, not by the configured rows. validateConfig refuses more
+ * rows and OnlineHdcPolicy fatals on them.
+ */
+constexpr unsigned kMaxSketchRows = 8;
+
 /** Host policy driving the HDC pinned region. */
 enum class HdcPolicy
 {

@@ -40,29 +40,38 @@ OnlineHdcPolicy::OnlineHdcPolicy(DiskArray& array, const HdcSpec& spec)
         fatal("OnlineHdcPolicy: sketch must have rows and columns");
     if (spec_.candidateBlocks == 0)
         fatal("OnlineHdcPolicy: candidate pool must be > 0 blocks");
-    // Pool slots and cached sketch columns are 32-bit, and kNullSlot
-    // is the LRU and watch list sentinel.
+    // Pool slots are 32-bit, and kNullSlot is the LRU and watch list
+    // sentinel.
     if (spec_.candidateBlocks > kNullSlot)
         fatal("OnlineHdcPolicy: candidate pool must be < 2^32 blocks");
+    // Each candidate record caches its counter in every row.
+    if (rows_ > kMaxSketchRows)
+        fatal("OnlineHdcPolicy: sketch must have at most %u rows",
+              kMaxSketchRows);
+    // The cached counter indices are 32-bit.
     if (cols_ > kMaxSketchCells / rows_)
         fatal("OnlineHdcPolicy: sketch must have at most 2^28 "
               "counters");
     // Candidate::disk is a 24-bit field.
     if (array.striping().disks() > (1u << 24))
         fatal("OnlineHdcPolicy: at most 2^24 disks");
-    sketch_.assign(static_cast<std::size_t>(rows_) * cols_, 0);
-    watchHead_.assign(static_cast<std::size_t>(cols_), kNullSlot);
+    sketch_.assign(static_cast<std::size_t>(rows_) * cols_, Cell{});
+    // Reserve a pool up to the default bound whole, so filling it
+    // neither copies records nor rehashes the index; a larger bound
+    // grows on demand.
+    const std::size_t reserve = static_cast<std::size_t>(
+        std::min(spec_.candidateBlocks, HdcSpec{}.candidateBlocks));
+    cands_.reserve(reserve);
+    candSlot_.reserve(reserve);
 }
 
 std::uint32_t
 OnlineHdcPolicy::estimate(std::uint32_t s) const
 {
-    const std::uint32_t* col =
-        &candCols_[static_cast<std::size_t>(s) * rows_];
+    const std::uint32_t* cell = cands_[s].cells;
     std::uint32_t est = UINT32_MAX;
-    std::size_t row = 0;
-    for (unsigned r = 0; r < rows_; ++r, row += cols_)
-        est = std::min(est, sketch_[row + col[r]]);
+    for (unsigned r = 0; r < rows_; ++r)
+        est = std::min(est, sketch_[cell[r]].count);
     return est;
 }
 
@@ -75,16 +84,15 @@ OnlineHdcPolicy::sketchAdd(std::uint32_t s)
     const std::uint32_t est = estimate(s);
     if (est == UINT32_MAX)
         return;  // Saturated; stop counting.
-    const std::uint32_t* col =
-        &candCols_[static_cast<std::size_t>(s) * rows_];
-    std::size_t row = 0;
-    for (unsigned r = 0; r < rows_; ++r, row += cols_) {
-        std::uint32_t& c = sketch_[row + col[r]];
-        if (c == est) {
-            ++c;
-            // Pending a rebuild, every slot is re-scored anyway.
-            if (!rebuildPending_)
-                dirtyWatchers(r, col[r]);
+    const std::uint32_t* cell = cands_[s].cells;
+    for (unsigned r = 0; r < rows_; ++r) {
+        Cell& c = sketch_[cell[r]];
+        if (c.count == est) {
+            ++c.count;
+            // Pending a rebuild, every slot is re-scored anyway, and
+            // the watch lists are empty.
+            if (c.watchHead != kNullSlot)
+                dirtyWatchers(c);
         }
     }
 }
@@ -100,27 +108,18 @@ OnlineHdcPolicy::markDirty(std::uint32_t s)
 }
 
 void
-OnlineHdcPolicy::dirtyWatchers(unsigned row, std::uint32_t col)
+OnlineHdcPolicy::dirtyWatchers(Cell& cell)
 {
-    // The list holds the column's watchers in every row; only those
-    // whose own row-`row` column is `col` can watch the raised
-    // counter. Each of them is about to be re-scored, which re-links
-    // it, so it leaves the list now.
-    std::uint32_t s = watchHead_[col];
+    // Every watcher of the raised counter is about to be re-scored,
+    // which re-links it, so the whole list goes now.
+    std::uint32_t s = cell.watchHead;
+    cell.watchHead = kNullSlot;
     while (s != kNullSlot) {
         Candidate& c = cands_[s];
         const std::uint32_t next = c.watchNext;
-        if (candCols_[static_cast<std::size_t>(s) * rows_ + row] == col) {
-            if (c.watchPrev != kNullSlot)
-                cands_[c.watchPrev].watchNext = next;
-            else
-                watchHead_[col] = next;
-            if (next != kNullSlot)
-                cands_[next].watchPrev = c.watchPrev;
-            c.watchPrev = c.watchNext = kNullSlot;
-            c.watching = false;
-            markDirty(s);
-        }
+        c.watchPrev = c.watchNext = kNullSlot;
+        c.watching = false;
+        markDirty(s);
         s = next;
     }
 }
@@ -134,14 +133,14 @@ OnlineHdcPolicy::unwatch(std::uint32_t s)
     if (c.watchPrev != kNullSlot) {
         cands_[c.watchPrev].watchNext = c.watchNext;
     } else {
-        // The list's head: its column is the one heading at `s`.
-        const std::uint32_t* col =
-            &candCols_[static_cast<std::size_t>(s) * rows_];
-        for (unsigned r = 0; r < rows_; ++r)
-            if (watchHead_[col[r]] == s) {
-                watchHead_[col[r]] = c.watchNext;
+        // The list's head: its counter is the one heading at `s`.
+        for (unsigned r = 0; r < rows_; ++r) {
+            Cell& cell = sketch_[c.cells[r]];
+            if (cell.watchHead == s) {
+                cell.watchHead = c.watchNext;
                 break;
             }
+        }
     }
     if (c.watchNext != kNullSlot)
         cands_[c.watchNext].watchPrev = c.watchPrev;
@@ -177,21 +176,13 @@ OnlineHdcPolicy::lruPushFront(std::uint32_t s)
 }
 
 std::uint32_t
-OnlineHdcPolicy::touchCandidate(ArrayBlock block)
+OnlineHdcPolicy::insertCandidate(ArrayBlock block,
+                                 const std::uint32_t* cells)
 {
-    if (const std::uint32_t* found = candSlot_.find(block)) {
-        const std::uint32_t s = *found;
-        if (s != lruHead_) {
-            lruUnlink(s);
-            lruPushFront(s);
-        }
-        return s;
-    }
     std::uint32_t s;
     if (cands_.size() < spec_.candidateBlocks) {
         s = static_cast<std::uint32_t>(cands_.size());
         cands_.emplace_back();
-        candCols_.resize(candCols_.size() + rows_);
     } else {
         // Full: the evicted slot is reused, which keeps the used
         // slots a dense prefix. A pinned block that leaves the pool
@@ -199,52 +190,107 @@ OnlineHdcPolicy::touchCandidate(ArrayBlock block)
         // unless it comes back and ranks there again.
         s = lruTail_;
         lruUnlink(s);
-        if (cands_[s].inTop)
+        Candidate& old = cands_[s];
+        if (old.inTop)
             leaveTop(s);
+        if (old.incumbent)
+            ++pinnedOutside_;
         unwatch(s);
-        --rankings_[cands_[s].disk].poolSlots;
-        candSlot_.erase(cands_[s].block);
+        --rankings_[old.disk].poolSlots;
+        candSlot_.erase(old.block);
     }
     Candidate& c = cands_[s];
     c.block = block;
     c.est = 0;
+    c.incumbent = false;
+    c.parked = false;
     c.disk = array_.striping().toPhysical(block).disk;
     // A pinned block that was evicted from the pool re-enters as an
     // incumbent.
-    c.incumbent = pinnedOn(c.disk, block);
+    if (pinnedOutside_ > 0 && pinnedOn(c.disk, block)) {
+        c.incumbent = true;
+        --pinnedOutside_;
+    }
     ++rankings_[c.disk].poolSlots;
-    std::uint32_t* col = &candCols_[static_cast<std::size_t>(s) * rows_];
-    for (unsigned r = 0; r < rows_; ++r)
-        col[r] = sketchColumn(r, block, cols_);
+    std::copy_n(cells, rows_, c.cells);
     candSlot_.insert(block, s);
     lruPushFront(s);
-    if (!rebuildPending_)
-        markDirty(s);
     return s;
+}
+
+void
+OnlineHdcPolicy::sketchCells(ArrayBlock block, std::uint32_t* cells) const
+{
+    for (unsigned r = 0; r < rows_; ++r)
+        cells[r] = static_cast<std::uint32_t>(
+            r * cols_ + sketchColumn(r, block, cols_));
 }
 
 void
 OnlineHdcPolicy::observeMiss(ArrayBlock block)
 {
+    std::uint32_t cells[kMaxSketchRows] = {};
+    sketchCells(block, cells);
+    observe(block, cells);
+}
+
+void
+OnlineHdcPolicy::observe(ArrayBlock block, const std::uint32_t* cells)
+{
     ++counters_.misses;
     // The pool and the sketch are independent, so touching first lets
-    // the increment use the slot's cached columns.
-    sketchAdd(touchCandidate(block));
+    // the increment use the slot's cached counters.
+    if (const std::uint32_t* found = candSlot_.find(block)) {
+        const std::uint32_t s = *found;
+        if (s != lruHead_) {
+            lruUnlink(s);
+            lruPushFront(s);
+        }
+        sketchAdd(s);
+        return;
+    }
+    const std::uint32_t s = insertCandidate(block, cells);
+    sketchAdd(s);
+    // A new candidate is scored and filed at once, while its counters
+    // are cached; a later raise of the counter it watches queues it
+    // for re-scoring like any other. Pending a rebuild, the rebuild
+    // scores it.
+    if (!rebuildPending_) {
+        score(s);
+        placeOutside(s);
+    }
 }
 
 void
 OnlineHdcPolicy::onAccess(ArrayBlock start, std::uint64_t count)
 {
-    for (std::uint64_t i = 0; i < count; ++i)
-        observeMiss(start + i);
+    // Most of a record's blocks are new to the pool, each with its
+    // own index slot and sketch counters at random addresses: start
+    // loading a batch's worth of them before observing the batch in
+    // order.
+    for (std::uint64_t done = 0; done < count; done += kBatch) {
+        const std::uint64_t n = std::min(kBatch, count - done);
+        for (std::uint64_t i = 0; i < n; ++i) {
+            candSlot_.prefetch(start + done + i);
+            sketchCells(start + done + i, batchCells_[i]);
+            for (unsigned r = 0; r < rows_; ++r)
+                __builtin_prefetch(&sketch_[batchCells_[i][r]]);
+        }
+        for (std::uint64_t i = 0; i < n; ++i)
+            observe(start + done + i, batchCells_[i]);
+    }
 }
 
 void
 OnlineHdcPolicy::ageSketch()
 {
-    for (std::uint32_t& c : sketch_)
-        c >>= 1;
-    // Halving can lower any estimate, which no watch list tracks.
+    // Halving can lower any estimate, which no watch list tracks:
+    // the next epoch re-scores the whole pool, and until then no
+    // candidate watches a counter.
+    for (Cell& c : sketch_) {
+        c.count >>= 1;
+        c.watchHead = kNullSlot;
+    }
     rebuildPending_ = true;
 }
 
@@ -255,6 +301,9 @@ OnlineHdcPolicy::markIncumbent(ArrayBlock block, bool incumbent)
         cands_[*s].incumbent = incumbent;
         // The flag is part of the key.
         markDirty(*s);
+    } else if (!incumbent) {
+        // An unpinned block outside the pool.
+        --pinnedOutside_;
     }
 }
 
@@ -262,16 +311,13 @@ void
 OnlineHdcPolicy::score(std::uint32_t s)
 {
     Candidate& c = cands_[s];
-    const std::uint32_t* col =
-        &candCols_[static_cast<std::size_t>(s) * rows_];
     std::uint32_t est = UINT32_MAX;
-    std::uint32_t watch = col[0];
-    std::size_t row = 0;
-    for (unsigned r = 0; r < rows_; ++r, row += cols_) {
-        const std::uint32_t v = sketch_[row + col[r]];
+    std::uint32_t watch = c.cells[0];
+    for (unsigned r = 0; r < rows_; ++r) {
+        const std::uint32_t v = sketch_[c.cells[r]].count;
         if (v < est) {
             est = v;
-            watch = col[r];
+            watch = c.cells[r];
         }
     }
     c.est = est;
@@ -279,19 +325,22 @@ OnlineHdcPolicy::score(std::uint32_t s)
     // Counters only rise until the next aging, so the estimate holds
     // until the watched minimum counter rises.
     unwatch(s);
+    Cell& cell = sketch_[watch];
     c.watching = true;
-    c.watchNext = watchHead_[watch];
+    c.watchNext = cell.watchHead;
     if (c.watchNext != kNullSlot)
         cands_[c.watchNext].watchPrev = s;
-    watchHead_[watch] = s;
+    cell.watchHead = s;
 }
 
 void
 OnlineHdcPolicy::enterTop(std::uint32_t s)
 {
     Candidate& c = cands_[s];
-    rankings_[c.disk].top.insert(Ranked{c.key(), c.block});
+    DiskRanking& dr = rankings_[c.disk];
     c.inTop = true;
+    ++dr.topCount;
+    topPush(dr, ranked(s));
     if (!c.incumbent)
         enteredTop_.push_back(c.block);
 }
@@ -299,11 +348,74 @@ OnlineHdcPolicy::enterTop(std::uint32_t s)
 void
 OnlineHdcPolicy::leaveTop(std::uint32_t s)
 {
+    // Its top-set entry goes stale with the flag.
     Candidate& c = cands_[s];
-    rankings_[c.disk].top.erase(Ranked{c.key(), c.block});
     c.inTop = false;
+    --rankings_[c.disk].topCount;
     if (c.incumbent)
         leftTop_.push_back(c.block);
+}
+
+void
+OnlineHdcPolicy::topPush(DiskRanking& dr, Ranked r)
+{
+    dr.top.push_back(r);
+    std::push_heap(dr.top.begin(), dr.top.end(), RanksBefore{});
+    if (dr.top.size() <= 2 * dr.topCount + 16)
+        return;
+    // Compact: keep the live entries only.
+    std::erase_if(dr.top,
+                  [this](const Ranked& e) { return !liveInTop(e); });
+    std::make_heap(dr.top.begin(), dr.top.end(), RanksBefore{});
+}
+
+void
+OnlineHdcPolicy::park(DiskRanking& dr, const Ranked& r)
+{
+    if (dr.parked.empty() || RanksBefore{}(r, dr.ceiling))
+        dr.ceiling = r;
+    Candidate& c = cands_[r.slot];
+    if (c.parked)
+        return;  // Already listed.
+    c.parked = true;
+    dr.parked.push_back(r.slot);
+    if (dr.parked.size() <= 2 * std::size_t{dr.poolSlots} + 16)
+        return;
+    // Compact: keep one entry per parked slot this disk owns. The
+    // first pass clears the flag of each slot it keeps, so a later
+    // duplicate of that slot is dropped; the second restores them.
+    const unsigned disk = c.disk;
+    std::erase_if(dr.parked, [this, disk](std::uint32_t p) {
+        Candidate& pc = cands_[p];
+        if (!pc.parked || pc.disk != disk)
+            return true;
+        pc.parked = false;
+        return false;
+    });
+    for (const std::uint32_t p : dr.parked)
+        cands_[p].parked = true;
+}
+
+void
+OnlineHdcPolicy::unpark(DiskRanking& dr, unsigned disk)
+{
+    const std::size_t before = dr.heap.size();
+    for (const std::uint32_t s : dr.parked) {
+        Candidate& c = cands_[s];
+        if (c.parked && c.disk == disk) {
+            c.parked = false;
+            dr.heap.push_back(ranked(s));
+        }
+    }
+    dr.parked.clear();
+    // A few newcomers sift up one by one; many make a fresh heap.
+    if (dr.heap.size() - before > before / 8) {
+        std::make_heap(dr.heap.begin(), dr.heap.end(), RanksAfter{});
+    } else {
+        for (std::size_t i = before; i < dr.heap.size(); ++i)
+            std::push_heap(dr.heap.begin(), dr.heap.begin() + i + 1,
+                           RanksAfter{});
+    }
 }
 
 void
@@ -313,65 +425,92 @@ OnlineHdcPolicy::heapPush(DiskRanking& dr, Ranked r)
     std::push_heap(dr.heap.begin(), dr.heap.end(), RanksAfter{});
     if (dr.heap.size() <= 2 * std::size_t{dr.poolSlots})
         return;
-    // Compact: keep the live entries only. A live entry's slot holds
-    // the same block, outside the top set, with the same key.
-    std::erase_if(dr.heap, [this](const Ranked& e) {
-        const std::uint32_t* s = candSlot_.find(e.block);
-        return s == nullptr || cands_[*s].inTop ||
-               cands_[*s].key() != e.key;
-    });
+    // Compact: keep the live entries only.
+    std::erase_if(dr.heap,
+                  [this](const Ranked& e) { return !liveOutside(e); });
     std::make_heap(dr.heap.begin(), dr.heap.end(), RanksAfter{});
 }
 
-void
-OnlineHdcPolicy::heapPop(DiskRanking& dr)
-{
-    std::pop_heap(dr.heap.begin(), dr.heap.end(), RanksAfter{});
-    dr.heap.pop_back();
-}
-
-std::uint32_t
+const OnlineHdcPolicy::Ranked*
 OnlineHdcPolicy::heapBest(DiskRanking& dr)
 {
     while (!dr.heap.empty()) {
-        const Ranked& e = dr.heap.front();
-        if (const std::uint32_t* s = candSlot_.find(e.block)) {
-            const Candidate& c = cands_[*s];
-            if (!c.inTop && c.key() == e.key)
-                return *s;
-        }
-        heapPop(dr);
+        if (liveOutside(dr.heap.front()))
+            return &dr.heap.front();
+        std::pop_heap(dr.heap.begin(), dr.heap.end(), RanksAfter{});
+        dr.heap.pop_back();
     }
-    return kNullSlot;
+    return nullptr;
+}
+
+const OnlineHdcPolicy::Ranked*
+OnlineHdcPolicy::topWorst(DiskRanking& dr)
+{
+    while (!dr.top.empty()) {
+        if (liveInTop(dr.top.front()))
+            return &dr.top.front();
+        std::pop_heap(dr.top.begin(), dr.top.end(), RanksBefore{});
+        dr.top.pop_back();
+    }
+    return nullptr;
 }
 
 void
-OnlineHdcPolicy::rebalance(DiskRanking& dr)
+OnlineHdcPolicy::placeOutside(std::uint32_t s)
 {
-    // Fill to capacity from the best candidates outside.
-    while (dr.top.size() < capacityBlocks_) {
-        const std::uint32_t best = heapBest(dr);
-        if (best == kNullSlot)
+    Candidate& c = cands_[s];
+    DiskRanking& dr = rankings_[c.disk];
+    const Ranked r = ranked(s);
+    // Between agings top keys only rise, so an outsider at or below
+    // the floor stays below every member until one leaves.
+    const Ranked* floor = topWorst(dr);
+    if (floor != nullptr && !RanksBefore{}(r, *floor)) {
+        park(dr, r);
+        return;
+    }
+    c.parked = false;
+    heapPush(dr, r);
+}
+
+void
+OnlineHdcPolicy::rebalance(DiskRanking& dr, unsigned disk)
+{
+    // Fill to capacity from the best candidates outside. No parked
+    // candidate beats the ceiling, so while the heap's best does, the
+    // parked ones can stay where they are.
+    while (dr.topCount < capacityBlocks_) {
+        const Ranked* best = heapBest(dr);
+        if (!dr.parked.empty() &&
+            (best == nullptr || !RanksBefore{}(*best, dr.ceiling))) {
+            unpark(dr, disk);
+            continue;
+        }
+        if (best == nullptr)
             return;
-        heapPop(dr);
-        enterTop(best);
+        const std::uint32_t s = best->slot;
+        std::pop_heap(dr.heap.begin(), dr.heap.end(), RanksAfter{});
+        dr.heap.pop_back();
+        enterTop(s);
     }
     // Swap while the best outside candidate beats the worst inside.
-    // A candidate swapped out ranks below everything left inside, so
-    // it never comes straight back.
-    while (!dr.top.empty()) {
-        const std::uint32_t best = heapBest(dr);
-        if (best == kNullSlot)
+    // A candidate swapped out ranks below everything left inside, and
+    // below the one swapped in, so it is parked under the new floor.
+    for (;;) {
+        const Ranked* best = heapBest(dr);
+        if (best == nullptr)
             return;
-        const Ranked worst = *std::prev(dr.top.end());
-        const Candidate& in = cands_[best];
-        if (!RanksBefore{}(Ranked{in.key(), in.block}, worst))
+        const Ranked* worst = topWorst(dr);
+        if (worst == nullptr || !RanksBefore{}(*best, *worst))
             return;
-        heapPop(dr);
-        const std::uint32_t out = *candSlot_.find(worst.block);
-        leaveTop(out);
-        heapPush(dr, worst);
-        enterTop(best);
+        const std::uint32_t in = best->slot;
+        const Ranked out = *worst;
+        std::pop_heap(dr.heap.begin(), dr.heap.end(), RanksAfter{});
+        dr.heap.pop_back();
+        std::pop_heap(dr.top.begin(), dr.top.end(), RanksBefore{});
+        dr.top.pop_back();
+        leaveTop(out.slot);
+        park(dr, out);
+        enterTop(in);
     }
 }
 
@@ -384,15 +523,13 @@ OnlineHdcPolicy::rescore(std::uint32_t s)
     const std::uint64_t key = c.key();
     if (key == old)
         return;
-    DiskRanking& dr = rankings_[c.disk];
     if (c.inTop) {
-        // Re-key in place; rebalance() restores the top-k. Estimates
-        // only rise between agings, so the slot stays ranked.
-        auto node = dr.top.extract(Ranked{old, c.block});
-        node.value().key = key;
-        dr.top.insert(std::move(node));
+        // Re-key: the old entry goes stale. Estimates only rise
+        // between agings, so the slot stays ranked, and
+        // rebalance() restores the top-k.
+        topPush(rankings_[c.disk], ranked(s));
     } else if (key != 0) {
-        heapPush(dr, Ranked{key, c.block});
+        placeOutside(s);
     }
 }
 
@@ -401,27 +538,45 @@ OnlineHdcPolicy::rebuild()
 {
     ++fullRebuilds_;
     rebuildPending_ = false;
-    for (DiskRanking& dr : rankings_) {
-        while (!dr.top.empty())
-            leaveTop(*candSlot_.find(dr.top.begin()->block));
-        dr.heap.clear();
-    }
-    std::fill(watchHead_.begin(), watchHead_.end(), kNullSlot);
-    for (Candidate& c : cands_) {
+    const std::uint32_t pool = static_cast<std::uint32_t>(cands_.size());
+    for (std::uint32_t s = 0; s < pool; ++s) {
+        Candidate& c = cands_[s];
+        if (c.inTop)
+            leaveTop(s);
+        // ageSketch() emptied the watch lists.
         c.watchPrev = c.watchNext = kNullSlot;
         c.watching = false;
         c.dirty = false;
+        c.parked = false;
     }
     dirty_.clear();
-    const std::uint32_t pool = static_cast<std::uint32_t>(cands_.size());
+    for (DiskRanking& dr : rankings_) {
+        dr.top.clear();
+        dr.heap.clear();
+        dr.parked.clear();
+    }
+    // Gather each disk's ranked candidates on its heap vector, then
+    // select the top set: the order is strict, so the set is unique.
     for (std::uint32_t s = 0; s < pool; ++s) {
         score(s);
         const Candidate& c = cands_[s];
         if (c.est != 0)
-            rankings_[c.disk].heap.push_back(Ranked{c.key(), c.block});
+            rankings_[c.disk].heap.push_back(ranked(s));
     }
-    for (DiskRanking& dr : rankings_)
-        std::make_heap(dr.heap.begin(), dr.heap.end(), RanksAfter{});
+    for (DiskRanking& dr : rankings_) {
+        std::vector<Ranked>& all = dr.heap;
+        const std::size_t k = static_cast<std::size_t>(
+            std::min<std::uint64_t>(capacityBlocks_, all.size()));
+        if (k < all.size())
+            std::nth_element(all.begin(), all.begin() + k, all.end(),
+                             RanksBefore{});
+        for (std::size_t i = 0; i < k; ++i)
+            enterTop(all[i].slot);
+        // The rest rank below every member of a full set.
+        for (std::size_t i = k; i < all.size(); ++i)
+            park(dr, all[i]);
+        all.clear();
+    }
 }
 
 void
@@ -457,9 +612,9 @@ OnlineHdcPolicy::replan()
         dirty_.clear();
     }
     std::uint64_t desiredTotal = 0;
-    for (DiskRanking& dr : rankings_) {
-        rebalance(dr);
-        desiredTotal += dr.top.size();
+    for (unsigned d = 0; d < rankings_.size(); ++d) {
+        rebalance(rankings_[d], d);
+        desiredTotal += rankings_[d].topCount;
     }
 
     // Settle this epoch's top-set moves against the pin sets: a block

@@ -10,7 +10,9 @@
  *    exactly that stream, fed record by record through onAccess)
  *    bumps the block in a count-min sketch with conservative
  *    update, and refreshes the block in a bounded LRU candidate
- *    pool that caps the policy's memory.
+ *    pool that caps the policy's memory. onAccess starts loading a
+ *    record's sketch counters and pool index slots before it
+ *    observes the record's blocks in order.
  *  - Re-plan: every replan interval a host-side front event ranks
  *    the candidates per logical disk by sketch estimate (incumbents
  *    score a small hysteresis margin so equal-value challengers
@@ -20,15 +22,22 @@
  *    unpin-then-pin commands through DiskArray's unified pin router.
  *    Commands to one disk apply in issue order, so the unpins land
  *    first and controller occupancy never overshoots.
- *  - Incremental ranking: each disk keeps its top-k in an ordered set
- *    and the rest of its candidates in a lazy max-heap, and an epoch
- *    re-keys only the candidates whose score can have changed. Each
- *    candidate watches the sketch column of one row that held its
+ *  - Incremental ranking: each disk keeps its top-k in a lazy
+ *    min-heap (worst member, the floor, first) and an epoch re-keys
+ *    only the candidates whose score can have changed. Each candidate
+ *    watches the sketch counter of the first row that held its
  *    minimum when it was last scored; counters only rise between
  *    agings, so its estimate cannot move unless that counter does,
- *    and a sketch increment marks the column's watchers dirty. A new
- *    candidate and a flipped incumbent flag also mark it dirty. Only
- *    the epoch after a sketch aging re-scores the whole pool.
+ *    and a sketch increment marks the counter's watchers dirty (the
+ *    list head sits beside the counter, so a raise with no watchers
+ *    costs nothing more). A flipped incumbent flag also marks a
+ *    candidate dirty; a new one is scored as it is inserted. Only the
+ *    epoch after a sketch aging re-scores the whole pool.
+ *  - Floor filter: top keys only rise between agings, so a candidate
+ *    outside the top set that does not beat its floor is parked on an
+ *    unsorted list instead of a lazy max-heap. Parked candidates are
+ *    heaped only when the set has room (a pool eviction took a
+ *    member) and the heap's best no longer beats every parked one.
  *  - Phase change: the epoch's churn (1 - overlap between the new
  *    and previous hot sets) above hdc.churn_threshold schedules the
  *    next re-plan at a quarter of the base period, so the region
@@ -47,7 +56,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <set>
 #include <vector>
 
 #include "array/disk_array.hh"
@@ -120,10 +128,11 @@ class OnlineHdcPolicy
 
   private:
     /**
-     * One candidate-pool entry. Everything a re-plan needs per block
-     * that only depends on the block is computed once, on insert.
+     * One candidate-pool entry, one cache line. Everything a re-plan
+     * or an observation needs per block that only depends on the
+     * block is computed once, on insert.
      */
-    struct Candidate
+    struct alignas(64) Candidate
     {
         ArrayBlock block = 0;
         /** Sketch estimate at the last scoring (0 = unranked). */
@@ -139,6 +148,13 @@ class OnlineHdcPolicy
         bool inTop : 1 = false;          ///< In its disk's top set.
         bool dirty : 1 = false;          ///< Queued for re-scoring.
         bool watching : 1 = false;       ///< On a watch list.
+        /** On its disk's parked list, below the top set's floor. */
+        bool parked : 1 = false;
+        /**
+         * The block's sketch counter in each row, as an index into
+         * sketch_ (row * cols + column); the first rows_ are used.
+         */
+        std::uint32_t cells[kMaxSketchRows] = {};
 
         /**
          * Ranking key as last scored:
@@ -154,14 +170,25 @@ class OnlineHdcPolicy
         }
     };
 
+    /** One count-min counter and the head of its watch list. */
+    struct Cell
+    {
+        std::uint32_t count = 0;
+        /** First candidate whose estimate this counter holds. */
+        std::uint32_t watchHead = kNullSlot;
+    };
+
     /**
      * A ranked candidate. key = (est + 2*incumbent) << 1 | incumbent,
      * so key descending then block ascending is the ranking order.
+     * The entry counts only while pool slot `slot` still holds
+     * `block` with the same key (see liveOutside() and liveInTop()).
      */
     struct Ranked
     {
         std::uint64_t key;
         ArrayBlock block;
+        std::uint32_t slot;
     };
 
     /** Strict ranking order: key descending, then block ascending. */
@@ -176,7 +203,7 @@ class OnlineHdcPolicy
         }
     };
 
-    /** The heaps' order: a max-heap under RanksBefore. */
+    /** The outsider heaps' order: a max-heap under RanksBefore. */
     struct RanksAfter
     {
         bool
@@ -189,15 +216,35 @@ class OnlineHdcPolicy
     /** One logical disk's ranking state. */
     struct DiskRanking
     {
-        /** The (at most capacity) best candidates, best first. */
-        std::set<Ranked, RanksBefore> top;
         /**
-         * Lazy max-heap of the other ranked candidates. An entry
-         * counts only while its block is in the pool, outside the top
-         * set, with the same key; stale entries are dropped when they
-         * reach the front or when the heap is compacted.
+         * Lazy min-heap of the top set (the at most capacity best
+         * candidates), worst first: its front live entry is the
+         * floor. A re-keyed member pushes a new entry and a member
+         * that leaves just clears its inTop flag; stale entries are
+         * dropped when they reach the front or when the heap is
+         * compacted.
+         */
+        std::vector<Ranked> top;
+        /** Live members of the top set. */
+        std::uint64_t topCount = 0;
+        /**
+         * Lazy max-heap of the candidates outside the top set that are
+         * not parked. Stale entries are dropped the same way.
          */
         std::vector<Ranked> heap;
+        /**
+         * Slots of the candidates outside the top set that ranked at
+         * or below its floor when they were filed; an entry counts
+         * while its slot is parked and owned by this disk. Top keys
+         * only rise between agings, so these rank below every member
+         * until one leaves.
+         */
+        std::vector<std::uint32_t> parked;
+        /**
+         * While parked is not empty: an entry that ranks at or before
+         * every parked candidate.
+         */
+        Ranked ceiling{};
         /** Pool slots owned by this disk (the compaction bound). */
         std::uint32_t poolSlots = 0;
     };
@@ -210,18 +257,51 @@ class OnlineHdcPolicy
         return std::binary_search(s.begin(), s.end(), block);
     }
 
+    /** A Ranked entry for slot `s` at its current key. */
+    Ranked
+    ranked(std::uint32_t s) const
+    {
+        const Candidate& c = cands_[s];
+        return Ranked{c.key(), c.block, s};
+    }
+
+    /** `e` is a current entry of a candidate outside the top set. */
+    bool
+    liveOutside(const Ranked& e) const
+    {
+        const Candidate& c = cands_[e.slot];
+        return c.block == e.block && !c.inTop && c.key() == e.key;
+    }
+
+    /** `e` is a current entry of a top-set member. */
+    bool
+    liveInTop(const Ranked& e) const
+    {
+        const Candidate& c = cands_[e.slot];
+        return c.block == e.block && c.inTop && c.key() == e.key;
+    }
+
     /** Count-min estimate of the block in candidate slot `s`. */
     std::uint32_t estimate(std::uint32_t s) const;
 
     /** Conservative-update increment of candidate slot `s`'s block. */
     void sketchAdd(std::uint32_t s);
 
+    /** Write `block`'s sketch counter index in each row to `cells`. */
+    void sketchCells(ArrayBlock block, std::uint32_t* cells) const;
+
+    /** observeMiss() of `block`, whose counters are `cells`. */
+    void observe(ArrayBlock block, const std::uint32_t* cells);
+
     /**
-     * Refresh `block` in the bounded LRU candidate pool, inserting it
-     * (and evicting the least recent entry when full) if absent.
+     * Insert `block`, absent from the bounded LRU candidate pool, at
+     * its front, evicting the least recent entry when the pool is
+     * full.
+     * @param cells The block's sketch counters (sketchCells()).
      * @return The block's slot.
      */
-    std::uint32_t touchCandidate(ArrayBlock block);
+    std::uint32_t insertCandidate(ArrayBlock block,
+                                  const std::uint32_t* cells);
 
     /** Unlink slot `s` from the LRU list. */
     void lruUnlink(std::uint32_t s);
@@ -235,15 +315,15 @@ class OnlineHdcPolicy
     /** Queue slot `s` for re-scoring at the next epoch. */
     void markDirty(std::uint32_t s);
 
-    /** Mark the watchers of counter (`row`, `col`) dirty. */
-    void dirtyWatchers(unsigned row, std::uint32_t col);
+    /** Mark the watchers of sketch counter `cell` dirty. */
+    void dirtyWatchers(Cell& cell);
 
     /** Take slot `s` off its watch list, if it is on one. */
     void unwatch(std::uint32_t s);
 
     /**
      * Score slot `s` from the sketch (its est and scoredIncumbent) and
-     * make it watch the column of the first row that holds its
+     * make it watch the counter of the first row that holds its
      * minimum.
      */
     void score(std::uint32_t s);
@@ -251,7 +331,7 @@ class OnlineHdcPolicy
     /** Re-score dirty slot `s` and move it within its disk's ranking. */
     void rescore(std::uint32_t s);
 
-    /** Re-score the whole pool into fresh heaps (after aging). */
+    /** Re-score the whole pool into fresh top sets (after aging). */
     void rebuild();
 
     /** Put slot `s` into its disk's top set. */
@@ -260,20 +340,38 @@ class OnlineHdcPolicy
     /** Take slot `s` out of its disk's top set. */
     void leaveTop(std::uint32_t s);
 
+    /**
+     * File ranked slot `s`, outside its disk's top set, on the parked
+     * list if it does not beat the set's floor, else on the heap.
+     */
+    void placeOutside(std::uint32_t s);
+
+    /** Push `r` onto `dr`'s top set, compacting an overgrown one. */
+    void topPush(DiskRanking& dr, Ranked r);
+
+    /** Put `r`'s slot on `dr`'s parked list, at `r`'s key. */
+    void park(DiskRanking& dr, const Ranked& r);
+
+    /** Move `dr`'s parked candidates onto its heap. */
+    void unpark(DiskRanking& dr, unsigned disk);
+
     /** Push `r` onto `dr`'s heap, compacting an overgrown heap. */
     void heapPush(DiskRanking& dr, Ranked r);
 
-    /** Remove the front entry of `dr`'s heap. */
-    static void heapPop(DiskRanking& dr);
-
     /**
      * Drop stale entries from the front of `dr`'s heap.
-     * @return The best live candidate's slot, or kNullSlot.
+     * @return The best live outsider's entry, or nullptr.
      */
-    std::uint32_t heapBest(DiskRanking& dr);
+    const Ranked* heapBest(DiskRanking& dr);
+
+    /**
+     * Drop stale entries from the front of `dr`'s top set.
+     * @return The worst member's entry (the floor), or nullptr.
+     */
+    const Ranked* topWorst(DiskRanking& dr);
 
     /** Fill `dr`'s top set to capacity, then swap while improvable. */
-    void rebalance(DiskRanking& dr);
+    void rebalance(DiskRanking& dr, unsigned disk);
 
     /** Set the incumbent flag of `block` if it is in the pool. */
     void markIncumbent(ArrayBlock block, bool incumbent);
@@ -285,31 +383,28 @@ class OnlineHdcPolicy
     std::uint64_t capacityBlocks_;
 
     /** Count-min sketch, rows_ x cols_ row-major. */
-    std::vector<std::uint32_t> sketch_;
+    std::vector<Cell> sketch_;
     unsigned rows_;
     std::uint64_t cols_;
 
     /**
      * Candidate pool: slots are handed out in order and an eviction
      * reuses the evicted slot, so the used slots are always the dense
-     * prefix [0, cands_.size()). Grown on demand up to the bound.
+     * prefix [0, cands_.size()). Reserved up to the default bound,
+     * grown on demand beyond it.
      */
     std::vector<Candidate> cands_;
-    /** rows_ cached sketch columns per slot (row-major by slot). */
-    std::vector<std::uint32_t> candCols_;
     FlatTable<std::uint32_t> candSlot_;  ///< Block -> pool slot.
     std::uint32_t lruHead_ = kNullSlot;  ///< Most recent miss.
     std::uint32_t lruTail_ = kNullSlot;  ///< Next eviction victim.
 
     /**
-     * First watcher of each sketch column (any row), linked through
-     * Candidate::watchPrev/watchNext. Neither the watched row nor the
-     * column is stored: a raise of (row, col) dirties the watchers
-     * whose row-`row` column is `col`, and a watcher that watches the
-     * same column in another row only gets an extra dirty mark, which
-     * re-scores to the same key.
+     * Pinned blocks currently outside the pool. While it is 0 a new
+     * candidate cannot be an incumbent, and its insert skips the pin
+     * set's binary search.
      */
-    std::vector<std::uint32_t> watchHead_;
+    std::uint64_t pinnedOutside_ = 0;
+
     /** Slots to re-score at the next epoch, each once. */
     std::vector<std::uint32_t> dirty_;
     /** The sketch aged (or nothing is scored yet): re-score all. */
@@ -328,6 +423,11 @@ class OnlineHdcPolicy
      */
     std::vector<ArrayBlock> leftTop_;
     std::vector<ArrayBlock> enteredTop_;
+
+    /** Blocks of a record that onAccess() hashes ahead. */
+    static constexpr std::uint64_t kBatch = 16;
+    /** onAccess() scratch: each batched block's sketch counters. */
+    std::uint32_t batchCells_[kBatch][kMaxSketchRows] = {};
 
     /** Re-plan scratch, reused across epochs. */
     std::vector<ArrayBlock> toUnpin_;

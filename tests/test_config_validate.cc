@@ -146,6 +146,39 @@ TEST(ConfigValidate, OnlineHdcSketchCellLimit)
     EXPECT_EQ(firstError(sim), "");
 }
 
+TEST(ConfigValidate, OnlineHdcSketchRowLimit)
+{
+    // Every candidate caches its counter in each sketch row inside a
+    // fixed-size record, so the rows are bounded on their own: 2^20
+    // rows of 256 columns is exactly 2^28 counters, which the cell
+    // limit accepts, yet would ask 4 MiB per candidate.
+    SimulationConfig sim;
+    sim.system.hdc.policy = HdcPolicy::Online;
+    sim.system.hdc.budgetBytesPerDisk = kMiB;
+
+    sim.system.hdc.sketchRows = kMaxSketchRows;
+    EXPECT_EQ(firstError(sim), "");
+    sim.system.hdc.sketchRows = kMaxSketchRows + 1;
+    std::string err = firstError(sim);
+    EXPECT_NE(err.find("hdc.sketch_rows (9)"), std::string::npos) << err;
+    EXPECT_NE(err.find("hdc.candidate_blocks (65536)"), std::string::npos)
+        << err;
+
+    sim.system.hdc.sketchRows = 1u << 20;
+    sim.system.hdc.sketchCols = 256;
+    ASSERT_EQ(std::uint64_t{sim.system.hdc.sketchRows} *
+                  sim.system.hdc.sketchCols,
+              kMaxSketchCells);
+    err = firstError(sim);
+    EXPECT_NE(err.find("hdc.sketch_rows (1048576)"), std::string::npos)
+        << err;
+    EXPECT_NE(err.find("at most 8"), std::string::npos) << err;
+
+    // Oracle runs never build the pool.
+    sim.system.hdc.policy = HdcPolicy::Oracle;
+    EXPECT_EQ(firstError(sim), "");
+}
+
 TEST(ConfigValidate, StripeUnitMustBeBlockMultiple)
 {
     SimulationConfig sim;

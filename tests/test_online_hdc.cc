@@ -877,5 +877,49 @@ TEST(OnlineHdcDifferential, SharedCountersDirtyTheirWatchers)
     }
 }
 
+TEST(OnlineHdcDifferential, OddSketchShapes)
+{
+    // Row counts on either side of the default four and a column
+    // count that is neither a power of two nor large, over a pool
+    // small enough that pinned blocks leave it and re-enter.
+    for (unsigned rows : {3u, 7u}) {
+        FuzzCase fc;
+        fc.rows = rows;
+        fc.cols = 97;
+        fc.candidates = 32;
+        fc.hotSpan = 200;
+        fc.flat = true;
+        fc.epochs = 120;
+        for (std::uint64_t seed : {18u, 19u}) {
+            const auto ref = driveDifferential(fc, seed);
+            EXPECT_GT(ref->pinnedReentries(), 0u) << "rows " << rows;
+            EXPECT_GT(ref->agings(), 2u) << "rows " << rows;
+            EXPECT_GT(ref->cutTies(), 0u) << "rows " << rows;
+        }
+    }
+}
+
+TEST(OnlineHdcDifferential, ParkedCandidatesRiseBelowTheFloor)
+{
+    // A skewed stream over a pool that evicts top-set members: the
+    // candidates parked below a top set's floor keep rising
+    // there, and each eviction refills the set from the best of the
+    // heap and the parked ones. A refill that misses a parked
+    // candidate which rose past the heap's best picks another block.
+    FuzzCase fc;
+    fc.regionBlocks = 8;
+    fc.candidates = 96;
+    fc.rows = 2;
+    fc.cols = 512;
+    fc.hotSpan = 160;
+    fc.epochs = 300;
+    fc.missesPerEpoch = 100;
+    for (std::uint64_t seed : {20u, 21u}) {
+        const auto ref = driveDifferential(fc, seed);
+        EXPECT_GT(ref->pinnedReentries(), 0u);
+        EXPECT_GT(ref->counters().unpins, 0u);
+    }
+}
+
 } // namespace
 } // namespace dtsim

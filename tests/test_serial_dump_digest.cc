@@ -283,6 +283,21 @@ TEST(SerialDumpDigest, OnlineHdcSmallPool)
     EXPECT_DIGEST(c.dump(), "3cd165fe9042a1e1");
 }
 
+TEST(SerialDumpDigest, OnlineHdcOddSketch)
+{
+    // A sketch shape no power-of-two or four-row layout covers: three
+    // rows of 1000 columns, over a pool small enough that pinned
+    // blocks leave it (one comes back while still pinned).
+    SimulationConfig sim =
+        webConfig(SystemKind::FOR, 16 * kKiB, 256 * kKiB);
+    sim.system.hdc.policy = HdcPolicy::Online;
+    sim.system.hdc.sketchRows = 3;
+    sim.system.hdc.sketchCols = 1000;
+    sim.system.hdc.candidateBlocks = 384;
+    DigestCase c(std::move(sim));
+    EXPECT_DIGEST(c.dump(), "79fcd5eb00a9c654");
+}
+
 TEST(SerialDumpDigest, ForReadAheadNoHdc)
 {
     // FOR read-ahead with no pinned store: the fixed budget is the
